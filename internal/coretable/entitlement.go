@@ -103,29 +103,36 @@ func (t *Table) SetEntitlements(ents []int32, prevEpoch int64) (int64, bool) {
 // exactly the HomeCores block sizes, so the derived blocks coincide with
 // the paper's static allocation — the degenerate case.
 func (t *Table) EntitledCores(idx int) []int {
-	if t.entEpoch.Load() == 0 {
+	start, size, ok := t.EntitledBlock(idx)
+	if !ok {
 		return nil
-	}
-	if idx < 0 || idx >= t.k {
-		panic(fmt.Sprintf("coretable: EntitledCores slot %d out of range [0,%d)", idx, t.k))
-	}
-	start := 0
-	for i := 0; i < idx; i++ {
-		start += int(t.ent[i].Load())
-	}
-	size := int(t.ent[idx].Load())
-	if start > t.k {
-		start = t.k
-	}
-	if start+size > t.k {
-		size = t.k - start
-	}
-	if size <= 0 {
-		return []int{}
 	}
 	cores := make([]int, size)
 	for i := range cores {
 		cores[i] = start + i
 	}
 	return cores
+}
+
+// EntitledBlock is EntitledCores as bounds: the block is cores
+// [start, start+size), and ok is false while the entitlement epoch is 0.
+// It allocates nothing, for callers on a per-job path.
+func (t *Table) EntitledBlock(idx int) (start, size int, ok bool) {
+	if t.entEpoch.Load() == 0 {
+		return 0, 0, false
+	}
+	if idx < 0 || idx >= t.k {
+		panic(fmt.Sprintf("coretable: EntitledBlock slot %d out of range [0,%d)", idx, t.k))
+	}
+	for i := 0; i < idx; i++ {
+		start += int(t.ent[i].Load())
+	}
+	size = int(t.ent[idx].Load())
+	if start > t.k {
+		start = t.k
+	}
+	if start+size > t.k {
+		size = t.k - start
+	}
+	return start, size, true
 }

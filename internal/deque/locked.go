@@ -47,7 +47,16 @@ func (d *Locked[T]) Steal() *T {
 		return nil
 	}
 	v := d.elts[0]
-	d.elts = d.elts[1:]
+	if len(d.elts) == 1 {
+		// Drained: keep the backing array. Slicing the head off here too
+		// would walk a one-at-a-time Push/Steal user (the runtime's
+		// injection queue, once per job) off the end of it, and every
+		// Push after that would allocate.
+		d.elts[0] = nil
+		d.elts = d.elts[:0]
+	} else {
+		d.elts = d.elts[1:]
+	}
 	return v
 }
 

@@ -86,18 +86,17 @@ func Catalog() []Spec {
 	}
 }
 
-// all returns the Table 2 catalog followed by the synthetic shapes — the
-// full lookup space of ByName/Names. Catalog itself stays paper-only so
+// catalog is the Table 2 catalog followed by the synthetic shapes — the
+// full lookup space of ByName/Names, built once because the job server
+// resolves a kernel per request. Catalog itself stays paper-only so
 // Table 2 experiments iterate exactly the paper's eight benchmarks.
-func all() []Spec {
-	return append(Catalog(), synthetics()...)
-}
+var catalog = append(Catalog(), synthetics()...)
 
 // ByName looks a kernel up case-insensitively, searching the Table 2
 // catalog and the synthetic shapes. The second result reports whether the
 // name is known.
 func ByName(name string) (Spec, bool) {
-	for _, s := range all() {
+	for _, s := range catalog {
 		if strings.EqualFold(s.Name, name) {
 			return s, true
 		}
@@ -107,8 +106,8 @@ func ByName(name string) (Spec, bool) {
 
 // Names returns all runnable kernel names (paper + synthetic), sorted.
 func Names() []string {
-	var ns []string
-	for _, s := range all() {
+	ns := make([]string, 0, len(catalog))
+	for _, s := range catalog {
 		ns = append(ns, s.Name)
 	}
 	sort.Strings(ns)
@@ -118,12 +117,9 @@ func Names() []string {
 // RandComplex returns n pseudo-random complex values with both parts in
 // [-1, 1), deterministic in seed (an FFT input generator).
 func RandComplex(n int, seed int64) []complex128 {
-	x := uint64(seed)*2862933555777941757 + 88172645463325252
+	rng := newStream(seed)
 	next := func() float64 {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		return float64(int64(x%2000))/1000 - 1
+		return float64(int64(rng.next()%2000))/1000 - 1
 	}
 	a := make([]complex128, n)
 	for i := range a {

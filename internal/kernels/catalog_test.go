@@ -18,7 +18,7 @@ func TestCatalogRunnable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, spec := range all() {
+	for _, spec := range catalog {
 		if err := p.Run(spec.NewTask(0.02)); err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}

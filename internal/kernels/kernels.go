@@ -19,8 +19,6 @@
 // parallel version against its sequential reference.
 package kernels
 
-import "math/rand"
-
 // grain is the smallest chunk of loop work a task takes; it bounds spawn
 // overhead without starving the scheduler of parallelism.
 const grain = 64
@@ -37,13 +35,48 @@ func chunks(n int, spawn func(lo, hi int)) {
 	}
 }
 
+// stream is the one pseudo-random sequence every input generator in this
+// package draws from: a xorshift64 state derived from the caller's seed.
+// A generator lives for one call, so it must cost nothing to set up —
+// math/rand's source is 4.9 KB to allocate and 607 words to seed, more
+// than a small job's whole kernel. The statistical quality is far beyond
+// what test matrices and sort inputs need.
+type stream uint64
+
+func newStream(seed int64) stream {
+	x := uint64(seed)*2862933555777941757 + 88172645463325252
+	if x == 0 {
+		x = 88172645463325252 // 0 is xorshift's fixed point
+	}
+	return stream(x)
+}
+
+func (s *stream) next() uint64 {
+	x := uint64(*s)
+	x ^= x << 13
+	x ^= x >> 7
+	x ^= x << 17
+	*s = stream(x)
+	return x
+}
+
+// unit returns the next value in [-1, 1), from the top 53 bits.
+func (s *stream) unit() float64 {
+	return float64(s.next()>>11)/(1<<52) - 1
+}
+
+// intn returns the next value in [0, n) by multiply-shift (n < 2³²).
+func (s *stream) intn(n int) int {
+	return int((s.next() >> 32) * uint64(n) >> 32)
+}
+
 // RandMatrix returns an n×n row-major matrix with entries in [-1, 1),
 // deterministic in seed.
 func RandMatrix(n int, seed int64) []float64 {
-	rng := rand.New(rand.NewSource(seed))
+	rng := newStream(seed)
 	m := make([]float64, n*n)
 	for i := range m {
-		m[i] = rng.Float64()*2 - 1
+		m[i] = rng.unit()
 	}
 	return m
 }
@@ -86,10 +119,10 @@ func DiagonallyDominant(n int, seed int64) []float64 {
 
 // RandSlice returns n pseudo-random int32 values, deterministic in seed.
 func RandSlice(n int, seed int64) []int32 {
-	rng := rand.New(rand.NewSource(seed))
+	rng := newStream(seed)
 	s := make([]int32, n)
 	for i := range s {
-		s[i] = int32(rng.Uint32())
+		s[i] = int32(rng.next() >> 32)
 	}
 	return s
 }

@@ -338,3 +338,116 @@ func TestHelpers(t *testing.T) {
 		}
 	}
 }
+
+// TestGenerators pins what every input generator promises — the same
+// seed gives the same data, another seed gives other data — for each of
+// them, since they all draw from the one stream.
+func TestGenerators(t *testing.T) {
+	flat := func(rows [][]float64) []float64 {
+		var out []float64
+		for _, r := range rows {
+			out = append(out, r...)
+		}
+		return out
+	}
+	gens := []struct {
+		name string
+		gen  func(seed int64) []float64
+	}{
+		{"RandMatrix", func(s int64) []float64 { return RandMatrix(12, s) }},
+		{"SPDMatrix", func(s int64) []float64 { return SPDMatrix(12, s) }},
+		{"DiagonallyDominant", func(s int64) []float64 { return DiagonallyDominant(12, s) }},
+		{"RandBatch", func(s int64) []float64 { return flat(RandBatch(9, 5, s)) }},
+		{"RandSlice", func(s int64) []float64 {
+			var out []float64
+			for _, v := range RandSlice(100, s) {
+				out = append(out, float64(v))
+			}
+			return out
+		}},
+		{"RandComplex", func(s int64) []float64 {
+			var out []float64
+			for _, v := range RandComplex(64, s) {
+				out = append(out, real(v), imag(v))
+			}
+			return out
+		}},
+		{"NewPNN", func(s int64) []float64 {
+			return flat(NewPNN(5, []int{8, 4}, s).ForwardSeq(RandBatch(9, 5, 1)))
+		}},
+	}
+	equal := func(a, b []float64) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				return false
+			}
+		}
+		return true
+	}
+	for _, g := range gens {
+		if a := g.gen(7); len(a) == 0 || !equal(a, g.gen(7)) {
+			t.Errorf("%s: the same seed gave different (or no) data", g.name)
+		}
+		if equal(g.gen(7), g.gen(8)) {
+			t.Errorf("%s: seeds 7 and 8 gave the same data", g.name)
+		}
+	}
+
+	neg, pos := 0, 0
+	for _, v := range RandMatrix(64, 3) {
+		if v < -1 || v >= 1 {
+			t.Fatalf("RandMatrix entry %g outside [-1, 1)", v)
+		}
+		if v < 0 {
+			neg++
+		} else {
+			pos++
+		}
+	}
+	if neg < 1500 || pos < 1500 {
+		t.Errorf("RandMatrix(64) has %d negative and %d non-negative entries of 4096, want about half each", neg, pos)
+	}
+}
+
+// TestGeneratedMatricesFactorise: at the smallest, a middling and the
+// full catalog dimension, SPDMatrix is a valid Cholesky input and
+// DiagonallyDominant eliminates without pivoting.
+func TestGeneratedMatricesFactorise(t *testing.T) {
+	for _, n := range []int{8, 64, 384} {
+		spd := SPDMatrix(n, 12)
+		l := append([]float64(nil), spd...)
+		if !CholeskySeq(l, n) {
+			t.Errorf("n=%d: CholeskySeq rejected SPDMatrix", n)
+		} else if r := CholeskyResidual(l, spd, n); r > 1e-8*float64(n) {
+			t.Errorf("n=%d: Cholesky residual %g", n, r)
+		}
+		dd := DiagonallyDominant(n, 13)
+		lu := append([]float64(nil), dd...)
+		if !LUSeq(lu, n) {
+			t.Errorf("n=%d: LUSeq hit a zero pivot on DiagonallyDominant", n)
+		} else if r := LUResidual(lu, dd, n); r > 1e-8*float64(n) {
+			t.Errorf("n=%d: LU residual %g", n, r)
+		}
+	}
+}
+
+// TestNullJobSetupAllocs pins what the job server pays before a small
+// job's kernel runs: the lookup reads the catalog in place, and the
+// task's inputs cost the two matrices, the result flag and the task
+// closure — no generator state.
+func TestNullJobSetupAllocs(t *testing.T) {
+	var task rt.Task
+	got := testing.AllocsPerRun(100, func() {
+		spec, ok := ByName("Cholesky")
+		if !ok {
+			t.Fatal("Cholesky missing from the catalog")
+		}
+		task = spec.NewTask(0.001)
+	})
+	if task == nil || got > 4 {
+		t.Errorf("ByName + NewTask(0.001) allocates %v times, want at most 4", got)
+	}
+}

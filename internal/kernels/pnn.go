@@ -1,10 +1,6 @@
 package kernels
 
-import (
-	"math/rand"
-
-	"dws/internal/rt"
-)
+import "dws/internal/rt"
 
 // PNN is a GMDH-style polynomial neural network: each unit of a layer
 // combines two outputs of the previous layer through a full quadratic
@@ -22,18 +18,18 @@ type pnnUnit struct {
 // NewPNN builds a network with the given layer widths over inputs
 // input features.
 func NewPNN(inputs int, layerWidths []int, seed int64) *PNN {
-	rng := rand.New(rand.NewSource(seed))
+	rng := newStream(seed)
 	p := &PNN{inputs: inputs}
 	prev := inputs
 	for _, width := range layerWidths {
 		layer := make([]pnnUnit, width)
 		for i := range layer {
 			u := &layer[i]
-			u.i1 = rng.Intn(prev)
-			u.i2 = rng.Intn(prev)
+			u.i1 = rng.intn(prev)
+			u.i2 = rng.intn(prev)
 			for j := range u.c {
 				// Small coefficients keep deep networks numerically tame.
-				u.c[j] = (rng.Float64()*2 - 1) * 0.5
+				u.c[j] = rng.unit() * 0.5
 			}
 		}
 		p.layers = append(p.layers, layer)
@@ -109,12 +105,12 @@ func (p *PNN) ForwardTask(batch [][]float64, out [][]float64) rt.Task {
 
 // RandBatch returns n samples of dim features each, deterministic in seed.
 func RandBatch(n, dim int, seed int64) [][]float64 {
-	rng := rand.New(rand.NewSource(seed))
+	rng := newStream(seed)
 	batch := make([][]float64, n)
 	for i := range batch {
 		s := make([]float64, dim)
 		for j := range s {
-			s[j] = rng.Float64()*2 - 1
+			s[j] = rng.unit()
 		}
 		batch[i] = s
 	}

@@ -96,6 +96,27 @@ func (p *Program) homeCores() []int {
 	return p.home
 }
 
+// runHomeCores is homeCores for regrabHome, which runs once per job (DWS
+// only, runMu held). A flat topology's entitled block is a contiguous
+// range, so the slice built for it is kept in p.runHome and rebuilt only
+// when the block moves; placed blocks are derived afresh.
+func (p *Program) runHomeCores() []int {
+	if tp := p.sys.cfg.Topology; !tp.Flat() && !p.sys.cfg.FaultFlatPlacement {
+		return p.homeCores()
+	}
+	start, size, ok := p.sys.table.EntitledBlock(p.idx)
+	if !ok {
+		return p.home
+	}
+	if h := p.runHome; len(h) != size || (size > 0 && h[0] != start) {
+		p.runHome = make([]int, size)
+		for i := range p.runHome {
+			p.runHome[i] = start + i
+		}
+	}
+	return p.runHome
+}
+
 // Arbiter returns the system's arbiter, or nil when arbitration is
 // disabled.
 func (s *System) Arbiter() *arbiter.Arbiter { return s.arb }

@@ -55,6 +55,19 @@ func TestArbiterPublishesWeightedEntitlements(t *testing.T) {
 		t.Fatalf("QoS roundtrip = (%v, %v)", w, slo)
 	}
 
+	// The arbiter samples N_a, and a program whose workers have all parked
+	// reads idle beside one that is still parking, which takes the whole
+	// machine on the init tick. Start from the settled state — all three
+	// home workers of each asleep, so both read idle, both count as active
+	// and the split is by weight.
+	deadline := time.Now().Add(10 * time.Second)
+	for p1.Stats().Sleeps < 3 || p2.Stats().Sleeps < 3 {
+		if time.Now().After(deadline) {
+			t.Fatal("home workers never parked")
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+
 	// Waiters: system sweeper, arbiter loop, two program coordinators.
 	// Advance delivers a tick synchronously but returns before the handler
 	// finishes; the following Advance cannot deliver until the previous

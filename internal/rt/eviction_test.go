@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dws/internal/vclock"
 )
 
 // TestCloseReleasesSlots: after a DWS program closes, all its slots are
@@ -88,4 +90,71 @@ func TestEvictionPath(t *testing.T) {
 		t.Logf("attempt %d inconclusive: greedy=%+v bursty=%+v", attempt, gs, bs)
 	}
 	t.Error("no reclaim+eviction observed in 3 attempts")
+}
+
+// TestLastActiveWorkerEvictedOnce: the last active worker of a running
+// program cannot park when its core is reclaimed, so it retries — and one
+// reclaim must still read as one eviction (one ack, one count, one event)
+// however long the retrying lasts. The worker is staged by hand on an
+// unstarted program so nothing but the reclaim below can move its core.
+func TestLastActiveWorkerEvictedOnce(t *testing.T) {
+	col := &obsCollector{}
+	sys, err := NewSystem(Config{
+		Cores: 2, Programs: 2, Policy: DWS, TSleep: 2,
+		Clock: vclock.NewFake(), Observer: col.hook(),
+	})
+	if err != nil {
+		t.Fatalf("NewSystem: %v", err)
+	}
+	defer sys.Close()
+
+	p := newProgram(sys, "T", 0)
+	for _, w := range p.workers {
+		w.state.Store(stateSleeping)
+	}
+	p.runActive.Store(true) // a run with nothing queued: the worker finds no task and may not sleep
+	sys.table.InstallHome([]int{0}, p.id)
+	w := p.workers[0]
+	p.launch(w, stateActive)
+	defer func() {
+		p.shutdown.Store(true)
+		p.wake(w)
+		p.wg.Wait()
+	}()
+
+	if !sys.table.Reclaim(0, 2, p.id) {
+		t.Fatal("Reclaim of the worker's core failed")
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	waitFor("the eviction to be noticed", func() bool { return p.Stats().Evictions > 0 })
+	if sys.table.EvictionPending(0) {
+		t.Error("eviction counted but not acknowledged")
+	}
+	time.Sleep(5 * time.Millisecond) // thousands of refused parks
+	p.runActive.Store(false)         // the run ends: the park succeeds
+	waitFor("the evicted worker to park", func() bool { return p.Stats().Sleeps == 1 })
+
+	if got := p.Stats().Evictions; got != 1 {
+		t.Errorf("Evictions = %d after one reclaim, want 1", got)
+	}
+	events := 0
+	col.mu.Lock()
+	for _, ev := range col.evs {
+		if ev.Kind == ObsEvict {
+			events++
+		}
+	}
+	col.mu.Unlock()
+	if events != 1 {
+		t.Errorf("%d ObsEvict events after one reclaim, want 1", events)
+	}
 }

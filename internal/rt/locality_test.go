@@ -22,6 +22,9 @@ func newStoppedProgram(t *testing.T, cores int, tp *topo.Topology) *Program {
 		t.Fatalf("NewProgram: %v", err)
 	}
 	p.Close() // stop the worker goroutines; the structs stay usable
+	for _, w := range p.workers {
+		w.remoteSkip = 0 // a worker may have been stopped mid-backoff
+	}
 	return p
 }
 

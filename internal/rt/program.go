@@ -9,6 +9,7 @@ import (
 
 	"dws/internal/coretable"
 	"dws/internal/deque"
+	"dws/internal/vclock"
 )
 
 // Program is one work-stealing program hosted by a System: k workers (one
@@ -47,7 +48,17 @@ type Program struct {
 	// queue-wait demand signal (arbiter.go).
 	qosState
 
-	runMu     sync.Mutex // serialises Run calls
+	runMu sync.Mutex // serialises Run calls
+	// Run's working set, allocated once per program rather than per job
+	// because runMu admits one run at a time: the root frame with its
+	// completion signal, the root task's node, the re-wake ticker (made
+	// by the first Run, stopped between runs) and the entitled home block
+	// regrabHome last derived (runHomeCores).
+	rootFrame frame
+	rootNode  taskNode
+	rewake    vclock.Ticker
+	runHome   []int
+
 	coordStop chan struct{}
 	wg        sync.WaitGroup
 	crng      *rand.Rand // coordinator-goroutine RNG
@@ -67,6 +78,7 @@ func newProgram(s *System, name string, idx int) *Program {
 		obs:          s.cfg.Observer,
 		coordStop:    make(chan struct{}),
 	}
+	p.rootFrame.done = make(chan struct{}, 1)
 	p.st.init(s.cfg.Cores)
 	for c := 0; c < s.cfg.Cores; c++ {
 		p.workers = append(p.workers, newWorker(p, c))
@@ -250,21 +262,34 @@ func (p *Program) Run(root Task) error {
 		return ErrClosed
 	}
 
-	rootFrame := &frame{done: make(chan struct{})}
-	rootFrame.pending.Store(1)
+	p.rootFrame.pending.Store(1)
 	p.runActive.Store(true)
 	p.st.rootSpawns.Add(1) // the root injection
 	p.emit(ObsEvent{Kind: ObsRunStart, Core: -1})
-	p.inject.Push(&taskNode{fn: root, parent: rootFrame})
+	n := &p.rootNode
+	n.fn, n.parent = root, &p.rootFrame
+	if n.seq.Load()&1 != 0 {
+		n.seq.Add(1) // republish the node the last run's execution claimed, as getNode does
+	}
+	p.inject.Push(n)
 	p.regrabHome()
 
 	// Wait for completion; if every worker managed to fall asleep in the
 	// window before the injection became visible, re-wake the home slots.
-	tick := p.sys.cfg.Clock.NewTicker(time.Millisecond)
-	defer tick.Stop()
+	// The ticker only runs during a run: left ticking it would wake an
+	// idle program's host a thousand times a second, and a fake clock
+	// delivers a tick synchronously, to a reader that is not there. (A
+	// tick Stop leaves buffered costs the next run one early check.)
+	if p.rewake == nil {
+		p.rewake = p.sys.cfg.Clock.NewTicker(time.Millisecond)
+	} else {
+		p.rewake.Reset(time.Millisecond)
+	}
 	for {
 		select {
-		case <-rootFrame.done:
+		case <-p.rootFrame.done:
+			p.rewake.Stop()
+			n.fn = nil // release the closure for the GC
 			p.runActive.Store(false)
 			p.st.runs.Add(1)
 			p.emit(ObsEvent{Kind: ObsRunDone, Core: -1,
@@ -272,7 +297,7 @@ func (p *Program) Run(root Task) error {
 				DupPops:     p.st.dupPops(),
 				LocalSteals: p.st.localSteals(), RemoteSteals: p.st.remoteSteals()})
 			return nil
-		case <-tick.C():
+		case <-p.rewake.C():
 			if p.active.Load() == 0 {
 				p.regrabHome()
 			}
@@ -293,7 +318,7 @@ func (p *Program) regrabHome() {
 		}
 	case DWS:
 		t := p.sys.table
-		home := p.homeCores()
+		home := p.runHomeCores()
 		epoch := t.EntitlementEpoch()
 		for _, c := range home {
 			switch occ := t.Occupant(c); {

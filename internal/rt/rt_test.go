@@ -229,6 +229,50 @@ func TestDWSCoRunExchangesCores(t *testing.T) {
 	}
 }
 
+// TestRunAllocatesNothing pins Run's own cost: its root frame, completion
+// signal, root node and re-wake ticker belong to the program, so a run of
+// a prebuilt task that spawns nothing allocates nothing — under every
+// policy, and under DWS with an arbiter publishing too (the entitled home
+// block is rebuilt only when it moves).
+func TestRunAllocatesNothing(t *testing.T) {
+	cfgs := map[string]Config{
+		"ABP":         {Policy: ABP},
+		"DWS":         {Policy: DWS},
+		"DWS+arbiter": {Policy: DWS, ArbiterPeriod: 5 * time.Millisecond},
+	}
+	empty := func(*Ctx) {}
+	for name, cfg := range cfgs {
+		t.Run(name, func(t *testing.T) {
+			cfg.Cores, cfg.Programs = 2, 2
+			sys, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatalf("NewSystem: %v", err)
+			}
+			defer sys.Close()
+			p, err := sys.NewProgram("null")
+			if err != nil {
+				t.Fatalf("NewProgram: %v", err)
+			}
+			if cfg.ArbiterPeriod > 0 {
+				for sys.EntitlementEpoch() == 0 {
+					time.Sleep(100 * time.Microsecond)
+				}
+			}
+			run := func() {
+				if err := p.Run(empty); err != nil {
+					t.Fatalf("Run: %v", err)
+				}
+			}
+			for i := 0; i < 32; i++ {
+				run() // the first run makes the ticker; the injection queue settles within its capacity
+			}
+			if got := testing.AllocsPerRun(200, run); got != 0 {
+				t.Errorf("Run of an empty task allocates %v times, want 0", got)
+			}
+		})
+	}
+}
+
 func TestRunAfterClose(t *testing.T) {
 	s := testSystem(t, ABP, 1)
 	p, _ := s.NewProgram("main")

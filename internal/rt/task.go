@@ -11,8 +11,9 @@ import (
 type Task func(*Ctx)
 
 // frame is a join counter: one per executing task instance. pending counts
-// the frame's outstanding spawned children. The root frame additionally
-// carries a done channel the program's Run waits on.
+// the frame's outstanding spawned children. The root frame — one per
+// program, reused by every Run — additionally carries a done channel Run
+// waits on.
 //
 // Non-root frames live embedded in pooled Ctx objects and are reused
 // across tasks without any reset: a recycled frame's pending is provably
@@ -22,14 +23,15 @@ type Task func(*Ctx)
 // writes.
 type frame struct {
 	pending atomic.Int64
-	done    chan struct{} // non-nil only for root frames
+	done    chan struct{} // non-nil only for root frames; capacity 1
 }
 
 // childDone reports a finished child; the last child of a root frame
-// closes done.
+// signals done. The send never blocks: a run has one last child, and Run
+// takes its token before the next run can start.
 func (f *frame) childDone() {
 	if f.pending.Add(-1) == 0 && f.done != nil {
-		close(f.done)
+		f.done <- struct{}{}
 	}
 }
 
@@ -147,7 +149,9 @@ func (w *worker) execute(t *taskNode) {
 	}
 	w.st.execs.Add(1)
 	fn, parent := t.fn, t.parent
-	w.putNode(t)
+	if t != &w.p.rootNode { // the root's node belongs to the program, not the pools
+		w.putNode(t)
+	}
 	c := w.getCtx()
 	fn(c)
 	c.Sync()

@@ -34,6 +34,9 @@ type worker struct {
 	guard bool
 
 	failedSteals int
+	// evicted is set while the worker is acting on an eviction it has
+	// already acknowledged and counted (loop).
+	evicted bool
 	// remoteSkip is the remaining bounded remote-steal backoff: after a
 	// full two-phase scan (including remote sockets) comes up empty, the
 	// next remoteSkip scans stay same-socket only so a drought does not
@@ -119,12 +122,26 @@ func (w *worker) loop() {
 		// Eviction check (DWS): an active worker whose slot is no longer
 		// occupied by its program stops and sleeps without releasing.
 		if cfg.Policy == DWS && p.sys.table.Occupant(w.id) != p.id {
-			p.sys.table.AckEviction(w.id)
-			w.st.evictions.Add(1)
-			p.emit(ObsEvent{Kind: ObsEvict, Core: w.id})
-			w.park(false)
+			// Acknowledged and counted once per eviction, however many
+			// passes it takes to act on it.
+			if !w.evicted {
+				w.evicted = true
+				p.sys.table.AckEviction(w.id)
+				w.st.evictions.Add(1)
+				p.emit(ObsEvent{Kind: ObsEvict, Core: w.id})
+			}
+			if w.park(false) {
+				w.evicted = false
+			} else {
+				// The last active worker of a running program may not
+				// sleep (liveness) and may not work on a core it lost:
+				// yield until the coordinator finds the program a core
+				// or the run ends.
+				runtime.Gosched()
+			}
 			continue
 		}
+		w.evicted = false
 
 		if t := w.deque.Pop(); t != nil {
 			w.failedSteals = 0

@@ -173,10 +173,22 @@ func TestFaultIgnoreWeightsCaught(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sys.NewProgram("bronze"); err != nil {
+		bronze, err := sys.NewProgram("bronze")
+		if err != nil {
 			t.Fatal(err)
 		}
 		gold.SetQoS(2, 0)
+		// Both programs must read the same (idle) on the init tick: one
+		// still parking beside one already parked would take every core
+		// whatever the weights, and the fault would have nothing to bend.
+		// Each has three home workers on this machine.
+		deadline := time.Now().Add(10 * time.Second)
+		for gold.Stats().Sleeps < 3 || bronze.Stats().Sleeps < 3 {
+			if time.Now().After(deadline) {
+				t.Fatal("home workers never parked")
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
 		// Waiters: sweeper, arbiter loop, two coordinators. The first tick
 		// publishes (init trigger); the second settles it.
 		fake.BlockUntil(4)

@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"regexp"
 	"runtime"
@@ -391,7 +392,11 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 // it finishes (or its deadline expires while queued).
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err == nil {
+		err = json.Unmarshal(body, &req)
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
@@ -424,16 +429,15 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	if req.DeadlineMS > 0 {
 		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), deadline)
-	defer cancel()
-
+	now := time.Now()
 	j := &job{
 		id:       s.nextID.Add(1),
 		req:      req,
 		spec:     spec,
 		size:     size,
-		ctx:      ctx,
-		enqueued: time.Now(),
+		client:   r.Context(),
+		enqueued: now,
+		deadline: now.Add(deadline),
 		done:     make(chan struct{}),
 	}
 
@@ -511,24 +515,28 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		s.resolveShed(victim)
 	}
 
+	// The deadline is the job's timestamp plus this one timer, armed only
+	// for admitted jobs; the runner compares the same timestamp.
+	expiry := time.NewTimer(time.Until(j.deadline))
+	defer expiry.Stop()
 	select {
 	case <-j.done:
 		s.writeResult(w, j)
-	case <-ctx.Done():
+	case <-expiry.C:
 		// A result racing the deadline still wins.
 		select {
 		case <-j.done:
 			s.writeResult(w, j)
 		default:
-			// Still queued (or just started): the runner will observe the
-			// expired context for queued jobs; a job already running
+			// Still queued (or just started): the runner will see the
+			// passed deadline on a queued job; a job already running
 			// finishes in the background — kernels are not preemptible.
-			if ctx.Err() == context.DeadlineExceeded {
-				writeError(w, http.StatusGatewayTimeout,
-					"job %d missed its %v deadline", j.id, deadline)
-			}
-			// Client disconnect: nobody is reading the response.
+			writeError(w, http.StatusGatewayTimeout,
+				"job %d missed its %v deadline", j.id, deadline)
 		}
+	case <-j.client.Done():
+		// Client disconnect: nobody is reading the response, and the
+		// runner skips the job if it is still queued.
 	}
 }
 

@@ -17,8 +17,12 @@ type job struct {
 	req      JobRequest
 	spec     kernels.Spec
 	size     float64
-	ctx      context.Context
 	enqueued time.Time
+	// deadline is when the job stops being worth starting; client is the
+	// request's own context, cancelled when nobody waits for the answer
+	// any more.
+	deadline time.Time
+	client   context.Context
 	tn       *tenant
 
 	// retry is the Retry-After hint attached when the job is resolved as
@@ -124,19 +128,20 @@ func (t *tenant) failFast(j *job) {
 
 // serve executes one job on the tenant's program and records the result.
 func (t *tenant) serve(j *job) {
-	queueWait := time.Since(j.enqueued)
+	start := time.Now()
+	queueWait := start.Sub(j.enqueued)
 	s := t.srv
 	// Feed the observed queue wait into the program's demand signal: the
 	// QoS arbiter compares it against the tenant's SLO (if declared) when
 	// computing entitlements.
 	t.prog.ReportQueueWait(queueWait)
-	if err := j.ctx.Err(); err != nil {
+	if expired := !start.Before(j.deadline); expired || j.client.Err() != nil {
 		// The deadline passed (or the client went away) while the job was
 		// queued: skip it — the work would be wasted. With early rejection
 		// enabled this is the residual race (a run slower than the EWMA
 		// predicted); with it disabled, the only deadline backstop.
 		status := StatusCanceled
-		if err == context.DeadlineExceeded {
+		if expired {
 			status = StatusExpired
 		}
 		j.res = JobResult{
@@ -152,7 +157,6 @@ func (t *tenant) serve(j *job) {
 	}
 
 	before := FromRTStats(t.prog.Stats())
-	start := time.Now()
 	t.inFlight.Store(true)
 	err := t.prog.Run(j.spec.NewTask(j.size))
 	t.inFlight.Store(false)

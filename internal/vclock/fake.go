@@ -91,6 +91,26 @@ func (f *Fake) register(d, period time.Duration, buffered bool) *fakeWaiter {
 	return w
 }
 
+// rearm retires old (as stop does) and registers a waiter due at now+d
+// that delivers on old's channel, which callers hold via C(). It reports
+// whether old was still pending.
+func (f *Fake) rearm(old *fakeWaiter, d, period time.Duration) (*fakeWaiter, bool) {
+	pending := f.stop(old)
+	f.mu.Lock()
+	f.seq++
+	w := &fakeWaiter{
+		at:      f.now.Add(d),
+		seq:     f.seq,
+		period:  period,
+		ch:      old.ch,
+		stopped: make(chan struct{}),
+	}
+	f.waiters = append(f.waiters, w)
+	f.mu.Unlock()
+	f.cond.Broadcast()
+	return w, pending
+}
+
 // stop marks w dead and aborts any in-flight synchronous delivery. It
 // reports whether w was still pending (not yet fired, for one-shots).
 func (f *Fake) stop(w *fakeWaiter) bool {
@@ -132,6 +152,8 @@ func (f *Fake) NewTimer(d time.Duration) Timer {
 	return &fakeTimer{f: f, w: f.register(d, 0, true)}
 }
 
+// fakeTicker's waiter changes on Reset, so one goroutine at a time may
+// Stop and Reset it; C is fixed for the ticker's life.
 type fakeTicker struct {
 	f *Fake
 	w *fakeWaiter
@@ -139,6 +161,13 @@ type fakeTicker struct {
 
 func (t *fakeTicker) C() <-chan time.Time { return t.w.ch }
 func (t *fakeTicker) Stop()               { t.f.stop(t.w) }
+
+func (t *fakeTicker) Reset(d time.Duration) {
+	if d <= 0 {
+		panic("vclock: non-positive ticker period")
+	}
+	t.w, _ = t.f.rearm(t.w, d, d)
+}
 
 type fakeTimer struct {
 	f  *Fake
@@ -164,19 +193,8 @@ func (t *fakeTimer) Stop() bool {
 func (t *fakeTimer) Reset(d time.Duration) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	pending := t.f.stop(t.w)
-	old := t.w
-	t.f.mu.Lock()
-	t.f.seq++
-	t.w = &fakeWaiter{
-		at:      t.f.now.Add(d),
-		seq:     t.f.seq,
-		ch:      old.ch, // keep the channel callers hold via C()
-		stopped: make(chan struct{}),
-	}
-	t.f.waiters = append(t.f.waiters, t.w)
-	t.f.mu.Unlock()
-	t.f.cond.Broadcast()
+	var pending bool
+	t.w, pending = t.f.rearm(t.w, d, 0)
 	return pending
 }
 

@@ -36,6 +36,11 @@ type Ticker interface {
 	// Stop stops the ticker. No more ticks are delivered after Stop
 	// returns; a fake ticker also aborts any in-flight delivery.
 	Stop()
+	// Reset restarts the ticker — stopped or running — with period d: the
+	// next tick arrives d from now, on the same channel. It lets a loop
+	// that runs intermittently keep one ticker rather than make one per
+	// round.
+	Reset(d time.Duration)
 }
 
 // Timer mirrors time.Timer behind an interface. The Stop/Reset contract is
@@ -72,8 +77,9 @@ func (Real) NewTimer(d time.Duration) Timer { return realTimer{time.NewTimer(d)}
 
 type realTicker struct{ t *time.Ticker }
 
-func (t realTicker) C() <-chan time.Time { return t.t.C }
-func (t realTicker) Stop()               { t.t.Stop() }
+func (t realTicker) C() <-chan time.Time   { return t.t.C }
+func (t realTicker) Stop()                 { t.t.Stop() }
+func (t realTicker) Reset(d time.Duration) { t.t.Reset(d) }
 
 type realTimer struct{ t *time.Timer }
 

@@ -14,10 +14,14 @@ func TestRealImplementsClock(t *testing.T) {
 	}
 	tk := c.NewTicker(time.Millisecond)
 	defer tk.Stop()
-	select {
-	case <-tk.C():
-	case <-time.After(5 * time.Second):
-		t.Fatal("real ticker never fired")
+	for _, when := range []string{"", " after Stop and Reset"} {
+		select {
+		case <-tk.C():
+		case <-time.After(5 * time.Second):
+			t.Fatalf("real ticker never fired%s", when)
+		}
+		tk.Stop()
+		tk.Reset(time.Millisecond)
 	}
 	tm := c.NewTimer(time.Millisecond)
 	select {
@@ -166,6 +170,42 @@ func TestFakeAdvanceSerialisesTickerConsumer(t *testing.T) {
 			t.Fatalf("after Advance %d consumer counted %d ticks", i, n)
 		}
 	}
+}
+
+// TestFakeTickerStopAndReset: a stopped ticker holds no waiter and does
+// not block Advance; Reset revives it on the same channel, due one period
+// after the reset, with synchronous delivery as before.
+func TestFakeTickerStopAndReset(t *testing.T) {
+	f := NewFake()
+	tk := f.NewTicker(time.Millisecond)
+	ch := tk.C()
+	tk.Stop()
+	if n := f.Waiters(); n != 0 {
+		t.Fatalf("%d waiters after Stop, want 0", n)
+	}
+	f.Advance(10 * time.Millisecond) // nobody receives: must not block
+
+	tk.Reset(2 * time.Millisecond)
+	if n := f.Waiters(); n != 1 {
+		t.Fatalf("%d waiters after Reset, want 1", n)
+	}
+	got := make(chan time.Time, 2)
+	go func() {
+		got <- <-ch
+		got <- <-ch
+	}()
+	f.Advance(4 * time.Millisecond)
+	for i, want := range []time.Duration{12 * time.Millisecond, 14 * time.Millisecond} {
+		select {
+		case tm := <-got:
+			if !tm.Equal(fakeEpoch.Add(want)) {
+				t.Fatalf("tick %d after Reset at %v, want epoch+%v", i, tm, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("tick %d after Reset never arrived", i)
+		}
+	}
+	tk.Stop()
 }
 
 func TestFakeTimerStopAndReset(t *testing.T) {

@@ -1,16 +1,15 @@
-// Tier-2 perf baselines: gated generators that run a fixed battery of
-// kernel, runtime-overhead, and deque micro-benchmarks through
-// testing.Benchmark and write the results as committed JSON baselines.
-// They are no-op tests unless an output path is named:
+// Tier-2 perf baseline: a gated generator that runs a fixed battery of
+// kernel, runtime-overhead, per-job set-up and deque micro-benchmarks
+// through testing.Benchmark and writes the results as the committed JSON
+// baseline. It is a no-op test unless an output path is named:
 //
-//	BENCH_SCHEDCHECK_OUT=BENCH_schedcheck.json go test -run TestWriteSchedcheckBench .
-//	BENCH_HOTPATH_OUT=BENCH_hotpath.json       go test -run TestWriteHotpathBench .
+//	BENCH_HOTPATH_OUT=BENCH_hotpath.json go test -run TestWriteHotpathBench .
 //
-// BENCH_schedcheck.json is the historical core battery (kernels + deque);
-// BENCH_hotpath.json adds the rt-overhead benchmarks (the same kernel
-// under the live runtime vs sequentially, per policy) and is the baseline
-// the CI regression gate (cmd/benchgate) enforces: >25% ns/op or any
-// allocs/op increase fails the bench job.
+// BENCH_hotpath.json holds the kernels sequentially and under the live
+// runtime per policy, what one small job pays around its kernel, and the
+// deque engines; it is the baseline the CI regression gate
+// (cmd/benchgate) enforces: >25% ns/op or any allocs/op increase fails
+// the bench job.
 //
 // The battery deliberately uses small fixed problem sizes so one pass
 // stays in the seconds range on a 1-core CI runner; the numbers are for
@@ -144,7 +143,8 @@ func choleskyRT(b *testing.B) (rt.Task, func()) {
 	return kernels.CholeskyTask(buf, benchMatN, &ok), func() { copy(buf, src) }
 }
 
-// coreBattery is the historical BENCH_schedcheck.json battery.
+// coreBattery is the kernels sequentially, one of them under the runtime,
+// and the strict deque engines.
 func coreBattery() []namedBench {
 	return []namedBench{
 		{"kernels/fft-seq-4096", func(b *testing.B) {
@@ -343,6 +343,21 @@ func hotpathBattery() []namedBench {
 		}
 	}
 	return []namedBench{
+		// What a served job pays around its kernel, on the benchmark's
+		// null job (Cholesky at the 8×8 floor): resolving the kernel and
+		// generating its input, and Run's own bookkeeping for a task
+		// that spawns nothing.
+		{"job/newtask-null", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				spec, ok := kernels.ByName("Cholesky")
+				if !ok || spec.NewTask(0.001) == nil {
+					b.Fatal("null kernel missing from the catalog")
+				}
+			}
+		}},
+		{"job/run-null", rtKernelBench(rt.DWS, func(*testing.B) (rt.Task, func()) {
+			return func(*rt.Ctx) {}, func() {}
+		})},
 		{"kernels/fft-rt-abp-4096", rtKernelBench(rt.ABP, fftRT)},
 		{"kernels/mergesort-rt-dws-16384", rtKernelBench(rt.DWS, mergesortRT)},
 		{"kernels/mergesort-rt-abp-16384", rtKernelBench(rt.ABP, mergesortRT)},
@@ -401,20 +416,11 @@ func writeBattery(t *testing.T, out string, battery []namedBench) {
 	fmt.Printf("wrote %d benchmark entries to %s\n", len(f.Entries), out)
 }
 
-// TestWriteSchedcheckBench generates the historical BENCH_schedcheck.json
-// battery. Gated on BENCH_SCHEDCHECK_OUT so a plain `go test ./...` never
-// pays for a benchmark pass.
-func TestWriteSchedcheckBench(t *testing.T) {
-	out := os.Getenv("BENCH_SCHEDCHECK_OUT")
-	if out == "" {
-		t.Skip("set BENCH_SCHEDCHECK_OUT=<path> to generate the perf baseline")
-	}
-	writeBattery(t, out, coreBattery())
-}
-
 // TestWriteHotpathBench generates BENCH_hotpath.json — the core battery
 // plus the rt-overhead benchmarks — which the CI bench job regenerates
-// and gates against the committed copy via cmd/benchgate.
+// and gates against the committed copy via cmd/benchgate. Gated on
+// BENCH_HOTPATH_OUT so a plain `go test ./...` never pays for a benchmark
+// pass.
 func TestWriteHotpathBench(t *testing.T) {
 	out := os.Getenv("BENCH_HOTPATH_OUT")
 	if out == "" {
@@ -441,8 +447,8 @@ func treeTask(depth int, leaves *atomic.Int64) rt.Task {
 
 // TestSpawnExecuteSteadyStateZeroAlloc proves the per-task hot path is
 // steady-state allocation-free: once the free-lists are warm, a run's
-// allocation count is a small constant (root frame, done channel, root
-// node, Run's ticker) regardless of how many tasks the run spawns. A
+// allocation count is a small constant (Run's own bookkeeping belongs to
+// the program) regardless of how many tasks the run spawns. A
 // depth-9 tree executes 992 more tasks than a depth-4 tree; if Spawn or
 // execute allocated per task, the delta would be ≥ 992 allocs/run.
 func TestSpawnExecuteSteadyStateZeroAlloc(t *testing.T) {
