@@ -6,8 +6,10 @@
 //	benchgate -base BENCH_hotpath.json -cur BENCH_hotpath.ci.json [-ns-tol 0.25]
 //
 // An entry regresses when its ns/op exceeds the baseline by more than
-// -ns-tol (relative), or when its allocs/op exceeds the baseline at all:
-// timing is noisy across runners, allocation counts are not. Benchmarks
+// -ns-tol (relative), or when its allocs/op exceeds the baseline at all
+// (by more than one part in ten thousand, which only the million-allocation
+// simulator suite entry can tell from "at all"): timing is noisy across
+// runners, allocation counts are not. Benchmarks
 // present only in the current run pass (new benchmarks need no baseline
 // yet); baseline entries missing from the run fail the gate so renames
 // cannot silently un-gate themselves.
@@ -91,7 +93,7 @@ func runMicro(basePath, curPath string, nsTol float64, fs *flag.FlagSet, stdout,
 		return 2
 	}
 
-	fmt.Fprintf(stdout, "benchgate: %s vs %s (ns/op tolerance %+.0f%%, allocs/op tolerance 0)\n\n",
+	fmt.Fprintf(stdout, "benchgate: %s vs %s (ns/op tolerance %+.0f%%, allocs/op tolerance 0.01%%)\n\n",
 		basePath, curPath, 100*nsTol)
 	fmt.Fprint(stdout, bench.FormatComparison(base, cur, nsTol))
 

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"time"
 
 	"dws/internal/deque"
 	"dws/internal/scenario"
@@ -131,11 +132,12 @@ func main() {
 	if *timeline {
 		runOpts.SampleUS = 2000
 	}
+	start := time.Now()
 	res, err := m.Run(runOpts)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Println(summaryLine(pol, m.Engine(), *cores, *seed, res))
+	fmt.Println(summaryLine(pol, m.Engine(), *cores, *seed, res, time.Since(start)))
 	if rec != nil {
 		f, err := os.Create(*traceOut)
 		if err != nil {
@@ -231,10 +233,12 @@ func engineFromFlag(name string) (deque.Kind, error) {
 	return k.Resolve()
 }
 
-// summaryLine formats the one-line run summary printed after -bench runs.
-func summaryLine(pol sim.Policy, eng deque.Kind, cores int, seed int64, res *sim.Results) string {
-	return fmt.Sprintf("policy=%v engine=%v cores=%d seed=%d simulated=%.3fs events=%d util=%.2f",
-		pol, eng, cores, seed, float64(res.EndTimeUS)/1e6, res.Events, res.Utilization())
+// summaryLine formats the one-line run summary printed after -bench runs:
+// what was simulated, and how fast the simulator got through it.
+func summaryLine(pol sim.Policy, eng deque.Kind, cores int, seed int64, res *sim.Results, wall time.Duration) string {
+	return fmt.Sprintf("policy=%v engine=%v cores=%d seed=%d simulated=%.3fs events=%d util=%.2f wall=%.3fs events/s=%.0f",
+		pol, eng, cores, seed, float64(res.EndTimeUS)/1e6, res.Events, res.Utilization(),
+		wall.Seconds(), float64(res.Events)/wall.Seconds())
 }
 
 func parsePolicy(s string) (sim.Policy, error) {

@@ -3,6 +3,7 @@ package main
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"dws/internal/deque"
 	"dws/internal/sim"
@@ -52,11 +53,12 @@ func TestEngineFromFlag(t *testing.T) {
 }
 
 // TestSummaryLineReportsEngine pins that the run summary names the active
-// engine, so logged runs are attributable to the deque they used.
+// engine, so logged runs are attributable to the deque they used, and the
+// simulator's own speed.
 func TestSummaryLineReportsEngine(t *testing.T) {
 	res := &sim.Results{EndTimeUS: 1_500_000, Events: 42, CoreBusyUS: []int64{1_000_000}}
-	line := summaryLine(sim.DWS, deque.KindRelaxed, 16, 7, res)
-	for _, want := range []string{"policy=DWS", "engine=relaxed", "cores=16", "seed=7", "events=42"} {
+	line := summaryLine(sim.DWS, deque.KindRelaxed, 16, 7, res, 2*time.Second)
+	for _, want := range []string{"policy=DWS", "engine=relaxed", "cores=16", "seed=7", "events=42", "wall=2.000s", "events/s=21"} {
 		if !strings.Contains(line, want) {
 			t.Errorf("summary %q missing %q", line, want)
 		}

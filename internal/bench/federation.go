@@ -9,9 +9,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 
@@ -72,6 +70,10 @@ func RunFederationSuite(logf func(format string, args ...any)) (*FederationFile,
 		if err != nil {
 			return nil, err
 		}
+		replay, err := scenario.Prepare(tr)
+		if err != nil {
+			return nil, err
+		}
 		// Same front-door shape as the live shards (WFQ, global cap, early
 		// rejection) but with a per-tenant queue cap of 2: tight enough
 		// that the storm refuses work at its home shard, which gives the
@@ -79,21 +81,25 @@ func RunFederationSuite(logf func(format string, args ...any)) (*FederationFile,
 		// home shard admits everything and finishes late instead, and the
 		// comparison degenerates.
 		adm := &sim.AdmissionOpts{GlobalCap: len(tr.Tenants()) * 4, EarlyReject: true}
-		for _, sp := range FedPolicies {
+		replays := make([]*scenario.FedReplay, len(FedPolicies))
+		err = fanOut(len(replays), func(i int) (err error) {
 			c := sim.DefaultConfig()
 			c.Policy = sim.DWS
 			c.Cores = FedCores
 			c.SocketSize = FedCores
-			fr, err := scenario.RunFedSim(tr, scenario.FedSimOptions{
+			replays[i], err = replay.FedSim(scenario.FedSimOptions{
 				Config:    c,
 				Shards:    FedShards,
-				Spill:     sp,
+				Spill:     FedPolicies[i],
 				QueueCap:  2,
 				Admission: adm,
 			})
-			if err != nil {
-				return nil, fmt.Errorf("bench: federated %s under %v: %w", name, sp, err)
-			}
+			return err
+		})
+		if err != nil {
+			return nil, fmt.Errorf("bench: %w", err)
+		}
+		for _, fr := range replays {
 			spills := 0
 			for _, e := range fr.Fed.Spills {
 				spills += int(e.Count)
@@ -108,25 +114,11 @@ func RunFederationSuite(logf func(format string, args ...any)) (*FederationFile,
 
 // LoadFederationFile reads a federation baseline from disk.
 func LoadFederationFile(path string) (*FederationFile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var f FederationFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("bench: parse %s: %w", path, err)
-	}
-	return &f, nil
+	return loadJSON[FederationFile](path)
 }
 
 // WriteFederationFile writes a baseline with the canonical indentation.
-func WriteFederationFile(path string, f *FederationFile) error {
-	data, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
+func WriteFederationFile(path string, f *FederationFile) error { return writeJSON(path, f) }
 
 // fedRankSlack is the hysteresis of the ranking rule: a policy only
 // counts as falling behind its predecessor when its ok-rate drops more

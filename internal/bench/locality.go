@@ -72,12 +72,16 @@ func RunLocalityStudy(logf func(format string, args ...any)) ([]LocalityRow, err
 		if err != nil {
 			return nil, err
 		}
+		replay, err := scenario.Prepare(tr)
+		if err != nil {
+			return nil, err
+		}
 		adm := &sim.AdmissionOpts{GlobalCap: len(tr.Tenants()) * 8, EarlyReject: true}
 		run := func(noLocality bool) (*scenario.Result, error) {
 			cfg := sim.DefaultConfig()
 			cfg.Policy = sim.DWS
 			cfg.NoLocality = noLocality
-			return scenario.RunSim(tr, scenario.SimOptions{Config: cfg, Admission: adm})
+			return replay.Sim(scenario.SimOptions{Config: cfg, Admission: adm})
 		}
 		on, err := run(false)
 		if err != nil {

@@ -36,6 +36,30 @@ func TestCompareBaselineClean(t *testing.T) {
 	}
 }
 
+// TestCompareBaselineAllocsSlack: the allocation rule is "any increase"
+// until counts reach the tens of thousands; a whole simulated suite may
+// wobble by one part in ten thousand and no more.
+func TestCompareBaselineAllocsSlack(t *testing.T) {
+	base := &BenchFile{Entries: []BenchEntry{
+		{Name: "sim/scenario-suite", NsPerOp: 1, AllocsPerOp: 1_300_000},
+		{Name: "sim/runopen", NsPerOp: 1, AllocsPerOp: 3_643},
+	}}
+	within := &BenchFile{Entries: []BenchEntry{
+		{Name: "sim/scenario-suite", NsPerOp: 1, AllocsPerOp: 1_300_130},
+		{Name: "sim/runopen", NsPerOp: 1, AllocsPerOp: 3_643},
+	}}
+	if regs, _ := CompareBaseline(base, within, 0.25); len(regs) != 0 {
+		t.Fatalf("regs = %v, want none: 130 in 1.3 M is inside the slack", regs)
+	}
+	beyond := &BenchFile{Entries: []BenchEntry{
+		{Name: "sim/scenario-suite", NsPerOp: 1, AllocsPerOp: 1_300_131},
+		{Name: "sim/runopen", NsPerOp: 1, AllocsPerOp: 3_644},
+	}}
+	if regs, _ := CompareBaseline(base, beyond, 0.25); len(regs) != 2 {
+		t.Fatalf("regs = %v, want both entries: one past the slack, one past \"at all\"", regs)
+	}
+}
+
 func TestCompareBaselineCatchesRegressions(t *testing.T) {
 	base := baseFixture()
 	cur := &BenchFile{Entries: []BenchEntry{

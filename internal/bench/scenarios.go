@@ -7,12 +7,12 @@
 package bench
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 
 	"dws/internal/scenario"
 	"dws/internal/sim"
@@ -53,18 +53,26 @@ func RunScenarioSuite(logf func(format string, args ...any)) (*ScenarioFile, err
 		if err != nil {
 			return nil, err
 		}
+		replay, err := scenario.Prepare(tr)
+		if err != nil {
+			return nil, err
+		}
 		// The WFQ front door runs for every policy with the dwsd default
 		// global cap (tenants × queueCap/2 = tenants × 8) and early
 		// rejection on; weights fill in from the trace, so gold-qos
 		// exercises weighted shed and overload-storm exercises the cap.
 		adm := &sim.AdmissionOpts{GlobalCap: len(tr.Tenants()) * 8, EarlyReject: true}
-		for _, pol := range ScenarioPolicies {
+		results := make([]*scenario.Result, len(ScenarioPolicies))
+		err = fanOut(len(results), func(i int) (err error) {
 			c := sim.DefaultConfig()
-			c.Policy = pol
-			r, err := scenario.RunSim(tr, scenario.SimOptions{Config: c, Admission: adm})
-			if err != nil {
-				return nil, fmt.Errorf("bench: %s under %v: %w", spec.Name, pol, err)
-			}
+			c.Policy = ScenarioPolicies[i]
+			results[i], err = replay.Sim(scenario.SimOptions{Config: c, Admission: adm})
+			return err
+		})
+		if err != nil {
+			return nil, fmt.Errorf("bench: %s: %w", spec.Name, err)
+		}
+		for _, r := range results {
 			logf("%s", r)
 			out.Results = append(out.Results, r)
 		}
@@ -72,27 +80,35 @@ func RunScenarioSuite(logf func(format string, args ...any)) (*ScenarioFile, err
 	return out, nil
 }
 
+// fanOut calls fn(0) … fn(n-1), each once, up to GOMAXPROCS at a time, and
+// returns their errors joined in index order. The suites replay one
+// prepared scenario under every policy with it: each replay is its own
+// single-threaded machine, the prepared trace is read-only, and each
+// stores its result under its own index, so output stays in sweep order.
+func fanOut(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	running := make(chan struct{}, runtime.GOMAXPROCS(0)) // a slot per replay in flight
+	var wg sync.WaitGroup
+	for i := range errs {
+		running <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(i)
+			<-running
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
 // LoadScenarioFile reads a scenario baseline from disk.
 func LoadScenarioFile(path string) (*ScenarioFile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var f ScenarioFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("bench: parse %s: %w", path, err)
-	}
-	return &f, nil
+	return loadJSON[ScenarioFile](path)
 }
 
 // WriteScenarioFile writes a baseline with the canonical indentation.
-func WriteScenarioFile(path string, f *ScenarioFile) error {
-	data, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
+func WriteScenarioFile(path string, f *ScenarioFile) error { return writeJSON(path, f) }
 
 // decisiveWin is the hysteresis margin of the lost-win rule: the baseline
 // only records a "held win" when DWS's p95 beats the rival's by ≥5%, so a

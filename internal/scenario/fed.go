@@ -5,7 +5,6 @@ import (
 
 	"dws/internal/router"
 	"dws/internal/sim"
-	"dws/internal/task"
 )
 
 // FedSimOptions configures a federated simulated replay: one catalog
@@ -52,60 +51,23 @@ type FedReplay struct {
 // churn semantics (which shard forgets the tenant, when) are not modeled.
 // Given identical trace and options the replay is bit-for-bit identical.
 func RunFedSim(tr *Trace, opts FedSimOptions) (*FedReplay, error) {
-	if err := tr.Validate(); err != nil {
+	p, err := Prepare(tr)
+	if err != nil {
 		return nil, err
 	}
+	return p.FedSim(opts)
+}
+
+// FedSim is RunFedSim on an already prepared trace.
+func (p *Prepared) FedSim(opts FedSimOptions) (*FedReplay, error) {
 	if opts.Shards < 1 {
 		return nil, fmt.Errorf("scenario: federation needs at least 1 shard")
 	}
-	tenants := tr.Tenants()
-	idx := map[string]int{}
-	for i, name := range tenants {
-		idx[name] = i
+	if p.churn != nil {
+		return nil, p.churn
 	}
-
-	weights := make([]float64, len(tenants))
-	for i := range weights {
-		weights[i] = 1
-	}
-	var jobs []sim.FedJob
-	graphs := map[string]*task.Graph{}
-	anyWeight := false
-	for _, e := range tr.Events {
-		if e.Weight > 0 {
-			weights[idx[e.Tenant]] = e.Weight
-			anyWeight = anyWeight || e.Weight != 1
-		}
-		switch e.Op {
-		case OpJoin:
-			if e.AtUS > 0 {
-				return nil, fmt.Errorf("scenario: trace %q joins tenant %s mid-replay at %dµs; the federation does not model churn",
-					tr.Name, e.Tenant, e.AtUS)
-			}
-		case OpLeave:
-			return nil, fmt.Errorf("scenario: trace %q removes tenant %s; the federation does not model churn",
-				tr.Name, e.Tenant)
-		case OpJob:
-			key := fmt.Sprintf("%s@%s", e.Kernel, ftoa(e.Scale))
-			g := graphs[key]
-			if g == nil {
-				b, err := resolveKernel(e.Kernel)
-				if err != nil {
-					return nil, err
-				}
-				g = b.Make(e.Scale)
-				graphs[key] = g
-			}
-			jobs = append(jobs, sim.FedJob{
-				Tenant:     idx[e.Tenant],
-				AtUS:       e.AtUS,
-				Graph:      g,
-				DeadlineUS: e.DeadlineUS,
-			})
-		}
-	}
-	if len(jobs) == 0 {
-		return nil, fmt.Errorf("scenario: trace %q has no job events", tr.Name)
+	if len(p.jobs) == 0 {
+		return nil, fmt.Errorf("scenario: trace %q has no job events", p.name)
 	}
 
 	// Placement: the same ring a dwsrouter over shards "s0".."sK-1" builds.
@@ -116,9 +78,9 @@ func RunFedSim(tr *Trace, opts FedSimOptions) (*FedReplay, error) {
 		ring.Add(name)
 		shardIdx[name] = s
 	}
-	pref := make([][]int, len(tenants))
+	pref := make([][]int, len(p.tenants))
 	prefByName := map[string][]int{}
-	for i, name := range tenants {
+	for i, name := range p.tenants {
 		home := ring.Assign(name)
 		walk := []int{shardIdx[home]}
 		for _, s := range ring.Preference(name) {
@@ -130,36 +92,12 @@ func RunFedSim(tr *Trace, opts FedSimOptions) (*FedReplay, error) {
 		prefByName[name] = walk
 	}
 
-	cfg := opts.Config
-	if cfg.Policy == sim.DWS && anyWeight {
-		cfg.Weights = weights
-		if cfg.ArbiterPeriodUS <= 0 {
-			cfg.ArbiterPeriodUS = defaultArbiterPeriodUS
-		}
-	}
-	anchors := make([]*task.Graph, len(tenants))
-	for i, name := range tenants {
-		anchors[i] = &task.Graph{Name: name, Root: task.Leaf(1)}
-	}
-	horizon := opts.HorizonUS
-	if horizon <= 0 {
-		last := tr.Events[len(tr.Events)-1].AtUS
-		horizon = last*10 + 600_000_000
-	}
-	var admission *sim.AdmissionOpts
-	if opts.Admission != nil {
-		a := *opts.Admission
-		if a.Weights == nil {
-			a.Weights = weights
-		}
-		admission = &a
-	}
-
+	cfg, admission, horizon := p.machine(opts.Config, opts.Admission, opts.HorizonUS)
 	fed, err := sim.RunFederation(sim.FedOpts{
 		Cfg:            cfg,
 		Shards:         opts.Shards,
-		Programs:       anchors,
-		Jobs:           jobs,
+		Programs:       p.anchors,
+		Jobs:           p.jobs,
 		Pref:           pref,
 		Spill:          opts.Spill,
 		SpillBudget:    opts.SpillBudget,
@@ -170,18 +108,14 @@ func RunFedSim(tr *Trace, opts FedSimOptions) (*FedReplay, error) {
 	})
 	if err != nil {
 		return nil, fmt.Errorf("scenario: federated replay of %q (%d shards, %v): %w",
-			tr.Name, opts.Shards, opts.Spill, err)
+			p.name, opts.Shards, opts.Spill, err)
 	}
 
-	outcomes := make([]Outcome, 0, len(fed.Outcomes))
-	for _, o := range fed.Outcomes {
-		oc := Outcome{Tenant: tenants[o.Tenant], Status: o.Status.String()}
-		if o.DoneUS >= 0 {
-			oc.LatencyMS = float64(o.DoneUS-o.AtUS) / 1000
-		}
-		outcomes = append(outcomes, oc)
+	outcomes := make([]Outcome, len(fed.Outcomes))
+	for i, o := range fed.Outcomes {
+		outcomes[i] = p.outcome(o.Tenant, o.Status, o.AtUS, o.DoneUS)
 	}
 	label := fmt.Sprintf("%s/%s", cfg.Policy, opts.Spill)
-	res := Summarize(tr.Name, label, "fedsim", outcomes, float64(fed.EndTimeUS)/1000)
+	res := Summarize(p.name, label, "fedsim", outcomes, float64(fed.EndTimeUS)/1000)
 	return &FedReplay{Result: res, Fed: fed, Pref: prefByName}, nil
 }

@@ -40,12 +40,11 @@ func (m *Machine) dispatch(c *Core) {
 		c.lastRun = w
 	}
 	m.armQuantum(c)
+	w.setState(wRunning)
 	if w.cur != nil {
-		w.state = wRunning
 		m.scheduleSegment(w)
 		return
 	}
-	w.state = wRunning
 	m.getWork(w)
 }
 
@@ -65,7 +64,7 @@ func (m *Machine) armQuantum(c *Core) {
 		return
 	}
 	c.quantumArmed = true
-	m.after(m.cfg.QuantumUS, func() { m.quantumFire(c) })
+	m.arm(m.now+m.cfg.QuantumUS, event{kind: evQuantum, c: c})
 }
 
 // quantumFire preempts the scheduled worker and rotates the run queue.
@@ -78,9 +77,15 @@ func (m *Machine) quantumFire(c *Core) {
 		m.preempt(c.cur)
 		c.unschedule(m.now)
 	}
-	// Rotate: head to tail.
-	c.runq = append(c.runq[1:], c.runq[0])
+	c.rotate()
 	m.dispatch(c)
+}
+
+// rotate moves the head of the run queue to its tail, in place.
+func (c *Core) rotate() {
+	head := c.runq[0]
+	copy(c.runq, c.runq[1:])
+	c.runq[len(c.runq)-1] = head
 }
 
 // preempt stops w's current activity, folding partial progress back into
@@ -95,7 +100,7 @@ func (m *Machine) preempt(w *Worker) {
 		m.endSpin(w)
 	}
 	w.gen++
-	w.state = wReady
+	w.setState(wReady)
 }
 
 // removeFromRunq deletes w from its core's run queue (any position).

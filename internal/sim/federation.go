@@ -255,25 +255,13 @@ func (m *Machine) offerJob(p *Program, j *openJob) (bool, JobStatus) {
 	return true, JobOK
 }
 
-// stepEvent pops and runs the machine's earliest pending event.
-func (m *Machine) stepEvent() error {
-	ev := heap.Pop(&m.events).(*event)
-	m.now = ev.at
-	m.nEv++
-	if m.nEv > m.cfg.MaxEvents {
-		return ErrExploded
-	}
-	ev.fn()
-	return nil
-}
-
 // advanceBefore runs every event strictly before t and moves the clock
 // forward to t (never backwards: a shard whose clock already passed t —
 // a spill arriving from a slower sibling — stays where it is, and the
 // job effectively arrives at the shard's present).
 func (m *Machine) advanceBefore(t int64) error {
 	for len(m.events) > 0 && m.events[0].at < t {
-		if err := m.stepEvent(); err != nil {
+		if err := m.step(); err != nil {
 			return err
 		}
 	}
@@ -360,6 +348,7 @@ func RunFederation(opts FedOpts) (*FedResults, error) {
 			}
 		}
 	}
+	var valid task.Validator
 	for i, j := range opts.Jobs {
 		if j.Tenant < 0 || j.Tenant >= len(opts.Programs) {
 			return nil, fmt.Errorf("%w: job %d names tenant %d of %d", ErrBadConfig, i, j.Tenant, len(opts.Programs))
@@ -367,7 +356,7 @@ func RunFederation(opts FedOpts) (*FedResults, error) {
 		if j.AtUS < 0 || j.DeadlineUS < 0 {
 			return nil, fmt.Errorf("%w: job %d has a negative time", ErrBadConfig, i)
 		}
-		if err := task.Validate(j.Graph); err != nil {
+		if err := valid.Validate(j.Graph); err != nil {
 			return nil, fmt.Errorf("sim: federation job %d: %w", i, err)
 		}
 	}
@@ -559,7 +548,7 @@ func RunFederation(opts FedOpts) (*FedResults, error) {
 			deliver(a)
 			drain(a.shard)
 		} else {
-			if err := machines[mi].stepEvent(); err != nil {
+			if err := machines[mi].step(); err != nil {
 				return nil, err
 			}
 			drain(mi)

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -37,6 +36,15 @@ type Machine struct {
 
 	stopped bool
 	samples []Sample
+
+	// Task recycling: finished simTasks wait on freeTasks (linked through
+	// parent); taskSlab is the unused rest of the newest slab.
+	freeTasks *simTask
+	taskSlab  []simTask
+	// progStamp[id] == progEpoch marks program id as already counted in
+	// the current otherProgsOnSocket scan.
+	progStamp []int64
+	progEpoch int64
 
 	// Open-loop state (RunOpen): jobMode switches finishRun's tail from the
 	// closed-loop restart to the job queue; jobsOutstanding counts jobs not
@@ -99,8 +107,9 @@ func NewMachine(cfg Config, graphs []*task.Graph) (*Machine, error) {
 	if len(graphs) > cfg.Cores {
 		return nil, ErrTooManyProg
 	}
+	var valid task.Validator
 	for _, g := range graphs {
-		if err := task.Validate(g); err != nil {
+		if err := valid.Validate(g); err != nil {
 			return nil, fmt.Errorf("sim: graph %q: %w", g.Name, err)
 		}
 	}
@@ -109,8 +118,11 @@ func NewMachine(cfg Config, graphs []*task.Graph) (*Machine, error) {
 			ErrBadConfig, len(cfg.Weights), len(graphs))
 	}
 
-	m := &Machine{cfg: cfg, topo: topo.Uniform(cfg.Cores, cfg.SocketSize)}
-	heap.Init(&m.events)
+	m := &Machine{
+		cfg:       cfg,
+		topo:      topo.Uniform(cfg.Cores, cfg.SocketSize),
+		progStamp: make([]int64, len(graphs)+1),
+	}
 
 	for i := 0; i < cfg.Cores; i++ {
 		m.cores = append(m.cores, &Core{id: i, socket: i / cfg.SocketSize})
@@ -138,6 +150,7 @@ func NewMachine(cfg Config, graphs []*task.Graph) (*Machine, error) {
 				state: wOff, robbedFrom: -1,
 			})
 		}
+		p.inState[wOff] = cfg.Cores
 		m.progs = append(m.progs, p)
 	}
 	m.buildVictimSets()
@@ -147,7 +160,7 @@ func NewMachine(cfg Config, graphs []*task.Graph) (*Machine, error) {
 	if cfg.Policy == DWS || cfg.Policy == DWSNC || cfg.Policy == GO {
 		for _, p := range m.progs {
 			for _, w := range p.workers {
-				w.state = wSleeping
+				w.setState(wSleeping)
 			}
 		}
 	}
@@ -256,7 +269,7 @@ func (m *Machine) activateProgram(p *Program) {
 		if w.state != wOff && w.state != wSleeping {
 			return
 		}
-		w.state = wReady
+		w.setState(wReady)
 		p.active++
 		c := m.cores[core]
 		c.runq = append(c.runq, w)
@@ -407,18 +420,11 @@ func (m *Machine) startSampling(sampleUS int64) {
 // open-loop RunOpen.
 func (m *Machine) loop(horizonUS int64) error {
 	for len(m.events) > 0 && !m.stopped {
-		ev := heap.Pop(&m.events).(*event)
-		if horizonUS > 0 && ev.at > horizonUS {
+		if horizonUS > 0 && m.events[0].at > horizonUS {
 			return ErrHorizon
 		}
-		m.now = ev.at
-		m.nEv++
-		if m.nEv > m.cfg.MaxEvents {
-			return ErrExploded
-		}
-		ev.fn()
-		if m.cfg.Debug && !m.stopped {
-			m.verify()
+		if err := m.step(); err != nil {
+			return err
 		}
 	}
 	if !m.stopped {
@@ -441,7 +447,7 @@ func (m *Machine) getWork(w *Worker) {
 		return
 	}
 	if m.cfg.WorkSharing {
-		if t := p.takeCentral(); t != nil {
+		if t := p.central.steal(); t != nil {
 			w.failedSteals = 0
 			m.runTask(w, t)
 			return
@@ -449,7 +455,7 @@ func (m *Machine) getWork(w *Worker) {
 		m.idleSpin(w)
 		return
 	}
-	if t := w.popTask(); t != nil {
+	if t := w.deque.pop(); t != nil {
 		w.failedSteals = 0
 		m.runTask(w, t)
 		return
@@ -469,7 +475,7 @@ func (m *Machine) stealLoop(w *Worker) {
 
 	anyTasks := false
 	for _, v := range victims {
-		if len(v.deque) > 0 {
+		if v.deque.len() > 0 {
 			anyTasks = true
 			break
 		}
@@ -479,7 +485,7 @@ func (m *Machine) stealLoop(w *Worker) {
 		maxDraw := 2 * len(victims)
 		for a := 1; a <= maxDraw; a++ {
 			v := w.nextVictim(victims)
-			if t := v.stealFrom(); t != nil {
+			if t := v.deque.steal(); t != nil {
 				w.failedSteals = 0
 				w.passSteal = true
 				p.stats.Steals++
@@ -526,10 +532,7 @@ func (m *Machine) idleSpin(w *Worker) {
 			left = 1
 		}
 		period := cfg.StealCostUS + cfg.StealYieldUS
-		m.beginSpin(w, m.now+int64(left)*period, period, func() {
-			m.trace("p%d w%d park(spin) fs=%d", w.prog.id, w.id, w.failedSteals)
-			m.parkWorker(w, true)
-		})
+		m.beginSpin(w, m.now+int64(left)*period, period, evSpinPark)
 		return
 	}
 	// BWS: pass the core directly to a co-resident worker that has work
@@ -542,10 +545,7 @@ func (m *Machine) idleSpin(w *Worker) {
 	// livelocking the event loop), and the last active worker of a DWS
 	// program burn cycles until preempted, notified, or the periodic
 	// recheck.
-	m.beginSpin(w, m.now+recheckUS, cfg.StealCostUS, func() {
-		w.state = wRunning
-		m.getWork(w)
-	})
+	m.beginSpin(w, m.now+recheckUS, cfg.StealCostUS, evSpinRecheck)
 }
 
 // directedYield hands the core to the first resident worker that has a
@@ -554,15 +554,15 @@ func (m *Machine) idleSpin(w *Worker) {
 func (m *Machine) directedYield(c *Core) bool {
 	for i := 1; i < len(c.runq); i++ {
 		w := c.runq[i]
-		if w.cur != nil || len(w.deque) > 0 ||
-			(m.cfg.WorkSharing && len(w.prog.central) > 0) {
+		if w.cur != nil || w.deque.len() > 0 ||
+			(m.cfg.WorkSharing && w.prog.central.len() > 0) {
 			thief := c.runq[0]
 			m.preempt(thief)
 			c.unschedule(m.now)
 			// Move the busy worker to the front, the thief to the back.
-			c.runq = append(c.runq[:i], c.runq[i+1:]...)
-			c.runq = append(c.runq[1:], c.runq[0])
-			c.runq = append([]*Worker{w}, c.runq...)
+			c.runq[0] = w
+			copy(c.runq[i:], c.runq[i+1:])
+			c.runq[len(c.runq)-1] = thief
 			m.dispatch(c)
 			return true
 		}
@@ -576,7 +576,7 @@ func (m *Machine) yieldRotate(c *Core) {
 	w := c.cur
 	m.preempt(w)
 	c.unschedule(m.now)
-	c.runq = append(c.runq[1:], c.runq[0])
+	c.rotate()
 	m.dispatch(c)
 }
 
@@ -597,7 +597,7 @@ func (m *Machine) parkWorker(w *Worker, release bool) {
 		panic("sim: parking a worker that is not scheduled")
 	}
 	w.gen++
-	w.state = wSleeping
+	w.setState(wSleeping)
 	p.active--
 	if p.active < 0 {
 		panic("sim: negative active worker count")
@@ -618,29 +618,33 @@ func (m *Machine) wakeWorker(w *Worker) {
 		return
 	}
 	p := w.prog
-	w.state = wWaking
+	w.setState(wWaking)
 	p.active++
 	p.stats.Wakes++
-	m.after(m.cfg.WakeLatencyUS, func() {
-		if w.state != wWaking {
-			return
-		}
-		w.state = wReady
-		w.failedSteals = 0
-		c := m.cores[w.id]
-		c.runq = append(c.runq, w)
-		if c.cur == nil {
-			m.dispatch(c)
-		} else {
-			m.armQuantum(c)
-		}
-	})
+	m.arm(m.now+m.cfg.WakeLatencyUS, event{kind: evWake, w: w})
+}
+
+// wakeArrived makes a waking worker runnable on its core once the wake
+// latency has elapsed.
+func (m *Machine) wakeArrived(w *Worker) {
+	if w.state != wWaking {
+		return
+	}
+	w.setState(wReady)
+	w.failedSteals = 0
+	c := m.cores[w.id]
+	c.runq = append(c.runq, w)
+	if c.cur == nil {
+		m.dispatch(c)
+	} else {
+		m.armQuantum(c)
+	}
 }
 
 // runTask begins executing t's current stage on w.
 func (m *Machine) runTask(w *Worker, t *simTask) {
 	w.cur = t
-	w.state = wRunning
+	w.setState(wRunning)
 	w.remaining = float64(t.stageWork())
 	m.scheduleSegment(w)
 }
@@ -681,13 +685,7 @@ func (m *Machine) scheduleSegment(w *Worker) {
 	w.segEffStart = m.now + latency
 	wall := wallFor(w.remaining, w.segEffStart, w.segColdUntil, w.segWarmRate, w.segColdFactor)
 	dur := latency + int64(math.Ceil(wall))
-	gen := w.gen
-	m.after(dur, func() {
-		if w.gen != gen {
-			return
-		}
-		m.onSegmentDone(w)
-	})
+	m.arm(m.now+dur, event{kind: evSegmentDone, w: w, gen: w.gen})
 }
 
 // otherProgsOnSocket counts distinct other programs currently executing a
@@ -698,7 +696,7 @@ func (m *Machine) otherProgsOnSocket(c *Core, pid int32) int {
 	if s1 > m.cfg.Cores {
 		s1 = m.cfg.Cores
 	}
-	seen := make([]bool, len(m.progs)+1)
+	m.progEpoch++
 	n := 0
 	for i := s0; i < s1; i++ {
 		oc := m.cores[i]
@@ -706,8 +704,8 @@ func (m *Machine) otherProgsOnSocket(c *Core, pid int32) int {
 			continue
 		}
 		op := oc.cur.prog.id
-		if op != pid && !seen[op] {
-			seen[op] = true
+		if op != pid && m.progStamp[op] != m.progEpoch {
+			m.progStamp[op] = m.progEpoch
 			n++
 		}
 	}
@@ -741,7 +739,7 @@ func (m *Machine) onSegmentDone(w *Worker) {
 	if len(children) > 0 {
 		t.pending = len(children)
 		for _, cn := range children {
-			m.pushTask(w, &simTask{node: cn, parent: t})
+			m.pushTask(w, m.newTask(cn, t))
 		}
 		w.cur = nil
 		m.getWork(w)
@@ -765,12 +763,13 @@ func (m *Machine) stageJoined(w *Worker, t *simTask) {
 // completes the last child continues the parent (continuation runs there).
 func (m *Machine) taskDone(w *Worker, t *simTask) {
 	par := t.parent
+	m.freeTask(t)
 	if par == nil {
 		m.finishRun(w.prog, w)
 		w.cur = nil
 		if m.stopped {
 			// Leave the worker idle; the event loop is about to stop.
-			w.state = wReady
+			w.setState(wReady)
 			return
 		}
 		m.getWork(w)

@@ -164,6 +164,7 @@ func (m *Machine) RunOpen(opts OpenOpts) (*Results, error) {
 		opts.QueueCap = 16
 	}
 	total := 0
+	var valid task.Validator
 	for i, js := range opts.Jobs {
 		join := int64(0)
 		if opts.JoinsUS != nil {
@@ -179,7 +180,7 @@ func (m *Machine) RunOpen(opts OpenOpts) (*Results, error) {
 			if j.DeadlineUS < 0 {
 				return nil, fmt.Errorf("%w: program %d job %d negative deadline", ErrBadConfig, i, k)
 			}
-			if err := task.Validate(j.Graph); err != nil {
+			if err := valid.Validate(j.Graph); err != nil {
 				return nil, fmt.Errorf("sim: program %d job %d: %w", i, k, err)
 			}
 		}
@@ -347,7 +348,7 @@ func (m *Machine) startJob(p *Program, j *openJob, w *Worker) {
 	p.runStart = m.now
 	m.trace("p%d job %d starts after %dµs queued", p.id, j.idx, m.now-j.AtUS)
 	m.regrabHome(p)
-	m.pushTask(w, &simTask{node: j.Graph.Root})
+	m.pushTask(w, m.newTask(j.Graph.Root, nil))
 	// The push came from the arrival event, not a running worker, so the
 	// target itself may be mid-spin; a nil pusher notifies every spinner,
 	// including w (dedup via notifyPending keeps this cheap).

@@ -27,6 +27,9 @@ type Program struct {
 	home    []int
 
 	active int // workers in {waking, ready, running, spinning}
+	// inState[s] counts the workers in state s, so a GO push can tell
+	// whether a thief is already hunting without looking at every worker.
+	inState [numWStates]int
 
 	runActive  bool
 	runStart   int64
@@ -37,14 +40,22 @@ type Program struct {
 	// coordDebt is pending coordinator overhead, charged to the next
 	// scheduled segment of any of the program's workers.
 	coordDebt int64
+	// coordFn is the coordinator tick as an event closure, built once and
+	// re-armed every period.
+	coordFn func()
 
 	// notifyRR rotates the spinner-notification order so no worker
 	// systematically loses the race for freshly pushed tasks.
 	notifyRR int
+	// allPoked: every spinning worker already has a steal retry pending,
+	// so a push has nobody left to notify. It holds from one full
+	// notifySpinners scan until a worker starts spinning or a pending
+	// retry fires.
+	allPoked bool
 
 	// central is the program's single task pool in work-sharing mode
 	// (Config.WorkSharing); takes are FIFO.
-	central []*simTask
+	central taskQueue
 
 	// Open-loop job state (Machine.RunOpen): the job currently executing
 	// and the bounded FIFO of admitted-but-not-started jobs. With WFQ
@@ -65,23 +76,11 @@ type Program struct {
 // pools: all deques (including sleeping workers') plus the central pool
 // in work-sharing mode.
 func (p *Program) queuedTasks() int {
-	n := len(p.central)
+	n := p.central.len()
 	for _, w := range p.workers {
-		n += len(w.deque)
+		n += w.deque.len()
 	}
 	return n
-}
-
-// takeCentral removes and returns the oldest task of the central pool
-// (work-sharing mode), or nil.
-func (p *Program) takeCentral() *simTask {
-	if len(p.central) == 0 {
-		return nil
-	}
-	t := p.central[0]
-	p.central[0] = nil
-	p.central = p.central[1:]
-	return t
 }
 
 // startRun launches (or relaunches) the program's computation by pushing a
@@ -97,7 +96,7 @@ func (m *Machine) startRun(p *Program, w *Worker) {
 	if p.runsDone > 0 {
 		m.regrabHome(p)
 	}
-	m.pushTask(w, &simTask{node: p.graph.Root})
+	m.pushTask(w, m.newTask(p.graph.Root, nil))
 }
 
 func (m *Machine) regrabHome(p *Program) {
@@ -168,7 +167,10 @@ func (m *Machine) checkAllSatisfied() {
 // Ticks are offset by the program index so same-timestamp ties between
 // programs resolve deterministically but not always in the same order.
 func (m *Machine) scheduleCoordinator(p *Program) {
-	m.after(m.cfg.CoordPeriodUS+int64(p.idx), func() { m.coordTick(p) })
+	if p.coordFn == nil {
+		p.coordFn = func() { m.coordTick(p) }
+	}
+	m.after(m.cfg.CoordPeriodUS+int64(p.idx), p.coordFn)
 }
 
 // coordTick is one coordinator pass: measure demand, then wake sleeping

@@ -100,26 +100,19 @@ func TestZeroWork(t *testing.T) {
 	}
 }
 
-// TestEventOrdering: the event heap pops by (time, seq).
+// TestEventOrdering: the event heap pops by (time, seq), whatever order
+// the events were pushed in.
 func TestEventOrdering(t *testing.T) {
 	m := &Machine{cfg: DefaultConfig()}
+	m.cfg.MaxEvents = 3
 	var got []int
 	m.schedule(50, func() { got = append(got, 3) })
 	m.schedule(10, func() { got = append(got, 1) })
 	m.schedule(10, func() { got = append(got, 2) }) // same time, later seq
 	for len(m.events) > 0 {
-		ev := m.events[0]
-		// Manual pop via container/heap semantics happens in Run; emulate.
-		n := len(m.events)
-		m.events.Swap(0, n-1)
-		e := m.events[n-1]
-		m.events = m.events[:n-1]
-		if n > 1 {
-			down(&m.events)
+		if err := m.step(); err != nil {
+			t.Fatal(err)
 		}
-		_ = ev
-		m.now = e.at
-		e.fn()
 	}
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -129,25 +122,40 @@ func TestEventOrdering(t *testing.T) {
 	}
 }
 
-// down restores the heap property after a root removal (test helper that
-// mirrors container/heap.Pop's sift-down).
-func down(h *eventHeap) {
-	i := 0
-	n := h.Len()
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.Less(l, smallest) {
-			smallest = l
+// TestEventHeapSorts: popping drains any push sequence in (at, seq)
+// order, checked against the heap property after every operation.
+func TestEventHeapSorts(t *testing.T) {
+	heapOK := func(h eventHeap) bool {
+		for i := 1; i < len(h); i++ {
+			if h[i].before(&h[(i-1)/2]) {
+				return false
+			}
 		}
-		if r < n && h.Less(r, smallest) {
-			smallest = r
+		return true
+	}
+	f := func(ats []uint8) bool {
+		var h eventHeap
+		for i, at := range ats {
+			h.push(event{at: int64(at % 16), seq: int64(i + 1)})
+			if !heapOK(h) {
+				return false
+			}
 		}
-		if smallest == i {
-			return
+		var prev event
+		for n := len(h); n > 0; n-- {
+			e := h.pop()
+			if !heapOK(h) || len(h) != n-1 {
+				return false
+			}
+			if e.at < prev.at || (e.at == prev.at && e.seq <= prev.seq) {
+				return false
+			}
+			prev = e
 		}
-		h.Swap(i, smallest)
-		i = smallest
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -37,7 +37,12 @@ func (m *Machine) verify() {
 	// Per-program active-count accounting and sleeping-state checks.
 	for _, p := range m.progs {
 		active := 0
+		var census [numWStates]int
 		for _, w := range p.workers {
+			census[w.state]++
+			if p.allPoked && w.state == wSpinning && !w.notifyPending {
+				panic(fmt.Sprintf("sim: p%d/w%d spins unnotified while allPoked", p.id, w.id))
+			}
 			switch w.state {
 			case wWaking, wReady, wRunning, wSpinning:
 				active++
@@ -49,6 +54,9 @@ func (m *Machine) verify() {
 		}
 		if active != p.active {
 			panic(fmt.Sprintf("sim: p%d active count %d, tracked %d", p.id, active, p.active))
+		}
+		if census != p.inState {
+			panic(fmt.Sprintf("sim: p%d state census %v, tracked %v", p.id, census, p.inState))
 		}
 	}
 

@@ -18,6 +18,8 @@ const (
 	wRunning
 	// wSpinning: scheduled on its core, burning cycles in the steal loop.
 	wSpinning
+
+	numWStates = iota
 )
 
 func (s wState) String() string {
@@ -57,7 +59,7 @@ type Worker struct {
 	// deque is the worker's task pool: the owner pushes/pops at the back,
 	// thieves steal from the front. It stays stealable while the worker
 	// sleeps (an evicted worker can park with queued tasks).
-	deque []*simTask
+	deque taskQueue
 
 	failedSteals int
 
@@ -113,9 +115,9 @@ type Worker struct {
 // which batched spinning would otherwise miss).
 func (m *Machine) pushTask(w *Worker, t *simTask) {
 	if m.cfg.WorkSharing {
-		w.prog.central = append(w.prog.central, t)
+		w.prog.central.push(t)
 	} else {
-		w.deque = append(w.deque, t)
+		w.deque.push(t)
 	}
 	m.notifySpinners(w.prog, w)
 	if m.cfg.Policy == GO {
@@ -134,10 +136,8 @@ func (m *Machine) wakepGO(p *Program, pusher *Worker) {
 		m.wakeWorker(pusher)
 		return
 	}
-	for _, w := range p.workers {
-		if w.state == wSpinning || w.state == wWaking {
-			return
-		}
+	if p.inState[wSpinning] > 0 || p.inState[wWaking] > 0 {
+		return
 	}
 	n := len(p.workers)
 	p.notifyRR++
@@ -149,27 +149,11 @@ func (m *Machine) wakepGO(p *Program, pusher *Worker) {
 	}
 }
 
-// popTask removes and returns the most recently pushed task, or nil.
-func (w *Worker) popTask() *simTask {
-	n := len(w.deque)
-	if n == 0 {
-		return nil
-	}
-	t := w.deque[n-1]
-	w.deque[n-1] = nil
-	w.deque = w.deque[:n-1]
-	return t
-}
-
-// stealFrom removes and returns w's oldest task, or nil.
-func (w *Worker) stealFrom() *simTask {
-	if len(w.deque) == 0 {
-		return nil
-	}
-	t := w.deque[0]
-	w.deque[0] = nil
-	w.deque = w.deque[1:]
-	return t
+// setState moves w to state s, keeping its program's per-state census.
+func (w *Worker) setState(s wState) {
+	w.prog.inState[w.state]--
+	w.prog.inState[s]++
+	w.state = s
 }
 
 // nextVictim returns the next victim in w's phased shuffled cycle: each
@@ -249,44 +233,32 @@ func (w *Worker) beginPass(victims []*Worker) {
 func (m *Machine) notifySpinners(p *Program, pusher *Worker) {
 	n := len(p.workers)
 	p.notifyRR++
+	if p.allPoked {
+		return // most pushes: an earlier one already poked every spinner
+	}
 	for i := 0; i < n; i++ {
 		s := p.workers[(i+p.notifyRR)%n]
 		if s == pusher || s.state != wSpinning || s.notifyPending {
 			continue
 		}
 		s.notifyPending = true
-		sw, gen := s, s.gen
-		m.after(0, func() {
-			sw.notifyPending = false
-			if sw.state != wSpinning || sw.gen != gen {
-				return
-			}
-			m.endSpin(sw)
-			sw.gen++
-			sw.state = wRunning
-			m.getWork(sw)
-		})
+		m.arm(m.now, event{kind: evNotify, w: s, gen: s.gen})
 	}
+	p.allPoked = pusher == nil || pusher.state != wSpinning
 }
 
 // beginSpin puts w (the current worker of its core) into the spin state
-// until deadline, at which point onDeadline runs. The spin also ends early
-// on preemption or a notify. period is the wall time one failed attempt
-// represents (used to convert elapsed spin back into failed steals).
-func (m *Machine) beginSpin(w *Worker, deadline int64, period int64, onDeadline func()) {
-	w.state = wSpinning
+// until deadline, when an event of kind onDeadline (evSpinPark or
+// evSpinRecheck) ends it. The spin also ends early on preemption or a
+// notify. period is the wall time one failed attempt represents (used to
+// convert elapsed spin back into failed steals).
+func (m *Machine) beginSpin(w *Worker, deadline int64, period int64, onDeadline evKind) {
+	w.setState(wSpinning)
+	w.prog.allPoked = false
 	w.spinStart = m.now
 	w.spinFS0 = w.failedSteals
 	w.spinPeriod = period
-	gen := w.gen
-	m.schedule(deadline, func() {
-		if w.state != wSpinning || w.gen != gen {
-			return
-		}
-		m.endSpin(w)
-		w.gen++
-		onDeadline()
-	})
+	m.arm(deadline, event{kind: onDeadline, w: w, gen: w.gen})
 }
 
 // endSpin folds elapsed spin time into failed-steal and waste accounting.

@@ -146,38 +146,68 @@ var (
 // nil nodes), every node has at least one stage, all work is non-negative,
 // and metadata is in range.
 func Validate(g *Graph) error {
+	var v Validator
+	return v.Validate(g)
+}
+
+// Validator runs Validate's checks over a stream of graphs — a replay's
+// jobs — without paying for each graph from scratch: a graph it has
+// accepted is not walked again when a later job presents the same pointer
+// (graphs are immutable once built), and the visited set is emptied and
+// reused from one graph to the next instead of grown anew. The zero value
+// is ready to use; a Validator is not safe for concurrent use.
+type Validator struct {
+	seen     map[*Node]struct{}  // nodes of the graph being walked
+	accepted map[*Graph]struct{} // graphs already found valid
+}
+
+// Validate reports the first violation found in g, exactly as the
+// package-level Validate does.
+func (v *Validator) Validate(g *Graph) error {
 	if g == nil || g.Root == nil {
 		return ErrNilRoot
+	}
+	if _, ok := v.accepted[g]; ok {
+		return nil
 	}
 	if g.MemIntensity < 0 || g.MemIntensity > 1 {
 		return fmt.Errorf("%w: %v", ErrIntensity, g.MemIntensity)
 	}
-	seen := make(map[*Node]bool)
-	var walk func(n *Node) error
-	walk = func(n *Node) error {
-		if n == nil {
-			return ErrNilChild
-		}
-		if seen[n] {
-			return fmt.Errorf("%w: %q", ErrShared, n.Label)
-		}
-		seen[n] = true
-		if len(n.Stages) == 0 {
-			return fmt.Errorf("%w: %q", ErrNoStages, n.Label)
-		}
-		for _, st := range n.Stages {
-			if st.Work < 0 {
-				return fmt.Errorf("%w: %d in %q", ErrNegativeWork, st.Work, n.Label)
-			}
-			for _, c := range st.Children {
-				if err := walk(c); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+	if v.seen == nil {
+		v.seen = make(map[*Node]struct{})
+		v.accepted = make(map[*Graph]struct{})
 	}
-	return walk(g.Root)
+	clear(v.seen)
+	if err := v.walk(g.Root); err != nil {
+		return err
+	}
+	v.accepted[g] = struct{}{}
+	return nil
+}
+
+func (v *Validator) walk(n *Node) error {
+	if n == nil {
+		return ErrNilChild
+	}
+	if _, dup := v.seen[n]; dup {
+		return fmt.Errorf("%w: %q", ErrShared, n.Label)
+	}
+	v.seen[n] = struct{}{}
+	if len(n.Stages) == 0 {
+		return fmt.Errorf("%w: %q", ErrNoStages, n.Label)
+	}
+	for i := range n.Stages {
+		st := &n.Stages[i]
+		if st.Work < 0 {
+			return fmt.Errorf("%w: %d in %q", ErrNegativeWork, st.Work, n.Label)
+		}
+		for _, c := range st.Children {
+			if err := v.walk(c); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // Walk visits every node of the graph in depth-first spawn order, calling

@@ -6,10 +6,10 @@
 //	BENCH_HOTPATH_OUT=BENCH_hotpath.json go test -run TestWriteHotpathBench .
 //
 // BENCH_hotpath.json holds the kernels sequentially and under the live
-// runtime per policy, what one small job pays around its kernel, and the
-// deque engines; it is the baseline the CI regression gate
-// (cmd/benchgate) enforces: >25% ns/op or any allocs/op increase fails
-// the bench job.
+// runtime per policy, what one small job pays around its kernel, the
+// simulator (one replay and the whole scenario suite), and the deque
+// engines; it is the baseline the CI regression gate (cmd/benchgate)
+// enforces: >25% ns/op or any allocs/op increase fails the bench job.
 //
 // The battery deliberately uses small fixed problem sizes so one pass
 // stays in the seconds range on a 1-core CI runner; the numbers are for
@@ -30,6 +30,8 @@ import (
 	"dws/internal/deque"
 	"dws/internal/kernels"
 	"dws/internal/rt"
+	"dws/internal/scenario"
+	"dws/internal/sim"
 	"dws/internal/topo"
 )
 
@@ -358,6 +360,19 @@ func hotpathBattery() []namedBench {
 		{"job/run-null", rtKernelBench(rt.DWS, func(*testing.B) (rt.Task, func()) {
 			return func(*rt.Ctx) {}, func() {}
 		})},
+		// The simulator twin of the entries above: one open-loop replay of
+		// the overload-storm trace under DWS (machine construction and
+		// the summary included, graph building not), and the whole gated scenario
+		// suite — every catalog trace prepared once and replayed under
+		// every policy, fanned out as `benchgate -scenarios` runs it.
+		{"sim/runopen-overload-storm-dws", simRunOpenStorm},
+		{"sim/scenario-suite", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := bench.RunScenarioSuite(nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
 		{"kernels/fft-rt-abp-4096", rtKernelBench(rt.ABP, fftRT)},
 		{"kernels/mergesort-rt-dws-16384", rtKernelBench(rt.DWS, mergesortRT)},
 		{"kernels/mergesort-rt-abp-16384", rtKernelBench(rt.ABP, mergesortRT)},
@@ -394,6 +409,39 @@ func hotpathBattery() []namedBench {
 		{"kernels/fft-rt-dws-socket-4096", rtKernelBenchCfg(rt.Config{
 			Policy: rt.DWS, Engine: deque.KindChaseLev, Topology: topo.Uniform(4, 2),
 		}, fftRT)},
+	}
+}
+
+// simRunOpenStorm replays the prepared overload-storm trace under DWS with
+// the suite's front-door settings: a machine built, sim.RunOpen run and the
+// outcome summarised per op, the graphs built before the clock starts.
+func simRunOpenStorm(b *testing.B) {
+	tr, err := scenario.CompileByName("overload-storm")
+	if err != nil {
+		b.Fatal(err)
+	}
+	prepared, err := scenario.Prepare(tr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := sim.DefaultConfig()
+	cfg.Policy = sim.DWS
+	opts := scenario.SimOptions{
+		Config:    cfg,
+		Admission: &sim.AdmissionOpts{GlobalCap: len(tr.Tenants()) * 8, EarlyReject: true},
+	}
+	replay := func() {
+		if _, err := prepared.Sim(opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// One untimed replay first: whatever the process allocates once would
+	// otherwise be averaged over b.N, and allocs/op would depend on how
+	// many iterations the host's speed buys.
+	replay()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		replay()
 	}
 }
 
