@@ -128,6 +128,10 @@ type Ctx = rt.Ctx
 // Task is one unit of live fork-join work.
 type Task = rt.Task
 
+// Runner is anything with a task body; Ctx.SpawnRunner queues one, so a
+// spawn tree can be a slab of nodes instead of a closure per node.
+type Runner = rt.Runner
+
 // Stats is a snapshot of a live program's scheduler counters.
 type Stats = rt.Stats
 

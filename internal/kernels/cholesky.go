@@ -31,14 +31,35 @@ func CholeskySeq(a []float64, n int) bool {
 	return true
 }
 
+// cholPanel is one spawned chunk of a trailing update: columns [lo, hi)
+// of step k.
+type cholPanel struct {
+	a            []float64
+	n, k, lo, hi int
+}
+
+func (p *cholPanel) Run(*rt.Ctx) {
+	a, n, k := p.a, p.n, p.k
+	for j := p.lo; j < p.hi; j++ {
+		ajk := a[j*n+k]
+		for i := j; i < n; i++ {
+			a[i*n+j] -= a[i*n+k] * ajk
+		}
+	}
+}
+
 // CholeskyTask returns a task performing the same right-looking
 // factorisation with the trailing update parallelised over column panels
 // (a barrier per step, with the panel count shrinking as k advances —
 // the simulator's p-3 profile). ok reports positive definiteness after
 // the task completes.
+//
+// Every step spawns its panels out of one slab (Sync has returned before
+// the next step rewrites it), so a run allocates once, not once a panel.
 func CholeskyTask(a []float64, n int, ok *bool) rt.Task {
 	return func(c *rt.Ctx) {
 		*ok = true
+		panels := make([]cholPanel, 0, (n+grain-1)/grain)
 		for k := 0; k < n; k++ {
 			d := a[k*n+k]
 			if d <= 0 {
@@ -51,16 +72,10 @@ func CholeskyTask(a []float64, n int, ok *bool) rt.Task {
 				a[i*n+k] /= d
 			}
 			// Parallel trailing update: disjoint column ranges.
+			panels = panels[:0]
 			chunks(n-(k+1), func(lo, hi int) {
-				lo, hi = lo+k+1, hi+k+1
-				c.Spawn(func(*rt.Ctx) {
-					for j := lo; j < hi; j++ {
-						ajk := a[j*n+k]
-						for i := j; i < n; i++ {
-							a[i*n+j] -= a[i*n+k] * ajk
-						}
-					}
-				})
+				panels = append(panels, cholPanel{a, n, k, lo + k + 1, hi + k + 1})
+				c.SpawnRunner(&panels[len(panels)-1])
 			})
 			c.Sync()
 		}

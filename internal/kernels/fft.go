@@ -14,12 +14,34 @@ const fftCutoff = 256
 
 // FFTSeq performs an in-place iterative radix-2 Cooley–Tukey FFT.
 // len(a) must be a power of two.
-func FFTSeq(a []complex128) {
-	n := len(a)
+func FFTSeq(a []complex128) { fftIter(a, twiddles(len(a))) }
+
+// twiddles returns the n/2 roots of unity every level of an n-point
+// transform reads: w[k] = exp(−2πik/n). A level of butterflies of width
+// size uses every (n/size)-th entry, so one table per transform replaces
+// a cmplx.Exp per butterfly (n/2·log₂n of them for n/2 distinct values).
+// The second quarter of the table is the first times −i.
+func twiddles(n int) []complex128 {
 	if n&(n-1) != 0 {
 		panic("kernels: FFT length must be a power of two")
 	}
-	// Bit-reversal permutation.
+	w := make([]complex128, n/2)
+	q := (len(w) + 1) / 2
+	for k := range w[:q] {
+		sin, cos := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
+		w[k] = complex(cos, sin)
+	}
+	for k, v := range w[:len(w)-q] {
+		w[q+k] = complex(imag(v), -real(v))
+	}
+	return w
+}
+
+// fftIter transforms a in place — bit-reversal, then the butterfly
+// network level by level — reading its roots of unity from w, the table
+// of a transform of 2·len(w) ≥ len(a) points.
+func fftIter(a, w []complex128) {
+	n := len(a)
 	shift := 64 - uint(bits.TrailingZeros(uint(n)))
 	for i := 0; i < n; i++ {
 		j := int(bits.Reverse64(uint64(i)) >> shift)
@@ -28,89 +50,79 @@ func FFTSeq(a []complex128) {
 		}
 	}
 	for size := 2; size <= n; size <<= 1 {
-		half := size / 2
-		step := -2 * math.Pi / float64(size)
 		for start := 0; start < n; start += size {
-			for k := 0; k < half; k++ {
-				w := cmplx.Exp(complex(0, step*float64(k)))
-				u := a[start+k]
-				v := a[start+k+half] * w
-				a[start+k] = u + v
-				a[start+k+half] = u - v
-			}
+			blk := a[start : start+size]
+			butterflies(blk, blk[:size/2], blk[size/2:], w)
 		}
 	}
 }
 
-// fftRec computes the FFT of a in place using scratch (same length) as
-// the deinterleave buffer; the two swap roles down the recursion, so the
-// whole recursive FFT allocates nothing.
-func fftRec(a, scratch []complex128) {
-	n := len(a)
-	if n == 1 {
+// butterflies writes the len(a)-point transform whose even- and
+// odd-index halves are already transformed in even and odd; a's halves
+// may be those same slices. w is as in fftIter.
+func butterflies(a, even, odd, w []complex128) {
+	half := len(a) / 2
+	stride := len(w) / half
+	lo, hi, even, odd := a[:half], a[half:2*half], even[:half], odd[:half]
+	for k := range lo {
+		u, v := even[k], odd[k]*w[k*stride]
+		lo[k], hi[k] = u+v, u-v
+	}
+}
+
+// fftNode is one task of the parallel transform's spawn tree: a leaf
+// transforms its block, an inner node deinterleaves its block into its
+// children's, spawns them, joins and combines.
+type fftNode struct {
+	a, w        []complex128 // w: the whole transform's twiddles, shared
+	left, right *fftNode     // nil in a leaf
+}
+
+func (n *fftNode) Run(c *rt.Ctx) {
+	if n.left == nil {
+		fftIter(n.a, n.w)
 		return
 	}
-	half := n / 2
-	even, odd := scratch[:half], scratch[half:n]
-	for i := 0; i < half; i++ {
+	a, even, odd := n.a, n.left.a, n.right.a
+	for i := range even {
 		even[i] = a[2*i]
 		odd[i] = a[2*i+1]
 	}
-	fftRec(even, a[:half])
-	fftRec(odd, a[half:n])
-	combine(a, even, odd)
+	c.SpawnRunner(n.left)
+	c.SpawnRunner(n.right)
+	c.Sync()
+	butterflies(a, even, odd, n.w)
 }
 
-func combine(a, even, odd []complex128) {
-	n := len(a)
-	step := -2 * math.Pi / float64(n)
-	for k := 0; k < n/2; k++ {
-		w := cmplx.Exp(complex(0, step*float64(k)))
-		a[k] = even[k] + w*odd[k]
-		a[k+n/2] = even[k] - w*odd[k]
+// fftBuild lays the tree over a out in slab, in spawn order, and returns
+// its root and the unused rest of slab. A child transforms its half of
+// scratch in place with the matching half of a as its own scratch:
+// disjoint between siblings, and the parent reads a again only after Sync.
+func fftBuild(slab []fftNode, a, scratch, w []complex128) (*fftNode, []fftNode) {
+	n := &slab[0]
+	n.a, n.w, slab = a, w, slab[1:]
+	if half := len(a) / 2; len(a) > fftCutoff {
+		n.left, slab = fftBuild(slab, scratch[:half], a[:half], w)
+		n.right, slab = fftBuild(slab, scratch[half:], a[half:], w)
 	}
+	return n, slab
 }
 
 // FFTTask returns a task computing the FFT of a in place using a parallel
 // recursive decomposition: the even/odd halves are spawned until the
 // cutoff, matching the simulator's wide FFT profile.
 //
-// The scratch buffer and the whole closure tree are built once here, so
-// re-running the task allocates nothing — rerunning the same buffer
-// back-to-back (the paper's repetition model, and the rt-overhead
-// benchmarks) measures scheduling, not the allocator. The returned task
-// owns its scratch: run it on one program at a time, like the in-place
-// sort and factorisation tasks.
+// The scratch buffer, the twiddle table and the whole spawn tree — one
+// slab of fftNodes, not a closure per node, because a served job builds
+// a tree to run it once — are made here, so re-running the task (the
+// paper's repetition model, and the rt-overhead benchmarks) measures
+// scheduling, not the allocator. The returned task owns its scratch: run
+// it on one program at a time, like the in-place sort and factorisations.
 func FFTTask(a []complex128) rt.Task {
-	if n := len(a); n&(n-1) != 0 {
-		panic("kernels: FFT length must be a power of two")
-	}
-	scratch := make([]complex128, len(a))
-	var build func(a, scratch []complex128) rt.Task
-	build = func(a, scratch []complex128) rt.Task {
-		n := len(a)
-		if n <= fftCutoff {
-			return func(*rt.Ctx) { fftRec(a, scratch) }
-		}
-		half := n / 2
-		even, odd := scratch[:half], scratch[half:n]
-		// The children's sub-scratch is the corresponding half of a:
-		// disjoint between siblings, and the parent only touches a again
-		// after Sync.
-		left := build(even, a[:half])
-		right := build(odd, a[half:n])
-		return func(c *rt.Ctx) {
-			for i := 0; i < half; i++ {
-				even[i] = a[2*i]
-				odd[i] = a[2*i+1]
-			}
-			c.Spawn(left)
-			c.Spawn(right)
-			c.Sync()
-			combine(a, even, odd)
-		}
-	}
-	return build(a, scratch)
+	w := twiddles(len(a))
+	slab := make([]fftNode, 2*max(1, len(a)/fftCutoff)-1) // a full binary tree over the leaf blocks
+	root, _ := fftBuild(slab, a, make([]complex128, len(a)), w)
+	return root.Run
 }
 
 // DFTNaive returns the discrete Fourier transform of a by the O(n²)

@@ -451,3 +451,21 @@ func TestNullJobSetupAllocs(t *testing.T) {
 		t.Errorf("ByName + NewTask(0.001) allocates %v times, want at most 4", got)
 	}
 }
+
+// TestNewTaskAllocs pins what a served Mergesort or FFT job allocates
+// before its kernel runs: the input, the scratch buffer, the spawn tree
+// as one slab (the FFT's twiddle table too) and the task value — not an
+// object per tree node, of which there are 255 and 127.
+func TestNewTaskAllocs(t *testing.T) {
+	for _, name := range []string{"Mergesort", "FFT"} {
+		spec, ok := ByName(name)
+		if !ok {
+			t.Fatalf("%s missing from the catalog", name)
+		}
+		var task rt.Task
+		got := testing.AllocsPerRun(10, func() { task = spec.NewTask(0.05) })
+		if task == nil || got > 6 {
+			t.Errorf("%s NewTask(0.05) allocates %v times, want at most 6", name, got)
+		}
+	}
+}

@@ -35,55 +35,74 @@ func insertion(a []int32) {
 	}
 }
 
-// merge merges the sorted halves a[:mid] and a[mid:] using buf.
+// merge merges the sorted runs a[:mid] and a[mid:] in place, copying only
+// the left run out (to buf[:mid]): the write index never passes the right
+// read index, the right tail is already home and the left tail is one
+// copy. The select compiles to conditional moves (v, di) — on random keys
+// a branch there mispredicts every other element.
 func merge(a []int32, mid int, buf []int32) {
-	copy(buf, a)
-	i, j, k := 0, mid, 0
-	for i < mid && j < len(a) {
-		if buf[i] <= buf[j] {
-			a[k] = buf[i]
-			i++
-		} else {
-			a[k] = buf[j]
-			j++
+	left, right := buf[:mid], a[mid:]
+	copy(left, a)
+	i, j, k := 0, 0, 0
+	for i < len(left) && j < len(right) {
+		x, y := left[i], right[j]
+		v, di := y, 0
+		if x <= y {
+			v, di = x, 1
 		}
+		a[k] = v
+		i += di
+		j += 1 - di
 		k++
 	}
-	for i < mid {
-		a[k] = buf[i]
-		i++
-		k++
+	copy(a[k:], left[i:])
+}
+
+// msNode is one task of the parallel sort's spawn tree: a leaf sorts its
+// block, an inner node spawns its halves, joins and merges them.
+type msNode struct {
+	a, buf      []int32
+	left, right *msNode // nil in a leaf
+}
+
+func (n *msNode) Run(c *rt.Ctx) {
+	if n.left == nil {
+		msSeq(n.a, n.buf)
+		return
 	}
-	for j < len(a) {
-		a[k] = buf[j]
-		j++
-		k++
+	c.SpawnRunner(n.left)
+	c.SpawnRunner(n.right)
+	c.Sync()
+	merge(n.a, len(n.left.a), n.buf)
+}
+
+// msBuild lays the tree over a out in slab, in spawn order, and returns
+// its root and the unused rest of slab.
+func msBuild(slab []msNode, a, buf []int32) (*msNode, []msNode) {
+	n := &slab[0]
+	n.a, n.buf, slab = a, buf, slab[1:]
+	if len(a) > msCutoff {
+		mid := len(a) / 2
+		n.left, slab = msBuild(slab, a[:mid], buf[:mid])
+		n.right, slab = msBuild(slab, a[mid:], buf[mid:])
 	}
+	return n, slab
 }
 
 // MergesortTask returns a task sorting a in place: recursive halves are
 // spawned in parallel; each merge is sequential, which caps parallelism
 // near the root exactly like the paper's p-8 (and the simulator profile).
-// The merge buffer and the closure tree are built once, so re-running
-// the task allocates nothing (run it on one program at a time).
+// The merge buffer and the whole spawn tree — one slab of msNodes, not a
+// closure per node, because a served job builds a tree to run it once —
+// are made here, so re-running the task allocates nothing (run it on one
+// program at a time).
 func MergesortTask(a []int32) rt.Task {
-	buf := make([]int32, len(a))
-	var build func(a, buf []int32) rt.Task
-	build = func(a, buf []int32) rt.Task {
-		if len(a) <= msCutoff {
-			return func(*rt.Ctx) { msSeq(a, buf) }
-		}
-		mid := len(a) / 2
-		left := build(a[:mid], buf[:mid])
-		right := build(a[mid:], buf[mid:])
-		return func(c *rt.Ctx) {
-			c.Spawn(left)
-			c.Spawn(right)
-			c.Sync()
-			merge(a, mid, buf)
-		}
+	nodes := 1 // of a full tree down to where the larger half fits a leaf
+	for m := len(a); m > msCutoff; m = (m + 1) / 2 {
+		nodes = 2*nodes + 1
 	}
-	return build(a, buf)
+	root, _ := msBuild(make([]msNode, nodes), a, make([]int32, len(a)))
+	return root.Run
 }
 
 // IsSorted reports whether a is non-decreasing.

@@ -15,10 +15,10 @@ import "dws/internal/rt"
 // hundreds-of-milliseconds range at size 1.0.
 const spinUnit = 1000
 
-// spinWork burns n units of deterministic floating-point work and returns
-// a value data-dependent on every iteration so the loop cannot be
-// optimised away.
-func spinWork(n int) float64 {
+// spinWork burns n units of deterministic floating-point work. The value
+// depends on every iteration and is checked at the end, so the loop
+// cannot be optimised away — and a task shares no state with another.
+func spinWork(n int) {
 	x := 1.000001
 	for i := 0; i < n*spinUnit; i++ {
 		x = x*1.0000001 + 1e-9
@@ -26,11 +26,10 @@ func spinWork(n int) float64 {
 			x -= 1
 		}
 	}
-	return x
+	if x <= 1 {
+		panic("kernels: spinWork left (1, 2]")
+	}
 }
-
-// sink keeps spinWork results observable to the compiler.
-var sink float64
 
 // units scales a base unit count by size with a floor of 1.
 func units(base int, size float64) int {
@@ -51,7 +50,7 @@ func WideTask(depth, leafUnits int) rt.Task {
 	divide = func(level int) rt.Task {
 		return func(c *rt.Ctx) {
 			if level == 0 {
-				sink += spinWork(leafUnits)
+				spinWork(leafUnits)
 				return
 			}
 			c.Spawn(divide(level - 1))
@@ -66,10 +65,10 @@ func WideTask(depth, leafUnits int) rt.Task {
 func SerialishTask(prologueWidth, prologueUnits, serialUnits int) rt.Task {
 	return func(c *rt.Ctx) {
 		for i := 0; i < prologueWidth; i++ {
-			c.Spawn(func(*rt.Ctx) { sink += spinWork(prologueUnits) })
+			c.Spawn(func(*rt.Ctx) { spinWork(prologueUnits) })
 		}
 		c.Sync()
-		sink += spinWork(serialUnits)
+		spinWork(serialUnits)
 	}
 }
 
@@ -79,10 +78,10 @@ func BurstyTask(cycles, width, leafUnits, serialUnits int) rt.Task {
 	return func(c *rt.Ctx) {
 		for cy := 0; cy < cycles; cy++ {
 			for i := 0; i < width; i++ {
-				c.Spawn(func(*rt.Ctx) { sink += spinWork(leafUnits) })
+				c.Spawn(func(*rt.Ctx) { spinWork(leafUnits) })
 			}
 			c.Sync()
-			sink += spinWork(serialUnits)
+			spinWork(serialUnits)
 		}
 	}
 }

@@ -138,7 +138,7 @@ func TestCoordTickReclaimsEntitledHome(t *testing.T) {
 		p.workers[c].state.Store(stateActive)
 		p.active.Add(1)
 	}
-	dummy := func(*Ctx) {}
+	dummy := Task(func(*Ctx) {})
 	for i := 0; i < 4; i++ {
 		p.workers[0].deque.Push(&taskNode{fn: dummy, parent: &frame{}})
 	}

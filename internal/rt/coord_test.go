@@ -163,7 +163,7 @@ func TestCoordTickThreeCases(t *testing.T) {
 				p.workers[c].state.Store(stateActive)
 				p.active.Add(1)
 			}
-			dummy := func(*Ctx) {}
+			dummy := Task(func(*Ctx) {})
 			for i := 0; i < tc.inject; i++ {
 				p.inject.Push(&taskNode{fn: dummy, parent: &frame{}})
 			}

@@ -46,7 +46,7 @@ func newTaskPool() taskPool {
 // after the new fn/parent are in place, so any claimer — including one
 // holding a stale duplicate pointer from the node's previous incarnation —
 // reads coherent fields. Fresh nodes start at the even epoch 0.
-func (w *worker) getNode(fn Task, parent *frame) *taskNode {
+func (w *worker) getNode(fn Runner, parent *frame) *taskNode {
 	if n := len(w.pool.nodes); n > 0 {
 		t := w.pool.nodes[n-1]
 		w.pool.nodes = w.pool.nodes[:n-1]
@@ -76,7 +76,7 @@ func (w *worker) getNode(fn Task, parent *frame) *taskNode {
 // unclaimable for the whole free-list residence (the use-after-free
 // window the guard closes).
 func (w *worker) putNode(t *taskNode) {
-	t.fn, t.parent = nil, nil // release the closure for the GC
+	t.fn, t.parent = nil, nil // release the task body for the GC
 	if len(w.pool.nodes) < nodeFreeMax {
 		w.pool.nodes = append(w.pool.nodes, t)
 		return

@@ -88,6 +88,49 @@ func TestCtxPoolReuse(t *testing.T) {
 	}
 }
 
+// TestAsleepLaunchTakesEarlyWake: a wake that lands between launch's
+// state store and the worker goroutine's first instruction must still be
+// consumed by that worker's initial block. Left in the channel, the token
+// makes the worker's next park return at once — awake while its state
+// says asleep, which is what schedcheck's sleep-wake alternation caught
+// 1 run in 30. The program is unstarted, so the test plays launch itself
+// and holds the race open.
+func TestAsleepLaunchTakesEarlyWake(t *testing.T) {
+	sys, err := NewSystem(Config{Cores: 2, Programs: 1, Policy: DWSNC})
+	if err != nil {
+		t.Fatalf("NewSystem: %v", err)
+	}
+	defer sys.Close()
+	p := newProgram(sys, "early", 0) // never started
+	w := p.workers[1]
+
+	w.state.Store(stateSleeping) // launch(w, stateSleeping), up to its go statement
+	if !p.wake(w) {
+		t.Fatal("wake of a worker launched asleep refused")
+	}
+	p.wg.Add(1)
+	go w.loop(true)
+
+	// The worker takes the token, finds nothing to steal and parks for real.
+	for deadline := time.Now().Add(5 * time.Second); w.state.Load() != stateSleeping || p.active.Load() != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("worker never parked: state %d, active %d", w.state.Load(), p.active.Load())
+		}
+		runtime.Gosched()
+	}
+	time.Sleep(time.Millisecond) // a stale token would have it running again by now
+	if n := len(w.wakeCh); n != 0 {
+		t.Errorf("%d wake token(s) left after the initial block consumed one", n)
+	}
+	if got := p.Stats().Sleeps; got != 1 {
+		t.Errorf("Sleeps = %d, want 1: the park returned without a wake", got)
+	}
+
+	p.shutdown.Store(true)
+	p.wake(w)
+	p.wg.Wait()
+}
+
 // TestSyncStealAccounting pins the Ctx.Sync accounting satellite: steal
 // attempts inside Sync must feed the same counters as worker.loop —
 // failures into failedSteals (program total and drought window alike),
@@ -122,7 +165,7 @@ func TestSyncStealAccounting(t *testing.T) {
 
 	// Offer the join's missing child on the victim's deque; Sync must
 	// steal and execute it, which drives pending to 0.
-	p.workers[1].deque.Push(&taskNode{fn: func(*Ctx) {}, parent: &c.f})
+	p.workers[1].deque.Push(&taskNode{fn: Task(func(*Ctx) {}), parent: &c.f})
 	<-done
 
 	st := p.Stats()

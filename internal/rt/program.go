@@ -206,7 +206,7 @@ func (p *Program) launch(w *worker, initial int32) {
 		p.active.Add(1)
 	}
 	p.wg.Add(1)
-	go w.loop()
+	go w.loop(initial == stateSleeping)
 }
 
 // takeHome (re)establishes the program's home allocation through the CAS

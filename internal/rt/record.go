@@ -29,10 +29,10 @@ type recCtx struct {
 	childNS time.Duration // child time to subtract from the section
 }
 
-func recordNode(fn Task) *task.Node {
+func recordNode(fn Runner) *task.Node {
 	rc := &recCtx{node: &task.Node{}, started: time.Now()}
 	ctx := &Ctx{rec: rc}
-	fn(ctx)
+	fn.Run(ctx)
 	ctx.Sync() // implicit final sync, mirroring live execution
 	// Close the final serial section as a trailing stage.
 	rc.closeStage()
@@ -58,7 +58,7 @@ func (rc *recCtx) closeStage() {
 }
 
 // recSpawn records (and immediately executes) a child task.
-func (rc *recCtx) recSpawn(fn Task) {
+func (rc *recCtx) recSpawn(fn Runner) {
 	childStart := time.Now()
 	rc.stage.Children = append(rc.stage.Children, recordNode(fn))
 	rc.childNS += time.Since(childStart)

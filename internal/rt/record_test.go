@@ -17,8 +17,8 @@ func spin(d time.Duration) {
 func TestRecordStructure(t *testing.T) {
 	g := RecordGraph("toy", 0.3, func(c *Ctx) {
 		spin(2 * time.Millisecond) // pre work
-		c.Spawn(func(*Ctx) { spin(time.Millisecond) })
-		c.Spawn(func(*Ctx) { spin(time.Millisecond) })
+		c.Spawn(func(*Ctx) { spin(20 * time.Millisecond) })
+		c.Spawn(func(*Ctx) { spin(20 * time.Millisecond) })
 		c.Sync()
 		spin(2 * time.Millisecond) // post work
 	})
@@ -48,12 +48,14 @@ func TestRecordStructure(t *testing.T) {
 	if last.Work < 1_000 || last.Work > 20_000 {
 		t.Errorf("post work = %dµs, want ≈2000", last.Work)
 	}
-	// Child serial time must not leak into the parent's stages.
+	// Child serial time (40 ms) must not leak into the parent's stages
+	// (4 ms; the children are long so that a loaded host stretching the
+	// root's own spins severalfold still reads far below a leak).
 	var rootWork int64
 	for _, st := range root.Stages {
 		rootWork += st.Work
 	}
-	if rootWork > 12_000 {
+	if rootWork > 30_000 {
 		t.Errorf("root serial work %dµs includes child time", rootWork)
 	}
 }

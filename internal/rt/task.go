@@ -10,6 +10,15 @@ import (
 // sync) or at an explicit Ctx.Sync.
 type Task func(*Ctx)
 
+// Run calls t, so a plain func is a Runner.
+func (t Task) Run(c *Ctx) { t(c) }
+
+// Runner is what the scheduler queues and executes. A Task is one; so is
+// a pointer into a slab of prebuilt tree nodes (kernels.MergesortTask) —
+// a whole spawn tree in one allocation instead of a closure per node.
+// Both are pointer-shaped, so the interface holds either without allocating.
+type Runner interface{ Run(*Ctx) }
+
 // frame is a join counter: one per executing task instance. pending counts
 // the frame's outstanding spawned children. The root frame — one per
 // program, reused by every Run — additionally carries a done channel Run
@@ -35,8 +44,8 @@ func (f *frame) childDone() {
 	}
 }
 
-// taskNode is a queued task: the function plus the parent frame it
-// reports completion to.
+// taskNode is a queued task: its body plus the parent frame it reports
+// completion to.
 //
 // seq is the execute-once guard for engines with multiplicity (a relaxed
 // deque may hand the same node to two poppers). It is a claim epoch: even
@@ -49,7 +58,7 @@ func (f *frame) childDone() {
 // incarnation, and the popper that pushed it loses the race instead.
 // Strict engines never touch seq.
 type taskNode struct {
-	fn     Task
+	fn     Runner
 	parent *frame
 	seq    atomic.Uint64
 }
@@ -84,15 +93,18 @@ func (c *Ctx) Program() *Program {
 // Spawn queues fn as a child of the current task. The child may run on
 // any worker of the same program. Steady-state it allocates nothing: the
 // taskNode comes from the worker's free-list (internal/rt/pool.go).
-func (c *Ctx) Spawn(fn Task) {
+func (c *Ctx) Spawn(fn Task) { c.SpawnRunner(fn) }
+
+// SpawnRunner is Spawn for a child that is not a func value.
+func (c *Ctx) SpawnRunner(r Runner) {
 	if c.rec != nil {
-		c.rec.recSpawn(fn)
+		c.rec.recSpawn(r)
 		return
 	}
 	c.f.pending.Add(1)
 	w := c.w
 	w.st.spawns.Add(1)
-	w.deque.Push(w.getNode(fn, &c.f))
+	w.deque.Push(w.getNode(r, &c.f))
 }
 
 // Sync blocks until every task spawned so far by this Ctx has finished.
@@ -153,7 +165,7 @@ func (w *worker) execute(t *taskNode) {
 		w.putNode(t)
 	}
 	c := w.getCtx()
-	fn(c)
+	fn.Run(c)
 	c.Sync()
 	w.putCtx(c)
 	parent.childDone()

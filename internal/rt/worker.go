@@ -101,12 +101,14 @@ func (w *worker) nextRand() uint64 {
 
 // loop is Algorithm 1 on a live goroutine: pop the own pool, steal
 // otherwise, and under DWS/DWS-NC sleep after T_SLEEP consecutive failed
-// steals (releasing the core slot).
-func (w *worker) loop() {
+// steals (releasing the core slot). A worker launched asleep takes its
+// wake token whatever its state reads by now: a wake may have beaten this
+// goroutine here, and a token left behind would end the next park at once.
+func (w *worker) loop(asleep bool) {
 	p := w.p
 	defer p.wg.Done()
 
-	if w.state.Load() == stateSleeping {
+	if asleep {
 		w.block()
 		if p.shutdown.Load() {
 			return

@@ -500,6 +500,18 @@ func runLiveSide(sc Scenario, pol rt.Policy, eng deque.Kind) (SubstrateOutcome, 
 		return SubstrateOutcome{}, nil, err
 	}
 
+	// Every program joins before virtual time starts: the arbiter and the
+	// coordinators tick on the fake clock, so with the pump already running
+	// the arbiter could publish for the first program alone and the second
+	// would start on whatever home that left it — not the static split the
+	// checker models a joiner on.
+	progs := make([]*rt.Program, len(sc.Graphs))
+	for i, g := range sc.Graphs {
+		if progs[i], err = sys.NewProgram(g.Name); err != nil {
+			break // reported below, once the pump sys.Close needs is running
+		}
+	}
+
 	// Clock pump: keeps virtual time flowing until everything (including
 	// sys.Close, whose retry timer is on the fake clock) is done.
 	pumpStop := make(chan struct{})
@@ -525,15 +537,14 @@ func runLiveSide(sc Scenario, pol rt.Policy, eng deque.Kind) (SubstrateOutcome, 
 		close(pumpStop)
 		pumpWG.Wait()
 	}()
+	if err != nil {
+		return SubstrateOutcome{}, nil, err
+	}
 
 	out := SubstrateOutcome{Programs: make([]ProgOutcome, len(sc.Graphs))}
 	var wg sync.WaitGroup
 	errs := make([]error, len(sc.Graphs))
 	for i, g := range sc.Graphs {
-		p, err := sys.NewProgram(g.Name)
-		if err != nil {
-			return SubstrateOutcome{}, nil, err
-		}
 		wg.Add(1)
 		go func(i int, g *task.Graph, p *rt.Program) {
 			defer wg.Done()
@@ -559,7 +570,7 @@ func runLiveSide(sc Scenario, pol rt.Policy, eng deque.Kind) (SubstrateOutcome, 
 				Reclaims:  st.Reclaims,
 				Evictions: st.Evictions,
 			}
-		}(i, g, p)
+		}(i, g, progs[i])
 	}
 	wg.Wait()
 	for _, err := range errs {

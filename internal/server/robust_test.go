@@ -432,7 +432,7 @@ func TestShedDecisionTable(t *testing.T) {
 // queue.
 func TestSilentExpiryReplaced(t *testing.T) {
 	run := func(t *testing.T, noEarly bool) (*http.Response, JobResult) {
-		_, hs := newTestServer(t, Config{
+		s, hs := newTestServer(t, Config{
 			Cores: 2, Policy: rt.DWS, MaxTenants: 1, QueueDepth: 8,
 			NoEarlyReject: noEarly,
 		})
@@ -446,19 +446,14 @@ func TestSilentExpiryReplaced(t *testing.T) {
 			defer close(pin)
 			submit(t, hs.URL, JobRequest{Tenant: "a", Kernel: "Mergesort", Size: 1.0})
 		}()
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			var tenants []TenantInfo
-			getJSON(t, hs.URL+"/v1/tenants", &tenants)
-			if len(tenants) == 1 && tenants[0].JobsServed == 1 && tenants[0].QueueDepth == 0 &&
-				tenants[0].Stats.Runs == 1 {
-				// The warm-up finished and the pin was dequeued: it is running.
-				break
-			}
+		// The warm-up has been answered, so only the pin can be in flight.
+		// (What /v1/tenants shows — one job served, nothing queued, one
+		// run — is also true before the pin's request has arrived.)
+		for deadline := time.Now().Add(10 * time.Second); !s.tenantList()[0].inFlight.Load(); {
 			if time.Now().After(deadline) {
 				t.Fatal("pin never started")
 			}
-			time.Sleep(2 * time.Millisecond)
+			time.Sleep(time.Millisecond)
 		}
 		resp, res := submit(t, hs.URL, JobRequest{
 			Tenant: "a", Kernel: "FFT", Size: 0.02, DeadlineMS: 1,

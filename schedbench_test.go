@@ -357,6 +357,11 @@ func hotpathBattery() []namedBench {
 				}
 			}
 		}},
+		// The same set-up for the two kernels corun-mix serves, at its
+		// size: input, scratch and the spawn tree as one slab. allocs/op
+		// is the gated number — a closure per tree node would be 250 more.
+		{"job/newtask-mergesort-0.05", newTaskBench("Mergesort", 0.05)},
+		{"job/newtask-fft-0.05", newTaskBench("FFT", 0.05)},
 		{"job/run-null", rtKernelBench(rt.DWS, func(*testing.B) (rt.Task, func()) {
 			return func(*rt.Ctx) {}, func() {}
 		})},
@@ -409,6 +414,22 @@ func hotpathBattery() []namedBench {
 		{"kernels/fft-rt-dws-socket-4096", rtKernelBenchCfg(rt.Config{
 			Policy: rt.DWS, Engine: deque.KindChaseLev, Topology: topo.Uniform(4, 2),
 		}, fftRT)},
+	}
+}
+
+// newTaskBench measures building one job's task — input data included —
+// from the catalog entry name at the given size.
+func newTaskBench(name string, size float64) func(b *testing.B) {
+	return func(b *testing.B) {
+		spec, ok := kernels.ByName(name)
+		if !ok {
+			b.Fatalf("%s missing from the catalog", name)
+		}
+		for i := 0; i < b.N; i++ {
+			if spec.NewTask(size) == nil {
+				b.Fatal("nil task")
+			}
+		}
 	}
 }
 
@@ -542,5 +563,71 @@ func TestSpawnExecuteSteadyStateZeroAlloc(t *testing.T) {
 	// allocations beyond pool-warmup jitter.
 	if diff := aDeep - aShallow; diff > 8 {
 		t.Errorf("992 extra tasks added %.1f allocs/run, want ≤ 8: Spawn/execute is not zero-alloc", diff)
+	}
+}
+
+// slabNode is treeTask as kernels build their trees: one node of a full
+// binary spawn tree laid out in a slice, children at 2i+1 and 2i+2.
+type slabNode struct {
+	tree   []slabNode
+	i      int
+	leaves *atomic.Int64
+}
+
+func (n *slabNode) Run(c *rt.Ctx) {
+	l := 2*n.i + 1
+	if l >= len(n.tree) {
+		n.leaves.Add(1)
+		return
+	}
+	c.SpawnRunner(&n.tree[l])
+	c.SpawnRunner(&n.tree[l+1])
+	c.Sync()
+}
+
+// TestSpawnRunnerZeroAlloc is TestSpawnExecuteSteadyStateZeroAlloc for
+// the other kind of Runner: spawning pointers into a slab allocates no
+// more per task than spawning func values, and every node runs once.
+func TestSpawnRunnerZeroAlloc(t *testing.T) {
+	sys, err := rt.NewSystem(rt.Config{Cores: 4, Programs: 1, Policy: rt.ABP})
+	if err != nil {
+		t.Fatalf("NewSystem: %v", err)
+	}
+	defer sys.Close()
+	p, err := sys.NewProgram("alloc")
+	if err != nil {
+		t.Fatalf("NewProgram: %v", err)
+	}
+
+	var leaves atomic.Int64
+	slab := func(depth int) rt.Task {
+		tree := make([]slabNode, 1<<(depth+1)-1)
+		for i := range tree {
+			tree[i] = slabNode{tree, i, &leaves}
+		}
+		return tree[0].Run
+	}
+	measure := func(task rt.Task) float64 {
+		for i := 0; i < 50; i++ {
+			if err := p.Run(task); err != nil {
+				t.Fatalf("warmup Run: %v", err)
+			}
+		}
+		return testing.AllocsPerRun(20, func() {
+			if err := p.Run(task); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+		})
+	}
+
+	aShallow := measure(slab(4)) // 31 tasks
+	before := leaves.Load()
+	aDeep := measure(slab(9)) // 1023 tasks
+	if got, want := leaves.Load()-before, int64(71*512); got != want {
+		t.Errorf("71 runs of a depth-9 tree ran %d leaves, want %d", got, want)
+	}
+	t.Logf("allocs/run: depth-4 (31 tasks) = %.1f, depth-9 (1023 tasks) = %.1f", aShallow, aDeep)
+	if diff := aDeep - aShallow; aDeep > 40 || diff > 8 {
+		t.Errorf("deep run allocates %.1f allocs/run, %.1f more than a shallow one; want ≤ 40 and ≤ 8: SpawnRunner is not zero-alloc", aDeep, diff)
 	}
 }
