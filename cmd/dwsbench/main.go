@@ -24,19 +24,7 @@ import (
 	"strings"
 
 	"dws/internal/bench"
-	"dws/internal/deque"
 )
-
-// engineFromFlag resolves the -engine flag: an empty value falls back to
-// DWS_DEQUE_ENGINE and then Chase–Lev; unknown names are rejected before
-// any experiment runs.
-func engineFromFlag(name string) (deque.Kind, error) {
-	k, err := deque.ParseKind(name)
-	if err != nil {
-		return 0, err
-	}
-	return k.Resolve()
-}
 
 func main() {
 	var (
@@ -52,23 +40,10 @@ func main() {
 		liveSize  = flag.Float64("live-size", 0.25, "input scale for -exp live")
 		liveA     = flag.Int("live-a", 0, "first live bench index (0=FFT 1=Mergesort 2=Heat 3=Cholesky)")
 		liveB     = flag.Int("live-b", 1, "second live bench index")
-
-		engine = flag.String("engine", "", "deque engine: chaselev|locked|relaxed (empty = $DWS_DEQUE_ENGINE, then chaselev)")
 	)
 	flag.Parse()
 
-	eng, err := engineFromFlag(*engine)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dwsbench: %v\n", err)
-		os.Exit(1)
-	}
-	// The live experiments build their own rt systems deep inside
-	// internal/bench; exporting the resolved engine through the environment
-	// reaches them without widening every signature.
-	os.Setenv(deque.EngineEnv, eng.String())
-
 	opts := bench.DefaultOptions()
-	opts.Cfg.Engine = eng
 	opts.Scale = *scale
 	opts.TargetRuns = *runs
 	opts.Cfg.Seed = *seed

@@ -29,7 +29,6 @@ import (
 	"syscall"
 	"time"
 
-	"dws/internal/deque"
 	"dws/internal/rt"
 	"dws/internal/server"
 	"dws/internal/topo"
@@ -50,17 +49,6 @@ func topologyFromFlag(socketSize, cores int) *topo.Topology {
 	}
 }
 
-// engineFromFlag resolves the -engine flag: an empty value falls back to
-// DWS_DEQUE_ENGINE and then Chase–Lev; unknown names are rejected before
-// anything starts.
-func engineFromFlag(name string) (deque.Kind, error) {
-	k, err := deque.ParseKind(name)
-	if err != nil {
-		return 0, err
-	}
-	return k.Resolve()
-}
-
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
@@ -77,16 +65,11 @@ func main() {
 		period   = flag.Duration("period", 0, "coordinator period T (0 = rt default, 10ms)")
 		leaseTTL = flag.Duration("lease-ttl", 0, "core-table lease expiry for wedged-tenant eviction (0 = 10×period)")
 		arbiter  = flag.Duration("arbiter-period", 0, "QoS arbitration period, DWS only (0 = default 50ms; negative disables)")
-		engine   = flag.String("engine", "", "deque engine: chaselev|locked|relaxed (empty = $DWS_DEQUE_ENGINE, then chaselev)")
 		socket   = flag.Int("socket-size", 0, "cores per socket for locality-aware placement (0 = flat/off; negative = auto-detect from sysfs)")
 	)
 	flag.Parse()
 
 	pol, err := rt.ParsePolicy(*policy)
-	if err != nil {
-		log.Fatalf("dwsd: %v", err)
-	}
-	eng, err := engineFromFlag(*engine)
 	if err != nil {
 		log.Fatalf("dwsd: %v", err)
 	}
@@ -98,7 +81,6 @@ func main() {
 	s, err := server.New(server.Config{
 		Cores:            *cores,
 		Policy:           pol,
-		Engine:           eng,
 		Topology:         topologyFromFlag(*socket, *cores),
 		MaxTenants:       *tenants,
 		QueueDepth:       *queue,
@@ -122,8 +104,8 @@ func main() {
 	if tp := topologyFromFlag(*socket, *cores); tp != nil && !tp.Flat() {
 		topoLabel = tp.String()
 	}
-	log.Printf("dwsd: serving on %s (policy=%v engine=%v cores=%d tenants≤%d queue=%d topo=%s)",
-		*addr, pol, eng, *cores, *tenants, *queue, topoLabel)
+	log.Printf("dwsd: serving on %s (policy=%v cores=%d tenants≤%d queue=%d topo=%s)",
+		*addr, pol, *cores, *tenants, *queue, topoLabel)
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)

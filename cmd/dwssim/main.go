@@ -23,7 +23,6 @@ import (
 	"strings"
 	"time"
 
-	"dws/internal/deque"
 	"dws/internal/scenario"
 	"dws/internal/sim"
 	"dws/internal/task"
@@ -58,15 +57,10 @@ func main() {
 		penalty = flag.Float64("cachepenalty", 2.0, "cold-cache slowdown factor")
 		warm    = flag.Int64("cachewarm", 2000, "cache warm-up time (µs)")
 		llc     = flag.Float64("llc", 0.25, "LLC contention penalty per sharer")
-		engine  = flag.String("engine", "", "deque engine: chaselev|locked|relaxed (empty = $DWS_DEQUE_ENGINE, then chaselev)")
 	)
 	flag.Parse()
 
 	pol, err := parsePolicy(*policy)
-	if err != nil {
-		fatal(err)
-	}
-	eng, err := engineFromFlag(*engine)
 	if err != nil {
 		fatal(err)
 	}
@@ -79,7 +73,6 @@ func main() {
 		cfg.StrongYield = *strongY
 		cfg.CachePenalty, cfg.CacheWarmUS, cfg.LLCPenalty = *penalty, *warm, *llc
 		cfg.Seed = *seed
-		cfg.Engine = eng
 		if *shardsN > 0 {
 			runFedScenario(*scenName, cfg, *shardsN, *spillName)
 		} else {
@@ -107,7 +100,7 @@ func main() {
 	}
 
 	cfg := sim.Config{
-		Cores: *cores, SocketSize: *sockets, Policy: pol, Engine: eng,
+		Cores: *cores, SocketSize: *sockets, Policy: pol,
 		QuantumUS: *quantum, StealCostUS: *steal, StealYieldUS: *yield,
 		WakeLatencyUS: *wake, TSleep: *tsleep, CoordPeriodUS: *coord,
 		CoordCostUS: 5, StrongYield: *strongY,
@@ -137,7 +130,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Println(summaryLine(pol, m.Engine(), *cores, *seed, res, time.Since(start)))
+	fmt.Println(summaryLine(pol, *cores, *seed, res, time.Since(start)))
 	if rec != nil {
 		f, err := os.Create(*traceOut)
 		if err != nil {
@@ -222,22 +215,11 @@ func runFedScenario(name string, cfg sim.Config, shards int, spillName string) {
 	}
 }
 
-// engineFromFlag resolves the -engine flag: an empty value falls back to
-// DWS_DEQUE_ENGINE and then Chase–Lev; unknown names are rejected before
-// the simulation starts.
-func engineFromFlag(name string) (deque.Kind, error) {
-	k, err := deque.ParseKind(name)
-	if err != nil {
-		return 0, err
-	}
-	return k.Resolve()
-}
-
 // summaryLine formats the one-line run summary printed after -bench runs:
 // what was simulated, and how fast the simulator got through it.
-func summaryLine(pol sim.Policy, eng deque.Kind, cores int, seed int64, res *sim.Results, wall time.Duration) string {
-	return fmt.Sprintf("policy=%v engine=%v cores=%d seed=%d simulated=%.3fs events=%d util=%.2f wall=%.3fs events/s=%.0f",
-		pol, eng, cores, seed, float64(res.EndTimeUS)/1e6, res.Events, res.Utilization(),
+func summaryLine(pol sim.Policy, cores int, seed int64, res *sim.Results, wall time.Duration) string {
+	return fmt.Sprintf("policy=%v cores=%d seed=%d simulated=%.3fs events=%d util=%.2f wall=%.3fs events/s=%.0f",
+		pol, cores, seed, float64(res.EndTimeUS)/1e6, res.Events, res.Utilization(),
 		wall.Seconds(), float64(res.Events)/wall.Seconds())
 }
 

@@ -1,22 +1,15 @@
-// Package deque provides work-stealing double-ended queues behind a
-// runtime-selectable Engine interface.
-//
-// Three engines are provided:
+// Package deque provides the work-stealing double-ended queue of the live
+// runtime and its reference implementation.
 //
 //   - Deque: a lock-free Chase–Lev deque storing pointers. The owner pushes
 //     and pops at the bottom; any number of thieves steal from the top with
-//     a compare-and-swap. This is the default engine of the live runtime
-//     (internal/rt).
-//   - Locked: a mutex-protected deque with identical semantics, used as a
-//     reference implementation in differential tests.
-//   - Relaxed: a fence-free deque with multiplicity — no CAS on steal, no
-//     fence on take, at the cost of rare duplicate pops that callers must
-//     absorb with an execute-once guard (see Relaxed and Kind.Multiplicity).
+//     a compare-and-swap. Every worker of internal/rt owns one.
+//   - Locked: a mutex-protected deque with identical semantics: the
+//     reference in differential tests, and the runtime's injection queue.
 //
-// Engines are selected by Kind (flags/configs) or, for KindAuto, the
-// DWS_DEQUE_ENGINE environment variable; NewEngine constructs one. The
-// zero value of the deque types is not usable; construct with
-// New / NewLocked / NewRelaxed.
+// The Engine interface and NewEngine let tests and benchmarks drive either
+// through one harness. The zero value of the deque types is not usable;
+// construct with New / NewLocked.
 package deque
 
 import "sync/atomic"

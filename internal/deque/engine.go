@@ -1,25 +1,13 @@
 package deque
 
-import (
-	"fmt"
-	"os"
-	"strings"
-)
+import "fmt"
 
-// Engine is the owner/thief surface every deque implementation provides.
-// The owner goroutine calls Push and Pop; any goroutine may call Steal,
-// Len and Empty. nil is the "empty / failed attempt" sentinel of Pop and
-// Steal, so Push(nil) panics on every engine.
-//
-// Engines differ in their concurrency contract, not their API:
-//
-//   - ChaseLev and Locked are strict: every pushed element is returned by
-//     exactly one Pop or Steal.
-//   - Relaxed trades the steal CAS and the take fence for multiplicity:
-//     under concurrency the same element may be returned to more than one
-//     popper (and Steal may spuriously return nil). Callers that execute
-//     popped work must gate execution behind an execute-once claim — see
-//     Kind.Multiplicity and the runtime's taskNode guard (internal/rt).
+// Engine is the owner/thief surface both deque implementations provide,
+// so tests and benchmarks can drive either through one harness. The
+// owner goroutine calls Push and Pop; any goroutine may call Steal, Len
+// and Empty. nil is the "empty / failed attempt" sentinel of Pop and
+// Steal, so Push(nil) panics. Both implementations are strict: every
+// pushed element is returned by exactly one Pop or Steal.
 type Engine[T any] interface {
 	Push(v *T)
 	Pop() *T
@@ -28,106 +16,39 @@ type Engine[T any] interface {
 	Empty() bool
 }
 
-// Kind selects a deque engine at runtime.
+// Kind names a deque implementation.
 type Kind uint8
 
 const (
-	// KindAuto resolves through the DWS_DEQUE_ENGINE environment variable
-	// when set and to KindChaseLev otherwise. It is the zero value, so
-	// configs that never mention an engine keep the historical behaviour
-	// while the CI engine matrix can still force a whole run onto one
-	// engine.
-	KindAuto Kind = iota
-	// KindChaseLev is the lock-free Chase–Lev deque (the default).
-	KindChaseLev
+	// KindChaseLev is the lock-free Chase–Lev deque every worker owns.
+	KindChaseLev Kind = iota
 	// KindLocked is the mutex-protected reference implementation.
 	KindLocked
-	// KindRelaxed is the fence-free relaxed deque with multiplicity.
-	KindRelaxed
 )
 
-// EngineEnv is the environment variable KindAuto resolves through.
-const EngineEnv = "DWS_DEQUE_ENGINE"
-
-// String returns the engine name as used by flags, configs and metrics.
+// String returns the implementation name.
 func (k Kind) String() string {
 	switch k {
-	case KindAuto:
-		return "auto"
 	case KindChaseLev:
 		return "chaselev"
 	case KindLocked:
 		return "locked"
-	case KindRelaxed:
-		return "relaxed"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
 }
 
-// Multiplicity reports whether the engine may hand the same queued element
-// to more than one popper (relaxed semantics). When true, callers that
-// execute popped work must make execution idempotent — pops are
-// at-least-once, execution must stay exactly-once.
-func (k Kind) Multiplicity() bool { return k == KindRelaxed }
+// Kinds returns both implementations, for differential harnesses.
+func Kinds() []Kind { return []Kind{KindChaseLev, KindLocked} }
 
-// ParseKind parses an engine name, case-insensitively. "" and "auto" both
-// mean KindAuto; "chase-lev" is accepted as an alias for "chaselev".
-func ParseKind(s string) (Kind, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "auto":
-		return KindAuto, nil
-	case "chaselev", "chase-lev":
-		return KindChaseLev, nil
-	case "locked":
-		return KindLocked, nil
-	case "relaxed":
-		return KindRelaxed, nil
-	}
-	return 0, fmt.Errorf("deque: unknown engine %q (want chaselev|locked|relaxed)", s)
-}
-
-// Resolve maps k to a concrete engine: KindAuto reads EngineEnv (falling
-// back to KindChaseLev when unset), concrete kinds pass through, and
-// anything else — including an unparsable EngineEnv value — is an error.
-// Config validation in rt and sim calls this, so a bad engine name is
-// rejected at construction, not at first pop.
-func (k Kind) Resolve() (Kind, error) {
-	switch k {
-	case KindChaseLev, KindLocked, KindRelaxed:
-		return k, nil
-	case KindAuto:
-		s := os.Getenv(EngineEnv)
-		if s == "" {
-			return KindChaseLev, nil
-		}
-		p, err := ParseKind(s)
-		if err != nil {
-			return 0, fmt.Errorf("deque: %s: %w", EngineEnv, err)
-		}
-		if p == KindAuto {
-			return KindChaseLev, nil
-		}
-		return p, nil
-	}
-	return 0, fmt.Errorf("deque: unknown engine %v", k)
-}
-
-// Kinds returns the concrete engines, for matrix tests and differential
-// harnesses.
-func Kinds() []Kind { return []Kind{KindChaseLev, KindLocked, KindRelaxed} }
-
-// NewEngine constructs an empty deque of the given concrete kind. The kind
-// must be resolved (see Resolve); KindAuto or an unknown value panics —
-// config validation upstream makes that unreachable in the runtime.
+// NewEngine constructs an empty deque of the given kind; an unknown kind
+// panics.
 func NewEngine[T any](k Kind, capacity int) Engine[T] {
 	switch k {
 	case KindChaseLev:
 		return New[T](capacity)
 	case KindLocked:
 		return NewLocked[T](capacity)
-	case KindRelaxed:
-		return NewRelaxed[T](capacity)
 	}
-	panic(fmt.Sprintf("deque: NewEngine(%v): kind must be resolved first", k))
+	panic(fmt.Sprintf("deque: NewEngine(%v): unknown kind", k))
 }

@@ -2,95 +2,13 @@ package deque
 
 import "testing"
 
-func TestParseKind(t *testing.T) {
-	good := []struct {
-		in   string
-		want Kind
-	}{
-		{"", KindAuto},
-		{"auto", KindAuto},
-		{"AUTO", KindAuto},
-		{"chaselev", KindChaseLev},
-		{"Chase-Lev", KindChaseLev},
-		{"CHASELEV", KindChaseLev},
-		{"locked", KindLocked},
-		{"relaxed", KindRelaxed},
-		{"  relaxed  ", KindRelaxed},
-	}
-	for _, tc := range good {
-		k, err := ParseKind(tc.in)
-		if err != nil {
-			t.Errorf("ParseKind(%q): unexpected error %v", tc.in, err)
-		} else if k != tc.want {
-			t.Errorf("ParseKind(%q) = %v, want %v", tc.in, k, tc.want)
-		}
-	}
-	for _, in := range []string{"chase_lev", "mutex", "fence-free", "relaxed2", "deque"} {
-		if _, err := ParseKind(in); err == nil {
-			t.Errorf("ParseKind(%q): expected error", in)
-		}
-	}
-}
-
 func TestKindString(t *testing.T) {
 	for k, want := range map[Kind]string{
-		KindAuto: "auto", KindChaseLev: "chaselev", KindLocked: "locked", KindRelaxed: "relaxed",
+		KindChaseLev: "chaselev", KindLocked: "locked", Kind(9): "Kind(9)",
 	} {
 		if got := k.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", k, got, want)
 		}
-	}
-}
-
-func TestKindResolve(t *testing.T) {
-	t.Run("concrete-pass-through", func(t *testing.T) {
-		t.Setenv(EngineEnv, "locked") // must be ignored for concrete kinds
-		for _, k := range Kinds() {
-			got, err := k.Resolve()
-			if err != nil || got != k {
-				t.Errorf("%v.Resolve() = %v, %v; want %v, nil", k, got, err, k)
-			}
-		}
-	})
-	t.Run("auto-default", func(t *testing.T) {
-		t.Setenv(EngineEnv, "")
-		got, err := KindAuto.Resolve()
-		if err != nil || got != KindChaseLev {
-			t.Errorf("auto with empty env = %v, %v; want chaselev, nil", got, err)
-		}
-	})
-	t.Run("auto-env", func(t *testing.T) {
-		for name, want := range map[string]Kind{
-			"chaselev": KindChaseLev, "locked": KindLocked, "relaxed": KindRelaxed, "auto": KindChaseLev,
-		} {
-			t.Setenv(EngineEnv, name)
-			got, err := KindAuto.Resolve()
-			if err != nil || got != want {
-				t.Errorf("auto with %s=%s = %v, %v; want %v, nil", EngineEnv, name, got, err, want)
-			}
-		}
-	})
-	t.Run("auto-bad-env", func(t *testing.T) {
-		t.Setenv(EngineEnv, "nonsense")
-		if _, err := KindAuto.Resolve(); err == nil {
-			t.Errorf("auto with %s=nonsense: expected error", EngineEnv)
-		}
-	})
-	t.Run("invalid-kind", func(t *testing.T) {
-		if _, err := Kind(99).Resolve(); err == nil {
-			t.Error("Kind(99).Resolve(): expected error")
-		}
-	})
-}
-
-func TestKindMultiplicity(t *testing.T) {
-	for _, k := range []Kind{KindAuto, KindChaseLev, KindLocked} {
-		if k.Multiplicity() {
-			t.Errorf("%v.Multiplicity() = true, want false", k)
-		}
-	}
-	if !KindRelaxed.Multiplicity() {
-		t.Error("relaxed.Multiplicity() = false, want true")
 	}
 }
 
@@ -101,7 +19,6 @@ func TestNewEngine(t *testing.T) {
 	}{
 		{KindChaseLev, "*deque.Deque[int]"},
 		{KindLocked, "*deque.Locked[int]"},
-		{KindRelaxed, "*deque.Relaxed[int]"},
 	} {
 		e := NewEngine[int](tc.kind, 16)
 		if got := typeName(e); got != tc.want {
@@ -123,13 +40,13 @@ func TestNewEngine(t *testing.T) {
 			t.Errorf("%v: Steal on empty != nil", tc.kind)
 		}
 	}
-	t.Run("unresolved-panics", func(t *testing.T) {
+	t.Run("unknown-kind-panics", func(t *testing.T) {
 		defer func() {
 			if recover() == nil {
-				t.Error("NewEngine(KindAuto) did not panic")
+				t.Error("NewEngine(Kind(9)) did not panic")
 			}
 		}()
-		NewEngine[int](KindAuto, 8)
+		NewEngine[int](Kind(9), 8)
 	})
 }
 
@@ -139,8 +56,6 @@ func typeName(v any) string {
 		return "*deque.Deque[int]"
 	case *Locked[int]:
 		return "*deque.Locked[int]"
-	case *Relaxed[int]:
-		return "*deque.Relaxed[int]"
 	}
 	return "?"
 }

@@ -5,17 +5,11 @@ import (
 	"testing"
 )
 
-// FuzzDequeOps is the engine-parametric differential harness: every engine
-// replays the same single-threaded operation sequence against a fresh
-// Locked reference. Strict engines (ChaseLev, Locked-vs-itself) must match
-// the reference op for op — same presence, same pointer, same Len. Engines
-// with multiplicity (Relaxed) are permitted to diverge only in the shapes
-// their contract allows — duplicate deliveries and spurious nils — and are
-// still held to at-least-once: after a full drain every pushed value must
-// have been delivered, and any value delivered must actually have been
-// pushed. Single-threaded the Relaxed engine has no races to lose, so in
-// practice it tracks the reference exactly; the tolerant accounting is
-// there so a future counterexample is classified, not masked.
+// FuzzDequeOps is the differential harness: every implementation replays
+// the same single-threaded operation sequence against a fresh Locked
+// reference and must match it op for op — same presence, same pointer,
+// same Len — and, after a full drain, have delivered every pushed value
+// exactly once.
 func FuzzDequeOps(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 0, 1, 1, 2})
 	f.Add([]byte{0, 1, 0, 1, 0, 1})
@@ -36,7 +30,6 @@ func runDifferential(t *testing.T, kind Kind, ops []byte) {
 	t.Helper()
 	eng := NewEngine[int](kind, 4)
 	ref := NewLocked[int](4)
-	mult := kind.Multiplicity()
 
 	vals := make([]int, len(ops)) // stable addresses: both sides push &vals[i]
 	pushes := 0
@@ -62,22 +55,22 @@ func runDifferential(t *testing.T, kind Kind, ops []byte) {
 		case 1:
 			a, b := eng.Pop(), ref.Pop()
 			note(i, "Pop", a)
-			if a != b && !mult {
+			if a != b {
 				t.Fatalf("[%v] op %d: Pop = %v, reference = %v", kind, i, fmtVal(a), fmtVal(b))
 			}
 		case 2:
 			a, b := eng.Steal(), ref.Steal()
 			note(i, "Steal", a)
-			if a != b && !mult {
+			if a != b {
 				t.Fatalf("[%v] op %d: Steal = %v, reference = %v", kind, i, fmtVal(a), fmtVal(b))
 			}
 		}
-		if el, rl := eng.Len(), ref.Len(); el != rl && !mult {
+		if el, rl := eng.Len(), ref.Len(); el != rl {
 			t.Fatalf("[%v] op %d: Len %d != reference %d", kind, i, el, rl)
 		}
 	}
 
-	// Drain the engine so at-least-once is checkable. The bound makes a
+	// Drain the engine so exactly-once is checkable. The bound makes a
 	// hypothetical non-terminating drain a test failure, not a fuzz hang.
 	for j := 0; j < 2*len(ops)+16; j++ {
 		v := eng.Pop()
@@ -90,20 +83,10 @@ func runDifferential(t *testing.T, kind Kind, ops []byte) {
 		t.Fatalf("[%v] drain did not empty the deque: Len=%d", kind, eng.Len())
 	}
 
-	lost, dups := 0, 0
 	for v := 0; v < pushes; v++ {
-		switch n := delivered[v]; {
-		case n == 0:
-			lost++
-		case n > 1:
-			dups += n - 1
+		if n := delivered[v]; n != 1 {
+			t.Fatalf("[%v] exactly-once broken: value %d of %d delivered %d times", kind, v, pushes, n)
 		}
-	}
-	if lost > 0 {
-		t.Fatalf("[%v] at-least-once broken: %d of %d pushed values never delivered", kind, lost, pushes)
-	}
-	if dups > 0 && !mult {
-		t.Fatalf("[%v] %d duplicate deliveries on an engine without multiplicity", kind, dups)
 	}
 }
 

@@ -12,10 +12,9 @@ type ShardSpec struct {
 
 // ShardHealth is one row of GET /v1/shards: the prober's live view.
 type ShardHealth struct {
-	Name    string  `json:"name"`
-	URL     string  `json:"url"`
-	Healthy bool    `json:"healthy"`
-	Weight  float64 `json:"weight"`
+	Name    string `json:"name"`
+	URL     string `json:"url"`
+	Healthy bool   `json:"healthy"`
 	// ProbeEWMAMs is the EWMA of probe round-trip latency.
 	ProbeEWMAMs float64 `json:"probe_ewma_ms"`
 	// Backlog is dws_global_queue_depth at the last successful probe.

@@ -13,8 +13,7 @@ import (
 // shard is one federated dwsd instance plus its probe state: a small
 // circuit breaker (consecutive-failure ejection, half-open re-admission)
 // over periodic GET /healthz probes, with the shard's global queue depth
-// scraped from its Prometheus endpoint so routing weight can prefer idle
-// siblings before anyone blackholes work into a draining or sick shard.
+// scraped from its Prometheus endpoint and reported on /v1/shards.
 type shard struct {
 	name string
 	url  string
@@ -43,19 +42,6 @@ func (s *shard) healthy() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return !s.ejected
-}
-
-// weight is the routing weight a healthy shard carries: higher for lower
-// probe latency and shorter backlog, 0 when ejected. Used to order random
-// spill candidates and exposed on /v1/shards; the ring, not the weight,
-// decides home placement (stickiness beats greed — see DESIGN.md §11).
-func (s *shard) weight() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ejected {
-		return 0
-	}
-	return 1.0 / ((1 + s.latEWMA*1e3) * (1 + s.backlog/8))
 }
 
 // probeOnce probes the shard and applies the breaker transitions using the

@@ -673,7 +673,6 @@ func (rt *Router) handleShards(w http.ResponseWriter, _ *http.Request) {
 			Name:        s.name,
 			URL:         s.url,
 			Healthy:     !s.ejected,
-			Weight:      0, // filled below without the lock held twice
 			ProbeEWMAMs: s.latEWMA * 1e3,
 			Backlog:     s.backlog,
 			ConsecFails: s.consecFails,
@@ -683,7 +682,6 @@ func (rt *Router) handleShards(w http.ResponseWriter, _ *http.Request) {
 			Tenants:     loads[s.name],
 		})
 		s.mu.Unlock()
-		out[len(out)-1].Weight = s.weight()
 	}
 	writeJSON(w, http.StatusOK, out)
 }

@@ -1,7 +1,9 @@
 package rt
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -230,8 +232,7 @@ func TestCoordTickThreeCases(t *testing.T) {
 
 // TestCloseReturnsWithoutClock pins the signal-driven shutdown wait: with
 // every worker parked and the fake clock frozen, Close's single wake sweep
-// must suffice — if the wait loop depended on its retry timer firing, this
-// would hang forever.
+// must suffice — nothing timed can come to its rescue.
 func TestCloseReturnsWithoutClock(t *testing.T) {
 	fake := vclock.NewFake()
 	sys, err := NewSystem(Config{
@@ -257,7 +258,81 @@ func TestCloseReturnsWithoutClock(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("Close hung under a frozen clock: the wait loop is not signal-driven")
+		t.Fatal("Close hung under a frozen clock")
+	}
+}
+
+// TestCloseRacingParkOnFrozenClock closes a program whose workers are
+// inside park, past its shutdown check but with their sleep not yet
+// published — the workers Close's wake sweep cannot see. Each must notice
+// the shutdown itself, because on a frozen clock nothing else will ever
+// wake it. park emits ObsSleep inside that window, so the observer holds
+// every worker that parks during or after the run there until Close has
+// set shutdown and swept.
+func TestCloseRacingParkOnFrozenClock(t *testing.T) {
+	const cores = 4
+	iterate := func() {
+		var held atomic.Pointer[Program]
+		sys, err := NewSystem(Config{
+			Cores: cores, Programs: 1, Policy: DWS, TSleep: 1,
+			Clock: vclock.NewFake(),
+			Observer: func(ev ObsEvent) {
+				p := held.Load()
+				if ev.Kind != ObsSleep || p == nil {
+					return
+				}
+				for !p.shutdown.Load() {
+					runtime.Gosched()
+				}
+				for i := 0; i < 50; i++ { // let the sweep pass
+					runtime.Gosched()
+				}
+			},
+		})
+		if err != nil {
+			t.Errorf("NewSystem: %v", err)
+			return
+		}
+		defer sys.Close()
+		p, err := sys.NewProgram("A")
+		if err != nil {
+			t.Errorf("NewProgram: %v", err)
+			return
+		}
+		// Run's own answer to a wake that misses a worker mid-park is a
+		// ticker, which a frozen clock never fires: start from all asleep.
+		for p.Stats().Sleeps < cores {
+			runtime.Gosched()
+		}
+		held.Store(p)
+		if err := p.Run(func(c *Ctx) {
+			for j := 0; j < cores; j++ {
+				c.Spawn(func(*Ctx) {})
+			}
+		}); err != nil {
+			t.Errorf("Run: %v", err)
+		}
+		p.Close()
+	}
+	progress := make(chan int)
+	go func() {
+		defer close(progress)
+		for i := 0; i < 200 && !t.Failed(); i++ {
+			iterate()
+			progress <- i
+		}
+	}()
+	last := -1
+	for {
+		select {
+		case i, ok := <-progress:
+			if !ok {
+				return
+			}
+			last = i
+		case <-time.After(10 * time.Second):
+			t.Fatalf("iteration %d hung on a frozen clock", last+1)
+		}
 	}
 }
 

@@ -132,13 +132,9 @@ type ObsEvent struct {
 	// Cores is the number of slots freed by an ObsSweep.
 	Cores int `json:"cores,omitempty"`
 	// Spawned/Executed are the program's cumulative task counters on
-	// ObsRunDone (root injections count as spawns). DupPops counts pops
-	// the execute-once guard absorbed; it is legal (and expected) only
-	// under a deque engine with multiplicity — the schedcheck checker
-	// flags any duplicate pop reported by a strict engine.
+	// ObsRunDone (root injections count as spawns).
 	Spawned  int64 `json:"spawned,omitempty"`
 	Executed int64 `json:"executed,omitempty"`
-	DupPops  int64 `json:"dup_pops,omitempty"`
 	// LocalSteals/RemoteSteals split the program's cumulative deque steals
 	// by whether thief and victim shared a socket (ObsRunDone). Under a
 	// flat topology RemoteSteals is always 0.

@@ -40,27 +40,15 @@ func newTaskPool() taskPool {
 // getNode returns a recycled taskNode initialised to (fn, parent), taking
 // the local free-list first, the shared overflow ring second, and the
 // allocator last. Called by Spawn on the spawning worker's goroutine.
-//
-// Under the execute-once guard a recycled node sits at an odd (claimed)
-// seq; the Add republishes it as the next even (claimable) epoch strictly
-// after the new fn/parent are in place, so any claimer — including one
-// holding a stale duplicate pointer from the node's previous incarnation —
-// reads coherent fields. Fresh nodes start at the even epoch 0.
 func (w *worker) getNode(fn Runner, parent *frame) *taskNode {
 	if n := len(w.pool.nodes); n > 0 {
 		t := w.pool.nodes[n-1]
 		w.pool.nodes = w.pool.nodes[:n-1]
 		t.fn, t.parent = fn, parent
-		if w.guard {
-			t.seq.Add(1)
-		}
 		return t
 	}
 	if t := w.p.nodeOverflow.TryPop(); t != nil {
 		t.fn, t.parent = fn, parent
-		if w.guard {
-			t.seq.Add(1)
-		}
 		return t
 	}
 	return &taskNode{fn: fn, parent: parent}
@@ -68,13 +56,9 @@ func (w *worker) getNode(fn Runner, parent *frame) *taskNode {
 
 // putNode recycles a consumed taskNode onto the executing worker's
 // free-list (or the shared ring when full). Safe to call before the
-// task's function runs: execute copies fn/parent out first, and on strict
-// engines a node popped or stolen from a deque has a single owner — losing
-// CAS thieves never dereference the pointer they loaded. On engines with
-// multiplicity two poppers can hold the node, so only the execute-once
-// winner reaches putNode; its claim left seq odd, which keeps the node
-// unclaimable for the whole free-list residence (the use-after-free
-// window the guard closes).
+// task's function runs: execute copies fn/parent out first, and a node
+// popped or stolen from a deque has a single owner — losing CAS thieves
+// never dereference the pointer they loaded.
 func (w *worker) putNode(t *taskNode) {
 	t.fn, t.parent = nil, nil // release the task body for the GC
 	if len(w.pool.nodes) < nodeFreeMax {

@@ -268,9 +268,6 @@ func (p *Program) Run(root Task) error {
 	p.emit(ObsEvent{Kind: ObsRunStart, Core: -1})
 	n := &p.rootNode
 	n.fn, n.parent = root, &p.rootFrame
-	if n.seq.Load()&1 != 0 {
-		n.seq.Add(1) // republish the node the last run's execution claimed, as getNode does
-	}
 	p.inject.Push(n)
 	p.regrabHome()
 
@@ -294,7 +291,6 @@ func (p *Program) Run(root Task) error {
 			p.st.runs.Add(1)
 			p.emit(ObsEvent{Kind: ObsRunDone, Core: -1,
 				Spawned: p.st.spawns(), Executed: p.st.execs(),
-				DupPops:     p.st.dupPops(),
 				LocalSteals: p.st.localSteals(), RemoteSteals: p.st.remoteSteals()})
 			return nil
 		case <-p.rewake.C():
@@ -362,31 +358,14 @@ func (p *Program) Close() {
 		return
 	}
 	close(p.coordStop)
-	// Unblock sleeping workers so they observe the shutdown flag. A worker
-	// racing into park() can have its state still "active" here and miss a
-	// single wake, so retry until every goroutine has exited. The retry
-	// timer is created once and re-armed: a bare time.After here would
-	// allocate (and leak until expiry) one timer per iteration when the
-	// loop spins.
-	done := make(chan struct{})
-	go func() {
-		p.wg.Wait()
-		close(done)
-	}()
-	retry := p.sys.cfg.Clock.NewTimer(time.Millisecond)
-	defer retry.Stop()
-waitLoop:
-	for {
-		for _, w := range p.workers {
-			p.wake(w)
-		}
-		select {
-		case <-done:
-			break waitLoop
-		case <-retry.C():
-			retry.Reset(time.Millisecond)
-		}
+	// Unblock sleeping workers so they observe the shutdown flag. One
+	// sweep is enough: a worker that is racing into park and still reads
+	// "active" here finds shutdown set once it has published its sleep,
+	// and wakes itself.
+	for _, w := range p.workers {
+		p.wake(w)
 	}
+	p.wg.Wait()
 	if p.sys.cfg.Policy == DWS {
 		for c := 0; c < p.sys.cfg.Cores; c++ {
 			if p.sys.table.Release(c, p.id) {

@@ -36,7 +36,6 @@ import (
 
 	"dws/internal/arbiter"
 	"dws/internal/coretable"
-	"dws/internal/deque"
 	"dws/internal/topo"
 	"dws/internal/vclock"
 )
@@ -93,13 +92,6 @@ type Config struct {
 	Programs int
 	// Policy applies to every program.
 	Policy Policy
-	// Engine selects the work-stealing deque implementation every worker
-	// uses. The zero value (deque.KindAuto) resolves through the
-	// DWS_DEQUE_ENGINE environment variable and defaults to the Chase–Lev
-	// engine; validation rejects unknown names. An engine with multiplicity
-	// (deque.KindRelaxed) arms the execute-once guard on the task hot path:
-	// pops become at-least-once, execution stays exactly-once.
-	Engine deque.Kind
 	// TSleep is the paper's T_SLEEP (≤0 defaults to Cores).
 	TSleep int
 	// CoordPeriod is the paper's T (0 defaults to 10ms).
@@ -122,9 +114,9 @@ type Config struct {
 	// does not close an externally provided table.
 	Table *coretable.Table
 	// Clock is the runtime's time source: coordinator period, lease
-	// heartbeats/TTL, Run's re-wake fallback and Close's retry wait all go
-	// through it. nil defaults to the real clock; tests substitute a
-	// vclock.Fake to drive scheduling deterministically. Tables the System
+	// heartbeats/TTL and Run's re-wake fallback all go through it. nil
+	// defaults to the real clock; tests substitute a vclock.Fake to drive
+	// scheduling deterministically. Tables the System
 	// creates itself also stamp lease beats from this clock; an external
 	// Table keeps its own time source (it is shared across processes).
 	Clock vclock.Clock
@@ -175,11 +167,6 @@ func (c *Config) validate() error {
 	if c.Programs <= 0 || c.Programs > c.Cores {
 		return fmt.Errorf("rt: Programs must be in [1, %d]", c.Cores)
 	}
-	eng, err := c.Engine.Resolve()
-	if err != nil {
-		return fmt.Errorf("rt: %w", err)
-	}
-	c.Engine = eng
 	if c.TSleep <= 0 {
 		c.TSleep = c.Cores
 	}
@@ -356,9 +343,6 @@ func (s *System) Cores() int { return s.cfg.Cores }
 // Policy returns the system's scheduling policy.
 func (s *System) Policy() Policy { return s.cfg.Policy }
 
-// Engine returns the resolved deque engine every worker uses.
-func (s *System) Engine() deque.Kind { return s.cfg.Engine }
-
 // MaxPrograms returns m, the number of program slots.
 func (s *System) MaxPrograms() int { return s.cfg.Programs }
 
@@ -481,12 +465,6 @@ type Stats struct {
 	// boundary unless a task was lost — the conservation invariant the
 	// schedcheck checker asserts.
 	Spawns, Execs int64
-	// DupPops counts pops absorbed by the execute-once guard: a worker
-	// received a task node another worker had already claimed. Always 0 on
-	// strict engines; on engines with multiplicity (relaxed) it measures
-	// how often the fence-free window actually fired. Duplicate pops are
-	// invisible to user code — Execs counts each task exactly once.
-	DupPops int64
 }
 
 // workerStats is one worker's shard of the program counters. Every
@@ -502,8 +480,7 @@ type workerStats struct {
 	steals, failedSteals      atomic.Int64
 	localSteals, remoteSteals atomic.Int64
 	sleeps, evictions         atomic.Int64
-	dupPops                   atomic.Int64
-	_                         [128 - 9*8]byte
+	_                         [128 - 8*8]byte
 }
 
 // progStats holds the live counters behind Stats: one padded shard per
@@ -536,14 +513,6 @@ func (ps *progStats) execs() int64 {
 	var n int64
 	for i := range ps.w {
 		n += ps.w[i].execs.Load()
-	}
-	return n
-}
-
-func (ps *progStats) dupPops() int64 {
-	var n int64
-	for i := range ps.w {
-		n += ps.w[i].dupPops.Load()
 	}
 	return n
 }
@@ -584,7 +553,6 @@ func (ps *progStats) snapshot() Stats {
 		s.Evictions += ws.evictions.Load()
 		s.Spawns += ws.spawns.Load()
 		s.Execs += ws.execs.Load()
-		s.DupPops += ws.dupPops.Load()
 	}
 	return s
 }

@@ -25,13 +25,9 @@ type worker struct {
 	id     int
 	socket int // Topology.SocketOf(id); fixed for the worker's life
 
-	deque deque.Engine[taskNode]
+	deque *deque.Deque[taskNode]
 	rng   uint64 // xorshift64* victim-selector state; owner-only
 	pool  taskPool
-	// guard arms the execute-once claim on taskNodes. It is set exactly
-	// when the engine has multiplicity (duplicate pops possible); strict
-	// engines pay one predictable branch per execute and nothing else.
-	guard bool
 
 	failedSteals int
 	// evicted is set while the worker is acting on an eviction it has
@@ -68,13 +64,11 @@ type worker struct {
 }
 
 func newWorker(p *Program, id int) *worker {
-	eng := p.sys.cfg.Engine
 	w := &worker{
 		p:      p,
 		id:     id,
 		socket: p.sys.cfg.Topology.SocketOf(id),
-		deque:  deque.NewEngine[taskNode](eng, 64),
-		guard:  eng.Multiplicity(),
+		deque:  deque.New[taskNode](64),
 		// Same per-(program, worker) seed family the old rand.Rand used;
 		// xorshift needs a non-zero state, which the +1 guarantees.
 		rng:    uint64(int64(p.idx)*1_000_003 + int64(id)*97 + 1),
@@ -281,6 +275,13 @@ func (w *worker) park(release bool) bool {
 		}
 	}
 	w.st.sleeps.Add(1)
+	// Close sets shutdown and then sweeps one wake over the workers. A
+	// sweep that read this worker's state before the store above missed
+	// it, but then shutdown was already set: wake ourselves, as a sleep
+	// followed by a wake like any other.
+	if p.shutdown.Load() {
+		p.wake(w)
+	}
 	w.block()
 	return true
 }

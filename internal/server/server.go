@@ -32,7 +32,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dws/internal/deque"
 	"dws/internal/kernels"
 	"dws/internal/metrics"
 	"dws/internal/rt"
@@ -44,10 +43,6 @@ type Config struct {
 	// Cores and Policy configure the hosted rt.System.
 	Cores  int
 	Policy rt.Policy
-	// Engine selects the hosted system's deque engine. The zero value
-	// (deque.KindAuto) resolves through DWS_DEQUE_ENGINE and defaults to
-	// Chase–Lev; unknown names are rejected by New.
-	Engine deque.Kind
 	// Topology is the socket map of the hosted system's core slots. nil
 	// (or a flat topology) keeps the locality-free behaviour; a
 	// multi-socket topology turns on socket-adjacent entitlement
@@ -169,7 +164,6 @@ func New(cfg Config) (*Server, error) {
 		Cores:         cfg.Cores,
 		Programs:      cfg.MaxTenants,
 		Policy:        cfg.Policy,
-		Engine:        cfg.Engine,
 		Topology:      cfg.Topology,
 		CoordPeriod:   cfg.CoordPeriod,
 		LeaseTTL:      cfg.LeaseTTL,
@@ -208,11 +202,11 @@ func New(cfg Config) (*Server, error) {
 
 	// Build/config identity as a constant-1 gauge, Prometheus build_info
 	// style: dashboards join on its labels to slice every other series by
-	// policy and deque engine.
+	// policy.
 	buildInfo := s.reg.NewGauge("dws_build_info",
-		"Constant 1, labelled with the server's scheduling policy, deque engine, and Go runtime version.",
-		"policy", "engine", "go")
-	buildInfo.With(sys.Policy().String(), sys.Engine().String(), runtime.Version()).Set(1)
+		"Constant 1, labelled with the server's scheduling policy and Go runtime version.",
+		"policy", "go")
+	buildInfo.With(sys.Policy().String(), runtime.Version()).Set(1)
 
 	// Scrape-time gauges: live queue depths, program counters, and the
 	// core allocation table.
@@ -226,7 +220,6 @@ func New(cfg Config) (*Server, error) {
 		"dws_program_claims":        func(st Stats) int64 { return st.Claims },
 		"dws_program_reclaims":      func(st Stats) int64 { return st.Reclaims },
 		"dws_program_runs":          func(st Stats) int64 { return st.Runs },
-		"dws_program_dup_pops":      func(st Stats) int64 { return st.DupPops },
 	}
 	progVecs := make(map[string]metrics.GaugeVec, len(progGauges))
 	for name := range progGauges {
@@ -374,9 +367,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // System exposes the hosted runtime (read-only use: stats, occupancy).
 func (s *Server) System() *rt.System { return s.sys }
-
-// Engine reports the hosted system's resolved deque engine.
-func (s *Server) Engine() deque.Kind { return s.sys.Engine() }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -617,7 +607,6 @@ func (s *Server) handleInfo(w http.ResponseWriter, _ *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, Info{
 		Policy:          s.sys.Policy().String(),
-		Engine:          s.sys.Engine().String(),
 		Cores:           s.sys.Cores(),
 		Topology:        topology,
 		MaxTenants:      s.cfg.MaxTenants,

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -218,6 +219,7 @@ func TestInfoTenantsMetricsHealth(t *testing.T) {
 		`dws_program_runs{tenant="alice"} 1`,
 		`dws_core_occupant{core="0"}`,
 		"dws_free_tenant_slots 1",
+		`dws_build_info{policy="DWS",go="` + runtime.Version() + `"} 1`,
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q", want)

@@ -18,8 +18,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-
-	"dws/internal/deque"
 )
 
 // Policy selects the scheduling strategy for every program in a machine.
@@ -86,17 +84,6 @@ type Config struct {
 	SocketSize int
 	// Policy is the scheduling policy for all programs.
 	Policy Policy
-	// Engine names the deque engine the configuration targets, mirroring
-	// rt.Config.Engine so one config describes both substrates (the
-	// conformance oracle threads the same engine through sim and live
-	// runs). The zero value (deque.KindAuto) resolves through the
-	// DWS_DEQUE_ENGINE environment variable and defaults to Chase–Lev;
-	// unknown names are rejected by Validate. The event-loop simulator is
-	// single-threaded, so its deques are plain slices and every engine is
-	// behaviourally identical here — the field exists for validation,
-	// reporting, and sim↔live config parity, not to change simulated
-	// scheduling.
-	Engine deque.Kind
 
 	// QuantumUS is the OS time-slice on a core shared by several runnable
 	// workers, in µs.
@@ -260,11 +247,6 @@ func (c *Config) Validate() error {
 	if c.SocketSize <= 0 {
 		c.SocketSize = c.Cores
 	}
-	eng, err := c.Engine.Resolve()
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadConfig, err)
-	}
-	c.Engine = eng
 	if c.TSleep <= 0 {
 		c.TSleep = c.Cores
 	}

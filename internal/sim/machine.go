@@ -9,7 +9,6 @@ import (
 
 	"dws/internal/arbiter"
 	"dws/internal/coretable"
-	"dws/internal/deque"
 	"dws/internal/task"
 	"dws/internal/topo"
 	"dws/internal/wfq"
@@ -87,12 +86,6 @@ func (m *Machine) trace(format string, args ...any) {
 		m.Trace(m.now, format, args...)
 	}
 }
-
-// Engine returns the resolved deque engine this machine's configuration
-// targets. The single-threaded simulator behaves identically under every
-// engine (see Config.Engine); the accessor exists so reports can name the
-// engine a simulated run stands in for.
-func (m *Machine) Engine() deque.Kind { return m.cfg.Engine }
 
 // NewMachine builds a machine running one program per graph. Graphs are
 // validated; the i-th program's home cores follow the paper's even
