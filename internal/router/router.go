@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"dws/internal/admit"
 	"dws/internal/metrics"
 	"dws/internal/server"
 )
@@ -25,18 +26,6 @@ const (
 	SpillRandom = "random"
 	SpillNext   = "next"
 )
-
-// Reject reasons that trigger spill-over. early_reject deliberately does
-// not: that verdict prices the tenant's own backlog against the job's
-// deadline, and a sibling shard hosting the same (spilled) tenant traffic
-// would predict the same miss — forwarding the 429 is the honest answer.
-func spillableReason(reason string) bool {
-	switch reason {
-	case "overload", "shed", "queue_full":
-		return true
-	}
-	return false
-}
 
 // Config describes the federation front tier.
 type Config struct {
@@ -388,7 +377,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				rt.logf("shard %s ejected (forward failure: %v)", cur.name, err)
 			}
 		case resp.StatusCode == http.StatusTooManyRequests &&
-			spillableReason(resp.Header.Get(server.RejectReasonHeader)):
+			admit.SpillableReason(resp.Header.Get(server.RejectReasonHeader)):
 			reason = resp.Header.Get(server.RejectReasonHeader)
 			rt.m429.With(cur.name, reason).Inc()
 			refusals = append(refusals, refusal{cur.name, reason, retrySeconds(resp)})
@@ -467,7 +456,7 @@ func (rt *Router) refuseAll(w http.ResponseWriter, tenant string, refusals []ref
 	reason, retry := "unavailable", 0
 	sawBackpressure := false
 	for _, rf := range refusals {
-		if spillableReason(rf.reason) {
+		if admit.SpillableReason(rf.reason) {
 			if !sawBackpressure {
 				reason = rf.reason // home-most 429-class verdict
 				sawBackpressure = true

@@ -24,8 +24,9 @@ type FedSimOptions struct {
 	QueueCap int
 	// HorizonUS aborts a runaway replay; ≤0 derives a bound from the trace.
 	HorizonUS int64
-	// Admission, when non-nil, enables the WFQ front-door analog per shard;
-	// nil Weights are filled from the trace's declarations, as in RunSim.
+	// Admission configures every shard's front door; nil Weights are filled
+	// from the trace's declarations and nil is the sim's zero value, as in
+	// RunSim.
 	Admission *sim.AdmissionOpts
 }
 

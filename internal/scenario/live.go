@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"dws/internal/admit"
 	"dws/internal/server"
 )
 
@@ -212,11 +213,9 @@ func fireJob(client *http.Client, baseURL string, req server.JobRequest) Outcome
 		// "shed", a predicted deadline miss is "early_reject", and plain
 		// queue-full/overload answers stay "rejected" — the same
 		// vocabulary the sim emits, so results line up column for column.
-		switch resp.Header.Get(server.RejectReasonHeader) {
-		case "shed":
-			o.Status = "shed"
-		case "early_reject":
-			o.Status = "early_reject"
+		switch reason := resp.Header.Get(server.RejectReasonHeader); reason {
+		case admit.Shed.String(), admit.EarlyReject.String():
+			o.Status = reason
 		default:
 			o.Status = "rejected"
 		}

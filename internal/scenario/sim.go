@@ -20,12 +20,13 @@ type SimOptions struct {
 	// HorizonUS aborts a runaway replay; ≤0 derives a generous bound from
 	// the trace length.
 	HorizonUS int64
-	// Admission, when non-nil, routes arrivals through the WFQ front-door
-	// analog (weighted fair queueing, shed-from-max-tail under
-	// GlobalCap, deadline-aware early rejection) instead of the legacy
-	// independent per-tenant FIFOs. A nil Weights field is filled from
-	// the trace's weight declarations, so gold-qos-style traces get the
-	// same weights at admission as at the arbiter.
+	// Admission configures the front door (weighted fair queueing,
+	// shed-from-max-tail under GlobalCap, deadline-aware early
+	// rejection). A nil Weights field is filled from the trace's weight
+	// declarations, so gold-qos-style traces get the same weights at
+	// admission as at the arbiter; a nil Admission is passed through as
+	// the sim's zero value (equal weights, no global cap, no early
+	// rejection).
 	Admission *sim.AdmissionOpts
 }
 

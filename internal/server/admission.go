@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dws/internal/admit"
 	"dws/internal/wfq"
 )
 
@@ -14,25 +15,11 @@ import (
 // rejection modes apart without parsing bodies.
 const RejectReasonHeader = "X-DWS-Reject-Reason"
 
-// Rejection reasons — mRejected counter label values and
-// RejectReasonHeader values.
-const (
-	reasonQueueFull   = "queue_full"   // the tenant's own bounded queue is full
-	reasonEarlyReject = "early_reject" // predicted queue wait already exceeds the deadline
-	reasonOverload    = "overload"     // global backlog cap hit and the arrival is the worst-placed work
-	reasonShed        = "shed"         // removed from the queue to admit better-placed work
-)
-
-// admitVerdict is the outcome of one admission decision.
-type admitVerdict int
-
-const (
-	admitOK          admitVerdict = iota
-	admitClosed                   // tenant is mid-teardown; the caller should 503
-	admitEarlyReject              // deadline-aware early rejection
-	admitQueueFull                // per-tenant bounded queue full
-	admitOverload                 // global cap hit, arrival would be the shed victim anyway
-)
+// admitClosed is submit's one answer that is not an admission decision:
+// the tenant is mid-teardown and the caller should 503. The reject
+// reasons on the wire (mRejected label and RejectReasonHeader values)
+// are the admit.Verdict strings.
+const admitClosed admit.Verdict = -1
 
 // admission is the server's WFQ front door: one virtual-time weighted
 // fair queue across every tenant, guarding both the per-tenant bounded
@@ -53,12 +40,8 @@ type admission struct {
 	earlyReject bool // deadline-aware early rejection at submit
 
 	// fallbackNanos is a server-wide run-time EWMA folded from every
-	// tenant's completed runs. A tenant with no history of its own is
-	// charged this cost in the WFQ instead of wfq.DefaultCost — otherwise
-	// a cold tenant arriving at a saturated server carries a unit-constant
-	// tag that can dwarf every warm flow's tail, and it gets rejected as
-	// "overload" forever because rejected jobs never run and never warm
-	// its EWMA.
+	// tenant's completed runs: what admit.Charge prices a tenant with no
+	// history of its own at.
 	fallbackNanos atomic.Int64
 }
 
@@ -113,59 +96,39 @@ func (a *admission) total() int {
 	return a.q.Total()
 }
 
-// submit runs the full admission decision for one job:
+// submit runs the admission decision (admit.Decide, in nanosecond ticks)
+// for one job under the admission mutex.
 //
-//  1. early rejection — with run-time history (EWMA > 0), a job whose
-//     predicted queue wait (EWMA × jobs ahead, including the one in
-//     service) strictly exceeds its deadline is rejected at submit
-//     instead of expiring silently in the queue; borderline jobs are
-//     admitted
-//  2. the tenant's own bounded depth (the pre-WFQ 429)
-//  3. the global cap — when total backlog is at the cap, the arriving
-//     job's would-be finish tag is compared against the globally worst
-//     queued tail: if some other work is placed worse in virtual time it
-//     is shed to make room (shed-from-bronze before reject-gold);
-//     otherwise the arrival itself is rejected
-//
-// On admitOK the returned victim, if non-nil, is the shed job the
-// caller must resolve (StatusShed). On rejection verdicts retry is the
-// Retry-After hint.
-func (a *admission) submit(t *tenant, j *job, deadline time.Duration) (verdict admitVerdict, retry time.Duration, victim *job) {
+// On admit.Admitted the returned victim, if non-nil, is the shed job the
+// caller must resolve (StatusShed). On refusals retry is the Retry-After
+// hint.
+func (a *admission) submit(t *tenant, j *job, deadline time.Duration) (verdict admit.Verdict, retry time.Duration, victim *job) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if t.closed {
 		return admitClosed, 0, nil
 	}
 	ewma := time.Duration(t.runEWMANanos.Load())
-	backlog := a.q.Len(t.flow)
-	if a.earlyReject && ewma > 0 {
-		ahead := backlog
-		if t.inFlight.Load() {
-			ahead++
-		}
-		if predicted := time.Duration(ahead) * ewma; predicted > deadline {
-			// Honest hint: after predicted−deadline the backlog ahead has
-			// drained enough that an identical job would fit its deadline.
-			return admitEarlyReject, ceilSeconds(predicted - deadline), nil
-		}
+	d := admit.Decide(a.q, t.flow, j,
+		admit.Limits{Depth: t.depth, GlobalCap: a.globalCap, EarlyReject: a.earlyReject},
+		admit.Arrival{
+			EWMA:        int64(ewma),
+			InService:   t.inFlight.Load(),
+			HasDeadline: true, // the server defaults a deadline onto every job
+			Budget:      int64(deadline),
+			Cost:        a.jobCost(t, j, ewma),
+		})
+	switch d.Verdict {
+	case admit.Admitted:
+		a.cond.Broadcast()
+	case admit.EarlyReject:
+		// Honest hint: after predicted−deadline the backlog ahead has
+		// drained enough that an identical job would fit its deadline.
+		retry = ceilSeconds(time.Duration(d.Predicted) - deadline)
+	default:
+		retry = retryAfterHint(ewma, d.Backlog)
 	}
-	if backlog >= t.depth {
-		return admitQueueFull, retryAfterHint(ewma, backlog), nil
-	}
-	cost := a.jobCost(t, j, ewma)
-	if a.globalCap > 0 && a.q.Total() >= a.globalCap {
-		fNew := a.q.TagPreview(t.flow, cost)
-		_, fMax, ok := a.q.PeekMaxTail()
-		if !ok || fMax <= fNew {
-			// The arrival is itself the worst-placed work (this covers a
-			// same-tenant arrival: its own tags are monotone).
-			return admitOverload, retryAfterHint(ewma, backlog), nil
-		}
-		_, victim, _ = a.q.ShedMaxTail()
-	}
-	a.q.Enqueue(t.flow, j, cost)
-	a.cond.Broadcast()
-	return admitOK, 0, victim
+	return d.Verdict, retry, d.Victim
 }
 
 // jobCost prices one job for the WFQ: the tenant's run-time EWMA scaled
@@ -177,12 +140,7 @@ func (a *admission) submit(t *tenant, j *job, deadline time.Duration) (verdict a
 // what keeps a mixed-size flow from billing its double-size jobs at the
 // averaged rate and squeezing out equal-weight single-size neighbors.
 func (a *admission) jobCost(t *tenant, j *job, ewma time.Duration) float64 {
-	cost := ewma.Seconds()
-	if ewma == 0 {
-		// No history yet: charge the server-wide average run time (0 when
-		// the whole server is cold, which wfq maps to DefaultCost).
-		cost = time.Duration(a.fallbackNanos.Load()).Seconds()
-	}
+	cost := time.Duration(admit.Charge(int64(ewma), a.fallbackNanos.Load())).Seconds()
 	if szAvg := t.sizeEWMA(); szAvg > 0 && j.size > 0 {
 		cost *= j.size / szAvg
 	}
@@ -192,12 +150,7 @@ func (a *admission) jobCost(t *tenant, j *job, ewma time.Duration) float64 {
 // observeCost folds one completed run into the server-wide fallback
 // EWMA (α = 1/4) used to cost tenants with no history of their own.
 func (a *admission) observeCost(d time.Duration) {
-	prev := a.fallbackNanos.Load()
-	if prev == 0 {
-		a.fallbackNanos.Store(int64(d))
-		return
-	}
-	a.fallbackNanos.Store(prev + (int64(d)-prev)/4)
+	a.fallbackNanos.Store(admit.Fold(a.fallbackNanos.Load(), int64(d)))
 }
 
 // popWait blocks until the tenant has a queued job or has been closed;

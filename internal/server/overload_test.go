@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"dws/internal/admit"
 	"dws/internal/rt"
 )
 
@@ -80,8 +81,8 @@ func TestShedOverHTTP(t *testing.T) {
 			continue
 		}
 		shed++
-		if r.reason != reasonShed {
-			t.Errorf("shed reply reason %q, want %q", r.reason, reasonShed)
+		if r.reason != admit.Shed.String() {
+			t.Errorf("shed reply reason %q, want %q", r.reason, admit.Shed.String())
 		}
 		if r.retry == "" {
 			t.Error("shed reply without Retry-After")

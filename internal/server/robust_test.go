@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"dws/internal/admit"
 	"dws/internal/rt"
 )
 
@@ -300,15 +301,15 @@ func TestEarlyRejectionTable(t *testing.T) {
 		backlog     int
 		inFlight    bool
 		deadline    time.Duration
-		wantVerdict admitVerdict
+		wantVerdict admit.Verdict
 		wantRetry   time.Duration
 	}{
-		{"no history admits blind", true, 0, 10, true, time.Millisecond, admitOK, 0},
-		{"predicted exceeds deadline", true, 100 * time.Millisecond, 4, false, 300 * time.Millisecond, admitEarlyReject, time.Second},
-		{"borderline admitted", true, 100 * time.Millisecond, 3, false, 300 * time.Millisecond, admitOK, 0},
-		{"in-service counts", true, 100 * time.Millisecond, 3, true, 300 * time.Millisecond, admitEarlyReject, time.Second},
-		{"disabled admits", false, 100 * time.Millisecond, 10, true, time.Millisecond, admitOK, 0},
-		{"retry scales with excess", true, time.Second, 9, false, 2 * time.Second, admitEarlyReject, 7 * time.Second},
+		{"no history admits blind", true, 0, 10, true, time.Millisecond, admit.Admitted, 0},
+		{"predicted exceeds deadline", true, 100 * time.Millisecond, 4, false, 300 * time.Millisecond, admit.EarlyReject, time.Second},
+		{"borderline admitted", true, 100 * time.Millisecond, 3, false, 300 * time.Millisecond, admit.Admitted, 0},
+		{"in-service counts", true, 100 * time.Millisecond, 3, true, 300 * time.Millisecond, admit.EarlyReject, time.Second},
+		{"disabled admits", false, 100 * time.Millisecond, 10, true, time.Millisecond, admit.Admitted, 0},
+		{"retry scales with excess", true, time.Second, 9, false, 2 * time.Second, admit.EarlyReject, 7 * time.Second},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -320,7 +321,7 @@ func TestEarlyRejectionTable(t *testing.T) {
 			if victim != nil {
 				t.Fatal("no global cap configured, yet a job was shed")
 			}
-			if tc.wantVerdict == admitEarlyReject && retry != tc.wantRetry {
+			if tc.wantVerdict == admit.EarlyReject && retry != tc.wantRetry {
 				t.Fatalf("retry = %v, want %v", retry, tc.wantRetry)
 			}
 		})
@@ -329,12 +330,12 @@ func TestEarlyRejectionTable(t *testing.T) {
 	// facing a full queue reports early_reject — the more actionable
 	// verdict (waiting for queue room would not help it).
 	s, tn := mk(true, 100*time.Millisecond, 64, false)
-	if verdict, _, _ := s.adm.submit(tn, &job{}, time.Millisecond); verdict != admitEarlyReject {
+	if verdict, _, _ := s.adm.submit(tn, &job{}, time.Millisecond); verdict != admit.EarlyReject {
 		t.Fatalf("doomed job at a full queue: verdict %d, want early reject", verdict)
 	}
 	// And with a healthy deadline, the same full queue reports queue_full.
 	s, tn = mk(true, 100*time.Millisecond, 64, false)
-	if verdict, _, _ := s.adm.submit(tn, &job{}, time.Hour); verdict != admitQueueFull {
+	if verdict, _, _ := s.adm.submit(tn, &job{}, time.Hour); verdict != admit.QueueFull {
 		t.Fatalf("full queue with a generous deadline: verdict %d, want queue full", verdict)
 	}
 }
@@ -362,7 +363,7 @@ func TestShedDecisionTable(t *testing.T) {
 
 	s, gold, bronze := mk()
 	verdict, _, victim := s.adm.submit(gold, &job{tn: gold}, time.Hour)
-	if verdict != admitOK || victim == nil || victim.tn != bronze {
+	if verdict != admit.Admitted || victim == nil || victim.tn != bronze {
 		t.Fatalf("gold arrival at cap: verdict %d victim %+v, want admit with a bronze victim", verdict, victim)
 	}
 	if got := s.adm.lenOf(bronze.flow); got != 1 {
@@ -376,7 +377,7 @@ func TestShedDecisionTable(t *testing.T) {
 	// shed, backlog unchanged.
 	s, _, bronze = mk()
 	verdict, retry, victim := s.adm.submit(bronze, &job{tn: bronze}, time.Hour)
-	if verdict != admitOverload || victim != nil {
+	if verdict != admit.Overload || victim != nil {
 		t.Fatalf("bronze arrival at cap: verdict %d victim %v, want overload reject", verdict, victim)
 	}
 	if retry < time.Second {
@@ -396,7 +397,7 @@ func TestShedDecisionTable(t *testing.T) {
 	s.adm.q.Enqueue(a.flow, &job{tn: a}, 1)
 	s.adm.q.Enqueue(b.flow, &job{tn: b}, 1)
 	s.adm.mu.Unlock()
-	if verdict, _, victim := s.adm.submit(a, &job{tn: a}, time.Hour); verdict != admitOverload || victim != nil {
+	if verdict, _, victim := s.adm.submit(a, &job{tn: a}, time.Hour); verdict != admit.Overload || victim != nil {
 		t.Fatalf("equal weights at cap: verdict %d victim %v, want plain overload reject", verdict, victim)
 	}
 
@@ -419,7 +420,7 @@ func TestShedDecisionTable(t *testing.T) {
 	s.adm.mu.Unlock()
 	s.adm.observeCost(100 * time.Millisecond) // server-wide history from bronze runs
 	verdict, _, victim = s.adm.submit(gold, &job{tn: gold}, time.Hour)
-	if verdict != admitOK || victim == nil || victim.tn != bronze {
+	if verdict != admit.Admitted || victim == nil || victim.tn != bronze {
 		t.Fatalf("cold gold at warm cap: verdict %d victim %+v, want admit with a bronze victim", verdict, victim)
 	}
 }
@@ -476,8 +477,8 @@ func TestSilentExpiryReplaced(t *testing.T) {
 		if resp.Header.Get("Retry-After") == "" {
 			t.Error("early rejection without a Retry-After header")
 		}
-		if got := resp.Header.Get(RejectReasonHeader); got != reasonEarlyReject {
-			t.Errorf("reject reason %q, want %q", got, reasonEarlyReject)
+		if got := resp.Header.Get(RejectReasonHeader); got != admit.EarlyReject.String() {
+			t.Errorf("reject reason %q, want %q", got, admit.EarlyReject.String())
 		}
 	})
 }

@@ -32,6 +32,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dws/internal/admit"
 	"dws/internal/kernels"
 	"dws/internal/metrics"
 	"dws/internal/rt"
@@ -470,7 +471,8 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 
 	j.tn = t
 	verdict, retry, victim := s.adm.submit(t, j, deadline)
-	reject := func(reason, format string, args ...any) {
+	reject := func(format string, args ...any) {
+		reason := verdict.String()
 		s.mRejected.With(req.Tenant, reason).Inc()
 		w.Header().Set("Retry-After", strconv.Itoa(int(retry.Seconds())))
 		w.Header().Set(RejectReasonHeader, reason)
@@ -484,20 +486,17 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable,
 			"tenant %q is shutting down; retry to re-create it", req.Tenant)
 		return
-	case admitEarlyReject:
+	case admit.EarlyReject:
 		t.earlyRejected.Add(1)
 		s.mEarlyRejected.With(req.Tenant).Inc()
-		reject(reasonEarlyReject,
-			"predicted queue wait already exceeds the %v deadline; retry in %v", deadline, retry)
+		reject("predicted queue wait already exceeds the %v deadline; retry in %v", deadline, retry)
 		return
-	case admitQueueFull:
-		reject(reasonQueueFull,
-			"tenant %q admission queue is full (%d deep); retry in %v",
+	case admit.QueueFull:
+		reject("tenant %q admission queue is full (%d deep); retry in %v",
 			req.Tenant, t.depth, retry)
 		return
-	case admitOverload:
-		reject(reasonOverload,
-			"server backlog is at its global cap (%d) and no lower-priority work is queued; retry in %v",
+	case admit.Overload:
+		reject("server backlog is at its global cap (%d) and no lower-priority work is queued; retry in %v",
 			s.cfg.GlobalQueueDepth, retry)
 		return
 	}
@@ -540,7 +539,7 @@ func (s *Server) writeResult(w http.ResponseWriter, j *job) {
 	case StatusShed:
 		code = http.StatusTooManyRequests
 		w.Header().Set("Retry-After", strconv.Itoa(int(j.retry.Seconds())))
-		w.Header().Set(RejectReasonHeader, reasonShed)
+		w.Header().Set(RejectReasonHeader, admit.Shed.String())
 	}
 	writeJSON(w, code, j.res)
 }
@@ -560,7 +559,7 @@ func (s *Server) resolveShed(j *job) {
 	}
 	t.shed.Add(1)
 	s.mShed.With(t.name).Inc()
-	s.mRejected.With(t.name, reasonShed).Inc()
+	s.mRejected.With(t.name, admit.Shed.String()).Inc()
 	s.mJobs.With(t.name, j.spec.Name, StatusShed).Inc()
 	s.mAdmissionWait.With(t.name).Observe(queueWait.Seconds())
 	close(j.done)

@@ -3,6 +3,8 @@ package server
 import (
 	"testing"
 	"time"
+
+	"dws/internal/admit"
 )
 
 // admTenant builds a bare tenant wired to an admission queue only — no
@@ -88,24 +90,24 @@ func TestMixedSizeFairness(t *testing.T) {
 		return &job{size: size, done: make(chan struct{})}
 	}
 	for i := 0; i < 2; i++ {
-		if v, _, victim := a.submit(big, mkJob(2.0), 0); v != admitOK || victim != nil {
+		if v, _, victim := a.submit(big, mkJob(2.0), 0); v != admit.Admitted || victim != nil {
 			t.Fatalf("warm-up big submit %d: verdict %v victim %v", i, v, victim)
 		}
-		if v, _, victim := a.submit(small, mkJob(1.0), 0); v != admitOK || victim != nil {
+		if v, _, victim := a.submit(small, mkJob(1.0), 0); v != admit.Admitted || victim != nil {
 			t.Fatalf("warm-up small submit %d: verdict %v victim %v", i, v, victim)
 		}
 	}
 	// Queue is at the cap (4). A unit-size arrival from the small tenant
 	// is placed better in virtual time than the big tenant's tail.
 	v, _, victim := a.submit(small, mkJob(1.0), 0)
-	if v != admitOK {
-		t.Fatalf("small arrival at cap: verdict %v, want admitOK via shed", v)
+	if v != admit.Admitted {
+		t.Fatalf("small arrival at cap: verdict %v, want admit.Admitted via shed", v)
 	}
 	if victim == nil || victim.size != 2.0 {
 		t.Fatalf("shed victim %+v, want one of the big tenant's jobs", victim)
 	}
 	// A further big arrival is itself the worst-placed work: refused.
-	if v, _, _ := a.submit(big, mkJob(2.0), 0); v != admitOverload {
-		t.Fatalf("big arrival at cap: verdict %v, want admitOverload", v)
+	if v, _, _ := a.submit(big, mkJob(2.0), 0); v != admit.Overload {
+		t.Fatalf("big arrival at cap: verdict %v, want admit.Overload", v)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dws/internal/admit"
 	"dws/internal/kernels"
 	"dws/internal/rt"
 )
@@ -187,12 +188,7 @@ func (t *tenant) serve(j *job) {
 // history-less tenants.
 func (t *tenant) observeRun(d time.Duration, size float64) {
 	t.srv.adm.observeCost(d)
-	prev := t.runEWMANanos.Load()
-	if prev == 0 {
-		t.runEWMANanos.Store(int64(d))
-	} else {
-		t.runEWMANanos.Store(prev + (int64(d)-prev)/4)
-	}
+	t.runEWMANanos.Store(admit.Fold(t.runEWMANanos.Load(), int64(d)))
 	t.foldSizeEWMA(size)
 }
 
@@ -202,19 +198,13 @@ func (t *tenant) sizeEWMA() float64 {
 }
 
 // foldSizeEWMA folds one declared size into the size EWMA. A constant
-// size is a fixed point (prev + (x−prev)/4 = prev when x = prev), which
-// is what keeps equal-size workloads' admission costs bit-identical to
-// the size-blind path.
+// size is a fixed point of the fold, which is what keeps equal-size
+// workloads' admission costs bit-identical to the size-blind path.
 func (t *tenant) foldSizeEWMA(size float64) {
 	if size <= 0 {
 		return
 	}
-	prev := t.sizeEWMA()
-	if prev == 0 {
-		t.sizeEWMABits.Store(math.Float64bits(size))
-		return
-	}
-	t.sizeEWMABits.Store(math.Float64bits(prev + (size-prev)/4))
+	t.sizeEWMABits.Store(math.Float64bits(admit.Fold(t.sizeEWMA(), size)))
 }
 
 // queueLen reports the tenant's current admission backlog.

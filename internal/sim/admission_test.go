@@ -2,7 +2,8 @@ package sim
 
 import (
 	"errors"
-	"reflect"
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"dws/internal/task"
@@ -12,50 +13,54 @@ import (
 // program busy while arrivals pile into its backlog.
 func bigRoot() *task.Node { return task.ParallelFor(64, 12_000) }
 
-// TestOpenAdmissionDegeneracy is satellite 2's control: an Admission of
-// all-equal weights, no global cap, and no early rejection must be
-// bit-identical to the legacy nil path — same outcome log, same event
-// count, same end time — on a stream that exercises queueing, rejection,
-// and deadline expiry.
+// TestOpenAdmissionDegeneracy pins "equal-weight WFQ with no global cap
+// and no early rejection behaves as bounded per-program FIFOs" by numbers:
+// the constants are what the per-program pending-FIFO path (deleted in
+// PR 20) produced at its last commit for this stream, which exercises
+// queueing, rejection, and deadline expiry. A nil Admission and every
+// spelling of the all-defaults AdmissionOpts must reproduce them.
 func TestOpenAdmissionDegeneracy(t *testing.T) {
+	want := map[Policy]struct {
+		endUS, events int64
+		logHash       uint64
+	}{
+		DWS: {98454, 258, 0x1700239def7cac82},
+		GO:  {517070, 354, 0xff129a0120896477},
+	}
 	for _, pol := range []Policy{DWS, GO} {
 		for _, adm := range []*AdmissionOpts{
+			nil,
 			{},                            // zero value: all defaults
 			{Weights: []float64{1, 1}},    // explicit equal weights
 			{Weights: []float64{0, -3.5}}, // non-positive clamps to 1
 		} {
-			run := func(a *AdmissionOpts) *Results {
-				ga := &task.Graph{Name: "ta", Root: task.Leaf(1), MemIntensity: 0.4}
-				gb := &task.Graph{Name: "tb", Root: task.Leaf(1), MemIntensity: 0.7}
-				m := mustMachine(t, debugConfig(pol), []*task.Graph{ga, gb})
-				res, err := m.RunOpen(OpenOpts{
-					Jobs: [][]Job{
-						mkJobs(25, 0, 2_000, 40_000, bigRoot),
-						mkJobs(25, 1_000, 2_000, 40_000, bigRoot),
-					},
-					QueueCap:  3,
-					HorizonUS: 600_000_000_000,
-					Admission: a,
-				})
-				if err != nil {
-					t.Fatalf("%v: %v", pol, err)
-				}
-				return res
+			ga := &task.Graph{Name: "ta", Root: task.Leaf(1), MemIntensity: 0.4}
+			gb := &task.Graph{Name: "tb", Root: task.Leaf(1), MemIntensity: 0.7}
+			m := mustMachine(t, debugConfig(pol), []*task.Graph{ga, gb})
+			res, err := m.RunOpen(OpenOpts{
+				Jobs: [][]Job{
+					mkJobs(25, 0, 2_000, 40_000, bigRoot),
+					mkJobs(25, 1_000, 2_000, 40_000, bigRoot),
+				},
+				QueueCap:  3,
+				HorizonUS: 600_000_000_000,
+				Admission: adm,
+			})
+			if err != nil {
+				t.Fatalf("%v: %v", pol, err)
 			}
-			legacy, wfq := run(nil), run(adm)
-			if legacy.EndTimeUS != wfq.EndTimeUS || legacy.Events != wfq.Events {
-				t.Fatalf("%v %+v: end %d vs %d, events %d vs %d — equal-weight WFQ diverged from legacy",
-					pol, adm, legacy.EndTimeUS, wfq.EndTimeUS, legacy.Events, wfq.Events)
-			}
-			if !reflect.DeepEqual(legacy.Jobs, wfq.Jobs) {
-				t.Fatalf("%v %+v: job logs diverge between legacy and equal-weight WFQ admission",
-					pol, adm)
-			}
+			h := fnv.New64a()
 			rej := 0
-			for _, j := range legacy.Jobs {
+			for _, j := range res.Jobs {
+				fmt.Fprintf(h, "%d %d %d %d %d %d\n", j.Prog, j.Index, j.AtUS, j.Status, j.StartUS, j.DoneUS)
 				if j.Status == JobRejected {
 					rej++
 				}
+			}
+			w := want[pol]
+			if res.EndTimeUS != w.endUS || res.Events != w.events || h.Sum64() != w.logHash {
+				t.Fatalf("%v %+v: end=%d events=%d log=%#x, want end=%d events=%d log=%#x — equal-weight WFQ diverged from bounded per-program FIFOs",
+					pol, adm, res.EndTimeUS, res.Events, h.Sum64(), w.endUS, w.events, w.logHash)
 			}
 			if rej == 0 {
 				t.Fatalf("%v: stream never hit the queue cap; degeneracy test exercises nothing", pol)

@@ -25,8 +25,8 @@ import (
 	"math/rand"
 	"sort"
 
+	"dws/internal/admit"
 	"dws/internal/task"
-	"dws/internal/wfq"
 )
 
 // SpillPolicy selects how a refused job is redirected between shards.
@@ -108,8 +108,8 @@ type FedOpts struct {
 	SpillLatencyUS [][]int64
 	// QueueCap bounds each tenant's per-shard admission queue (≤0 = 16).
 	QueueCap int
-	// Admission, when non-nil, enables the WFQ front-door analog on every
-	// shard (cloned per shard).
+	// Admission configures every shard's front door (see OpenOpts); nil
+	// means the zero value.
 	Admission *AdmissionOpts
 	// HorizonUS aborts a runaway replay; 0 means none.
 	HorizonUS int64
@@ -162,27 +162,11 @@ func (m *Machine) startFed(queueCap int, adm *AdmissionOpts) error {
 	if m.nEv > 0 || m.jobMode {
 		return fmt.Errorf("%w: machine already ran", ErrBadConfig)
 	}
-	if queueCap <= 0 {
-		queueCap = 16
-	}
-	if adm != nil {
-		if adm.Weights != nil && len(adm.Weights) != len(m.progs) {
-			return fmt.Errorf("%w: %d admission weights for %d programs",
-				ErrBadConfig, len(adm.Weights), len(m.progs))
-		}
-		m.admOpts = adm
-		m.adm = wfq.New[*openJob]()
-		for i := range m.progs {
-			w := 1.0
-			if adm.Weights != nil {
-				w = adm.Weights[i]
-			}
-			m.adm.AddFlow(i, w)
-		}
+	if err := m.armAdmission(queueCap, adm); err != nil {
+		return err
 	}
 	m.jobMode = true
 	m.fedMode = true
-	m.fedQueueCap = queueCap
 	for _, p := range m.progs {
 		m.activateProgram(p)
 		if m.cfg.Policy == DWS || m.cfg.Policy == DWSNC {
@@ -198,61 +182,6 @@ func (m *Machine) startFed(queueCap int, adm *AdmissionOpts) error {
 		m.scheduleArbiter()
 	}
 	return nil
-}
-
-// offerJob presents one job to the machine at its current clock. It
-// returns whether the machine took ownership (started the job or admitted
-// it to the queue) and, when it did not, the refusal status. The machine
-// logs outcomes only for owned jobs; refusals are the driver's to record.
-// This is jobArrive with the refusal paths surfaced instead of logged,
-// and with early rejection measured against the deadline budget remaining
-// after spill delays (for a home-shard arrival m.now == AtUS, so the two
-// are identical).
-func (m *Machine) offerJob(p *Program, j *openJob) (bool, JobStatus) {
-	if p.curJob == nil && !p.runActive {
-		m.jobsOutstanding++
-		m.startJob(p, j, p.workers[p.home[0]])
-		return true, JobOK
-	}
-	if m.adm == nil {
-		if len(p.pending) >= m.fedQueueCap {
-			return false, JobRejected
-		}
-		m.jobsOutstanding++
-		p.pending = append(p.pending, j)
-		return true, JobOK
-	}
-	ewma := p.svcEWMAUS
-	backlog := m.adm.Len(p.idx)
-	if m.admOpts.EarlyReject && ewma > 0 && j.DeadlineUS > 0 {
-		remaining := j.AtUS + j.DeadlineUS - m.now
-		if predicted := int64(backlog+1) * ewma; predicted > remaining {
-			m.trace("p%d job %d early-rejected (predicted %dµs > remaining %dµs)",
-				p.id, j.idx, predicted, remaining)
-			return false, JobEarlyReject
-		}
-	}
-	if backlog >= m.fedQueueCap {
-		return false, JobRejected
-	}
-	cost := float64(ewma)
-	if ewma == 0 {
-		cost = float64(m.svcFallbackUS)
-	}
-	if m.admOpts.GlobalCap > 0 && m.adm.Total() >= m.admOpts.GlobalCap {
-		fNew := m.adm.TagPreview(p.idx, cost)
-		_, fMax, ok := m.adm.PeekMaxTail()
-		if !ok || fMax <= fNew {
-			return false, JobRejected
-		}
-		vid, victim, _ := m.adm.ShedMaxTail()
-		m.trace("p%d job %d shed for p%d job %d (global cap)",
-			m.progs[vid].id, victim.idx, p.id, j.idx)
-		m.jobDone(m.progs[vid], victim, JobShed)
-	}
-	m.jobsOutstanding++
-	m.adm.Enqueue(p.idx, j, cost)
-	return true, JobOK
 }
 
 // advanceBefore runs every event strictly before t and moves the clock
@@ -372,12 +301,7 @@ func RunFederation(opts FedOpts) (*FedResults, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sim: federation shard %d: %w", s, err)
 		}
-		var adm *AdmissionOpts
-		if opts.Admission != nil {
-			a := *opts.Admission
-			adm = &a
-		}
-		if err := m.startFed(opts.QueueCap, adm); err != nil {
+		if err := m.startFed(opts.QueueCap, opts.Admission); err != nil {
 			return nil, fmt.Errorf("sim: federation shard %d: %w", s, err)
 		}
 		machines[s] = m
@@ -495,20 +419,18 @@ func RunFederation(opts FedOpts) (*FedResults, error) {
 		st.visited[a.shard] = true
 		m := machines[a.shard]
 		p := m.progs[opts.Jobs[idx].Tenant]
-		owned, why := m.offerJob(p, open[idx])
-		if owned {
+		v := m.offer(p, open[idx])
+		if v == admit.Admitted {
 			return // the machine's log resolves it
 		}
-		if why == JobEarlyReject {
-			// The live router forwards early_reject 429s to the client
-			// unspilled: the prediction priced the tenant's own backlog, not
-			// shard capacity, and a sibling shares the tenant's history.
-			resolve(idx, JobEarlyReject, a.shard, -1)
-			return
+		// A verdict that is not spillable is terminal here exactly as the
+		// live router relays it to the client unspilled.
+		n := -1
+		if v.Spillable() {
+			n = nextShard(idx, a.shard)
 		}
-		n := nextShard(idx, a.shard)
 		if n < 0 {
-			resolve(idx, why, a.shard, -1)
+			resolve(idx, refusalStatus(v), a.shard, -1)
 			return
 		}
 		st.budget--

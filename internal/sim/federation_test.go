@@ -383,6 +383,57 @@ func TestFederationEarlyRejectTerminal(t *testing.T) {
 	}
 }
 
+// TestFederationSpilledBudgetExhausted: a spill can deliver a job to a
+// sibling with its deadline budget already spent (spill latency larger
+// than the deadline). A warm, busy sibling early-rejects it — any
+// predicted wait exceeds a budget ≤ 0 — while the same job with no
+// deadline at all is never early-rejected: "no deadline" and "budget
+// exhausted" are different arrivals.
+func TestFederationSpilledBudgetExhausted(t *testing.T) {
+	const spillUS = 5_000
+	for _, tc := range []struct {
+		name       string
+		deadlineUS int64
+		want       JobStatus
+	}{
+		{"deadline shorter than the spill hop", 2_000, JobEarlyReject},
+		{"no deadline", 0, JobOK},
+	} {
+		job := func(atUS, deadlineUS int64, root *task.Node) FedJob {
+			return FedJob{AtUS: atUS, Graph: &task.Graph{Name: "job", Root: root}, DeadlineUS: deadlineUS}
+		}
+		res, err := RunFederation(FedOpts{
+			Cfg:      smallFedCfg(),
+			Shards:   2,
+			Programs: fedGraphs(1),
+			Jobs: []FedJob{
+				// The home shard stays cold (its first job outlives the test)
+				// and full (QueueCap 1), so everything after spills.
+				job(0, 0, task.ParallelFor(64, 120_000)),
+				job(100, 0, smallRoot()),
+				job(200, 0, smallRoot()),  // runs on the sibling: warms it
+				job(50_000, 0, bigRoot()), // runs on the sibling: keeps it busy
+				job(100_000, tc.deadlineUS, smallRoot()),
+			},
+			Pref:           [][]int{{0, 1}},
+			Spill:          SpillNext,
+			SpillLatencyUS: [][]int64{{0, spillUS}, {spillUS, 0}},
+			QueueCap:       1,
+			Admission:      &AdmissionOpts{EarlyReject: true},
+			HorizonUS:      60_000_000_000,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if o := res.Outcomes[3]; o.Shard != 1 || o.Status != JobOK || o.DoneUS < 100_000+spillUS {
+			t.Fatalf("%s: the sibling was not busy when the probe landed: %+v", tc.name, o)
+		}
+		if o := res.Outcomes[4]; o.Status != tc.want || o.Shard != 1 || o.Spills != 1 {
+			t.Errorf("%s: probe resolved %+v, want %v on shard 1 after 1 spill", tc.name, o, tc.want)
+		}
+	}
+}
+
 // TestFederationValidation: malformed options fail loudly.
 func TestFederationValidation(t *testing.T) {
 	graphs := fedGraphs(1)

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"dws/internal/admit"
 	"dws/internal/arbiter"
 	"dws/internal/coretable"
 	"dws/internal/task"
@@ -47,31 +48,28 @@ type Machine struct {
 
 	// Open-loop state (RunOpen): jobMode switches finishRun's tail from the
 	// closed-loop restart to the job queue; jobsOutstanding counts jobs not
-	// yet terminal; jobLog accumulates outcomes in completion order.
+	// yet terminal (RunOpen only; a federated machine does not count);
+	// jobLog accumulates outcomes in completion order.
 	jobMode         bool
 	jobsOutstanding int
 	jobLog          []JobOutcome
 
 	// Federated open-loop state (RunFederation): fedMode keeps the machine
 	// from self-stopping when its local job count hits zero (the driver
-	// injects jobs over time and owns termination); fedQueueCap is the
-	// per-program pending bound for driver-injected jobs; fedShed, when
+	// injects jobs over time and owns termination); fedShed, when
 	// non-nil, intercepts shed jobs so the driver can spill them to a
 	// sibling shard instead of logging a terminal outcome here.
-	fedMode     bool
-	fedQueueCap int
-	fedShed     func(p *Program, j *openJob)
+	fedMode bool
+	fedShed func(p *Program, j *openJob)
 
-	// WFQ admission analog (OpenOpts.Admission): when adm is non-nil, job
-	// backlog lives in one weighted fair queue across programs instead of
-	// the per-program pending FIFOs, with the server's shed and
-	// early-rejection rules on the virtual clock.
-	adm     *wfq.Queue[*openJob]
-	admOpts *AdmissionOpts
-	// svcFallbackUS is the machine-wide run-time EWMA (α = 1/4) charged
-	// to programs with no service history of their own — the sim analog
-	// of the server admission's fallbackNanos, so a cold program at a
-	// saturated global cap is not priced at wfq.DefaultCost and starved.
+	// The front door (armAdmission): every open-loop job's backlog lives
+	// in one weighted fair queue across programs, and admLimits are the
+	// fixed settings admit.Decide rules each arrival under.
+	adm       *wfq.Queue[*openJob]
+	admLimits admit.Limits
+	// svcFallbackUS is the machine-wide run-time EWMA that admit.Charge
+	// prices programs with no service history of their own at — the sim
+	// analog of the server admission's fallbackNanos.
 	svcFallbackUS int64
 
 	// Trace, when non-nil, receives a line for every notable scheduling

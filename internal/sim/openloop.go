@@ -2,9 +2,9 @@ package sim
 
 // Open-loop job replay: instead of the paper's closed loop (every program
 // re-runs its one graph until a target count), RunOpen feeds each program
-// a timed stream of jobs — each its own task graph — through a bounded
-// pending queue, mirroring dwsd's admission model: a job arriving at a
-// full queue is rejected (the 429 analog), a job whose deadline passes
+// a timed stream of jobs — each its own task graph — through dwsd's own
+// admission decision (internal/admit): a job arriving at a full queue is
+// rejected (the 429 analog), a job whose deadline passes
 // while queued is skipped and never started, and a started job runs to
 // completion (kernels are not preemptible) but is counted late if it
 // finishes past its deadline.
@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"sort"
 
+	"dws/internal/admit"
 	"dws/internal/task"
 	"dws/internal/wfq"
 )
@@ -42,9 +43,8 @@ const (
 	JobLate
 	// JobExpired: deadline passed while queued; never started.
 	JobExpired
-	// JobRejected: the pending queue was full at arrival (or, under WFQ
-	// admission, the global cap was hit with the arrival itself the
-	// worst-placed work).
+	// JobRejected: the program's bounded queue was full at arrival, or the
+	// global cap was hit with the arrival itself the worst-placed work.
 	JobRejected
 	// JobShed: removed from the WFQ backlog under global overload to
 	// admit better-placed work; never started (server's "shed" 429).
@@ -118,14 +118,12 @@ type OpenOpts struct {
 	// SampleUS, when positive, records core-occupancy samples as in
 	// RunOpts.
 	SampleUS int64
-	// Admission, when non-nil, replaces the independent per-program
-	// bounded FIFOs with the WFQ admission analog mirroring
-	// internal/server: weighted fair queueing across programs,
-	// shed-from-max-tail under a global backlog cap, and deadline-aware
-	// early rejection. nil preserves the legacy admission path exactly —
-	// an Admission of all-equal weights, no global cap, and no early
-	// rejection produces bit-identical outcomes to nil (the degeneracy
-	// the tests pin).
+	// Admission configures the front door every arrival passes — the
+	// server's own (internal/admit over internal/wfq): weighted fair
+	// queueing across programs, shed-from-max-tail under a global backlog
+	// cap, and deadline-aware early rejection. nil means the zero value:
+	// equal weights, no global cap, no early rejection, which behaves as
+	// independent bounded per-program FIFOs.
 	Admission *AdmissionOpts
 }
 
@@ -160,9 +158,6 @@ func (m *Machine) RunOpen(opts OpenOpts) (*Results, error) {
 		return nil, fmt.Errorf("%w: %d join times for %d programs",
 			ErrBadConfig, len(opts.JoinsUS), len(m.progs))
 	}
-	if opts.QueueCap <= 0 {
-		opts.QueueCap = 16
-	}
 	total := 0
 	var valid task.Validator
 	for i, js := range opts.Jobs {
@@ -190,20 +185,8 @@ func (m *Machine) RunOpen(opts OpenOpts) (*Results, error) {
 		return nil, fmt.Errorf("%w: no jobs", ErrBadConfig)
 	}
 
-	if opts.Admission != nil {
-		if opts.Admission.Weights != nil && len(opts.Admission.Weights) != len(m.progs) {
-			return nil, fmt.Errorf("%w: %d admission weights for %d programs",
-				ErrBadConfig, len(opts.Admission.Weights), len(m.progs))
-		}
-		m.admOpts = opts.Admission
-		m.adm = wfq.New[*openJob]()
-		for i := range m.progs {
-			w := 1.0
-			if opts.Admission.Weights != nil {
-				w = opts.Admission.Weights[i]
-			}
-			m.adm.AddFlow(i, w)
-		}
+	if err := m.armAdmission(opts.QueueCap, opts.Admission); err != nil {
+		return nil, err
 	}
 
 	m.jobMode = true
@@ -227,7 +210,11 @@ func (m *Machine) RunOpen(opts OpenOpts) (*Results, error) {
 		}
 		for k, j := range opts.Jobs[i] {
 			oj := &openJob{Job: j, idx: k, startUS: -1}
-			m.schedule(j.AtUS, func() { m.jobArrive(p, oj, opts.QueueCap) })
+			m.schedule(j.AtUS, func() {
+				if v := m.offer(p, oj); v != admit.Admitted {
+					m.jobDone(p, oj, refusalStatus(v))
+				}
+			})
 		}
 	}
 	for _, c := range m.cores {
@@ -244,85 +231,76 @@ func (m *Machine) RunOpen(opts OpenOpts) (*Results, error) {
 	return m.results(), err
 }
 
-// jobArrive admits one job: start it if the program is idle, queue it if
-// there is room, reject it otherwise. Under WFQ admission the queue-room
-// decision additionally applies early rejection and the global-cap shed
-// policy, exactly as the server's admission layer does.
-func (m *Machine) jobArrive(p *Program, j *openJob, queueCap int) {
+// armAdmission builds the machine's front door: one WFQ flow per program
+// and the fixed limits every offer is decided under. A nil adm is the
+// zero value; queueCap ≤ 0 defaults to 16, dwsd's default depth.
+func (m *Machine) armAdmission(queueCap int, adm *AdmissionOpts) error {
+	if adm == nil {
+		adm = &AdmissionOpts{}
+	}
+	if adm.Weights != nil && len(adm.Weights) != len(m.progs) {
+		return fmt.Errorf("%w: %d admission weights for %d programs",
+			ErrBadConfig, len(adm.Weights), len(m.progs))
+	}
+	if queueCap <= 0 {
+		queueCap = 16
+	}
+	m.admLimits = admit.Limits{Depth: queueCap, GlobalCap: adm.GlobalCap, EarlyReject: adm.EarlyReject}
+	m.adm = wfq.New[*openJob]()
+	for i := range m.progs {
+		w := 1.0
+		if adm.Weights != nil {
+			w = adm.Weights[i]
+		}
+		m.adm.AddFlow(i, w)
+	}
+	return nil
+}
+
+// offer presents one job to the machine at its current clock: an idle
+// program starts it at once, a busy one puts it to the shared admission
+// core (µs ticks; the deadline budget is what spill delays have left of
+// it — for an unspilled arrival m.now == AtUS and that is the whole
+// deadline). On admit.Admitted the machine owns the job and its log will
+// resolve it; a refusal is the caller's to resolve. A job shed to make
+// room resolves here, through jobDone.
+func (m *Machine) offer(p *Program, j *openJob) admit.Verdict {
 	if p.curJob == nil && !p.runActive {
 		m.startJob(p, j, p.workers[p.home[0]])
-		return
+		return admit.Admitted
 	}
-	if m.adm == nil {
-		if len(p.pending) >= queueCap {
-			m.trace("p%d job %d rejected (queue full)", p.id, j.idx)
-			m.jobDone(p, j, JobRejected)
-			return
-		}
-		p.pending = append(p.pending, j)
-		return
-	}
-
-	ewma := p.svcEWMAUS
-	backlog := m.adm.Len(p.idx)
-	if m.admOpts.EarlyReject && ewma > 0 && j.DeadlineUS > 0 {
-		// The program is busy (the idle case started above), so the jobs
-		// ahead are the backlog plus the one in service.
-		if predicted := int64(backlog+1) * ewma; predicted > j.DeadlineUS {
-			m.trace("p%d job %d early-rejected (predicted %dµs > deadline %dµs)",
-				p.id, j.idx, predicted, j.DeadlineUS)
-			m.jobDone(p, j, JobEarlyReject)
-			return
-		}
-	}
-	if backlog >= queueCap {
+	budget := j.AtUS + j.DeadlineUS - m.now
+	d := admit.Decide(m.adm, p.idx, j, m.admLimits, admit.Arrival{
+		EWMA:        p.svcEWMAUS,
+		InService:   true, // the idle case started above
+		HasDeadline: j.DeadlineUS > 0,
+		Budget:      budget,
+		Cost:        float64(admit.Charge(p.svcEWMAUS, m.svcFallbackUS)),
+	})
+	switch d.Verdict {
+	case admit.EarlyReject:
+		m.trace("p%d job %d early-rejected (predicted %dµs > remaining %dµs)",
+			p.id, j.idx, d.Predicted, budget)
+	case admit.QueueFull:
 		m.trace("p%d job %d rejected (queue full)", p.id, j.idx)
-		m.jobDone(p, j, JobRejected)
-		return
+	case admit.Overload:
+		m.trace("p%d job %d rejected (global cap, worst placed)", p.id, j.idx)
 	}
-	cost := float64(ewma)
-	if ewma == 0 {
-		// No history yet: charge the machine-wide average run time (0 on a
-		// fully cold machine, which wfq maps to DefaultCost).
-		cost = float64(m.svcFallbackUS)
-	}
-	if m.admOpts.GlobalCap > 0 && m.adm.Total() >= m.admOpts.GlobalCap {
-		fNew := m.adm.TagPreview(p.idx, cost)
-		_, fMax, ok := m.adm.PeekMaxTail()
-		if !ok || fMax <= fNew {
-			m.trace("p%d job %d rejected (global cap, worst placed)", p.id, j.idx)
-			m.jobDone(p, j, JobRejected)
-			return
-		}
-		vid, victim, _ := m.adm.ShedMaxTail()
+	if d.DidShed {
 		m.trace("p%d job %d shed for p%d job %d (global cap)",
-			m.progs[vid].id, victim.idx, p.id, j.idx)
-		m.jobDone(m.progs[vid], victim, JobShed)
+			m.progs[d.VictimFlow].id, d.Victim.idx, p.id, j.idx)
+		m.jobDone(m.progs[d.VictimFlow], d.Victim, JobShed)
 	}
-	m.adm.Enqueue(p.idx, j, cost)
+	return d.Verdict
 }
 
-// pendingLen reports program p's admitted backlog under either admission
-// substrate.
-func (m *Machine) pendingLen(p *Program) int {
-	if m.adm != nil {
-		return m.adm.Len(p.idx)
+// refusalStatus maps a refusing verdict onto the outcome log's
+// vocabulary, which keeps queue-full and overload together as "rejected".
+func refusalStatus(v admit.Verdict) JobStatus {
+	if v == admit.EarlyReject {
+		return JobEarlyReject
 	}
-	return len(p.pending)
-}
-
-// popPending dequeues program p's next admitted job (FIFO under both
-// substrates — WFQ never reorders one flow's jobs).
-func (m *Machine) popPending(p *Program) (*openJob, bool) {
-	if m.adm != nil {
-		return m.adm.Pop(p.idx)
-	}
-	if len(p.pending) == 0 {
-		return nil, false
-	}
-	j := p.pending[0]
-	p.pending = p.pending[1:]
-	return j, true
+	return JobRejected
 }
 
 // startJob begins executing j (skipping over queued jobs whose deadline
@@ -334,12 +312,12 @@ func (m *Machine) startJob(p *Program, j *openJob, w *Worker) {
 	for j.DeadlineUS > 0 && m.now > j.AtUS+j.DeadlineUS {
 		m.trace("p%d job %d expired after %dµs queued", p.id, j.idx, m.now-j.AtUS)
 		m.jobDone(p, j, JobExpired)
-		if m.stopped || m.pendingLen(p) == 0 {
+		if m.stopped || m.adm.Len(p.idx) == 0 {
 			p.curJob = nil
 			p.runActive = false
 			return
 		}
-		j, _ = m.popPending(p)
+		j, _ = m.adm.Pop(p.idx)
 	}
 	p.curJob = j
 	j.startUS = m.now
@@ -361,39 +339,31 @@ func (m *Machine) jobFinished(p *Program, w *Worker) {
 	j := p.curJob
 	p.curJob = nil
 	p.runActive = false
-	// Fold the run into the service EWMA (α = 1/4, the server's
-	// observeRun on the virtual clock). Legacy admission never reads it.
+	// Fold the run into the service EWMAs (the server's observeRun on the
+	// virtual clock).
 	if d := m.now - j.startUS; d >= 0 {
-		if p.svcEWMAUS == 0 {
-			p.svcEWMAUS = d
-		} else {
-			p.svcEWMAUS += (d - p.svcEWMAUS) / 4
-		}
-		if m.svcFallbackUS == 0 {
-			m.svcFallbackUS = d
-		} else {
-			m.svcFallbackUS += (d - m.svcFallbackUS) / 4
-		}
+		p.svcEWMAUS = admit.Fold(p.svcEWMAUS, d)
+		m.svcFallbackUS = admit.Fold(m.svcFallbackUS, d)
 	}
 	st := JobOK
 	if j.DeadlineUS > 0 && m.now > j.AtUS+j.DeadlineUS {
 		st = JobLate
 	}
 	m.jobDone(p, j, st)
-	if m.stopped || m.pendingLen(p) == 0 {
+	if m.stopped || m.adm.Len(p.idx) == 0 {
 		return
 	}
-	next, _ := m.popPending(p)
+	next, _ := m.adm.Pop(p.idx)
 	m.startJob(p, next, w)
 }
 
 // jobDone records a terminal outcome and stops the machine when the last
 // job resolves. In federated mode a shed job is handed back to the
 // federation driver for spill-over instead of being logged as terminal,
-// and the machine never self-stops — the driver owns termination.
+// and the machine neither counts jobs nor self-stops — the driver owns
+// termination.
 func (m *Machine) jobDone(p *Program, j *openJob, st JobStatus) {
 	if m.fedShed != nil && st == JobShed {
-		m.jobsOutstanding--
 		m.fedShed(p, j)
 		return
 	}
@@ -409,8 +379,11 @@ func (m *Machine) jobDone(p *Program, j *openJob, st JobStatus) {
 		StartUS: j.startUS,
 		DoneUS:  done,
 	})
+	if m.fedMode {
+		return
+	}
 	m.jobsOutstanding--
-	if m.jobsOutstanding == 0 && !m.fedMode {
+	if m.jobsOutstanding == 0 {
 		m.stopped = true
 	}
 }

@@ -57,12 +57,9 @@ type Program struct {
 	// (Config.WorkSharing); takes are FIFO.
 	central taskQueue
 
-	// Open-loop job state (Machine.RunOpen): the job currently executing
-	// and the bounded FIFO of admitted-but-not-started jobs. With WFQ
-	// admission (OpenOpts.Admission) the backlog lives in Machine.adm
-	// instead of pending.
-	curJob  *openJob
-	pending []*openJob
+	// curJob is the open-loop job currently executing (Machine.RunOpen);
+	// admitted-but-not-started jobs wait in Machine.adm.
+	curJob *openJob
 
 	// svcEWMAUS is the EWMA of job run times in µs (α = 1/4) — the WFQ
 	// service cost and early-rejection wait predictor, mirroring the
