@@ -11,7 +11,7 @@ import (
 // the live runtime. On a single-CPU host the parallel versions mostly
 // measure runtime overhead; on a multi-core host they show speedup.
 
-func benchSystem(b *testing.B) *rt.Program {
+func benchSystem(b testing.TB) *rt.Program {
 	b.Helper()
 	s, err := rt.NewSystem(rt.Config{
 		Cores: 4, Programs: 1, Policy: rt.DWS, CoordPeriod: 2 * time.Millisecond,

@@ -452,6 +452,61 @@ func TestNullJobSetupAllocs(t *testing.T) {
 	}
 }
 
+// TestMergesortTaskRerun runs the parallel sort the way a benchmark and a
+// served tenant do — the task built once, the input refilled, Run again —
+// at the sizes where the tree changes: nothing to do, one leaf either side
+// of msCutoff, one spawn level with an odd split, two levels with unequal
+// leaves, and the catalog's 200 000. Every run must sort, agree with
+// MergesortSeq, and allocate nothing per merge or per node: the merge
+// buffer and the tree are the task's.
+func TestMergesortTaskRerun(t *testing.T) {
+	p := benchSystem(t)
+	for _, n := range []int{0, 1, 2, msCutoff - 1, msCutoff, msCutoff + 1, 2*msCutoff + 1, 3*msCutoff + 1, 200_000} {
+		a := make([]int32, n)
+		task := MergesortTask(a)
+		runOnce := func() {
+			if err := p.Run(task); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for round := 0; round < 3; round++ {
+			src := RandSlice(n, int64(n+round))
+			copy(a, src)
+			runOnce()
+			MergesortSeq(src)
+			for i := range src {
+				if a[i] != src[i] {
+					t.Fatalf("n=%d round %d index %d: parallel %d, sequential %d", n, round, i, a[i], src[i])
+				}
+			}
+			if !IsSorted(a) {
+				t.Fatalf("n=%d round %d: not sorted", n, round)
+			}
+		}
+		// a stays sorted from here on, which the run does not care about.
+		// The workers' node and frame free lists fill over the first few
+		// runs of a tree this deep; after that a run allocates nothing of
+		// its own. A run long enough to park workers and see coordinator
+		// ticks (200 000 keys under -race) also counts the odd sudog and
+		// timer of theirs, so the bound is "fewer than one per merge" —
+		// which at one merge a run is none at all.
+		for warm := 0; warm < 10; warm++ {
+			runOnce()
+		}
+		if got, bound := testing.AllocsPerRun(10, runOnce), max(1, msMerges(n)); got >= float64(bound) {
+			t.Errorf("n=%d: re-running the task allocates %v times, want fewer than %d", n, got, bound)
+		}
+	}
+}
+
+// msMerges is the number of inner nodes in MergesortTask's tree over n keys.
+func msMerges(n int) int {
+	if n <= msCutoff {
+		return 0
+	}
+	return 1 + msMerges(n/2) + msMerges(n-n/2)
+}
+
 // TestNewTaskAllocs pins what a served Mergesort or FFT job allocates
 // before its kernel runs: the input, the scratch buffer, the spawn tree
 // as one slab (the FFT's twiddle table too) and the task value — not an

@@ -35,15 +35,51 @@ func insertion(a []int32) {
 	}
 }
 
-// merge merges the sorted runs a[:mid] and a[mid:] in place, copying only
-// the left run out (to buf[:mid]): the write index never passes the right
-// read index, the right tail is already home and the left tail is one
-// copy. The select compiles to conditional moves (v, di) — on random keys
-// a branch there mispredicts every other element.
+// merge merges the sorted runs a[:mid] and a[mid:] in place through buf,
+// which must be at least len(a) long (a shorter one panics on the slice
+// bound below; nothing is half-merged). Both runs are copied out, then two
+// independent chains run at once: one fills a from the front with the
+// smaller of the two heads, the other from the back with the larger of
+// the two tails. A single chain is load → compare → select → index add,
+// each element waiting on the last; two of them overlap. Ties go to the
+// left run at the front and to the right run at the back: that is one
+// total order (key, then run, then position) read from its two ends, so
+// after s steps the chains hold its first s and last s elements — disjoint
+// while 2s ≤ len(a), and no run is exhausted inside the first
+// min(mid, len(a)-mid) steps, so that loop needs no bounds test. The
+// selects compile to conditional moves; on random keys a branch there
+// mispredicts every other element.
 func merge(a []int32, mid int, buf []int32) {
-	left, right := buf[:mid], a[mid:]
-	copy(left, a)
+	n := len(a)
+	copy(buf[:n], a)
+	left, right := buf[:mid], buf[mid:n]
+	steps := min(len(left), len(right))
 	i, j, k := 0, 0, 0
+	ie, je, ke := len(left)-1, len(right)-1, n-1
+	for ; k < steps; k++ {
+		x, y := left[i], right[j]
+		v, di := y, 0
+		if x <= y {
+			v, di = x, 1
+		}
+		a[k] = v
+		i += di
+		j += 1 - di
+
+		xe, ye := left[ie], right[je]
+		ve, de := xe, 0
+		if xe <= ye {
+			ve, de = ye, 1
+		}
+		a[ke] = ve
+		je -= de
+		ie -= 1 - de
+		ke--
+	}
+	// What the chains left, a[k:ke+1], is the merge of left[i:ie+1] and
+	// right[j:je+1]: at most one element when the runs are balanced.
+	left, right = left[i:ie+1], right[j:je+1]
+	i, j = 0, 0
 	for i < len(left) && j < len(right) {
 		x, y := left[i], right[j]
 		v, di := y, 0
@@ -55,7 +91,8 @@ func merge(a []int32, mid int, buf []int32) {
 		j += 1 - di
 		k++
 	}
-	copy(a[k:], left[i:])
+	k += copy(a[k:], left[i:])
+	copy(a[k:], right[j:])
 }
 
 // msNode is one task of the parallel sort's spawn tree: a leaf sorts its

@@ -3,7 +3,9 @@ package kernels
 import (
 	"math"
 	"math/cmplx"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"dws/internal/rt"
@@ -127,6 +129,101 @@ func TestMergeTable(t *testing.T) {
 			}
 		})
 	}
+}
+
+// checkMerge sorts the two runs of a around mid, merges them through a
+// buffer of exactly len(a) and compares with sort.Slice of the whole.
+func checkMerge(t *testing.T, a []int32, mid int) {
+	t.Helper()
+	less := func(s []int32) func(i, j int) bool {
+		return func(i, j int) bool { return s[i] < s[j] }
+	}
+	sort.Slice(a[:mid], less(a[:mid]))
+	sort.Slice(a[mid:], less(a[mid:]))
+	want := append([]int32(nil), a...)
+	sort.Slice(want, less(want))
+	merge(a, mid, make([]int32, len(a)))
+	for i := range want {
+		if a[i] != want[i] {
+			t.Fatalf("len %d, mid %d, index %d: merged %d, want %d", len(a), mid, i, a[i], want[i])
+		}
+	}
+}
+
+// TestMergeMeetingPoint pins where merge's two chains meet. Its front
+// chain breaks ties towards the left run and its back chain towards the
+// right one; were they not one order read from both ends, an element
+// would be emitted twice or not at all where the middle loop takes over.
+// So: every pair of run lengths up to 40 in all with keys from {0, 1, 2}
+// (ties straddle the meeting point at every length), the int32 extremes,
+// and every split of 65 elements, where the middle loop does most of the
+// work at one end and a single element at the other.
+func TestMergeMeetingPoint(t *testing.T) {
+	r := newStream(40)
+	for total := 0; total <= 40; total++ {
+		for mid := 0; mid <= total; mid++ {
+			for draw := 0; draw < 8; draw++ {
+				a := make([]int32, total)
+				for i := range a {
+					a[i] = int32(r.intn(3))
+				}
+				checkMerge(t, a, mid)
+			}
+		}
+	}
+	ext := []int32{math.MinInt32, math.MaxInt32, math.MinInt32, math.MaxInt32, 0, math.MaxInt32, math.MinInt32, -1}
+	for mid := 0; mid <= len(ext); mid++ {
+		checkMerge(t, append([]int32(nil), ext...), mid)
+	}
+	for mid := 0; mid <= 65; mid++ {
+		checkMerge(t, RandSlice(65, int64(mid)), mid)
+		narrow := RandSlice(65, int64(100+mid))
+		for i := range narrow {
+			narrow[i] &= 3
+		}
+		checkMerge(t, narrow, mid)
+	}
+}
+
+// TestMergeShortBufPanics: merge needs a buffer as long as a (the merge
+// before it made do with buf[:mid]); one it cannot reslice to len(a) is a
+// slice-bounds panic before anything is written, not a partial merge.
+func TestMergeShortBufPanics(t *testing.T) {
+	a := []int32{1, 3, 5, 2, 4, 6}
+	before := append([]int32(nil), a...)
+	defer func() {
+		err, ok := recover().(runtime.Error)
+		if !ok || !strings.Contains(err.Error(), "slice bounds out of range") {
+			t.Fatalf("merge with a short buffer: recovered %v, want a slice-bounds runtime error", err)
+		}
+		for i := range a {
+			if a[i] != before[i] {
+				t.Fatalf("a = %v after the panic, want it untouched (%v)", a, before)
+			}
+		}
+	}()
+	merge(a, 3, make([]int32, len(a)-1))
+	t.Fatal("merge with a short buffer returned")
+}
+
+// FuzzMerge is checkMerge over arbitrary runs: a key per byte (so ties are
+// the common case), 0x80 and 0x7f standing for the int32 extremes, the
+// split anywhere from 0 to len.
+func FuzzMerge(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, mid uint16) {
+		a := make([]int32, len(data))
+		for i, b := range data {
+			switch v := int8(b); v {
+			case math.MinInt8:
+				a[i] = math.MinInt32
+			case math.MaxInt8:
+				a[i] = math.MaxInt32
+			default:
+				a[i] = int32(v)
+			}
+		}
+		checkMerge(t, a, int(mid)%(len(a)+1))
+	})
 }
 
 // dftBin is one bin of the O(n²) definition, with the angle reduced mod
