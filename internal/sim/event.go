@@ -19,7 +19,9 @@ const (
 )
 
 // event is one scheduled action. Events with equal timestamps fire in
-// scheduling order (seq), which keeps simulations deterministic.
+// scheduling order (seq), which keeps simulations deterministic. An
+// open-loop arrival is the one event whose seq is reserved before it is
+// armed (see RunOpen).
 type event struct {
 	at  int64
 	seq int64
@@ -95,13 +97,21 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// arm enqueues e to fire at absolute time at (clamped to now).
+// arm enqueues e to fire at absolute time at (clamped to now), after
+// everything already armed for that time.
 func (m *Machine) arm(at int64, e event) {
+	m.seq++
+	m.armSeq(at, m.seq, e)
+}
+
+// armSeq is arm under a seq drawn earlier: the event takes the place among
+// equal timestamps it would have had if it had been armed when the seq was
+// reserved. RunOpen's arrivals use it.
+func (m *Machine) armSeq(at, seq int64, e event) {
 	if at < m.now {
 		at = m.now
 	}
-	m.seq++
-	e.at, e.seq = at, m.seq
+	e.at, e.seq = at, seq
 	m.events.push(e)
 }
 

@@ -208,14 +208,7 @@ func (m *Machine) RunOpen(opts OpenOpts) (*Results, error) {
 		} else {
 			m.schedule(join, activate)
 		}
-		for k, j := range opts.Jobs[i] {
-			oj := &openJob{Job: j, idx: k, startUS: -1}
-			m.schedule(j.AtUS, func() {
-				if v := m.offer(p, oj); v != admit.Admitted {
-					m.jobDone(p, oj, refusalStatus(v))
-				}
-			})
-		}
+		m.armArrivals(p, opts.Jobs[i])
 	}
 	for _, c := range m.cores {
 		if c.cur == nil {
@@ -229,6 +222,39 @@ func (m *Machine) RunOpen(opts OpenOpts) (*Results, error) {
 
 	err := m.loop(opts.HorizonUS)
 	return m.results(), err
+}
+
+// armArrivals feeds p its job stream one arrival ahead. The stream's seqs
+// are reserved here, all at once and in stream order — exactly the seqs the
+// arrivals would draw if each were pushed now — but only the first arrival
+// is armed; each arrival arms its successor under the successor's reserved
+// seq before it offers its own job. A successor sorts after its
+// predecessor (later or equal time, larger seq), so it is in the heap
+// before anything that must fire after it can pop: the pop order, and with
+// it every result, is that of arming the whole stream up front, while the
+// heap holds one arrival a program instead of the replay's future.
+func (m *Machine) armArrivals(p *Program, js []Job) {
+	if len(js) == 0 {
+		return
+	}
+	first := m.seq + 1
+	m.seq += int64(len(js))
+	jobs := make([]openJob, len(js))
+	next := 0
+	var arrive func()
+	arrive = func() {
+		k := next
+		next++
+		if next < len(js) {
+			m.armSeq(js[next].AtUS, first+int64(next), event{kind: evFn, fn: arrive})
+		}
+		j := &jobs[k]
+		*j = openJob{Job: js[k], idx: k, startUS: -1}
+		if v := m.offer(p, j); v != admit.Admitted {
+			m.jobDone(p, j, refusalStatus(v))
+		}
+	}
+	m.armSeq(js[0].AtUS, first, event{kind: evFn, fn: arrive})
 }
 
 // armAdmission builds the machine's front door: one WFQ flow per program

@@ -22,6 +22,7 @@ package task
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 )
 
 // Stage is one serial-work + parallel-spawn step of a Node.
@@ -56,6 +57,12 @@ type Graph struct {
 	MemIntensity float64
 	// FootprintMB is the approximate working-set size, informational.
 	FootprintMB float64
+
+	// valid records that Validate has accepted the graph. Graphs are
+	// immutable once built, so a later replay takes the verdict instead of
+	// walking the nodes again; it is atomic because one prepared trace is
+	// replayed from several goroutines at once.
+	valid atomic.Bool
 }
 
 // Leaf returns a single-stage node performing work microseconds.
@@ -66,11 +73,10 @@ func Leaf(work int64) *Node {
 // Fork returns a node that performs pre work, spawns children, joins, and
 // performs post work.
 func Fork(pre, post int64, children ...*Node) *Node {
-	n := &Node{Stages: []Stage{{Work: pre, Children: children}}}
 	if post > 0 || len(children) == 0 {
-		n.Stages = append(n.Stages, Stage{Work: post})
+		return &Node{Stages: []Stage{{Work: pre, Children: children}, {Work: post}}}
 	}
-	return n
+	return &Node{Stages: []Stage{{Work: pre, Children: children}}}
 }
 
 // Phases returns a node executing the given stages in order, i.e. a
@@ -151,14 +157,14 @@ func Validate(g *Graph) error {
 }
 
 // Validator runs Validate's checks over a stream of graphs — a replay's
-// jobs — without paying for each graph from scratch: a graph it has
-// accepted is not walked again when a later job presents the same pointer
-// (graphs are immutable once built), and the visited set is emptied and
-// reused from one graph to the next instead of grown anew. The zero value
-// is ready to use; a Validator is not safe for concurrent use.
+// jobs — without paying for each graph from scratch: a graph that any
+// Validate call has accepted is not walked again (graphs are immutable
+// once built, and the verdict is kept on the Graph), and the visited set
+// is emptied and reused from one graph to the next instead of grown anew.
+// The zero value is ready to use; a Validator is not safe for concurrent
+// use, though several may validate the same graph at once.
 type Validator struct {
-	seen     map[*Node]struct{}  // nodes of the graph being walked
-	accepted map[*Graph]struct{} // graphs already found valid
+	seen map[*Node]struct{} // nodes of the graph being walked
 }
 
 // Validate reports the first violation found in g, exactly as the
@@ -167,7 +173,7 @@ func (v *Validator) Validate(g *Graph) error {
 	if g == nil || g.Root == nil {
 		return ErrNilRoot
 	}
-	if _, ok := v.accepted[g]; ok {
+	if g.valid.Load() {
 		return nil
 	}
 	if g.MemIntensity < 0 || g.MemIntensity > 1 {
@@ -175,13 +181,12 @@ func (v *Validator) Validate(g *Graph) error {
 	}
 	if v.seen == nil {
 		v.seen = make(map[*Node]struct{})
-		v.accepted = make(map[*Graph]struct{})
 	}
 	clear(v.seen)
 	if err := v.walk(g.Root); err != nil {
 		return err
 	}
-	v.accepted[g] = struct{}{}
+	g.valid.Store(true)
 	return nil
 }
 

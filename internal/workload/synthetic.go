@@ -33,17 +33,14 @@ func Serialish(scale float64) *task.Graph {
 // core demand oscillates on a coarse time scale — the workload DWS's
 // coordinator is designed to track.
 func Bursty(scale float64) *task.Graph {
-	const cycles = 12
+	const cycles, wide, narrow = 12, 48, 2
+	rest := leaves(cycles*(wide+narrow), scaled(1500, scale))
 	stages := make([]task.Stage, 0, 2*cycles)
 	for i := 0; i < cycles; i++ {
-		wide := make([]*task.Node, 48)
-		for j := range wide {
-			wide[j] = task.Leaf(scaled(1500, scale))
-		}
-		stages = append(stages, task.Stage{Work: 10, Children: wide})
-		stages = append(stages, task.Stage{Work: scaled(12_000, scale), Children: []*task.Node{
-			task.Leaf(scaled(1500, scale)), task.Leaf(scaled(1500, scale)),
-		}})
+		stages = append(stages,
+			task.Stage{Work: 10, Children: rest[:wide:wide]},
+			task.Stage{Work: scaled(12_000, scale), Children: rest[wide : wide+narrow : wide+narrow]})
+		rest = rest[wide+narrow:]
 	}
 	return &task.Graph{
 		Name:         "Bursty",

@@ -54,6 +54,15 @@ func scaled(base int64, scale float64) int64 {
 	return w
 }
 
+// leaves returns n distinct single-stage nodes of work microseconds each:
+// the children of a task.ParallelFor, which lays them out in one slab
+// rather than two allocations a leaf. Callers that split the result
+// between stages cap each piece at its own length, so an append to one
+// stage's children copies instead of writing into the next stage's.
+func leaves(n int, work int64) []*task.Node {
+	return task.ParallelFor(n, work).Stages[0].Children
+}
+
 // FFT is p-1: an iterative radix-2 FFT — log₂(n) butterfly stages, each a
 // wide barriered parallel loop over chunk ranges.
 func FFT(scale float64) *task.Graph {
@@ -79,26 +88,32 @@ func PNN(scale float64) *task.Graph {
 	}
 }
 
+// rightLooking is the shape Cholesky and LU share: step i does stepWork
+// of serial factorisation, then updates the steps-i panels still to its
+// right (never fewer than 2) at panelWork each.
+func rightLooking(steps int, panelWork, stepWork int64) *task.Node {
+	panels := func(i int) int { return max(steps-i, 2) }
+	total := 0
+	for i := 0; i < steps; i++ {
+		total += panels(i)
+	}
+	rest := leaves(total, panelWork)
+	stages := make([]task.Stage, steps)
+	for i := range stages {
+		n := panels(i)
+		stages[i] = task.Stage{Work: stepWork, Children: rest[:n:n]}
+		rest = rest[n:]
+	}
+	return task.Phases(stages...)
+}
+
 // Cholesky is p-3: a right-looking blocked factorisation — each step
 // factorises a diagonal block (serial) then updates the remaining panels,
 // whose count shrinks as the factorisation proceeds.
 func Cholesky(scale float64) *task.Graph {
-	const steps = 32
-	stages := make([]task.Stage, steps)
-	for i := range stages {
-		panels := steps - i
-		if panels < 2 {
-			panels = 2
-		}
-		children := make([]*task.Node, panels)
-		for j := range children {
-			children[j] = task.Leaf(scaled(3600, scale))
-		}
-		stages[i] = task.Stage{Work: scaled(300, scale), Children: children}
-	}
 	return &task.Graph{
 		Name:         "Cholesky",
-		Root:         task.Phases(stages...),
+		Root:         rightLooking(32, scaled(3600, scale), scaled(300, scale)),
 		MemIntensity: 0.6,
 		FootprintMB:  32,
 	}
@@ -107,22 +122,9 @@ func Cholesky(scale float64) *task.Graph {
 // LU is p-4: LU decomposition without pivoting — same right-looking
 // shrinking structure as Cholesky with more, smaller steps.
 func LU(scale float64) *task.Graph {
-	const steps = 40
-	stages := make([]task.Stage, steps)
-	for i := range stages {
-		panels := steps - i
-		if panels < 2 {
-			panels = 2
-		}
-		children := make([]*task.Node, panels)
-		for j := range children {
-			children[j] = task.Leaf(scaled(2800, scale))
-		}
-		stages[i] = task.Stage{Work: scaled(200, scale), Children: children}
-	}
 	return &task.Graph{
 		Name:         "LU",
-		Root:         task.Phases(stages...),
+		Root:         rightLooking(40, scaled(2800, scale), scaled(200, scale)),
 		MemIntensity: 0.6,
 		FootprintMB:  32,
 	}
@@ -169,18 +171,23 @@ func SOR(scale float64) *task.Graph {
 // cost every level, capping parallelism around 10.
 func Mergesort(scale float64) *task.Graph {
 	const depth = 8
-	var build func(level int) *task.Node
-	build = func(level int) *task.Node {
-		if level == depth {
-			return task.Leaf(scaled(7200, scale))
+	root := task.DivideAndConquer(depth, 2, scaled(7200, scale), 10, 1)
+	// DivideAndConquer prices every merge alike; here a node lvl levels
+	// above the leaves merges 2^(lvl+1) leaves' worth of data.
+	var price func(n *task.Node, lvl int)
+	price = func(n *task.Node, lvl int) {
+		if lvl < 0 {
+			return
 		}
-		// A node at this level merges 2^(depth-level) leaves' worth of data.
-		mergeWork := scaled(1200<<(depth-level-1), scale)
-		return task.Fork(10, mergeWork, build(level+1), build(level+1))
+		n.Stages[1].Work = scaled(1200<<lvl, scale)
+		for _, c := range n.Stages[0].Children {
+			price(c, lvl-1)
+		}
 	}
+	price(root, depth-1)
 	return &task.Graph{
 		Name:         "Mergesort",
-		Root:         build(0),
+		Root:         root,
 		MemIntensity: 0.4,
 		FootprintMB:  32,
 	}
