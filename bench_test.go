@@ -5,14 +5,15 @@
 //	go test -bench=. -benchmem
 //
 // Workloads run at reduced scale here so a full -bench=. pass stays
-// quick; cmd/dwsbench regenerates the full-scale numbers recorded in
-// EXPERIMENTS.md.
+// quick; `dwssim -exp all` regenerates the full-scale numbers recorded
+// in EXPERIMENTS.md.
 package dws_test
 
 import (
 	"testing"
 
 	"dws/internal/bench"
+	"dws/internal/kernels"
 	"dws/internal/rt"
 	"dws/internal/sim"
 	"dws/internal/stats"
@@ -153,9 +154,10 @@ func BenchmarkYieldAblation(b *testing.B) {
 // mechanics validation; wall-clock policy differences require a
 // multi-core host).
 func BenchmarkLiveMix(b *testing.B) {
-	benches := bench.LiveBenches(0.05)
+	fft, _ := kernels.ByName("FFT")
+	ms, _ := kernels.ByName("Mergesort")
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.RunLiveMix(rt.DWS, 4, 1, benches[0], benches[1]); err != nil {
+		if _, err := bench.RunLiveMix(rt.DWS, 4, 1, 0.05, fft, ms); err != nil {
 			b.Fatal(err)
 		}
 	}

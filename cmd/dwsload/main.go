@@ -10,10 +10,11 @@
 //	dwsd -cores 8 -policy DWS &
 //	dwsload -rate 20 -duration 15s -tenants alice=FFT,bob=Mergesort -size 0.1 -seed 7
 //
-// Catalog and replay modes drive the committed comparison scenarios:
+// -scenario drives a committed catalog scenario or a recorded trace file
+// (.jsonl or .csv), the same lookup dwssim -scenario uses:
 //
 //	dwsload -scenario bursty-pareto -timescale 1.0
-//	dwsload -replay trace.jsonl
+//	dwsload -scenario trace.jsonl
 //	dwsload -scenario gold-qos -out gold.jsonl   # compile only, no server
 //
 // The report counts 429 rejections and deadline misses per tenant
@@ -47,8 +48,7 @@ func main() {
 		weights   = flag.String("weights", "", "ad-hoc: tenant=weight QoS declarations, e.g. gold=2,bronze=1")
 		seed      = flag.Int64("seed", 1, "RNG seed for arrivals and sizes (same seed = same trace)")
 		arrival   = flag.String("arrival", "poisson", "ad-hoc arrival process: poisson or uniform")
-		scName    = flag.String("scenario", "", "replay a catalog scenario by name instead of ad-hoc load (see -list)")
-		replay    = flag.String("replay", "", "replay a trace file (.jsonl or .csv) instead of ad-hoc load")
+		scName    = flag.String("scenario", "", "replay a catalog scenario (see -list) or a .jsonl/.csv trace file instead of ad-hoc load")
 		out       = flag.String("out", "", "write the compiled trace here and exit without replaying")
 		timescale = flag.Float64("timescale", 1.0, "trace-time to wall-time ratio (0.5 = replay 2x faster)")
 		list      = flag.Bool("list", false, "list catalog scenario names and exit")
@@ -61,28 +61,18 @@ func main() {
 		}
 		return
 	}
-	if *scName != "" && *replay != "" {
-		fatal(fmt.Errorf("-scenario and -replay are mutually exclusive"))
-	}
 
 	var (
 		tr  *scenario.Trace
 		err error
 	)
-	switch {
-	case *replay != "":
-		tr, err = scenario.LoadFile(*replay)
-	case *scName != "":
-		var spec scenario.Spec
-		spec, err = scenario.SpecByName(*scName)
-		if err != nil {
-			break
-		}
+	if *scName != "" {
+		reseed := int64(0) // the catalog's own seed unless -seed asks otherwise
 		if *seed != 1 {
-			spec.Seed = *seed // override the catalog seed only when asked
+			reseed = *seed
 		}
-		tr, err = spec.Compile()
-	default:
+		tr, err = scenario.Load(*scName, reseed)
+	} else {
 		var spec *scenario.Spec
 		spec, err = adhocSpec(*rate, *duration, *tenants, *weights, *size, *deadline, *seed, *arrival)
 		if err == nil {

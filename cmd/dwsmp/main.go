@@ -1,16 +1,27 @@
 //go:build linux || darwin
 
-// Command dwsmp is the multi-process crash-recovery demo: it launches m
-// dwsworker processes that cooperate through one mmap-backed core
-// allocation table (the paper's §3.4 deployment), SIGKILLs one of them
-// mid-run, and reports per-program throughput plus how fast the
-// survivors' lease sweepers freed the dead program's cores.
+// Command dwsmp is the multi-process deployment of the paper's §3.4: m
+// work-stealing programs, one OS process each, cooperating through one
+// mmap-backed core allocation table.
+//
+// As a launcher it re-execs itself m times, SIGKILLs one worker mid-run,
+// and reports per-program throughput plus how fast the survivors' lease
+// sweepers freed the dead program's cores (-kill-index -1 co-runs without
+// a crash):
 //
 //	dwsmp -cores 8 -programs 3 -kernel Mergesort -duration 10s -kill-index 1
 //
-// By default dwsmp re-execs itself as its workers (no pre-built dwsworker
-// binary needed); pass -worker to exec an external dwsworker instead.
-// Pass -kill-index -1 to co-run without a crash.
+// With -index it is ONE of those programs, launched by hand: it joins the
+// -table file as program -index of -programs (the first process creates
+// the file, later ones map it) and runs -kernel back to back for
+// -duration, one JSON line per run. Its coordinator heartbeats a lease in
+// the table and sweeps expired leases of co-runners, so a sibling that
+// dies without releasing its cores (kill -9, OOM) is cleaned up after;
+// SIGTERM/SIGINT exits cleanly.
+//
+//	dwsmp -table /tmp/dws.table -cores 8 -programs 3 -index 0 -kernel FFT &
+//	dwsmp -table /tmp/dws.table -cores 8 -programs 3 -index 1 -kernel Mergesort &
+//	dwsmp -table /tmp/dws.table -cores 8 -programs 3 -index 2 -kernel SOR &
 package main
 
 import (
@@ -52,9 +63,20 @@ func main() {
 		ttl       = flag.Duration("ttl", 0, "lease expiry (0 = 10×period)")
 		tsleep    = flag.Int("tsleep", 0, "T_SLEEP (0 = cores)")
 		tablePath = flag.String("table", "", "table file (default: fresh temp file)")
-		workerBin = flag.String("worker", "", "external dwsworker binary (default: re-exec self)")
+		index     = flag.Int("index", -1, "run as the one program in this slot of [0, programs) on -table instead of launching workers (-1 = launch)")
 	)
 	flag.Parse()
+	worker := mproc.WorkerConfig{
+		TablePath: *tablePath, Cores: *cores, Programs: *programs, Index: *index,
+		Kernel: *kernel, Size: *size, Duration: *duration,
+		CoordPeriod: *period, LeaseTTL: *ttl, TSleep: *tsleep,
+	}
+	if *index != -1 {
+		if err := mproc.RunWorker(worker); err != nil {
+			log.Fatalf("dwsmp: %v", err)
+		}
+		return
+	}
 	if *programs < 2 {
 		log.Fatal("dwsmp: need -programs ≥ 2 (a victim and at least one survivor)")
 	}
@@ -85,12 +107,9 @@ func main() {
 	}
 	defer table.Close()
 
-	exe := *workerBin
-	selfExec := exe == ""
-	if selfExec {
-		if exe, err = os.Executable(); err != nil {
-			log.Fatal(err)
-		}
+	exe, err := os.Executable()
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	var (
@@ -100,22 +119,10 @@ func main() {
 	cmds := make([]*exec.Cmd, *programs)
 	var scanWG sync.WaitGroup
 	for i := 0; i < *programs; i++ {
-		cfg := mproc.WorkerConfig{
-			TablePath: path, Cores: *cores, Programs: *programs, Index: i,
-			Kernel: *kernel, Size: *size,
-			Duration:    *duration + time.Minute, // the launcher ends the run
-			CoordPeriod: *period, LeaseTTL: *ttl, TSleep: *tsleep,
-		}
+		cfg := worker
+		cfg.TablePath, cfg.Index, cfg.LeaseTTL = path, i, *ttl
+		cfg.Duration = *duration + time.Minute // the launcher ends the run
 		cmd := exec.Command(exe)
-		if !selfExec {
-			cmd = exec.Command(exe,
-				"-table", path, "-cores", fmt.Sprint(*cores),
-				"-programs", fmt.Sprint(*programs), "-index", fmt.Sprint(i),
-				"-kernel", *kernel, "-size", fmt.Sprint(*size),
-				"-duration", (*duration + time.Minute).String(),
-				"-period", period.String(), "-ttl", ttl.String(),
-				"-tsleep", fmt.Sprint(*tsleep))
-		}
 		cmd.Env = append(os.Environ(), cfg.Env()...)
 		cmd.Stderr = os.Stderr
 		out, err := cmd.StdoutPipe()

@@ -5,6 +5,10 @@
 //
 //	dwsrun -a FFT -b Mergesort -policy DWS -cores 8 -runs 3
 //	dwsrun -a Heat -policy ABP           # solo
+//	dwsrun -a FFT -b Mergesort -policy all   # the co-run under every policy, one table
+//
+// -a and -b take any name of the kernel catalog (internal/kernels): the
+// eight Table 2 benchmarks and the synthetic shapes.
 package main
 
 import (
@@ -14,9 +18,9 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"time"
 
 	"dws/internal/bench"
+	"dws/internal/kernels"
 	"dws/internal/rt"
 	"dws/internal/server"
 	"dws/internal/task"
@@ -35,9 +39,9 @@ type jsonReport struct {
 
 func main() {
 	var (
-		aName  = flag.String("a", "FFT", "first benchmark (FFT|Mergesort|Heat|Cholesky)")
-		bName  = flag.String("b", "", "second benchmark (empty = run -a solo)")
-		policy = flag.String("policy", "DWS", "ABP|EP|DWS|DWS-NC")
+		aName  = flag.String("a", "FFT", "first kernel: "+strings.Join(kernels.Names(), "|"))
+		bName  = flag.String("b", "", "second kernel (empty = run -a solo)")
+		policy = flag.String("policy", "DWS", "ABP|EP|DWS|DWS-NC, or all: co-run -a and -b under each and print one table")
 		cores  = flag.Int("cores", 8, "core slots (sets GOMAXPROCS)")
 		runs   = flag.Int("runs", 3, "runs per program")
 		size   = flag.Float64("size", 0.25, "input scale")
@@ -46,26 +50,13 @@ func main() {
 	)
 	flag.Parse()
 
-	pol, err := parsePolicy(*policy)
-	if err != nil {
-		fatal(err)
-	}
-	benches := bench.LiveBenches(*size)
-	find := func(name string) (bench.LiveBench, error) {
-		for _, lb := range benches {
-			if strings.EqualFold(lb.Name, name) {
-				return lb, nil
-			}
-		}
-		return bench.LiveBench{}, fmt.Errorf("unknown benchmark %q", name)
-	}
-	a, err := find(*aName)
+	a, err := kernel(*aName)
 	if err != nil {
 		fatal(err)
 	}
 
 	if *record {
-		g := rt.RecordGraph(a.Name, 0.5, a.NewTask())
+		g := rt.RecordGraph(a.Name, 0.5, a.NewTask(*size))
 		if err := task.Validate(g); err != nil {
 			fatal(err)
 		}
@@ -76,73 +67,61 @@ func main() {
 
 	if runtime.NumCPU() < 2 {
 		fmt.Fprintln(os.Stderr,
-			"dwsrun: note: single-CPU host — policy wall-clock differences are not meaningful; use dwsbench for the simulator figures")
+			"dwsrun: note: single-CPU host — policy wall-clock differences are not meaningful; use dwssim -exp for the simulator figures")
 	}
 
-	if *bName == "" {
-		if err := runSolo(pol, *cores, *runs, *size, a, *asJSON); err != nil {
+	ks := []kernels.Spec{a}
+	if *bName != "" {
+		b, err := kernel(*bName)
+		if err != nil {
+			fatal(err)
+		}
+		ks = append(ks, b)
+	}
+
+	if strings.EqualFold(*policy, "all") {
+		if len(ks) != 2 {
+			fatal(fmt.Errorf("-policy all compares the policies on a co-run: give -b"))
+		}
+		t, err := bench.LiveMixTable(*cores, *runs, *size, ks[0], ks[1])
+		if err != nil {
+			fatal(err)
+		}
+		write := t.Render
+		if *asJSON {
+			write = t.WriteJSON
+		}
+		if err := write(os.Stdout); err != nil {
 			fatal(err)
 		}
 		return
 	}
-	b, err := find(*bName)
+	pol, err := rt.ParsePolicy(*policy)
 	if err != nil {
 		fatal(err)
 	}
-	res, err := bench.RunLiveMix(pol, *cores, *runs, a, b)
+	res, err := bench.RunLiveMix(pol, *cores, *runs, *size, ks...)
 	if err != nil {
 		fatal(err)
 	}
 	if *asJSON {
 		rep := jsonReport{Policy: pol.String(), Cores: *cores, Runs: *runs, Size: *size}
-		for i := 0; i < 2; i++ {
-			for r, sec := range res.PerRunSec[i] {
-				rep.Jobs = append(rep.Jobs, jobRecord(res.Names[i], pol, *cores, *size,
-					sec, res.PerRunStats[i][r]))
+		for _, lp := range res {
+			for r, sec := range lp.RunSec {
+				rep.Jobs = append(rep.Jobs, jobRecord(lp.Name, pol, *cores, *size, sec, lp.RunStats[r]))
 			}
 		}
-		emitJSON(rep)
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(rep); err != nil {
+			fatal(err)
+		}
 		return
 	}
 	fmt.Printf("policy=%v cores=%d runs=%d\n", pol, *cores, *runs)
-	for i := 0; i < 2; i++ {
-		fmt.Printf("%-10s mean=%.3fs stats=%+v\n", res.Names[i], res.MeanSec[i], res.Stats[i])
+	for _, lp := range res {
+		fmt.Printf("%-10s mean=%.3fs stats=%+v\n", lp.Name, lp.MeanSec, lp.Stats)
 	}
-}
-
-func runSolo(pol rt.Policy, cores, runs int, size float64, lb bench.LiveBench, asJSON bool) error {
-	prev := runtime.GOMAXPROCS(cores)
-	defer runtime.GOMAXPROCS(prev)
-	sys, err := rt.NewSystem(rt.Config{Cores: cores, Programs: 1, Policy: pol})
-	if err != nil {
-		return err
-	}
-	defer sys.Close()
-	p, err := sys.NewProgram(lb.Name)
-	if err != nil {
-		return err
-	}
-	rep := jsonReport{Policy: pol.String(), Cores: cores, Runs: runs, Size: size}
-	var total time.Duration
-	for r := 0; r < runs; r++ {
-		task := lb.NewTask()
-		before := p.Stats()
-		start := time.Now()
-		if err := p.Run(task); err != nil {
-			return err
-		}
-		dur := time.Since(start)
-		total += dur
-		rep.Jobs = append(rep.Jobs, jobRecord(lb.Name, pol, cores, size,
-			dur.Seconds(), statsDelta(p.Stats(), before)))
-	}
-	if asJSON {
-		emitJSON(rep)
-		return nil
-	}
-	fmt.Printf("policy=%v cores=%d %s solo mean=%.3fs stats=%+v\n",
-		pol, cores, lb.Name, total.Seconds()/float64(runs), p.Stats())
-	return nil
 }
 
 // jobRecord shapes one CLI run like one served job (queue wait is zero —
@@ -162,29 +141,13 @@ func jobRecord(name string, pol rt.Policy, cores int, size, sec float64, st rt.S
 	}
 }
 
-func statsDelta(a, b rt.Stats) rt.Stats {
-	return rt.Stats{
-		Steals:       a.Steals - b.Steals,
-		FailedSteals: a.FailedSteals - b.FailedSteals,
-		Sleeps:       a.Sleeps - b.Sleeps,
-		Wakes:        a.Wakes - b.Wakes,
-		Evictions:    a.Evictions - b.Evictions,
-		Claims:       a.Claims - b.Claims,
-		Reclaims:     a.Reclaims - b.Reclaims,
-		Runs:         a.Runs - b.Runs,
+// kernel looks name up in the catalog every live tier shares.
+func kernel(name string) (kernels.Spec, error) {
+	k, ok := kernels.ByName(name)
+	if !ok {
+		return kernels.Spec{}, fmt.Errorf("unknown kernel %q (have %s)", name, strings.Join(kernels.Names(), ", "))
 	}
-}
-
-func emitJSON(rep jsonReport) {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		fatal(err)
-	}
-}
-
-func parsePolicy(s string) (rt.Policy, error) {
-	return rt.ParsePolicy(s)
+	return k, nil
 }
 
 func fatal(err error) {

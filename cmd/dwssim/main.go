@@ -1,28 +1,41 @@
-// Command dwssim runs one simulated scenario — any subset of the Table 2
-// benchmarks co-running under one policy — with every machine and
-// scheduler knob exposed, and optional event tracing.
+// Command dwssim is the simulator's one CLI. Every mode runs on the
+// machine sim.DefaultConfig() describes, changed only by the flags given.
 //
-// Examples:
+// -bench co-runs any subset of the Table 2 benchmarks closed-loop under one
+// policy, with optional event tracing:
 //
 //	dwssim -bench p-1,p-8 -policy DWS
 //	dwssim -bench p-6 -policy ABP -runs 6
 //	dwssim -bench p-1,p-8 -policy DWS -tsleep 128 -trace | head -100
 //
-// With -scenario, dwssim instead replays a scenario trace open-loop on
-// the virtual clock — a catalog name (see internal/scenario) or a
-// .jsonl/.csv trace file — under the configured machine and policy:
+// -scenario replays a scenario trace open-loop on the virtual clock — a
+// catalog name (see internal/scenario) or a .jsonl/.csv trace file — and
+// with -shards fans it across simulated federated shards:
 //
 //	dwssim -scenario bursty-pareto -policy GO
 //	dwssim -scenario trace.jsonl -cores 32
+//	dwssim -scenario overload-storm -shards 3 -spill next
+//
+// -exp regenerates a table or figure of the paper's evaluation (§4) or one
+// of this reproduction's ablations (internal/bench.Experiments lists them;
+// "all" is the EXPERIMENTS.md data):
+//
+//	dwssim -exp fig4
+//	dwssim -exp all -format csv
+//
+// Simulations are deterministic for a given -seed.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
+	"dws/internal/bench"
 	"dws/internal/scenario"
 	"dws/internal/sim"
 	"dws/internal/task"
@@ -30,189 +43,232 @@ import (
 	"dws/internal/workload"
 )
 
-func main() {
+// options is a parsed command line: the machine every mode runs on plus
+// the per-mode settings.
+type options struct {
+	cfg sim.Config
+
+	benchIDs  string
+	runs      int
+	scale     float64
+	showTrace bool
+	traceOut  string
+	timeline  bool
+	dot       bool
+
+	scenario string
+	shards   int
+	spill    sim.SpillPolicy
+
+	exps   []bench.Experiment
+	render func(*bench.Table, io.Writer) error
+}
+
+// parse turns the command line into options, refusing anything it can
+// tell is wrong before a simulation starts.
+func parse(args []string, stderr io.Writer) (*options, error) {
+	fs := flag.NewFlagSet("dwssim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	def := sim.DefaultConfig()
 	var (
-		benchIDs  = flag.String("bench", "p-1,p-8", "comma-separated Table 2 IDs (p-1..p-8)")
-		policy    = flag.String("policy", "DWS", "ABP|EP|DWS|DWS-NC|BWS|GO")
-		scenName  = flag.String("scenario", "", "replay a catalog scenario or trace file instead of -bench (closed loop)")
-		shardsN   = flag.Int("shards", 0, "scenario mode: fan the trace across K simulated federated shards (0 = single machine)")
-		spillName = flag.String("spill", "next", "federated scenario mode: spill policy on shard refusal (none|random|next)")
-		runs      = flag.Int("runs", 4, "completed runs per program")
-		scale     = flag.Float64("scale", 1.0, "workload scale factor")
-		showTrace = flag.Bool("trace", false, "print scheduling events to stderr")
-		traceOut  = flag.String("trace-jsonl", "", "write typed scheduling events as JSONL to this file")
-		timeline  = flag.Bool("timeline", false, "print an ASCII core-occupancy timeline")
-		dot       = flag.Bool("dot", false, "dump the benchmark task graphs as Graphviz DOT and exit")
+		benchIDs  = fs.String("bench", "p-1,p-8", "comma-separated Table 2 IDs (p-1..p-8)")
+		policy    = fs.String("policy", def.Policy.String(), "ABP|EP|DWS|DWS-NC|GO")
+		scenName  = fs.String("scenario", "", "replay a catalog scenario or a .jsonl/.csv trace file open-loop instead of -bench")
+		shardsN   = fs.Int("shards", 0, "scenario mode: fan the trace across K simulated federated shards (0 = single machine)")
+		spillName = fs.String("spill", "next", "federated scenario mode: spill policy on shard refusal (none|random|next)")
+		expName   = fs.String("exp", "", "print an experiment table instead of -bench: all|"+strings.Join(bench.ExperimentNames(), "|"))
+		format    = fs.String("format", "text", "-exp output format: text|csv|json")
+		runs      = fs.Int("runs", 4, "completed runs per program")
+		scale     = fs.Float64("scale", 1.0, "workload scale factor")
+		showTrace = fs.Bool("trace", false, "print scheduling events to stderr")
+		traceOut  = fs.String("trace-jsonl", "", "write typed scheduling events as JSONL to this file")
+		timeline  = fs.Bool("timeline", false, "print an ASCII core-occupancy timeline")
+		dot       = fs.Bool("dot", false, "dump the benchmark task graphs as Graphviz DOT and exit")
 
-		cores   = flag.Int("cores", 16, "cores")
-		sockets = flag.Int("socket", 8, "cores per socket")
-		quantum = flag.Int64("quantum", 6000, "OS quantum (µs)")
-		steal   = flag.Int64("steal", 5, "steal attempt cost (µs)")
-		yield   = flag.Int64("yield", 400, "thief backoff between failed attempts (µs)")
-		wake    = flag.Int64("wake", 60, "worker wake latency (µs)")
-		tsleep  = flag.Int("tsleep", 0, "T_SLEEP (0 = cores)")
-		coord   = flag.Int64("coord", 10000, "coordinator period T (µs)")
-		seed    = flag.Int64("seed", 1, "seed")
-		strongY = flag.Bool("strongyield", false, "use the idealised ABP yield")
-		penalty = flag.Float64("cachepenalty", 2.0, "cold-cache slowdown factor")
-		warm    = flag.Int64("cachewarm", 2000, "cache warm-up time (µs)")
-		llc     = flag.Float64("llc", 0.25, "LLC contention penalty per sharer")
+		cores   = fs.Int("cores", def.Cores, "cores")
+		sockets = fs.Int("socket", def.SocketSize, "cores per socket")
+		tsleep  = fs.Int("tsleep", def.TSleep, "T_SLEEP (0 = cores)")
+		coord   = fs.Int64("coord", def.CoordPeriodUS, "coordinator period T (µs)")
+		seed    = fs.Int64("seed", def.Seed, "seed")
 	)
-	flag.Parse()
-
-	pol, err := parsePolicy(*policy)
-	if err != nil {
-		fatal(err)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
 
-	if *scenName != "" {
-		cfg := sim.DefaultConfig()
-		cfg.Cores, cfg.SocketSize, cfg.Policy = *cores, *sockets, pol
-		cfg.QuantumUS, cfg.StealCostUS, cfg.StealYieldUS = *quantum, *steal, *yield
-		cfg.WakeLatencyUS, cfg.TSleep, cfg.CoordPeriodUS = *wake, *tsleep, *coord
-		cfg.StrongYield = *strongY
-		cfg.CachePenalty, cfg.CacheWarmUS, cfg.LLCPenalty = *penalty, *warm, *llc
-		cfg.Seed = *seed
-		if *shardsN > 0 {
-			runFedScenario(*scenName, cfg, *shardsN, *spillName)
-		} else {
-			runScenario(*scenName, cfg)
+	o := &options{
+		cfg:      def,
+		benchIDs: *benchIDs, runs: *runs, scale: *scale,
+		showTrace: *showTrace, traceOut: *traceOut, timeline: *timeline, dot: *dot,
+		scenario: *scenName, shards: *shardsN,
+	}
+	o.cfg.Cores, o.cfg.SocketSize = *cores, *sockets
+	o.cfg.TSleep, o.cfg.CoordPeriodUS, o.cfg.Seed = *tsleep, *coord, *seed
+	var err error
+	if o.cfg.Policy, err = sim.ParsePolicy(*policy); err != nil {
+		return nil, err
+	}
+	if o.spill, err = sim.ParseSpillPolicy(*spillName); err != nil {
+		return nil, err
+	}
+	if *expName != "" {
+		if o.scenario != "" {
+			return nil, fmt.Errorf("-exp and -scenario are mutually exclusive")
 		}
+		if o.exps, err = bench.Select(*expName); err != nil {
+			return nil, err
+		}
+		if o.render, err = bench.Renderer(*format); err != nil {
+			return nil, err
+		}
+	}
+	return o, nil
+}
+
+func main() {
+	o, err := parse(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
 		return
 	}
+	if err == nil {
+		err = o.run(os.Stdout)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dwssim: %v\n", err)
+		os.Exit(1)
+	}
+}
 
+// run does the one thing the command line selected.
+func (o *options) run(w io.Writer) error {
+	switch {
+	case o.exps != nil:
+		return o.runExperiments(w)
+	case o.scenario != "":
+		return o.runScenario(w)
+	default:
+		return o.runBench(w)
+	}
+}
+
+// runExperiments prints the selected experiment tables in table order.
+func (o *options) runExperiments(w io.Writer) error {
+	opts := bench.Options{Cfg: o.cfg, Scale: o.scale, TargetRuns: o.runs}
+	for _, e := range o.exps {
+		t, err := e.Run(opts)
+		if err != nil {
+			return err
+		}
+		if err := o.render(t, w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runScenario replays a scenario trace through the open-loop simulator —
+// one machine, or -shards federated ones under the -spill policy (the
+// virtual-clock preview of a dwsrouter deployment) — and prints the
+// per-tenant report, plus the spill ledger when shards spilled.
+func (o *options) runScenario(w io.Writer) error {
+	tr, err := scenario.Load(o.scenario, 0)
+	if err != nil {
+		return err
+	}
+	if o.shards <= 0 {
+		res, err := scenario.RunSim(tr, scenario.SimOptions{Config: o.cfg})
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "%s\n\n%s", res, res.Table())
+		return nil
+	}
+	fr, err := scenario.RunFedSim(tr, scenario.FedSimOptions{
+		Config: o.cfg,
+		Shards: o.shards,
+		Spill:  o.spill,
+	})
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "%s\n\n%s", fr.Result, fr.Result.Table())
+	if len(fr.Fed.Spills) > 0 {
+		fmt.Fprintln(w, "\nspills (from -> to):")
+		for _, sp := range fr.Fed.Spills {
+			fmt.Fprintf(w, "  s%d -> s%d  %-6s %d\n", sp.From, sp.To, sp.Reason, sp.Count)
+		}
+	}
+	return nil
+}
+
+// runBench co-runs the -bench graphs closed-loop under the one policy and
+// prints the run summary and each program's counters.
+func (o *options) runBench(w io.Writer) error {
 	var graphs []*task.Graph
-	for _, id := range strings.Split(*benchIDs, ",") {
+	for _, id := range strings.Split(o.benchIDs, ",") {
 		b, err := workload.ByID(strings.TrimSpace(id))
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		graphs = append(graphs, b.Make(*scale))
+		graphs = append(graphs, b.Make(o.scale))
 	}
 
-	if *dot {
+	if o.dot {
 		for _, g := range graphs {
-			if err := task.WriteDOT(os.Stdout, g); err != nil {
-				fatal(err)
+			if err := task.WriteDOT(w, g); err != nil {
+				return err
 			}
 		}
-		return
+		return nil
 	}
 
-	cfg := sim.Config{
-		Cores: *cores, SocketSize: *sockets, Policy: pol,
-		QuantumUS: *quantum, StealCostUS: *steal, StealYieldUS: *yield,
-		WakeLatencyUS: *wake, TSleep: *tsleep, CoordPeriodUS: *coord,
-		CoordCostUS: 5, StrongYield: *strongY,
-		CachePenalty: *penalty, CacheWarmUS: *warm, LLCPenalty: *llc,
-		SpinContention: 0.012, Seed: *seed,
-	}
-	m, err := sim.NewMachine(cfg, graphs)
+	m, err := sim.NewMachine(o.cfg, graphs)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	var rec *trace.Recorder
 	switch {
-	case *traceOut != "":
+	case o.traceOut != "":
 		rec = &trace.Recorder{Max: 2_000_000}
 		m.Trace = rec.Hook()
-	case *showTrace:
+	case o.showTrace:
 		m.Trace = func(ts int64, format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "%10dµs "+format+"\n", append([]any{ts}, args...)...)
 		}
 	}
-	runOpts := sim.RunOpts{TargetRuns: *runs}
-	if *timeline {
+	runOpts := sim.RunOpts{TargetRuns: o.runs}
+	if o.timeline {
 		runOpts.SampleUS = 2000
 	}
 	start := time.Now()
 	res, err := m.Run(runOpts)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Println(summaryLine(pol, *cores, *seed, res, time.Since(start)))
+	fmt.Fprintln(w, summaryLine(o.cfg.Policy, o.cfg.Cores, o.cfg.Seed, res, time.Since(start)))
 	if rec != nil {
-		f, err := os.Create(*traceOut)
+		f, err := os.Create(o.traceOut)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := rec.WriteJSONL(f); err != nil {
-			fatal(err)
+			return err
 		}
 		if err := f.Close(); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("wrote %d typed events to %s (%d dropped)\n", len(rec.Events), *traceOut, rec.Dropped)
+		fmt.Fprintf(w, "wrote %d typed events to %s (%d dropped)\n", len(rec.Events), o.traceOut, rec.Dropped)
 	}
-	if *timeline {
-		fmt.Print(res.TimelineASCII(100))
+	if o.timeline {
+		fmt.Fprint(w, res.TimelineASCII(100))
 	}
 	for _, p := range res.Programs {
 		st := p.Stats
-		fmt.Printf("%-10s runs=%d mean=%.1fms steals=%d failed=%d sleeps=%d wakes=%d evict=%d claims=%d reclaims=%d spin=%.1fms\n",
+		fmt.Fprintf(w, "%-10s runs=%d mean=%.1fms steals=%d failed=%d sleeps=%d wakes=%d evict=%d claims=%d reclaims=%d spin=%.1fms\n",
 			p.Name, p.Runs(), p.MeanRunUS()/1000,
 			st.Steals, st.FailedSteals, st.Sleeps, st.Wakes, st.Evictions,
 			st.Claims, st.Reclaims, float64(st.SpinUS)/1000)
 	}
-}
-
-// runScenario replays a scenario trace (catalog name or .jsonl/.csv file)
-// through the open-loop simulator and prints the per-tenant report.
-func runScenario(name string, cfg sim.Config) {
-	var (
-		tr  *scenario.Trace
-		err error
-	)
-	if strings.HasSuffix(name, ".jsonl") || strings.HasSuffix(name, ".csv") {
-		tr, err = scenario.LoadFile(name)
-	} else {
-		tr, err = scenario.CompileByName(name)
-	}
-	if err != nil {
-		fatal(err)
-	}
-	res, err := scenario.RunSim(tr, scenario.SimOptions{Config: cfg})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("%s\n\n%s", res, res.Table())
-}
-
-// runFedScenario replays a scenario trace through K simulated federated
-// shards under the named spill policy and prints the report plus the
-// spill ledger — the virtual-clock preview of a dwsrouter deployment.
-func runFedScenario(name string, cfg sim.Config, shards int, spillName string) {
-	var (
-		tr  *scenario.Trace
-		err error
-	)
-	if strings.HasSuffix(name, ".jsonl") || strings.HasSuffix(name, ".csv") {
-		tr, err = scenario.LoadFile(name)
-	} else {
-		tr, err = scenario.CompileByName(name)
-	}
-	if err != nil {
-		fatal(err)
-	}
-	spill, err := sim.ParseSpillPolicy(spillName)
-	if err != nil {
-		fatal(err)
-	}
-	fr, err := scenario.RunFedSim(tr, scenario.FedSimOptions{
-		Config: cfg,
-		Shards: shards,
-		Spill:  spill,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("%s\n\n%s", fr.Result, fr.Result.Table())
-	if len(fr.Fed.Spills) > 0 {
-		fmt.Println("\nspills (from -> to):")
-		for _, sp := range fr.Fed.Spills {
-			fmt.Printf("  s%d -> s%d  %-6s %d\n", sp.From, sp.To, sp.Reason, sp.Count)
-		}
-	}
+	return nil
 }
 
 // summaryLine formats the one-line run summary printed after -bench runs:
@@ -221,27 +277,4 @@ func summaryLine(pol sim.Policy, cores int, seed int64, res *sim.Results, wall t
 	return fmt.Sprintf("policy=%v cores=%d seed=%d simulated=%.3fs events=%d util=%.2f wall=%.3fs events/s=%.0f",
 		pol, cores, seed, float64(res.EndTimeUS)/1e6, res.Events, res.Utilization(),
 		wall.Seconds(), float64(res.Events)/wall.Seconds())
-}
-
-func parsePolicy(s string) (sim.Policy, error) {
-	switch strings.ToUpper(s) {
-	case "ABP":
-		return sim.ABP, nil
-	case "EP":
-		return sim.EP, nil
-	case "DWS":
-		return sim.DWS, nil
-	case "DWS-NC", "DWSNC":
-		return sim.DWSNC, nil
-	case "BWS":
-		return sim.BWS, nil
-	case "GO":
-		return sim.GO, nil
-	}
-	return 0, fmt.Errorf("unknown policy %q", s)
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "dwssim: %v\n", err)
-	os.Exit(1)
 }

@@ -14,7 +14,7 @@
 //
 //   - the deterministic machine simulator (NewSimMachine), on which every
 //     figure and table of the paper's evaluation is regenerated — see
-//     internal/bench and the dwsbench command;
+//     internal/bench and `dwssim -exp`;
 //   - the live runtime (NewSystem), a real goroutine-based work-stealing
 //     scheduler with the same policies, used by the example applications
 //     and the real-kernel benchmarks.
@@ -60,7 +60,6 @@ const (
 	SimEP    = sim.EP
 	SimDWS   = sim.DWS
 	SimDWSNC = sim.DWSNC
-	SimBWS   = sim.BWS
 )
 
 // SimMachine is a deterministic multi-programmed machine simulation.

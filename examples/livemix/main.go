@@ -18,7 +18,7 @@ import (
 	"time"
 
 	"dws"
-	"dws/internal/bench"
+	"dws/internal/kernels"
 )
 
 func main() {
@@ -33,29 +33,29 @@ func main() {
 	}
 	defer sys.Close()
 
-	benches := bench.LiveBenches(0.25)
-	fft, ms := benches[0], benches[1]
+	fft, _ := kernels.ByName("FFT")
+	ms, _ := kernels.ByName("Mergesort")
 
 	var wg sync.WaitGroup
-	for _, lb := range []bench.LiveBench{fft, ms} {
-		prog, err := sys.NewProgram(lb.Name)
+	for _, k := range []kernels.Spec{fft, ms} {
+		prog, err := sys.NewProgram(k.Name)
 		if err != nil {
 			log.Fatal(err)
 		}
 		wg.Add(1)
-		go func(lb bench.LiveBench, prog *dws.Program) {
+		go func(k kernels.Spec, prog *dws.Program) {
 			defer wg.Done()
 			for run := 0; run < 3; run++ {
-				task := lb.NewTask()
+				task := k.NewTask(0.25)
 				start := time.Now()
 				if err := prog.Run(task); err != nil {
-					log.Printf("%s: %v", lb.Name, err)
+					log.Printf("%s: %v", k.Name, err)
 					return
 				}
-				fmt.Printf("%-10s run %d: %v\n", lb.Name, run+1, time.Since(start).Round(time.Millisecond))
+				fmt.Printf("%-10s run %d: %v\n", k.Name, run+1, time.Since(start).Round(time.Millisecond))
 			}
-			fmt.Printf("%-10s stats: %+v\n", lb.Name, prog.Stats())
-		}(lb, prog)
+			fmt.Printf("%-10s stats: %+v\n", k.Name, prog.Stats())
+		}(k, prog)
 	}
 	wg.Wait()
 }

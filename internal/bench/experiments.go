@@ -2,12 +2,85 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 
 	"dws/internal/sim"
 	"dws/internal/stats"
 	"dws/internal/task"
 	"dws/internal/workload"
 )
+
+// Experiment is one row of the experiment table: the name `dwssim -exp`
+// selects it by, what it measures, and the run that renders it.
+type Experiment struct {
+	Name, Doc string
+	Run       func(Options) (*Table, error)
+}
+
+// Experiments is every simulator experiment, in the order `-exp all`
+// prints them (the EXPERIMENTS.md data).
+var Experiments = []Experiment{
+	{"table2", "Table 2: benchmark registry", func(Options) (*Table, error) { return Table2(), nil }},
+	{"fig4", "Fig. 4: mixes under ABP / EP / DWS", tabled(Fig4, Fig4Table)},
+	{"fig5", "Fig. 5: DWS-NC vs DWS", tabled(Fig5, Fig5Table)},
+	{"fig6", "Fig. 6: T_SLEEP sweep on mix (1,8)", tabled(Fig6, Fig6Table)},
+	{"solo", "§4.4: solo overhead of DWS", tabled(SoloOverhead, SoloOverheadTable)},
+	{"coordperiod", "§3.4: coordinator period sweep", tabled(CoordPeriod, CoordPeriodTable)},
+	{"yield", "ablation: weak vs strong ABP yield", tabled(YieldAblation, YieldAblationTable)},
+	{"scalem", "extension: m = 2, 3, 4 co-running programs", tabled(ScaleM, ScaleMTable)},
+	{"sensitivity", "machine-model sensitivity of the DWS gain", named(Sensitivity, SensitivityTable)},
+	{"variance", "mix (1,8) across seeds, mean ± CI", named(func(o Options) ([]VarianceRow, [2]string, error) {
+		return Variance(o, nil)
+	}, VarianceTable)},
+	{"elastic", "extension: a program arrives mid-run", named(Elasticity, ElasticityTable)},
+	{"sharing", "extension (§4.4): DWS on a work-sharing runtime", tabled(Sharing, SharingTable)},
+}
+
+// tabled joins a measurement and its renderer into an Experiment.Run.
+func tabled[R any](measure func(Options) (R, error), render func(R) *Table) func(Options) (*Table, error) {
+	return func(o Options) (*Table, error) {
+		r, err := measure(o)
+		if err != nil {
+			return nil, err
+		}
+		return render(r), nil
+	}
+}
+
+// named is tabled for the measurements that also return the two program
+// names their renderer titles the columns with.
+func named[R any](measure func(Options) (R, [2]string, error), render func(R, [2]string) *Table) func(Options) (*Table, error) {
+	return func(o Options) (*Table, error) {
+		r, names, err := measure(o)
+		if err != nil {
+			return nil, err
+		}
+		return render(r, names), nil
+	}
+}
+
+// Select resolves an -exp argument: "all" is the whole table in order, any
+// other name (case-insensitive) the one experiment so called.
+func Select(name string) ([]Experiment, error) {
+	if strings.EqualFold(name, "all") {
+		return Experiments, nil
+	}
+	for i, e := range Experiments {
+		if strings.EqualFold(name, e.Name) {
+			return Experiments[i : i+1], nil
+		}
+	}
+	return nil, fmt.Errorf("bench: unknown experiment %q (have all, %s)", name, strings.Join(ExperimentNames(), ", "))
+}
+
+// ExperimentNames lists the experiment names in table order.
+func ExperimentNames() []string {
+	names := make([]string, len(Experiments))
+	for i, e := range Experiments {
+		names[i] = e.Name
+	}
+	return names
+}
 
 // Table2 renders the benchmark registry (the paper's Table 2).
 func Table2() *Table {

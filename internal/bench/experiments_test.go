@@ -242,3 +242,56 @@ func TestSweepTables(t *testing.T) {
 		t.Error("CoordPeriodTable missing row")
 	}
 }
+
+// TestExperimentsTable: the -exp table has unique names, "all" is the
+// table in its own order, every entry runs and renders a non-empty table
+// in each format, and a miss names what exists.
+func TestExperimentsTable(t *testing.T) {
+	all, err := Select("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != len(Experiments) {
+		t.Fatalf("Select(all) has %d entries, the table %d", len(all), len(Experiments))
+	}
+	opts := DefaultOptions()
+	opts.Scale, opts.TargetRuns = 0.05, 1
+	seen := map[string]bool{}
+	for i, e := range Experiments {
+		if all[i].Name != e.Name {
+			t.Errorf("Select(all)[%d] = %s, want table order (%s)", i, all[i].Name, e.Name)
+		}
+		if seen[e.Name] || e.Name == "all" || e.Doc == "" {
+			t.Errorf("entry %d: name %q (doc %q) is duplicate, reserved or undocumented", i, e.Name, e.Doc)
+		}
+		seen[e.Name] = true
+		one, err := Select(strings.ToUpper(e.Name))
+		if err != nil || len(one) != 1 || one[0].Name != e.Name {
+			t.Errorf("Select(%q) = %v, %v", strings.ToUpper(e.Name), one, err)
+		}
+		tb, err := e.Run(opts)
+		if err != nil {
+			t.Errorf("%s: %v", e.Name, err)
+			continue
+		}
+		if len(tb.Rows) == 0 {
+			t.Errorf("%s: empty table", e.Name)
+		}
+		for _, format := range []string{"text", "csv", "json"} {
+			render, err := Renderer(format)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sb strings.Builder
+			if err := render(tb, &sb); err != nil || sb.Len() == 0 {
+				t.Errorf("%s as %s: %d bytes, %v", e.Name, format, sb.Len(), err)
+			}
+		}
+	}
+	if _, err := Select("related"); err == nil || !strings.Contains(err.Error(), "fig4") {
+		t.Errorf("Select(related) = %v, want an error listing the experiments", err)
+	}
+	if _, err := Renderer("yaml"); err == nil {
+		t.Error("Renderer(yaml) accepted")
+	}
+}

@@ -9,37 +9,9 @@ import (
 	"dws/internal/workload"
 )
 
-// Extension experiments beyond the paper's evaluation: the BWS
-// related-work baseline (§5), scaling the number of co-running programs,
-// and the §4.4 asymmetric-multi-core proposal.
-
-// RelatedWork measures a subset of the mixes under ABP, BWS and DWS —
-// the comparison §5 discusses qualitatively (BWS fixes the yield waste
-// but stays time-shared; DWS adds space sharing).
-func RelatedWork(opts Options) ([]MixOutcome, error) {
-	return RunMixes(opts, []Mix{{1, 8}, {2, 7}, {3, 8}, {5, 6}},
-		[]sim.Policy{sim.ABP, sim.BWS, sim.DWS})
-}
-
-// RelatedWorkTable renders the ABP / BWS / DWS comparison.
-func RelatedWorkTable(outcomes []MixOutcome) *Table {
-	t := &Table{
-		Title:  "extension: related-work baselines — ABP vs BWS vs DWS (normalised)",
-		Header: []string{"mix", "bench", "ABP", "BWS", "DWS"},
-	}
-	for _, o := range outcomes {
-		for i := 0; i < 2; i++ {
-			t.Rows = append(t.Rows, []string{
-				o.Mix.String(), o.Names[i],
-				ratio(o.Norm(sim.ABP, i)), ratio(o.Norm(sim.BWS, i)), ratio(o.Norm(sim.DWS, i)),
-			})
-		}
-	}
-	t.Notes = append(t.Notes,
-		"BWS here is the directed-yield core of Ding et al. (EuroSys'12): thieves donate their slice to busy co-residents",
-		"expected ordering per the paper's §5: DWS ≤ BWS ≤ ABP for demanding programs")
-	return t
-}
+// Extension experiments beyond the paper's evaluation: scaling the number
+// of co-running programs, seed variance, elasticity and the §4.4
+// work-sharing adaptation.
 
 // ScaleRow is one program-count setting of the m-sweep.
 type ScaleRow struct {
@@ -320,78 +292,5 @@ func SharingTable(rows []SharingRow) *Table {
 	}
 	t.Notes = append(t.Notes,
 		"all programs use one central FIFO task pool instead of per-worker deques; sleep/wake and the coordinator are unchanged")
-	return t
-}
-
-// AsymRow is one placement setting of the asymmetric-machine experiment.
-type AsymRow struct {
-	Placement string
-	MeanUS    [2]float64
-}
-
-// Asymmetric runs a memory-bound + compute-bound mix on a machine with a
-// fast and a slow socket, with and without the §4.4 intensity-aware
-// initial placement.
-func Asymmetric(opts Options) ([]AsymRow, [2]string, error) {
-	opts.normalize()
-	heat, err := workload.ByID("p-6") // memory-bound
-	if err != nil {
-		return nil, [2]string{}, err
-	}
-	pnn, err := workload.ByID("p-2") // compute-leaning
-	if err != nil {
-		return nil, [2]string{}, err
-	}
-	names := [2]string{heat.Name, pnn.Name}
-
-	speeds := make([]float64, opts.Cfg.Cores)
-	for i := range speeds {
-		if i < len(speeds)/2 {
-			speeds[i] = 1.0
-		} else {
-			speeds[i] = 0.5
-		}
-	}
-
-	var rows []AsymRow
-	for _, placement := range []bool{false, true} {
-		cfg := opts.Cfg
-		cfg.Policy = sim.DWS
-		cfg.CoreSpeeds = speeds
-		cfg.IntensityPlacement = placement
-		graphs := []*task.Graph{heat.Make(opts.Scale), pnn.Make(opts.Scale)}
-		m, err := sim.NewMachine(cfg, graphs)
-		if err != nil {
-			return nil, names, err
-		}
-		res, err := m.Run(sim.RunOpts{
-			TargetRuns: opts.TargetRuns, HorizonUS: 2 * opts.horizon(graphs...),
-		})
-		if err != nil {
-			return nil, names, fmt.Errorf("placement=%v: %w", placement, err)
-		}
-		label := "naive blocks"
-		if placement {
-			label = "intensity-aware"
-		}
-		rows = append(rows, AsymRow{
-			Placement: label,
-			MeanUS:    [2]float64{res.Programs[0].MeanRunUS(), res.Programs[1].MeanRunUS()},
-		})
-	}
-	return rows, names, nil
-}
-
-// AsymmetricTable renders the placement comparison.
-func AsymmetricTable(rows []AsymRow, names [2]string) *Table {
-	t := &Table{
-		Title:  "extension (§4.4): asymmetric machine — initial placement under DWS",
-		Header: []string{"placement", names[0] + " (ms)", names[1] + " (ms)"},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{r.Placement, ms(r.MeanUS[0]), ms(r.MeanUS[1])})
-	}
-	t.Notes = append(t.Notes,
-		"half the cores run at speed 1.0, half at 0.5; intensity-aware placement gives the memory-bound program the slow cores")
 	return t
 }

@@ -1,44 +1,11 @@
 package bench
 
 import (
-	"strings"
 	"testing"
 
 	"dws/internal/sim"
 	"dws/internal/stats"
 )
-
-// TestRelatedWorkOrdering: DWS ≤ BWS ≤ ABP for most program instances
-// (the §5 positioning).
-func TestRelatedWorkOrdering(t *testing.T) {
-	opts := testOptions()
-	outcomes, err := RelatedWork(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bwsNotWorseThanABP, dwsNotWorseThanBWS, total := 0, 0, 0
-	for _, o := range outcomes {
-		for i := 0; i < 2; i++ {
-			total++
-			if o.MeanUS[sim.BWS][i] <= o.MeanUS[sim.ABP][i]*1.05 {
-				bwsNotWorseThanABP++
-			}
-			if o.MeanUS[sim.DWS][i] <= o.MeanUS[sim.BWS][i]*1.05 {
-				dwsNotWorseThanBWS++
-			}
-		}
-	}
-	t.Logf("BWS<=ABP on %d/%d, DWS<=BWS on %d/%d", bwsNotWorseThanABP, total, dwsNotWorseThanBWS, total)
-	if bwsNotWorseThanABP < total*3/4 {
-		t.Errorf("BWS beat ABP on only %d/%d instances", bwsNotWorseThanABP, total)
-	}
-	if dwsNotWorseThanBWS < total*3/4 {
-		t.Errorf("DWS beat BWS on only %d/%d instances", dwsNotWorseThanBWS, total)
-	}
-	if tb := RelatedWorkTable(outcomes); !strings.Contains(tb.String(), "BWS") {
-		t.Error("table missing BWS column")
-	}
-}
 
 // TestScaleM: DWS stays the best (or tied-best) policy as m grows, and
 // slowdowns grow roughly with m.
@@ -68,29 +35,6 @@ func TestScaleM(t *testing.T) {
 	}
 	if tb := ScaleMTable(rows); len(tb.Rows) != 3 {
 		t.Error("ScaleMTable row count")
-	}
-}
-
-// TestAsymmetricExperiment: intensity-aware placement helps the
-// compute-bound program on an asymmetric machine.
-func TestAsymmetricExperiment(t *testing.T) {
-	opts := testOptions()
-	opts.Scale = 0.5
-	rows, names, err := Asymmetric(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	naive, smart := rows[0], rows[1]
-	t.Logf("%s/%s naive=%v smart=%v", names[0], names[1], naive.MeanUS, smart.MeanUS)
-	if smart.MeanUS[1] >= naive.MeanUS[1] {
-		t.Errorf("intensity placement did not help the compute-bound program: %v vs %v",
-			smart.MeanUS[1], naive.MeanUS[1])
-	}
-	if tb := AsymmetricTable(rows, names); len(tb.Rows) != 2 {
-		t.Error("AsymmetricTable row count")
 	}
 }
 

@@ -3,8 +3,23 @@ package bench
 import (
 	"encoding/csv"
 	"encoding/json"
+	"fmt"
 	"io"
 )
+
+// Renderer returns the Table writer a -format name selects: text (the
+// aligned rendering EXPERIMENTS.md quotes), csv or json.
+func Renderer(format string) (func(*Table, io.Writer) error, error) {
+	switch format {
+	case "text":
+		return (*Table).Render, nil
+	case "csv":
+		return func(t *Table, w io.Writer) error { return t.WriteCSV(w, true) }, nil
+	case "json":
+		return (*Table).WriteJSON, nil
+	}
+	return nil, fmt.Errorf("bench: unknown format %q (have text, csv, json)", format)
+}
 
 // WriteCSV writes the table as CSV: a header row followed by data rows.
 // Title and notes are emitted as comment-like leading records only when

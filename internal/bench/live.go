@@ -10,147 +10,68 @@ import (
 	"dws/internal/rt"
 )
 
-// LiveBench is a real-kernel benchmark for the live runtime. NewTask
-// returns a fresh task (with fresh input data) for each run.
-type LiveBench struct {
+// LiveProgram is one program's share of a live co-run.
+type LiveProgram struct {
 	Name    string
-	NewTask func() rt.Task
+	MeanSec float64
+	// Stats is the program's cumulative scheduler counters after its last
+	// run.
+	Stats rt.Stats
+	// RunSec and RunStats record each individual run: wall time and the
+	// counter deltas over that run (machine-readable output shares one
+	// schema with the job server's results).
+	RunSec   []float64
+	RunStats []rt.Stats
 }
 
-// LiveBenches returns real-kernel versions of a representative subset of
-// Table 2 for the live runtime. size scales the inputs (1.0 ≈ hundreds of
-// milliseconds per run on a 16-way host; tests pass much less).
-func LiveBenches(size float64) []LiveBench {
-	if size <= 0 {
-		size = 1.0
-	}
-	dim := func(base int) int {
-		d := int(float64(base) * size)
-		if d < 8 {
-			d = 8
-		}
-		return d
-	}
-	pow2 := func(base int) int {
-		n := 1
-		for n < dim(base) {
-			n <<= 1
-		}
-		return n
-	}
-	return []LiveBench{
-		{Name: "FFT", NewTask: func() rt.Task {
-			data := randComplex(pow2(1 << 18))
-			return kernels.FFTTask(data)
-		}},
-		{Name: "Mergesort", NewTask: func() rt.Task {
-			data := kernels.RandSlice(dim(4_000_000), 11)
-			return kernels.MergesortTask(data)
-		}},
-		{Name: "Heat", NewTask: func() rt.Task {
-			g := kernels.NewGrid(dim(512), dim(512))
-			return kernels.HeatTask(g, 30)
-		}},
-		{Name: "Cholesky", NewTask: func() rt.Task {
-			n := dim(384)
-			a := kernels.SPDMatrix(n, 12)
-			ok := new(bool)
-			return kernels.CholeskyTask(a, n, ok)
-		}},
-	}
-}
-
-func randComplex(n int) []complex128 {
-	a := make([]complex128, n)
-	x := uint64(88172645463325252)
-	for i := range a {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		re := float64(int64(x%2000))/1000 - 1
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		im := float64(int64(x%2000))/1000 - 1
-		a[i] = complex(re, im)
-	}
-	return a
-}
-
-// LiveMixResult is one live co-run measurement.
-type LiveMixResult struct {
-	Policy  rt.Policy
-	Names   [2]string
-	MeanSec [2]float64
-	Stats   [2]rt.Stats
-	// PerRunSec and PerRunStats record each individual run: wall time and
-	// the program's scheduler-counter deltas over that run (machine-
-	// readable output shares one schema with the job server's results).
-	PerRunSec   [2][]float64
-	PerRunStats [2][]rt.Stats
-}
-
-// subStats returns a - b counter-wise.
-func subStats(a, b rt.Stats) rt.Stats {
-	return rt.Stats{
-		Steals:       a.Steals - b.Steals,
-		FailedSteals: a.FailedSteals - b.FailedSteals,
-		Sleeps:       a.Sleeps - b.Sleeps,
-		Wakes:        a.Wakes - b.Wakes,
-		Evictions:    a.Evictions - b.Evictions,
-		Claims:       a.Claims - b.Claims,
-		Reclaims:     a.Reclaims - b.Reclaims,
-		Runs:         a.Runs - b.Runs,
-	}
-}
-
-// RunLiveMix co-runs two real-kernel benchmarks on the live runtime under
-// pol, each repeated runs times (the Fig. 3 methodology on real work),
-// and returns mean per-run wall times. GOMAXPROCS is set to cores for the
-// duration and restored afterwards.
-func RunLiveMix(pol rt.Policy, cores, runs int, a, b LiveBench) (LiveMixResult, error) {
+// RunLiveMix co-runs the given catalog kernels, one program each, at input
+// scale size on the live runtime under pol, each repeated runs times (the
+// Fig. 3 methodology on real work; one kernel is a solo run). GOMAXPROCS
+// is set to cores for the duration and restored afterwards.
+func RunLiveMix(pol rt.Policy, cores, runs int, size float64, ks ...kernels.Spec) ([]LiveProgram, error) {
 	prev := runtime.GOMAXPROCS(cores)
 	defer runtime.GOMAXPROCS(prev)
 
-	sys, err := rt.NewSystem(rt.Config{Cores: cores, Programs: 2, Policy: pol})
+	sys, err := rt.NewSystem(rt.Config{Cores: cores, Programs: len(ks), Policy: pol})
 	if err != nil {
-		return LiveMixResult{}, err
+		return nil, err
 	}
 	defer sys.Close()
 
-	res := LiveMixResult{Policy: pol, Names: [2]string{a.Name, b.Name}}
+	res := make([]LiveProgram, len(ks))
+	errs := make([]error, len(ks))
 	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for i, lb := range []LiveBench{a, b} {
-		p, err := sys.NewProgram(lb.Name)
+	for i, k := range ks {
+		p, err := sys.NewProgram(k.Name)
 		if err != nil {
-			return LiveMixResult{}, err
+			return nil, err
 		}
 		wg.Add(1)
-		go func(i int, lb LiveBench, p *rt.Program) {
+		go func(i int, k kernels.Spec, p *rt.Program) {
 			defer wg.Done()
+			lp := &res[i]
+			lp.Name = k.Name
 			var total time.Duration
 			for r := 0; r < runs; r++ {
-				task := lb.NewTask()
+				task := k.NewTask(size)
 				before := p.Stats()
 				start := time.Now()
-				if err := p.Run(task); err != nil {
-					errs[i] = err
+				if errs[i] = p.Run(task); errs[i] != nil {
 					return
 				}
 				dur := time.Since(start)
 				total += dur
-				res.PerRunSec[i] = append(res.PerRunSec[i], dur.Seconds())
-				res.PerRunStats[i] = append(res.PerRunStats[i], subStats(p.Stats(), before))
+				lp.RunSec = append(lp.RunSec, dur.Seconds())
+				lp.RunStats = append(lp.RunStats, p.Stats().Sub(before))
 			}
-			res.MeanSec[i] = total.Seconds() / float64(runs)
-			res.Stats[i] = p.Stats()
-		}(i, lb, p)
+			lp.MeanSec = total.Seconds() / float64(runs)
+			lp.Stats = p.Stats()
+		}(i, k, p)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return LiveMixResult{}, err
+			return nil, err
 		}
 	}
 	return res, nil
@@ -158,12 +79,7 @@ func RunLiveMix(pol rt.Policy, cores, runs int, a, b LiveBench) (LiveMixResult, 
 
 // LiveMixTable runs one live mix under every policy and renders the
 // comparison.
-func LiveMixTable(cores, runs int, size float64, ai, bi int) (*Table, error) {
-	benches := LiveBenches(size)
-	if ai < 0 || ai >= len(benches) || bi < 0 || bi >= len(benches) {
-		return nil, fmt.Errorf("bench: live bench index out of range [0,%d)", len(benches))
-	}
-	a, b := benches[ai], benches[bi]
+func LiveMixTable(cores, runs int, size float64, a, b kernels.Spec) (*Table, error) {
 	t := &Table{
 		Title: fmt.Sprintf("live runtime: %s + %s co-running on %d slots (%d runs each)",
 			a.Name, b.Name, cores, runs),
@@ -175,18 +91,18 @@ func LiveMixTable(cores, runs int, size float64, ai, bi int) (*Table, error) {
 			"this host has one CPU: wall-clock differences between policies are not meaningful here; use the simulator figures")
 	}
 	for _, pol := range []rt.Policy{rt.ABP, rt.EP, rt.DWS, rt.DWSNC} {
-		r, err := RunLiveMix(pol, cores, runs, a, b)
+		r, err := RunLiveMix(pol, cores, runs, size, a, b)
 		if err != nil {
 			return nil, err
 		}
 		t.Rows = append(t.Rows, []string{
 			pol.String(),
-			fmt.Sprintf("%.3f", r.MeanSec[0]),
-			fmt.Sprintf("%.3f", r.MeanSec[1]),
-			fmt.Sprintf("%d", r.Stats[0].Sleeps+r.Stats[1].Sleeps),
-			fmt.Sprintf("%d", r.Stats[0].Wakes+r.Stats[1].Wakes),
-			fmt.Sprintf("%d", r.Stats[0].Claims+r.Stats[1].Claims),
-			fmt.Sprintf("%d", r.Stats[0].Reclaims+r.Stats[1].Reclaims),
+			fmt.Sprintf("%.3f", r[0].MeanSec),
+			fmt.Sprintf("%.3f", r[1].MeanSec),
+			fmt.Sprintf("%d", r[0].Stats.Sleeps+r[1].Stats.Sleeps),
+			fmt.Sprintf("%d", r[0].Stats.Wakes+r[1].Stats.Wakes),
+			fmt.Sprintf("%d", r[0].Stats.Claims+r[1].Stats.Claims),
+			fmt.Sprintf("%d", r[0].Stats.Reclaims+r[1].Stats.Reclaims),
 		})
 	}
 	return t, nil

@@ -93,9 +93,9 @@ func (r Regression) String() string {
 
 // allocsSlack is how far allocs/op may exceed the baseline: one part in
 // ten thousand, which for every entry below 10 000 allocs/op still means
-// "at all". The whole-suite simulator entry allocates over a million times
-// per op, and a handful of those depend on map hash seeds and on how many
-// goroutines the host fans the replays out to.
+// "at all". The whole-suite simulator entry allocates some 95 thousand
+// times per op, and a handful of those depend on map hash seeds and on how
+// many goroutines the host fans the replays out to.
 const allocsSlack = 1e-4
 
 // CompareBaseline checks cur against base: an entry regresses if its

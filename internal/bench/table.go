@@ -7,7 +7,7 @@ import (
 )
 
 // Table is a rendered experiment result: a title, a header row, data rows
-// and free-form notes. The dwsbench CLI and EXPERIMENTS.md use its text
+// and free-form notes. `dwssim -exp` and EXPERIMENTS.md use its text
 // rendering.
 type Table struct {
 	Title  string

@@ -7,8 +7,9 @@
 // deployment model of §3.4, where independently launched processes
 // cooperate purely through the shared table.
 //
-// The same entry point backs cmd/dwsworker (flags), cmd/dwsmp (the
-// launcher re-execs itself as its workers), and the crash-recovery test
+// The same entry point backs cmd/dwsmp — `-index` runs one hand-launched
+// program from flags, and the launcher re-execs itself as its workers
+// through the environment — and the crash-recovery test
 // (the test binary re-execs itself as a worker it can SIGKILL). A worker
 // emits one JSON IterRecord line per kernel run so launchers can compute
 // per-program throughput and watch recovery counters move.

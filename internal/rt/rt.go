@@ -467,6 +467,27 @@ type Stats struct {
 	Spawns, Execs int64
 }
 
+// Sub returns s - o counter-wise: one run's deltas from two readings of a
+// program's cumulative counters.
+func (s Stats) Sub(o Stats) Stats {
+	return Stats{
+		Steals:         s.Steals - o.Steals,
+		FailedSteals:   s.FailedSteals - o.FailedSteals,
+		LocalSteals:    s.LocalSteals - o.LocalSteals,
+		RemoteSteals:   s.RemoteSteals - o.RemoteSteals,
+		Sleeps:         s.Sleeps - o.Sleeps,
+		Wakes:          s.Wakes - o.Wakes,
+		Evictions:      s.Evictions - o.Evictions,
+		Claims:         s.Claims - o.Claims,
+		Reclaims:       s.Reclaims - o.Reclaims,
+		Runs:           s.Runs - o.Runs,
+		DeadSweeps:     s.DeadSweeps - o.DeadSweeps,
+		CoresRecovered: s.CoresRecovered - o.CoresRecovered,
+		Spawns:         s.Spawns - o.Spawns,
+		Execs:          s.Execs - o.Execs,
+	}
+}
+
 // workerStats is one worker's shard of the program counters. Every
 // counter a worker bumps on its task/steal path lives in its own shard so
 // concurrent workers never write the same cache line; the shards are

@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -395,6 +396,23 @@ func TestAccessors(t *testing.T) {
 	for pol, want := range map[Policy]string{ABP: "ABP", EP: "EP", DWS: "DWS", DWSNC: "DWS-NC", Policy(9): "Policy(9)"} {
 		if pol.String() != want {
 			t.Errorf("%d.String() = %q", int(pol), pol.String())
+		}
+	}
+}
+
+// TestStatsSubCoversEveryField: a counter added to Stats and forgotten in
+// Sub shows up here as a zero in the difference.
+func TestStatsSubCoversEveryField(t *testing.T) {
+	var a, b Stats
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		av.Field(i).SetInt(2)
+		bv.Field(i).SetInt(1)
+	}
+	d := reflect.ValueOf(a.Sub(b))
+	for i := 0; i < d.NumField(); i++ {
+		if got := d.Field(i).Int(); got != 1 {
+			t.Errorf("Sub dropped %s: difference %d, want 1", d.Type().Field(i).Name, got)
 		}
 	}
 }

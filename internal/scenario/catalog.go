@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"path/filepath"
 	"sort"
 )
 
@@ -134,6 +135,25 @@ func CompileByName(name string) (*Trace, error) {
 	s, err := SpecByName(name)
 	if err != nil {
 		return nil, err
+	}
+	return s.Compile()
+}
+
+// Load resolves what a -scenario flag names: a trace file when the
+// argument ends in .jsonl or .csv, else the catalog scenario of that name,
+// compiled. A non-zero seed replaces the catalog scenario's own; a trace
+// file is already compiled, so seed does not apply to it.
+func Load(nameOrFile string, seed int64) (*Trace, error) {
+	switch filepath.Ext(nameOrFile) {
+	case ".jsonl", ".csv":
+		return LoadFile(nameOrFile)
+	}
+	s, err := SpecByName(nameOrFile)
+	if err != nil {
+		return nil, err
+	}
+	if seed != 0 {
+		s.Seed = seed
 	}
 	return s.Compile()
 }

@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"bytes"
+	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -64,6 +66,46 @@ func TestCatalogCompiles(t *testing.T) {
 	}
 	if _, err := CompileByName("steady-uniform"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLoad: the -scenario lookup shared by dwssim and dwsload takes a
+// catalog name, a .jsonl path or a .csv path, and a miss names the catalog.
+func TestLoad(t *testing.T) {
+	want, err := CompileByName("gold-qos")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	args := []string{"gold-qos"}
+	for _, ext := range []string{".jsonl", ".csv"} {
+		path := filepath.Join(dir, "trace"+ext)
+		if err := WriteFile(path, want); err != nil {
+			t.Fatal(err)
+		}
+		args = append(args, path)
+	}
+	for _, arg := range args {
+		got, err := Load(arg, 0)
+		if err != nil {
+			t.Fatalf("Load(%q): %v", arg, err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("Load(%q) differs from the compiled catalog scenario", arg)
+		}
+	}
+	reseeded, err := Load("gold-qos", 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(want.Events, reseeded.Events) {
+		t.Error("a non-zero seed left the catalog scenario's arrivals unchanged")
+	}
+	if _, err := Load("nope", 0); err == nil || !strings.Contains(err.Error(), "gold-qos") {
+		t.Errorf("Load(nope) = %v, want an error listing the catalog", err)
+	}
+	if _, err := Load(filepath.Join(dir, "missing.jsonl"), 0); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("Load(missing.jsonl) = %v, want a file-not-found error", err)
 	}
 }
 

@@ -38,8 +38,8 @@ type Stats struct {
 	Steals       int64 `json:"steals"`
 	FailedSteals int64 `json:"failed_steals"`
 	// LocalSteals / RemoteSteals split successful deque steals by whether
-	// thief and victim shared a socket (both 0 on a flat topology, where
-	// the runtime does not bucket steals).
+	// thief and victim shared a socket (on a flat topology every deque
+	// steal is local).
 	LocalSteals  int64 `json:"local_steals,omitempty"`
 	RemoteSteals int64 `json:"remote_steals,omitempty"`
 	Sleeps       int64 `json:"sleeps"`

@@ -17,7 +17,7 @@ func TestArrivalsValidation(t *testing.T) {
 // TestStaggeredArrivalCompletes: every policy survives a late second
 // program, with invariants checked.
 func TestStaggeredArrivalCompletes(t *testing.T) {
-	for _, pol := range []Policy{ABP, EP, DWS, DWSNC, BWS} {
+	for _, pol := range []Policy{ABP, EP, DWS, DWSNC} {
 		m := mustMachine(t, debugConfig(pol), []*task.Graph{wideGraph(), narrowGraph()})
 		res, err := m.Run(RunOpts{
 			TargetRuns: 2,

@@ -18,6 +18,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"strings"
 )
 
 // Policy selects the scheduling strategy for every program in a machine.
@@ -39,12 +40,6 @@ const (
 	// demand exactly as in DWS, but there is no core allocation table, so
 	// nothing guarantees a core hosts a single active worker.
 	DWSNC
-	// BWS models the directed-yield core of Balanced Work Stealing (Ding
-	// et al., EuroSys 2012 — the related-work baseline of §5): time-sharing
-	// like ABP, but a thief that finds nothing to steal passes its core
-	// directly to a co-resident worker that has work, instead of burning
-	// its share.
-	BWS
 	// GO models the plain Go-scheduler baseline of the scenario suite:
 	// goroutine-per-task on a shared runtime. Every program time-shares
 	// every core like ABP, but a thief that runs dry parks (idle Ps park
@@ -65,13 +60,27 @@ func (p Policy) String() string {
 		return "DWS"
 	case DWSNC:
 		return "DWS-NC"
-	case BWS:
-		return "BWS"
 	case GO:
 		return "GO"
 	default:
 		return fmt.Sprintf("Policy(%d)", int(p))
 	}
+}
+
+// ParsePolicy parses a policy name as printed by Policy.String,
+// case-insensitively ("DWS-NC" and "DWSNC" both work).
+func ParsePolicy(s string) (Policy, error) {
+	var names []string
+	for p := ABP; p <= GO; p++ {
+		if strings.EqualFold(s, p.String()) {
+			return p, nil
+		}
+		names = append(names, p.String())
+	}
+	if strings.EqualFold(s, "DWSNC") {
+		return DWSNC, nil
+	}
+	return 0, fmt.Errorf("sim: unknown policy %q (have %s)", s, strings.Join(names, ", "))
 }
 
 // Config describes the simulated machine and scheduler constants.
@@ -98,16 +107,6 @@ type Config struct {
 	// across the interconnect). Charged on top of the per-attempt
 	// StealCostUS; 0 on a single-socket machine by construction.
 	RemoteStealPenaltyUS int64
-	// SocketLatencyUS, when non-nil, generalizes RemoteStealPenaltyUS to a
-	// full per-(src,dst) latency matrix: a successful steal whose victim
-	// runs on socket src and whose thief runs on socket dst is charged
-	// SocketLatencyUS[src][dst] µs on top of the per-attempt StealCostUS.
-	// Diagonal entries price same-socket steals (the flat default charges
-	// 0), so asymmetric interconnects — NUMA hops, inter-machine spill
-	// links — are expressible. Must be square with one row per socket;
-	// entries must be non-negative. nil preserves the flat
-	// RemoteStealPenaltyUS behaviour bit for bit.
-	SocketLatencyUS [][]int64
 	// StealYieldUS is the pause a thief inserts between failed steal
 	// attempts once it has scanned every victim without success (MIT Cilk
 	// thieves yield in their steal loop). Together with TSleep it sets the
@@ -182,18 +181,6 @@ type Config struct {
 	// rules and the coordinator work unchanged on top of it.
 	WorkSharing bool
 
-	// CoreSpeeds optionally gives each core a relative compute speed
-	// (asymmetric multi-core, the §4.4/§6 extension). nil means all cores
-	// run at speed 1. A program's wall time per unit of work on a core is
-	// (1−MemIntensity)/speed + MemIntensity: slow cores hurt
-	// compute-bound programs more than memory-bound ones.
-	CoreSpeeds []float64
-	// IntensityPlacement, with CoreSpeeds set and the DWS policy, applies
-	// the §4.4 idea: the initial even allocation gives the most
-	// memory-bound programs the slowest cores and the most compute-bound
-	// programs the fastest.
-	IntensityPlacement bool
-
 	// Seed makes runs reproducible. Victim selection and free-core choice
 	// derive from it.
 	Seed int64
@@ -266,35 +253,6 @@ func (c *Config) Validate() error {
 	if c.CacheWarmUS < 0 || c.LLCPenalty < 0 || c.SpinContention < 0 {
 		return fmt.Errorf("%w: negative cache parameter", ErrBadConfig)
 	}
-	if c.CoreSpeeds != nil {
-		if len(c.CoreSpeeds) != c.Cores {
-			return fmt.Errorf("%w: CoreSpeeds has %d entries for %d cores",
-				ErrBadConfig, len(c.CoreSpeeds), c.Cores)
-		}
-		for _, s := range c.CoreSpeeds {
-			if s <= 0 {
-				return fmt.Errorf("%w: non-positive core speed %v", ErrBadConfig, s)
-			}
-		}
-	}
-	if c.SocketLatencyUS != nil {
-		sockets := (c.Cores + c.SocketSize - 1) / c.SocketSize
-		if len(c.SocketLatencyUS) != sockets {
-			return fmt.Errorf("%w: SocketLatencyUS has %d rows for %d sockets",
-				ErrBadConfig, len(c.SocketLatencyUS), sockets)
-		}
-		for i, row := range c.SocketLatencyUS {
-			if len(row) != sockets {
-				return fmt.Errorf("%w: SocketLatencyUS row %d has %d entries for %d sockets",
-					ErrBadConfig, i, len(row), sockets)
-			}
-			for j, v := range row {
-				if v < 0 {
-					return fmt.Errorf("%w: negative SocketLatencyUS[%d][%d]", ErrBadConfig, i, j)
-				}
-			}
-		}
-	}
 	if c.ArbiterPeriodUS < 0 {
 		c.ArbiterPeriodUS = 0
 	}
@@ -310,24 +268,4 @@ func (c *Config) Validate() error {
 		c.MaxEvents = 200_000_000
 	}
 	return nil
-}
-
-// stealPenalty returns the latency surcharge of a successful steal whose
-// victim runs on socket src and whose thief runs on socket dst.
-func (c *Config) stealPenalty(src, dst int) int64 {
-	if c.SocketLatencyUS != nil {
-		return c.SocketLatencyUS[src][dst]
-	}
-	if src != dst {
-		return c.RemoteStealPenaltyUS
-	}
-	return 0
-}
-
-// speed returns core's relative compute speed.
-func (c *Config) speed(core int) float64 {
-	if c.CoreSpeeds == nil {
-		return 1
-	}
-	return c.CoreSpeeds[core]
 }

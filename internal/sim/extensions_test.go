@@ -7,189 +7,6 @@ import (
 	"dws/internal/task"
 )
 
-// TestBWSCompletes: the BWS baseline runs mixed workloads to completion
-// with the invariant checker on.
-func TestBWSCompletes(t *testing.T) {
-	m := mustMachine(t, debugConfig(BWS), []*task.Graph{wideGraph(), narrowGraph()})
-	res, err := m.Run(RunOpts{TargetRuns: 3, HorizonUS: 120_000_000_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range res.Programs {
-		if p.Runs() < 3 {
-			t.Fatalf("%s: %d runs", p.Name, p.Runs())
-		}
-		// BWS is a time-sharing policy: no DWS machinery.
-		if p.Stats.Sleeps != 0 || p.Stats.Claims != 0 {
-			t.Fatalf("%s: DWS machinery active under BWS: %+v", p.Name, p.Stats)
-		}
-	}
-}
-
-// TestBWSBeatsABPForTheBusyProgram: with one workless-prone co-runner,
-// BWS's directed yield gives the busy program more of each core than
-// ABP's spinning thieves do.
-func TestBWSBeatsABPForTheBusyProgram(t *testing.T) {
-	mean := func(pol Policy) float64 {
-		m := mustMachine(t, debugConfig(pol), []*task.Graph{wideGraph(), narrowGraph()})
-		res, err := m.Run(RunOpts{TargetRuns: 3, HorizonUS: 120_000_000_000})
-		if err != nil {
-			t.Fatalf("%v: %v", pol, err)
-		}
-		return res.Programs[0].MeanRunUS()
-	}
-	abp, bws := mean(ABP), mean(BWS)
-	t.Logf("wide program: ABP=%.0fµs BWS=%.0fµs", abp, bws)
-	if bws > abp {
-		t.Errorf("BWS (%.0f) not faster than ABP (%.0f) for the busy program", bws, abp)
-	}
-}
-
-// TestPolicyOrderingABP_BWS_DWS: the related-work ordering the paper
-// implies — DWS ≤ BWS ≤ ABP for a demanding program next to a narrow one.
-func TestPolicyOrderingABP_BWS_DWS(t *testing.T) {
-	mean := func(pol Policy) float64 {
-		m := mustMachine(t, debugConfig(pol), []*task.Graph{wideGraph(), narrowGraph()})
-		res, err := m.Run(RunOpts{TargetRuns: 3, HorizonUS: 120_000_000_000})
-		if err != nil {
-			t.Fatalf("%v: %v", pol, err)
-		}
-		return res.Programs[0].MeanRunUS()
-	}
-	abp, bws, dws := mean(ABP), mean(BWS), mean(DWS)
-	t.Logf("ABP=%.0f BWS=%.0f DWS=%.0f", abp, bws, dws)
-	if !(dws <= bws*1.05 && bws <= abp*1.05) {
-		t.Errorf("ordering violated: DWS=%.0f BWS=%.0f ABP=%.0f", dws, bws, abp)
-	}
-}
-
-// TestAsymmetricSpeedsSlowDownCompute: a compute-bound program on a
-// half-speed machine takes about twice as long; a fully memory-bound one
-// is unaffected (the (1-I)/s + I model).
-func TestAsymmetricSpeedsSlowDownCompute(t *testing.T) {
-	solo := func(intensity float64, speeds []float64) float64 {
-		g := &task.Graph{Name: "g", Root: task.ParallelFor(64, 3000), MemIntensity: intensity}
-		cfg := debugConfig(EP)
-		cfg.CoreSpeeds = speeds
-		m := mustMachine(t, cfg, []*task.Graph{g})
-		res, err := m.Run(RunOpts{TargetRuns: 2, HorizonUS: 60_000_000_000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Programs[0].MeanRunUS()
-	}
-	half := make([]float64, 16)
-	for i := range half {
-		half[i] = 0.5
-	}
-	fast := solo(0, nil)
-	slow := solo(0, half)
-	if ratio := slow / fast; ratio < 1.8 || ratio > 2.2 {
-		t.Errorf("compute-bound on half-speed cores: ratio %.2f, want ≈2", ratio)
-	}
-	memFast := solo(1, nil)
-	memSlow := solo(1, half)
-	if ratio := memSlow / memFast; ratio > 1.1 {
-		t.Errorf("memory-bound program slowed %.2fx by core speed, want ≈1", ratio)
-	}
-}
-
-// TestIntensityPlacement: on an asymmetric machine, placing the
-// memory-bound program on slow cores and the compute-bound one on fast
-// cores beats the naive block allocation (§4.4's proposal).
-func TestIntensityPlacement(t *testing.T) {
-	speeds := make([]float64, 16)
-	for i := range speeds {
-		if i < 8 {
-			speeds[i] = 1.0 // fast socket
-		} else {
-			speeds[i] = 0.5 // slow socket
-		}
-	}
-	run := func(placement bool) (float64, float64) {
-		// Program order chosen so naive allocation puts the compute-bound
-		// program on the slow block.
-		mem := &task.Graph{Name: "mem", Root: task.IterativeFor(40, 32, 1200, 5), MemIntensity: 0.9}
-		cpu := &task.Graph{Name: "cpu", Root: task.DivideAndConquer(7, 2, 1500, 10, 20), MemIntensity: 0.05}
-		cfg := debugConfig(DWS)
-		cfg.CoreSpeeds = speeds
-		cfg.IntensityPlacement = placement
-		m := mustMachine(t, cfg, []*task.Graph{mem, cpu})
-		res, err := m.Run(RunOpts{TargetRuns: 3, HorizonUS: 240_000_000_000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Programs[0].MeanRunUS(), res.Programs[1].MeanRunUS()
-	}
-	memNaive, cpuNaive := run(false)
-	memSmart, cpuSmart := run(true)
-	t.Logf("naive: mem=%.0f cpu=%.0f | intensity-aware: mem=%.0f cpu=%.0f",
-		memNaive, cpuNaive, memSmart, cpuSmart)
-	// The compute-bound program must benefit; the memory-bound one must
-	// not be badly hurt.
-	if cpuSmart >= cpuNaive {
-		t.Errorf("intensity placement did not help the compute-bound program (%.0f vs %.0f)",
-			cpuSmart, cpuNaive)
-	}
-	if memSmart > memNaive*1.25 {
-		t.Errorf("intensity placement hurt the memory-bound program too much (%.0f vs %.0f)",
-			memSmart, memNaive)
-	}
-}
-
-// TestIntensityPlacementHomesDisjoint: speed-aware homes still partition
-// the machine.
-func TestIntensityPlacementHomesDisjoint(t *testing.T) {
-	speeds := []float64{1, 0.5, 1, 0.5, 1, 0.5, 1, 0.5}
-	graphs := []*task.Graph{
-		{Name: "a", Root: task.Leaf(10), MemIntensity: 0.9},
-		{Name: "b", Root: task.Leaf(10), MemIntensity: 0.1},
-		{Name: "c", Root: task.Leaf(10), MemIntensity: 0.5},
-	}
-	cfg := DefaultConfig()
-	cfg.Cores = 8
-	cfg.CoreSpeeds = speeds
-	cfg.IntensityPlacement = true
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	homes := homeAllocation(&cfg, graphs)
-	seen := make(map[int]bool)
-	total := 0
-	for _, home := range homes {
-		for _, c := range home {
-			if seen[c] {
-				t.Fatalf("core %d assigned twice: %v", c, homes)
-			}
-			seen[c] = true
-			total++
-		}
-	}
-	if total != 8 {
-		t.Fatalf("homes cover %d cores, want 8: %v", total, homes)
-	}
-	// The most memory-bound program (a) must hold the slowest cores.
-	for _, c := range homes[0] {
-		if speeds[c] != 0.5 {
-			t.Fatalf("memory-bound program landed on fast core %d: %v", c, homes)
-		}
-	}
-}
-
-// TestCoreSpeedsValidation: malformed speed vectors are rejected.
-func TestCoreSpeedsValidation(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.CoreSpeeds = []float64{1, 1}
-	if err := cfg.Validate(); err == nil {
-		t.Error("wrong-length CoreSpeeds accepted")
-	}
-	cfg = DefaultConfig()
-	cfg.CoreSpeeds = make([]float64, 16)
-	if err := cfg.Validate(); err == nil {
-		t.Error("zero core speed accepted")
-	}
-}
-
 // TestOccupancySampling: samples are recorded and render as a timeline.
 func TestOccupancySampling(t *testing.T) {
 	m := mustMachine(t, debugConfig(DWS), []*task.Graph{wideGraph(), narrowGraph()})

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"dws/internal/admit"
 	"dws/internal/arbiter"
@@ -125,7 +124,6 @@ func NewMachine(cfg Config, graphs []*task.Graph) (*Machine, error) {
 		}
 	}
 
-	homes := homeAllocation(&cfg, graphs)
 	for i, g := range graphs {
 		p := &Program{
 			id:    int32(i + 1),
@@ -133,7 +131,7 @@ func NewMachine(cfg Config, graphs []*task.Graph) (*Machine, error) {
 			name:  g.Name,
 			graph: g,
 			rng:   rand.New(rand.NewSource(cfg.Seed + int64(i)*7919)),
-			home:  homes[i],
+			home:  coretable.HomeCores(cfg.Cores, len(graphs), i),
 		}
 		for c := 0; c < cfg.Cores; c++ {
 			p.workers = append(p.workers, &Worker{
@@ -156,47 +154,6 @@ func NewMachine(cfg Config, graphs []*task.Graph) (*Machine, error) {
 		}
 	}
 	return m, nil
-}
-
-// homeAllocation computes the initial even allocation. By default program
-// i gets the i-th contiguous block; with IntensityPlacement on an
-// asymmetric machine, blocks are carved from the speed-sorted core list so
-// the most memory-bound program gets the slowest cores (§4.4).
-func homeAllocation(cfg *Config, graphs []*task.Graph) [][]int {
-	m := len(graphs)
-	homes := make([][]int, m)
-	if cfg.CoreSpeeds == nil || !cfg.IntensityPlacement {
-		for i := range homes {
-			homes[i] = coretable.HomeCores(cfg.Cores, m, i)
-		}
-		return homes
-	}
-	// Cores sorted by ascending speed.
-	cores := make([]int, cfg.Cores)
-	for i := range cores {
-		cores[i] = i
-	}
-	sort.SliceStable(cores, func(a, b int) bool {
-		return cfg.CoreSpeeds[cores[a]] < cfg.CoreSpeeds[cores[b]]
-	})
-	// Program ranks sorted by descending memory intensity: most
-	// memory-bound first, so it takes the slowest block.
-	order := make([]int, m)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return graphs[order[a]].MemIntensity > graphs[order[b]].MemIntensity
-	})
-	next := 0
-	for rank, prog := range order {
-		size := len(coretable.HomeCores(cfg.Cores, m, rank))
-		block := append([]int(nil), cores[next:next+size]...)
-		sort.Ints(block)
-		homes[prog] = block
-		next += size
-	}
-	return homes
 }
 
 // buildVictimSets precomputes each worker's steal victims. On a
@@ -271,7 +228,7 @@ func (m *Machine) activateProgram(p *Program) {
 		}
 	}
 	switch m.cfg.Policy {
-	case ABP, BWS:
+	case ABP:
 		// Time-sharing: a runnable worker on every core.
 		for c := 0; c < m.cfg.Cores; c++ {
 			makeReady(c)
@@ -480,8 +437,9 @@ func (m *Machine) stealLoop(w *Worker) {
 				w.failedSteals = 0
 				w.passSteal = true
 				p.stats.Steals++
-				lat := int64(a)*cfg.StealCostUS + cfg.stealPenalty(v.socket, w.socket)
+				lat := int64(a) * cfg.StealCostUS
 				if v.socket != w.socket {
+					lat += cfg.RemoteStealPenaltyUS
 					p.stats.RemoteSteals++
 					v.robbedFrom = w.socket
 				} else {
@@ -515,7 +473,6 @@ func (m *Machine) stealLoop(w *Worker) {
 func (m *Machine) idleSpin(w *Worker) {
 	p := w.prog
 	cfg := &m.cfg
-	c := m.cores[w.id]
 	sleeper := cfg.Policy == DWS || cfg.Policy == DWSNC || cfg.Policy == GO
 	if sleeper && m.canSleep(p) {
 		left := cfg.TSleep - w.failedSteals + 1
@@ -526,39 +483,12 @@ func (m *Machine) idleSpin(w *Worker) {
 		m.beginSpin(w, m.now+int64(left)*period, period, evSpinPark)
 		return
 	}
-	// BWS: pass the core directly to a co-resident worker that has work
-	// (the directed yield); only spin if nobody resident can use it.
-	if cfg.Policy == BWS && m.directedYield(c) {
-		return
-	}
 	// Weak-yield thieves, strong-yield thieves with nothing visible to
 	// steal (yielding here would re-run this decision at the same instant,
 	// livelocking the event loop), and the last active worker of a DWS
 	// program burn cycles until preempted, notified, or the periodic
 	// recheck.
 	m.beginSpin(w, m.now+recheckUS, cfg.StealCostUS, evSpinRecheck)
-}
-
-// directedYield hands the core to the first resident worker that has a
-// task to run (current segment or non-empty deque), moving the yielding
-// thief to the back. It reports whether such a worker existed.
-func (m *Machine) directedYield(c *Core) bool {
-	for i := 1; i < len(c.runq); i++ {
-		w := c.runq[i]
-		if w.cur != nil || w.deque.len() > 0 ||
-			(m.cfg.WorkSharing && w.prog.central.len() > 0) {
-			thief := c.runq[0]
-			m.preempt(thief)
-			c.unschedule(m.now)
-			// Move the busy worker to the front, the thief to the back.
-			c.runq[0] = w
-			copy(c.runq[i:], c.runq[i+1:])
-			c.runq[len(c.runq)-1] = thief
-			m.dispatch(c)
-			return true
-		}
-	}
-	return false
 }
 
 // yieldRotate models an effective sched_yield: the scheduled worker goes
@@ -658,9 +588,9 @@ func (m *Machine) scheduleSegment(w *Worker) {
 	}
 	w.segColdUntil = c.coldUntil
 	w.segColdFactor = 1 + (m.cfg.CachePenalty-1)*intensity
-	// Base wall-per-work on this core: the compute fraction scales with
-	// core speed, the memory-bound fraction does not (asymmetric cores).
-	base := (1-intensity)/m.cfg.speed(c.id) + intensity
+	// Not the constant 1: (1-x)+x rounds away from 1 for some x, and the
+	// gated figures were recorded with this sum.
+	base := (1 - intensity) + intensity
 	w.segWarmRate = base * (1 +
 		m.cfg.LLCPenalty*intensity*float64(m.otherProgsOnSocket(c, p.id)) +
 		m.cfg.SpinContention*float64(m.spinnersOnSocket(c)))

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dws/internal/task"
@@ -228,6 +229,25 @@ func TestPolicyStrings(t *testing.T) {
 		if got := s.String(); got != want {
 			t.Errorf("state %d = %q, want %q", int(s), got, want)
 		}
+	}
+}
+
+// TestParsePolicy: every policy parses back from its own String, in any
+// case; a name that is not a policy is refused with the valid ones listed.
+func TestParsePolicy(t *testing.T) {
+	for pol := ABP; pol <= GO; pol++ {
+		for _, name := range []string{pol.String(), strings.ToLower(pol.String())} {
+			if got, err := ParsePolicy(name); err != nil || got != pol {
+				t.Errorf("ParsePolicy(%q) = %v, %v; want %v", name, got, err, pol)
+			}
+		}
+	}
+	if got, err := ParsePolicy("dwsnc"); err != nil || got != DWSNC {
+		t.Errorf("ParsePolicy(dwsnc) = %v, %v", got, err)
+	}
+	_, err := ParsePolicy("bws")
+	if err == nil || !strings.Contains(err.Error(), "ABP, EP, DWS, DWS-NC, GO") {
+		t.Errorf("ParsePolicy(bws) error = %v, want the valid names", err)
 	}
 }
 

@@ -28,7 +28,7 @@ func smallRoot() *task.Node { return task.DivideAndConquer(4, 2, 400, 5, 10) }
 // policy with the invariant checker on; every job must reach a terminal
 // outcome and most must succeed (the streams are far from saturating).
 func TestOpenLoopAllPolicies(t *testing.T) {
-	for _, pol := range []Policy{ABP, EP, DWS, DWSNC, BWS, GO} {
+	for _, pol := range []Policy{ABP, EP, DWS, DWSNC, GO} {
 		a := &task.Graph{Name: "ta", Root: task.Leaf(1), MemIntensity: 0.4}
 		b := &task.Graph{Name: "tb", Root: task.Leaf(1), MemIntensity: 0.7}
 		m := mustMachine(t, debugConfig(pol), []*task.Graph{a, b})

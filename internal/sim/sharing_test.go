@@ -16,7 +16,7 @@ func sharingConfig(pol Policy) Config {
 // TestSharingCompletesAllPolicies: work-sharing mode runs to completion
 // under every policy with invariants on.
 func TestSharingCompletesAllPolicies(t *testing.T) {
-	for _, pol := range []Policy{ABP, EP, DWS, DWSNC, BWS} {
+	for _, pol := range []Policy{ABP, EP, DWS, DWSNC} {
 		m := mustMachine(t, sharingConfig(pol), []*task.Graph{wideGraph(), narrowGraph()})
 		res, err := m.Run(RunOpts{TargetRuns: 2, HorizonUS: 120_000_000_000})
 		if err != nil {

@@ -50,7 +50,7 @@ func randomGraph(rng *rand.Rand, name string) *task.Graph {
 // policies, random program counts and arrivals, with the invariant
 // checker on. Every configuration must terminate with the requested runs.
 func TestStressRandomGraphs(t *testing.T) {
-	policies := []Policy{ABP, EP, DWS, DWSNC, BWS}
+	policies := []Policy{ABP, EP, DWS, DWSNC}
 	for iter := 0; iter < 40; iter++ {
 		rng := rand.New(rand.NewSource(int64(iter)))
 		nProgs := rng.Intn(3) + 1
