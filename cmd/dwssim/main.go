@@ -2,11 +2,12 @@
 // machine sim.DefaultConfig() describes, changed only by the flags given.
 //
 // -bench co-runs any subset of the Table 2 benchmarks closed-loop under one
-// policy, with optional event tracing:
+// policy, optionally streaming every scheduling event as one trace.Event
+// JSON line to a file (- is stderr):
 //
 //	dwssim -bench p-1,p-8 -policy DWS
 //	dwssim -bench p-6 -policy ABP -runs 6
-//	dwssim -bench p-1,p-8 -policy DWS -tsleep 128 -trace | head -100
+//	dwssim -bench p-1,p-8 -policy DWS -tsleep 128 -trace events.jsonl
 //
 // -scenario replays a scenario trace open-loop on the virtual clock — a
 // catalog name (see internal/scenario) or a .jsonl/.csv trace file — and
@@ -27,6 +28,7 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -46,15 +48,15 @@ import (
 // options is a parsed command line: the machine every mode runs on plus
 // the per-mode settings.
 type options struct {
-	cfg sim.Config
+	cfg    sim.Config
+	stderr io.Writer // where -trace - streams
 
-	benchIDs  string
-	runs      int
-	scale     float64
-	showTrace bool
-	traceOut  string
-	timeline  bool
-	dot       bool
+	benchIDs string
+	runs     int
+	scale    float64
+	traceOut string
+	timeline bool
+	dot      bool
 
 	scenario string
 	shards   int
@@ -80,8 +82,7 @@ func parse(args []string, stderr io.Writer) (*options, error) {
 		format    = fs.String("format", "text", "-exp output format: text|csv|json")
 		runs      = fs.Int("runs", 4, "completed runs per program")
 		scale     = fs.Float64("scale", 1.0, "workload scale factor")
-		showTrace = fs.Bool("trace", false, "print scheduling events to stderr")
-		traceOut  = fs.String("trace-jsonl", "", "write typed scheduling events as JSONL to this file")
+		traceOut  = fs.String("trace", "", "stream scheduling events as JSONL to this file (- = stderr)")
 		timeline  = fs.Bool("timeline", false, "print an ASCII core-occupancy timeline")
 		dot       = fs.Bool("dot", false, "dump the benchmark task graphs as Graphviz DOT and exit")
 
@@ -97,8 +98,9 @@ func parse(args []string, stderr io.Writer) (*options, error) {
 
 	o := &options{
 		cfg:      def,
+		stderr:   stderr,
 		benchIDs: *benchIDs, runs: *runs, scale: *scale,
-		showTrace: *showTrace, traceOut: *traceOut, timeline: *timeline, dot: *dot,
+		traceOut: *traceOut, timeline: *timeline, dot: *dot,
 		scenario: *scenName, shards: *shardsN,
 	}
 	o.cfg.Cores, o.cfg.SocketSize = *cores, *sockets
@@ -225,14 +227,22 @@ func (o *options) runBench(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var rec *trace.Recorder
-	switch {
-	case o.traceOut != "":
-		rec = &trace.Recorder{Max: 2_000_000}
-		m.Trace = rec.Hook()
-	case o.showTrace:
-		m.Trace = func(ts int64, format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "%10dµs "+format+"\n", append([]any{ts}, args...)...)
+	var traceErr error
+	if o.traceOut != "" {
+		out := o.stderr
+		if o.traceOut != "-" {
+			f, err := os.Create(o.traceOut)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			out = f
+		}
+		enc := json.NewEncoder(out)
+		m.Observe = func(ev trace.Event) {
+			if traceErr == nil {
+				traceErr = enc.Encode(ev)
+			}
 		}
 	}
 	runOpts := sim.RunOpts{TargetRuns: o.runs}
@@ -244,20 +254,10 @@ func (o *options) runBench(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(w, summaryLine(o.cfg.Policy, o.cfg.Cores, o.cfg.Seed, res, time.Since(start)))
-	if rec != nil {
-		f, err := os.Create(o.traceOut)
-		if err != nil {
-			return err
-		}
-		if err := rec.WriteJSONL(f); err != nil {
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %d typed events to %s (%d dropped)\n", len(rec.Events), o.traceOut, rec.Dropped)
+	if traceErr != nil {
+		return fmt.Errorf("-trace: %w", traceErr)
 	}
+	fmt.Fprintln(w, summaryLine(o.cfg.Policy, o.cfg.Cores, o.cfg.Seed, res, time.Since(start)))
 	if o.timeline {
 		fmt.Fprint(w, res.TimelineASCII(100))
 	}

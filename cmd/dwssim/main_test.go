@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"io"
 	"reflect"
 	"strings"
@@ -8,6 +11,7 @@ import (
 	"time"
 
 	"dws/internal/sim"
+	"dws/internal/trace"
 )
 
 // TestSummaryLine pins that the run summary names what was simulated and
@@ -96,5 +100,33 @@ func TestRunModes(t *testing.T) {
 		if !strings.Contains(out.String(), c.want) {
 			t.Errorf("%v: output lacks %q:\n%s", c.args, c.want, out.String())
 		}
+	}
+}
+
+// TestTraceStreamsTypedEvents: -trace - streams the co-run's scheduling
+// events to stderr, one trace.Event per JSON line, every one of a kind
+// the vocabulary names.
+func TestTraceStreamsTypedEvents(t *testing.T) {
+	var stderr bytes.Buffer
+	o, err := parse([]string{"-bench", "p-1,p-8", "-policy", "DWS", "-scale", "0.05", "-runs", "1", "-trace", "-"}, &stderr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.run(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[trace.Kind]int{}
+	sc := bufio.NewScanner(&stderr)
+	for sc.Scan() {
+		var ev trace.Event
+		dec := json.NewDecoder(bytes.NewReader(sc.Bytes()))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatalf("line %q: %v", sc.Text(), err)
+		}
+		kinds[ev.Kind]++
+	}
+	if kinds[trace.Sleep] == 0 || kinds[trace.RunDone] == 0 {
+		t.Fatalf("event kinds %v: want sleeps and run completions", kinds)
 	}
 }

@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"dws/internal/coretable"
+	"dws/internal/trace"
 )
 
 // Config parameterises an Arbiter. The zero value of every field selects
@@ -131,6 +132,26 @@ type Decision struct {
 	Trigger  string
 	Epoch    int64 // entitlement epoch this batch published
 	Batch    int   // number of rows in the batch
+}
+
+// Report emits a published batch as one trace.Entitle event per row,
+// shrinks first, so an observer folding the rows one by one never sees
+// the entitlement sum exceed k.
+func Report(batch []Decision, emit trace.Observer) {
+	for pass := 0; pass < 2; pass++ {
+		for _, d := range batch {
+			if (d.New < d.Old) != (pass == 0) {
+				continue
+			}
+			emit(trace.Event{
+				Kind: trace.Entitle, Prog: d.PID, Core: -1,
+				EOld: int(d.Old), ENew: int(d.New), Floor: int(d.Floor),
+				Weight: d.Weight, Score: d.Score,
+				Demand: d.Demand, Activity: d.Activity, Active: d.Active,
+				Trigger: d.Trigger, Epoch: d.Epoch, Batch: d.Batch,
+			})
+		}
+	}
 }
 
 type ewma struct {

@@ -157,10 +157,8 @@ func (s *System) arbiterLoop() {
 }
 
 // arbTick assembles one round of demand reports from the live programs
-// (in slot order, for determinism), runs the arbiter, and emits one
-// ObsEntitle row per program of any published batch — shrinks first, so
-// an observer folding the rows one by one never sees the entitlement sum
-// exceed k.
+// (in slot order, for determinism), runs the arbiter, and reports any
+// published batch (arbiter.Report).
 func (s *System) arbTick() {
 	progs := s.Programs()
 	sort.Slice(progs, func(i, j int) bool { return progs[i].id < progs[j].id })
@@ -176,21 +174,7 @@ func (s *System) arbTick() {
 			NB: nb, NA: na, QueueWait: p.takeQueueWait(),
 		})
 	}
-	decisions := s.arb.Tick(inputs)
-	for pass := 0; pass < 2; pass++ {
-		for _, d := range decisions {
-			if (d.New < d.Old) != (pass == 0) {
-				continue
-			}
-			s.emit(ObsEvent{
-				Kind: ObsEntitle, Prog: d.PID, Core: -1,
-				EOld: int(d.Old), ENew: int(d.New), Floor: int(d.Floor),
-				Weight: d.Weight, Score: d.Score,
-				Demand: d.Demand, Activity: d.Activity, Active: d.Active,
-				Trigger: d.Trigger, Epoch: d.Epoch, Batch: d.Batch,
-			})
-		}
-	}
+	arbiter.Report(s.arb.Tick(inputs), s.emit)
 }
 
 // qosState is embedded in Program: the declared QoS parameters and the

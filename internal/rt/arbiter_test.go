@@ -4,16 +4,17 @@ import (
 	"testing"
 	"time"
 
+	"dws/internal/trace"
 	"dws/internal/vclock"
 )
 
 // entitles filters the collector for arbiter decision rows.
-func (o *obsCollector) entitles() []ObsEvent {
+func (o *obsCollector) entitles() []trace.Event {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	var es []ObsEvent
+	var es []trace.Event
 	for _, ev := range o.evs {
-		if ev.Kind == ObsEntitle {
+		if ev.Kind == trace.Entitle {
 			es = append(es, ev)
 		}
 	}

@@ -7,29 +7,30 @@ import (
 	"testing"
 	"time"
 
+	"dws/internal/trace"
 	"dws/internal/vclock"
 )
 
 // obsCollector is a minimal thread-safe Observer for rt-internal tests.
 type obsCollector struct {
 	mu  sync.Mutex
-	evs []ObsEvent
+	evs []trace.Event
 }
 
-func (o *obsCollector) hook() Observer {
-	return func(ev ObsEvent) {
+func (o *obsCollector) hook() trace.Observer {
+	return func(ev trace.Event) {
 		o.mu.Lock()
 		o.evs = append(o.evs, ev)
 		o.mu.Unlock()
 	}
 }
 
-func (o *obsCollector) ticks() []ObsEvent {
+func (o *obsCollector) ticks() []trace.Event {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	var ts []ObsEvent
+	var ts []trace.Event
 	for _, ev := range o.evs {
-		if ev.Kind == ObsCoordTick {
+		if ev.Kind == trace.CoordTick {
 			ts = append(ts, ev)
 		}
 	}
@@ -266,7 +267,7 @@ func TestCloseReturnsWithoutClock(t *testing.T) {
 // inside park, past its shutdown check but with their sleep not yet
 // published — the workers Close's wake sweep cannot see. Each must notice
 // the shutdown itself, because on a frozen clock nothing else will ever
-// wake it. park emits ObsSleep inside that window, so the observer holds
+// wake it. park emits trace.Sleep inside that window, so the observer holds
 // every worker that parks during or after the run there until Close has
 // set shutdown and swept.
 func TestCloseRacingParkOnFrozenClock(t *testing.T) {
@@ -276,9 +277,9 @@ func TestCloseRacingParkOnFrozenClock(t *testing.T) {
 		sys, err := NewSystem(Config{
 			Cores: cores, Programs: 1, Policy: DWS, TSleep: 1,
 			Clock: vclock.NewFake(),
-			Observer: func(ev ObsEvent) {
+			Observer: func(ev trace.Event) {
 				p := held.Load()
-				if ev.Kind != ObsSleep || p == nil {
+				if ev.Kind != trace.Sleep || p == nil {
 					return
 				}
 				for !p.shutdown.Load() {
@@ -376,7 +377,7 @@ func TestLeaseExpiryOnFakeClock(t *testing.T) {
 	defer col.mu.Unlock()
 	found := false
 	for _, ev := range col.evs {
-		if ev.Kind == ObsSweep {
+		if ev.Kind == trace.Sweep {
 			if ev.Victim != a.id {
 				t.Fatalf("swept p%d, want the silent program p%d", ev.Victim, a.id)
 			}
@@ -384,6 +385,6 @@ func TestLeaseExpiryOnFakeClock(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatal("sweep happened but no ObsSweep event was emitted")
+		t.Fatal("sweep happened but no trace.Sweep event was emitted")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"dws/internal/trace"
 	"dws/internal/vclock"
 )
 
@@ -149,12 +150,12 @@ func TestLastActiveWorkerEvictedOnce(t *testing.T) {
 	events := 0
 	col.mu.Lock()
 	for _, ev := range col.evs {
-		if ev.Kind == ObsEvict {
+		if ev.Kind == trace.Evict {
 			events++
 		}
 	}
 	col.mu.Unlock()
 	if events != 1 {
-		t.Errorf("%d ObsEvict events after one reclaim, want 1", events)
+		t.Errorf("%d trace.Evict events after one reclaim, want 1", events)
 	}
 }

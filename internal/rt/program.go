@@ -9,6 +9,7 @@ import (
 
 	"dws/internal/coretable"
 	"dws/internal/deque"
+	"dws/internal/trace"
 	"dws/internal/vclock"
 )
 
@@ -37,7 +38,7 @@ type Program struct {
 	// obs caches sys.cfg.Observer so the emit fast path is a single
 	// nil-check on the program itself, not a pointer chase through the
 	// system config.
-	obs Observer
+	obs trace.Observer
 
 	active    atomic.Int64
 	runActive atomic.Bool
@@ -144,7 +145,7 @@ func (p *Program) Stats() Stats { return p.st.snapshot() }
 // emit reports a scheduling transition of this program to the system
 // observer (a no-op without one). The nil-check on the cached observer is
 // the entire unobserved cost.
-func (p *Program) emit(ev ObsEvent) {
+func (p *Program) emit(ev trace.Event) {
 	if p.obs != nil {
 		ev.Prog = p.id
 		p.obs(ev)
@@ -176,7 +177,7 @@ func (p *Program) start() {
 		// there is no window where the program occupies cores without a
 		// live lease a survivor could check.
 		epoch := p.sys.table.Join(p.id)
-		p.emit(ObsEvent{Kind: ObsJoin, Core: -1, Epoch: epoch})
+		p.emit(trace.Event{Kind: trace.Join, Core: -1, Epoch: epoch})
 		p.takeHome()
 		for _, w := range p.workers {
 			if isHome[w.id] {
@@ -228,12 +229,12 @@ func (p *Program) takeHome() {
 		case occ == coretable.Free:
 			if t.ClaimFree(c, p.id) {
 				p.st.claims.Add(1)
-				p.emit(ObsEvent{Kind: ObsClaim, Core: c})
+				p.emit(trace.Event{Kind: trace.Claim, Core: c})
 			}
 		default:
 			if t.Reclaim(c, p.id, occ) {
 				p.st.reclaims.Add(1)
-				p.emit(ObsEvent{Kind: ObsReclaim, Core: c, Victim: occ, Epoch: epoch})
+				p.emit(trace.Event{Kind: trace.Reclaim, Core: c, Victim: occ, Epoch: epoch})
 			}
 		}
 	}
@@ -265,7 +266,7 @@ func (p *Program) Run(root Task) error {
 	p.rootFrame.pending.Store(1)
 	p.runActive.Store(true)
 	p.st.rootSpawns.Add(1) // the root injection
-	p.emit(ObsEvent{Kind: ObsRunStart, Core: -1})
+	p.emit(trace.Event{Kind: trace.RunStart, Core: -1})
 	n := &p.rootNode
 	n.fn, n.parent = root, &p.rootFrame
 	p.inject.Push(n)
@@ -289,7 +290,7 @@ func (p *Program) Run(root Task) error {
 			n.fn = nil // release the closure for the GC
 			p.runActive.Store(false)
 			p.st.runs.Add(1)
-			p.emit(ObsEvent{Kind: ObsRunDone, Core: -1,
+			p.emit(trace.Event{Kind: trace.RunDone, Core: -1,
 				Spawned: p.st.spawns(), Executed: p.st.execs(),
 				LocalSteals: p.st.localSteals(), RemoteSteals: p.st.remoteSteals()})
 			return nil
@@ -323,13 +324,13 @@ func (p *Program) regrabHome() {
 			case occ == coretable.Free:
 				if t.ClaimFree(c, p.id) {
 					p.st.claims.Add(1)
-					p.emit(ObsEvent{Kind: ObsClaim, Core: c})
+					p.emit(trace.Event{Kind: trace.Claim, Core: c})
 					p.wake(p.workers[c])
 				}
 			default:
 				if t.Reclaim(c, p.id, occ) {
 					p.st.reclaims.Add(1)
-					p.emit(ObsEvent{Kind: ObsReclaim, Core: c, Victim: occ, Epoch: epoch})
+					p.emit(trace.Event{Kind: trace.Reclaim, Core: c, Victim: occ, Epoch: epoch})
 					p.wake(p.workers[c])
 				}
 			}
@@ -345,7 +346,7 @@ func (p *Program) wake(w *worker) bool {
 	}
 	p.active.Add(1)
 	p.st.wakes.Add(1)
-	p.emit(ObsEvent{Kind: ObsWake, Core: w.id})
+	p.emit(trace.Event{Kind: trace.Wake, Core: w.id})
 	w.wakeCh <- struct{}{}
 	return true
 }
@@ -369,7 +370,7 @@ func (p *Program) Close() {
 	if p.sys.cfg.Policy == DWS {
 		for c := 0; c < p.sys.cfg.Cores; c++ {
 			if p.sys.table.Release(c, p.id) {
-				p.emit(ObsEvent{Kind: ObsRelease, Core: c})
+				p.emit(trace.Event{Kind: trace.Release, Core: c})
 			}
 		}
 		// Clean departure: drop the lease so survivors never sweep (and
@@ -435,7 +436,7 @@ func (p *Program) coordTick() {
 		return
 	}
 
-	ev := ObsEvent{Kind: ObsCoordTick, Core: -1, NB: nb, NA: na, NW: nw}
+	ev := trace.Event{Kind: trace.CoordTick, Core: -1, NB: nb, NA: na, NW: nw}
 
 	if p.sys.cfg.Policy == DWSNC {
 		for _, w := range p.workers {
@@ -489,7 +490,7 @@ func (p *Program) coordTick() {
 		}
 		if t.ClaimFree(c, p.id) {
 			p.st.claims.Add(1)
-			p.emit(ObsEvent{Kind: ObsClaim, Core: c})
+			p.emit(trace.Event{Kind: trace.Claim, Core: c})
 			ev.Claimed++
 			if p.wake(w) {
 				nw--
@@ -497,7 +498,7 @@ func (p *Program) coordTick() {
 			} else {
 				// The worker raced away; return the slot.
 				if t.Release(c, p.id) {
-					p.emit(ObsEvent{Kind: ObsRelease, Core: c})
+					p.emit(trace.Event{Kind: trace.Release, Core: c})
 				}
 			}
 		}
@@ -520,7 +521,7 @@ func (p *Program) coordTick() {
 			}
 			if t.Reclaim(c, p.id, occ) {
 				p.st.reclaims.Add(1)
-				p.emit(ObsEvent{Kind: ObsReclaim, Core: c, Victim: occ, Epoch: entEpoch})
+				p.emit(trace.Event{Kind: trace.Reclaim, Core: c, Victim: occ, Epoch: entEpoch})
 				ev.Reclaimed++
 				if p.wake(w) {
 					nw--

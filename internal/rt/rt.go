@@ -37,6 +37,7 @@ import (
 	"dws/internal/arbiter"
 	"dws/internal/coretable"
 	"dws/internal/topo"
+	"dws/internal/trace"
 	"dws/internal/vclock"
 )
 
@@ -120,11 +121,11 @@ type Config struct {
 	// creates itself also stamp lease beats from this clock; an external
 	// Table keeps its own time source (it is shared across processes).
 	Clock vclock.Clock
-	// Observer, when non-nil, receives a typed ObsEvent for every
+	// Observer, when non-nil, receives a typed trace.Event for every
 	// scheduling transition (sleeps, wakes, claims, reclaims, evictions,
 	// releases, coordinator passes, lease joins/sweeps, run boundaries).
 	// The invariant checker in internal/schedcheck plugs in here.
-	Observer Observer
+	Observer trace.Observer
 	// Topology describes the socket layout of the core slots. It drives
 	// the two-phase victim order (same-socket victims are probed before
 	// remote ones, with steal-back bias and a bounded remote backoff) and,
@@ -271,7 +272,7 @@ func NewSystem(cfg Config) (*System, error) {
 }
 
 // emit reports a system-level event to the observer.
-func (s *System) emit(ev ObsEvent) {
+func (s *System) emit(ev trace.Event) {
 	if s.cfg.Observer != nil {
 		s.cfg.Observer(ev)
 	}
@@ -310,7 +311,7 @@ func (s *System) noteSwept(sweeper int32, dead []coretable.Expired) {
 	for _, e := range dead {
 		s.deadSweeps.Add(1)
 		s.coresRecovered.Add(int64(e.Cores))
-		s.emit(ObsEvent{Kind: ObsSweep, Prog: sweeper, Core: -1,
+		s.emit(trace.Event{Kind: trace.Sweep, Prog: sweeper, Core: -1,
 			Victim: e.PID, Epoch: e.Epoch, Cores: e.Cores})
 		if h != nil {
 			h(int(e.PID)-1, e.PID, e.Cores)
@@ -519,7 +520,7 @@ type progStats struct {
 
 func (ps *progStats) init(cores int) { ps.w = make([]workerStats, cores) }
 
-// spawns/execs total the per-worker shards. At a run boundary (ObsRunDone)
+// spawns/execs total the per-worker shards. At a run boundary (trace.RunDone)
 // the sums are exact, not racy: every shard increment happens-before the
 // root frame's done close through the frame pending chain.
 func (ps *progStats) spawns() int64 {

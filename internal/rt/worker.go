@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"dws/internal/deque"
+	"dws/internal/trace"
 )
 
 // Worker states.
@@ -124,7 +125,7 @@ func (w *worker) loop(asleep bool) {
 				w.evicted = true
 				p.sys.table.AckEviction(w.id)
 				w.st.evictions.Add(1)
-				p.emit(ObsEvent{Kind: ObsEvict, Core: w.id})
+				p.emit(trace.Event{Kind: trace.Evict, Core: w.id})
 			}
 			if w.park(false) {
 				w.evicted = false
@@ -264,14 +265,14 @@ func (w *worker) park(release bool) bool {
 		w.failedSteals = 0 // fresh drought window before the next attempt
 		return false
 	}
-	// Emit before the state store: any ObsWake for this worker is only
+	// Emit before the state store: any trace.Wake for this worker is only
 	// possible after the store (wake CASes sleeping→active), so the
 	// observer sees this sleep strictly before the matching wake.
-	p.emit(ObsEvent{Kind: ObsSleep, Core: w.id, Release: release})
+	p.emit(trace.Event{Kind: trace.Sleep, Core: w.id, Release: release})
 	w.state.Store(stateSleeping)
 	if release && p.sys.cfg.Policy == DWS {
 		if p.sys.table.Release(w.id, p.id) {
-			p.emit(ObsEvent{Kind: ObsRelease, Core: w.id})
+			p.emit(trace.Event{Kind: trace.Release, Core: w.id})
 		}
 	}
 	w.st.sleeps.Add(1)

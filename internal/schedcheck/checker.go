@@ -1,9 +1,9 @@
 // Package schedcheck is the correctness-tooling layer over the two DWS
-// substrates: an invariant checker that watches every scheduling
-// transition of the live runtime (internal/rt) through its Observer hook,
-// and a conformance oracle that replays identical workloads through the
-// discrete-event simulator (internal/sim) and the virtual-clock live
-// runtime and diffs the outcomes.
+// substrates: an invariant checker that watches the trace.Event stream
+// of either the live runtime (internal/rt) or the discrete-event simulator
+// (internal/sim), and a conformance oracle that replays identical
+// workloads through both — each watched by a Checker — and diffs the
+// outcomes.
 //
 // The checker asserts the protocol rules the paper states but a busy
 // scheduler can silently break:
@@ -21,7 +21,7 @@
 //   - lease epochs are strictly monotone per program ID;
 //   - reclaims only ever target the reclaimer's own home cores and a
 //     victim distinct from the reclaimer;
-//   - entitlement batches (ObsEntitle, emitted when the QoS arbiter is
+//   - entitlement batches (trace.Entitle, emitted when the QoS arbiter is
 //     enabled): the modeled entitlement sum never exceeds k at any event
 //     prefix (the runtime emits shrinks before growths), batch epochs are
 //     strictly monotone, no active program is published below its
@@ -35,7 +35,7 @@
 // current or previous entitled block (a coordinator may act on a vector
 // published an instant before its rows reach the checker; reclaims that
 // are outside both are held until the next batch resolves them). Reclaims
-// stamped (ObsReclaim.Epoch) with an entitlement epoch the checker has
+// stamped (the Epoch of a trace.Reclaim) with an entitlement epoch the checker has
 // not seen rows for yet are held unjudged until that batch arrives —
 // without the stamp, a reclaim racing ahead of the *first* batch would be
 // judged against the static homes, which can wrongly legalise a
@@ -72,6 +72,7 @@ import (
 	"dws/internal/coretable"
 	"dws/internal/rt"
 	"dws/internal/topo"
+	"dws/internal/trace"
 )
 
 // Violation is one invariant breach, recorded with the event that exposed
@@ -80,7 +81,7 @@ type Violation struct {
 	Invariant string      `json:"invariant"`
 	Detail    string      `json:"detail"`
 	Seq       int64       `json:"seq"`
-	Event     rt.ObsEvent `json:"event"`
+	Event     trace.Event `json:"event"`
 }
 
 func (v Violation) String() string {
@@ -118,9 +119,9 @@ type Options struct {
 	KeepEvents bool
 }
 
-// Checker is a concurrency-safe rt.Observer implementation that models the
-// system state implied by the event stream and records invariant
-// violations. Plug Observe into rt.Config.Observer.
+// Checker is a concurrency-safe trace.Observer implementation that models
+// the system state implied by the event stream and records invariant
+// violations. Plug Observe into rt.Config.Observer or sim.Machine.Observe.
 type Checker struct {
 	opt   Options
 	tp    *topo.Topology
@@ -132,16 +133,16 @@ type Checker struct {
 	asleep     map[int32][]bool   // per prog ID, per core: modeled sleeping
 	epochs     map[int32]int64    // last seen lease epoch per prog ID
 	lastDone   map[int32][2]int64 // spawned, executed
-	counts     map[rt.ObsKind]int64
-	events     []rt.ObsEvent
+	counts     map[trace.Kind]int64
+	events     []trace.Event
 	violations []Violation
 
-	// Entitlement model (populated by ObsEntitle rows).
+	// Entitlement model (populated by trace.Entitle rows).
 	ents       []int64       // current modeled entitlement per slot
 	prevEnts   []int64       // vector before the in-progress/last batch
 	entEpoch   int64         // current batch epoch (0 = never arbitrated)
-	entRows    []rt.ObsEvent // rows of the in-progress batch
-	pendingRec []rt.ObsEvent // reclaims awaiting the next batch to judge
+	entRows    []trace.Event // rows of the in-progress batch
+	pendingRec []trace.Event // reclaims awaiting the next batch to judge
 }
 
 // New returns a Checker for a system of opt.Cores cores and opt.Programs
@@ -158,7 +159,7 @@ func New(opt Options) *Checker {
 		asleep:   make(map[int32][]bool),
 		epochs:   make(map[int32]int64),
 		lastDone: make(map[int32][2]int64),
-		counts:   make(map[rt.ObsKind]int64),
+		counts:   make(map[trace.Kind]int64),
 		ents:     make([]int64, opt.Programs),
 	}
 	for i := 0; i < opt.Programs; i++ {
@@ -167,9 +168,9 @@ func New(opt Options) *Checker {
 	return c
 }
 
-// Observe is the rt.Observer; pass it (or the method value) to
-// rt.Config.Observer.
-func (c *Checker) Observe(ev rt.ObsEvent) {
+// Observe is the trace.Observer; pass it (or the method value) to
+// rt.Config.Observer or sim.Machine.Observe.
+func (c *Checker) Observe(ev trace.Event) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.seq++
@@ -179,27 +180,27 @@ func (c *Checker) Observe(ev rt.ObsEvent) {
 	}
 
 	switch ev.Kind {
-	case rt.ObsSleep:
+	case trace.Sleep:
 		a := c.asleepOf(ev.Prog)
 		if a[ev.Core] {
 			c.violate("sleep-wake-alternation", ev,
 				"worker slept while already modeled sleeping")
 		}
 		a[ev.Core] = true
-	case rt.ObsWake:
+	case trace.Wake:
 		a := c.asleepOf(ev.Prog)
 		if !a[ev.Core] {
 			c.violate("sleep-wake-alternation", ev,
 				"worker woken while already modeled active")
 		}
 		a[ev.Core] = false
-	case rt.ObsClaim:
+	case trace.Claim:
 		if c.opt.StrictOccupancy && c.occ[ev.Core] != coretable.Free {
 			c.violate("occupancy-transition", ev,
 				fmt.Sprintf("claim of core %d modeled as held by p%d", ev.Core, c.occ[ev.Core]))
 		}
 		c.occ[ev.Core] = ev.Prog
-	case rt.ObsReclaim:
+	case trace.Reclaim:
 		switch {
 		case ev.Epoch > c.entEpoch:
 			// The reclaim is stamped with an entitlement epoch whose batch
@@ -230,21 +231,21 @@ func (c *Checker) Observe(ev rt.ObsEvent) {
 					ev.Core, ev.Victim, c.occ[ev.Core]))
 		}
 		c.occ[ev.Core] = ev.Prog
-	case rt.ObsRelease:
+	case trace.Release:
 		if c.opt.StrictOccupancy && c.occ[ev.Core] != ev.Prog {
 			c.violate("occupancy-transition", ev,
 				fmt.Sprintf("release of core %d by p%d but modeled occupant is p%d",
 					ev.Core, ev.Prog, c.occ[ev.Core]))
 		}
 		c.occ[ev.Core] = coretable.Free
-	case rt.ObsJoin:
+	case trace.Join:
 		if last, ok := c.epochs[ev.Prog]; ok && ev.Epoch <= last {
 			c.violate("lease-epoch-monotone", ev,
 				fmt.Sprintf("join epoch %d after epoch %d", ev.Epoch, last))
 		}
 		c.epochs[ev.Prog] = ev.Epoch
 		c.asleepOf(ev.Prog) // establish the initial model at join time
-	case rt.ObsSweep:
+	case trace.Sweep:
 		if last, ok := c.epochs[ev.Victim]; ok && ev.Epoch > last {
 			c.violate("lease-epoch-monotone", ev,
 				fmt.Sprintf("sweep of future epoch %d (last joined %d)", ev.Epoch, last))
@@ -261,11 +262,11 @@ func (c *Checker) Observe(ev rt.ObsEvent) {
 				fmt.Sprintf("sweep freed %d cores but model held %d for p%d",
 					ev.Cores, freed, ev.Victim))
 		}
-	case rt.ObsCoordTick:
+	case trace.CoordTick:
 		c.checkCoordTick(ev)
-	case rt.ObsEntitle:
+	case trace.Entitle:
 		c.checkEntitle(ev)
-	case rt.ObsRunDone:
+	case trace.RunDone:
 		if ev.Spawned != ev.Executed {
 			c.violate("task-conservation", ev,
 				fmt.Sprintf("run boundary with %d spawned, %d executed",
@@ -283,7 +284,7 @@ func (c *Checker) Observe(ev rt.ObsEvent) {
 
 // checkCoordTick asserts the §3.3 three-case rule on one coordinator pass.
 // Caller holds c.mu.
-func (c *Checker) checkCoordTick(ev rt.ObsEvent) {
+func (c *Checker) checkCoordTick(ev trace.Event) {
 	// N_w = N_b / N_a (all of N_b when nothing is active). Ticks with
 	// N_w = 0 are not emitted.
 	wantNW := ev.NB
@@ -327,9 +328,9 @@ func (c *Checker) checkCoordTick(ev rt.ObsEvent) {
 	}
 }
 
-// checkEntitle folds one ObsEntitle row into the entitlement model and
+// checkEntitle folds one trace.Entitle row into the entitlement model and
 // asserts the batch invariants. Caller holds c.mu.
-func (c *Checker) checkEntitle(ev rt.ObsEvent) {
+func (c *Checker) checkEntitle(ev trace.Event) {
 	slot := int(ev.Prog) - 1
 	if slot < 0 || slot >= c.opt.Programs {
 		c.violate("entitlement-batch", ev,
@@ -536,7 +537,7 @@ func (c *Checker) checkPlacementBatch() {
 
 // asleepOf returns (lazily creating) the modeled sleep state of prog's
 // workers. Under DWS and DWS-NC workers outside the home block start
-// asleep without an ObsSleep event. Caller holds c.mu.
+// asleep without a trace.Sleep event. Caller holds c.mu.
 func (c *Checker) asleepOf(prog int32) []bool {
 	if a, ok := c.asleep[prog]; ok {
 		return a
@@ -564,7 +565,7 @@ func (c *Checker) isHome(prog int32, core int) bool {
 	return false
 }
 
-func (c *Checker) violate(inv string, ev rt.ObsEvent, detail string) {
+func (c *Checker) violate(inv string, ev trace.Event, detail string) {
 	c.violations = append(c.violations, Violation{
 		Invariant: inv, Detail: detail, Seq: c.seq, Event: ev,
 	})
@@ -588,7 +589,7 @@ func (c *Checker) Checkpoint(snapshot []int32) []Violation {
 				Detail: fmt.Sprintf("core %d: model holds p%d, table holds p%d",
 					i, c.occ[i], want),
 				Seq:   c.seq,
-				Event: rt.ObsEvent{Kind: rt.ObsCoordTick, Prog: 0, Core: i},
+				Event: trace.Event{Kind: trace.CoordTick, Prog: 0, Core: i},
 			}
 			c.violations = append(c.violations, v)
 			got = append(got, v)
@@ -658,17 +659,17 @@ func (c *Checker) EntitlementEpoch() int64 {
 }
 
 // Count returns how many events of kind were observed.
-func (c *Checker) Count(kind rt.ObsKind) int64 {
+func (c *Checker) Count(kind trace.Kind) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.counts[kind]
 }
 
 // Events returns the retained event stream (empty unless KeepEvents).
-func (c *Checker) Events() []rt.ObsEvent {
+func (c *Checker) Events() []trace.Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]rt.ObsEvent(nil), c.events...)
+	return append([]trace.Event(nil), c.events...)
 }
 
 // WriteJSONL streams the violations (and, with KeepEvents, the full event

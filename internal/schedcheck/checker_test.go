@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dws/internal/rt"
+	"dws/internal/trace"
 	"dws/internal/vclock"
 )
 
@@ -37,14 +38,14 @@ func TestCheckerSleepWakeAlternation(t *testing.T) {
 	c := New(Options{Cores: 4, Programs: 2, Policy: rt.DWS})
 	// Home of p1 is {0,1}: worker 0 starts modeled active, so a wake
 	// without a preceding sleep breaks alternation.
-	c.Observe(rt.ObsEvent{Kind: rt.ObsWake, Prog: 1, Core: 0})
+	c.Observe(trace.Event{Kind: trace.Wake, Prog: 1, Core: 0})
 	if !hasViolation(c, "sleep-wake-alternation") {
 		t.Fatal("wake of an active worker not flagged")
 	}
 
 	c = New(Options{Cores: 4, Programs: 2, Policy: rt.DWS})
-	c.Observe(rt.ObsEvent{Kind: rt.ObsSleep, Prog: 1, Core: 0, Release: true})
-	c.Observe(rt.ObsEvent{Kind: rt.ObsSleep, Prog: 1, Core: 0, Release: true})
+	c.Observe(trace.Event{Kind: trace.Sleep, Prog: 1, Core: 0, Release: true})
+	c.Observe(trace.Event{Kind: trace.Sleep, Prog: 1, Core: 0, Release: true})
 	if !hasViolation(c, "sleep-wake-alternation") {
 		t.Fatal("double sleep not flagged")
 	}
@@ -52,10 +53,10 @@ func TestCheckerSleepWakeAlternation(t *testing.T) {
 	// Legal alternation, including the DWS initial state: non-home worker
 	// 3 of p1 starts asleep, so its first event may be a wake.
 	c = New(Options{Cores: 4, Programs: 2, Policy: rt.DWS})
-	c.Observe(rt.ObsEvent{Kind: rt.ObsSleep, Prog: 1, Core: 0, Release: true})
-	c.Observe(rt.ObsEvent{Kind: rt.ObsWake, Prog: 1, Core: 0})
-	c.Observe(rt.ObsEvent{Kind: rt.ObsWake, Prog: 1, Core: 3})
-	c.Observe(rt.ObsEvent{Kind: rt.ObsSleep, Prog: 1, Core: 3, Release: true})
+	c.Observe(trace.Event{Kind: trace.Sleep, Prog: 1, Core: 0, Release: true})
+	c.Observe(trace.Event{Kind: trace.Wake, Prog: 1, Core: 0})
+	c.Observe(trace.Event{Kind: trace.Wake, Prog: 1, Core: 3})
+	c.Observe(trace.Event{Kind: trace.Sleep, Prog: 1, Core: 3, Release: true})
 	if err := c.Err(); err != nil {
 		t.Fatalf("legal alternation flagged: %v", err)
 	}
@@ -64,20 +65,20 @@ func TestCheckerSleepWakeAlternation(t *testing.T) {
 func TestCheckerReclaimTargets(t *testing.T) {
 	c := New(Options{Cores: 4, Programs: 2, Policy: rt.DWS})
 	// p1's home is {0,1}; reclaiming core 3 is out of its block.
-	c.Observe(rt.ObsEvent{Kind: rt.ObsReclaim, Prog: 1, Core: 3, Victim: 2})
+	c.Observe(trace.Event{Kind: trace.Reclaim, Prog: 1, Core: 3, Victim: 2})
 	if !hasViolation(c, "reclaim-home-only") {
 		t.Fatal("reclaim outside the home block not flagged")
 	}
 
 	c = New(Options{Cores: 4, Programs: 2, Policy: rt.DWS})
-	c.Observe(rt.ObsEvent{Kind: rt.ObsReclaim, Prog: 1, Core: 0, Victim: 1})
+	c.Observe(trace.Event{Kind: trace.Reclaim, Prog: 1, Core: 0, Victim: 1})
 	if !hasViolation(c, "reclaim-victim") {
 		t.Fatal("self-victim reclaim not flagged")
 	}
 
 	c = New(Options{Cores: 4, Programs: 2, Policy: rt.DWS})
-	c.Observe(rt.ObsEvent{Kind: rt.ObsClaim, Prog: 2, Core: 0})
-	c.Observe(rt.ObsEvent{Kind: rt.ObsReclaim, Prog: 1, Core: 0, Victim: 2})
+	c.Observe(trace.Event{Kind: trace.Claim, Prog: 2, Core: 0})
+	c.Observe(trace.Event{Kind: trace.Reclaim, Prog: 1, Core: 0, Victim: 2})
 	if err := c.Err(); err != nil {
 		t.Fatalf("legal reclaim flagged: %v", err)
 	}
@@ -85,24 +86,24 @@ func TestCheckerReclaimTargets(t *testing.T) {
 
 func TestCheckerLeaseEpochMonotone(t *testing.T) {
 	c := New(Options{Cores: 4, Programs: 2, Policy: rt.DWS})
-	c.Observe(rt.ObsEvent{Kind: rt.ObsJoin, Prog: 1, Core: -1, Epoch: 2})
-	c.Observe(rt.ObsEvent{Kind: rt.ObsJoin, Prog: 1, Core: -1, Epoch: 2})
+	c.Observe(trace.Event{Kind: trace.Join, Prog: 1, Core: -1, Epoch: 2})
+	c.Observe(trace.Event{Kind: trace.Join, Prog: 1, Core: -1, Epoch: 2})
 	if !hasViolation(c, "lease-epoch-monotone") {
 		t.Fatal("non-increasing join epoch not flagged")
 	}
 
 	c = New(Options{Cores: 4, Programs: 2, Policy: rt.DWS})
-	c.Observe(rt.ObsEvent{Kind: rt.ObsJoin, Prog: 1, Core: -1, Epoch: 1})
+	c.Observe(trace.Event{Kind: trace.Join, Prog: 1, Core: -1, Epoch: 1})
 	// A sweep must never see a generation newer than the last join.
-	c.Observe(rt.ObsEvent{Kind: rt.ObsSweep, Prog: 2, Core: -1, Victim: 1, Epoch: 5})
+	c.Observe(trace.Event{Kind: trace.Sweep, Prog: 2, Core: -1, Victim: 1, Epoch: 5})
 	if !hasViolation(c, "lease-epoch-monotone") {
 		t.Fatal("sweep of a future epoch not flagged")
 	}
 
 	c = New(Options{Cores: 4, Programs: 2, Policy: rt.DWS})
-	c.Observe(rt.ObsEvent{Kind: rt.ObsJoin, Prog: 1, Core: -1, Epoch: 1})
-	c.Observe(rt.ObsEvent{Kind: rt.ObsSweep, Prog: 2, Core: -1, Victim: 1, Epoch: 1})
-	c.Observe(rt.ObsEvent{Kind: rt.ObsJoin, Prog: 1, Core: -1, Epoch: 2})
+	c.Observe(trace.Event{Kind: trace.Join, Prog: 1, Core: -1, Epoch: 1})
+	c.Observe(trace.Event{Kind: trace.Sweep, Prog: 2, Core: -1, Victim: 1, Epoch: 1})
+	c.Observe(trace.Event{Kind: trace.Join, Prog: 1, Core: -1, Epoch: 2})
 	if err := c.Err(); err != nil {
 		t.Fatalf("legal join/sweep/rejoin flagged: %v", err)
 	}
@@ -110,35 +111,35 @@ func TestCheckerLeaseEpochMonotone(t *testing.T) {
 
 func TestCheckerTaskConservation(t *testing.T) {
 	c := New(Options{Cores: 4, Programs: 1, Policy: rt.DWS})
-	c.Observe(rt.ObsEvent{Kind: rt.ObsRunDone, Prog: 1, Core: -1, Spawned: 5, Executed: 4})
+	c.Observe(trace.Event{Kind: trace.RunDone, Prog: 1, Core: -1, Spawned: 5, Executed: 4})
 	if !hasViolation(c, "task-conservation") {
 		t.Fatal("spawned != executed at a run boundary not flagged")
 	}
 
 	c = New(Options{Cores: 4, Programs: 1, Policy: rt.DWS})
-	c.Observe(rt.ObsEvent{Kind: rt.ObsRunDone, Prog: 1, Core: -1, Spawned: 5, Executed: 5})
-	c.Observe(rt.ObsEvent{Kind: rt.ObsRunDone, Prog: 1, Core: -1, Spawned: 3, Executed: 3})
+	c.Observe(trace.Event{Kind: trace.RunDone, Prog: 1, Core: -1, Spawned: 5, Executed: 5})
+	c.Observe(trace.Event{Kind: trace.RunDone, Prog: 1, Core: -1, Spawned: 3, Executed: 3})
 	if !hasViolation(c, "task-conservation") {
 		t.Fatal("regressing cumulative counters not flagged")
 	}
 
 	c = New(Options{Cores: 4, Programs: 1, Policy: rt.DWS})
-	c.Observe(rt.ObsEvent{Kind: rt.ObsRunDone, Prog: 1, Core: -1, Spawned: 5, Executed: 5})
-	c.Observe(rt.ObsEvent{Kind: rt.ObsRunDone, Prog: 1, Core: -1, Spawned: 9, Executed: 9})
+	c.Observe(trace.Event{Kind: trace.RunDone, Prog: 1, Core: -1, Spawned: 5, Executed: 5})
+	c.Observe(trace.Event{Kind: trace.RunDone, Prog: 1, Core: -1, Spawned: 9, Executed: 9})
 	if err := c.Err(); err != nil {
 		t.Fatalf("legal conservation flagged: %v", err)
 	}
 }
 
 func TestCheckerCoordTickBounds(t *testing.T) {
-	tick := func(nb, na, nw, nf, nr, woken, claimed, reclaimed int) rt.ObsEvent {
-		return rt.ObsEvent{Kind: rt.ObsCoordTick, Prog: 1, Core: -1,
+	tick := func(nb, na, nw, nf, nr, woken, claimed, reclaimed int) trace.Event {
+		return trace.Event{Kind: trace.CoordTick, Prog: 1, Core: -1,
 			NB: nb, NA: na, NW: nw, NF: nf, NR: nr,
 			Woken: woken, Claimed: claimed, Reclaimed: reclaimed}
 	}
 	cases := []struct {
 		name string
-		ev   rt.ObsEvent
+		ev   trace.Event
 		want bool // expect a three-case-rule violation (non-strict checker)
 	}{
 		{"nw-formula", tick(8, 2, 3, 0, 0, 0, 0, 0), true},       // 8/2 = 4, not 3
@@ -167,7 +168,7 @@ func TestCheckerStrictExactWakeCount(t *testing.T) {
 	// The under-waking signature of a coordinator that skips the reclaim
 	// cases: N_f = 0, N_r > 0, demand present, nothing woken. The lenient
 	// checker accepts it; Strict must not.
-	ev := rt.ObsEvent{Kind: rt.ObsCoordTick, Prog: 1, Core: -1,
+	ev := trace.Event{Kind: trace.CoordTick, Prog: 1, Core: -1,
 		NB: 6, NA: 1, NW: 6, NF: 0, NR: 1}
 	lenient := New(Options{Cores: 4, Programs: 2, Policy: rt.DWS})
 	lenient.Observe(ev)
@@ -183,23 +184,23 @@ func TestCheckerStrictExactWakeCount(t *testing.T) {
 
 func TestCheckerStrictOccupancy(t *testing.T) {
 	c := New(Options{Cores: 4, Programs: 2, Policy: rt.DWS, StrictOccupancy: true})
-	c.Observe(rt.ObsEvent{Kind: rt.ObsClaim, Prog: 1, Core: 0})
-	c.Observe(rt.ObsEvent{Kind: rt.ObsClaim, Prog: 2, Core: 0})
+	c.Observe(trace.Event{Kind: trace.Claim, Prog: 1, Core: 0})
+	c.Observe(trace.Event{Kind: trace.Claim, Prog: 2, Core: 0})
 	if !hasViolation(c, "occupancy-transition") {
 		t.Fatal("claim of an occupied core not flagged")
 	}
 
 	c = New(Options{Cores: 4, Programs: 2, Policy: rt.DWS, StrictOccupancy: true})
-	c.Observe(rt.ObsEvent{Kind: rt.ObsClaim, Prog: 1, Core: 0})
-	c.Observe(rt.ObsEvent{Kind: rt.ObsRelease, Prog: 2, Core: 0})
+	c.Observe(trace.Event{Kind: trace.Claim, Prog: 1, Core: 0})
+	c.Observe(trace.Event{Kind: trace.Release, Prog: 2, Core: 0})
 	if !hasViolation(c, "occupancy-transition") {
 		t.Fatal("release by a non-owner not flagged")
 	}
 
 	c = New(Options{Cores: 4, Programs: 2, Policy: rt.DWS, StrictOccupancy: true})
-	c.Observe(rt.ObsEvent{Kind: rt.ObsClaim, Prog: 1, Core: 0})
-	c.Observe(rt.ObsEvent{Kind: rt.ObsJoin, Prog: 1, Core: -1, Epoch: 1})
-	c.Observe(rt.ObsEvent{Kind: rt.ObsSweep, Prog: 2, Core: -1, Victim: 1, Epoch: 1, Cores: 2})
+	c.Observe(trace.Event{Kind: trace.Claim, Prog: 1, Core: 0})
+	c.Observe(trace.Event{Kind: trace.Join, Prog: 1, Core: -1, Epoch: 1})
+	c.Observe(trace.Event{Kind: trace.Sweep, Prog: 2, Core: -1, Victim: 1, Epoch: 1, Cores: 2})
 	if !hasViolation(c, "occupancy-transition") {
 		t.Fatal("sweep freed-core count mismatch not flagged")
 	}
@@ -207,7 +208,7 @@ func TestCheckerStrictOccupancy(t *testing.T) {
 
 func TestCheckerCheckpoint(t *testing.T) {
 	c := New(Options{Cores: 4, Programs: 2, Policy: rt.DWS})
-	c.Observe(rt.ObsEvent{Kind: rt.ObsClaim, Prog: 1, Core: 0})
+	c.Observe(trace.Event{Kind: trace.Claim, Prog: 1, Core: 0})
 	if got := c.Checkpoint([]int32{1, 0, 0, 0}); len(got) != 0 {
 		t.Fatalf("matching checkpoint reported %v", got)
 	}
@@ -225,8 +226,8 @@ func TestCheckerCheckpoint(t *testing.T) {
 
 func TestCheckerArtifactJSONL(t *testing.T) {
 	c := New(Options{Cores: 4, Programs: 2, Policy: rt.DWS, KeepEvents: true})
-	c.Observe(rt.ObsEvent{Kind: rt.ObsClaim, Prog: 1, Core: 0})
-	c.Observe(rt.ObsEvent{Kind: rt.ObsReclaim, Prog: 1, Core: 3, Victim: 2}) // violation
+	c.Observe(trace.Event{Kind: trace.Claim, Prog: 1, Core: 0})
+	c.Observe(trace.Event{Kind: trace.Reclaim, Prog: 1, Core: 3, Victim: 2}) // violation
 	var buf bytes.Buffer
 	if err := c.WriteJSONL(&buf); err != nil {
 		t.Fatalf("WriteJSONL: %v", err)
@@ -441,10 +442,10 @@ func TestReclaimScenarioDeterministic(t *testing.T) {
 	if err := ck.Err(); err != nil {
 		t.Fatalf("clean run violated invariants: %v", err)
 	}
-	if n := ck.Count(rt.ObsReclaim); n != 1 {
+	if n := ck.Count(trace.Reclaim); n != 1 {
 		t.Fatalf("observed %d reclaims, want exactly 1", n)
 	}
-	if ck.Count(rt.ObsEvict) < 1 {
+	if ck.Count(trace.Evict) < 1 {
 		t.Fatal("the borrower was never evicted from the reclaimed core")
 	}
 	t.Logf("scenario completed in %v", elapsed)
@@ -471,7 +472,7 @@ func TestFaultSkipReclaimCaught(t *testing.T) {
 	if !strings.Contains(vs[0].Detail, "want min(") {
 		t.Fatalf("violation is not the under-waking signature: %s", vs[0])
 	}
-	if n := ck.Count(rt.ObsReclaim); n != 0 {
+	if n := ck.Count(trace.Reclaim); n != 0 {
 		t.Fatalf("faulty coordinator still reclaimed %d cores", n)
 	}
 }

@@ -35,8 +35,8 @@ import (
 //   - exchange direction (DWS): on a workload pairing a serial tail with a
 //     wide loop, the tail program sleeps and the wide program claims cores
 //     on both substrates;
-//   - invariants: the live run is watched by the Checker and must produce
-//     zero violations.
+//   - invariants: both runs are watched by a Checker (the same Options on
+//     each side) and must produce zero violations.
 //
 // Under DWS both substrates run with the QoS arbiter enabled at equal
 // weights: the arbiter must then degenerate to the paper's static
@@ -46,7 +46,7 @@ import (
 // acceptance test for the arbitration layer.
 //
 // Anything that disagrees is recorded as a Divergence, and the whole
-// report (including the simulator's trace summary) serialises to JSONL —
+// report (including the simulator's event-kind counts) serialises to JSONL —
 // the repro artifact CI uploads on failure.
 
 // rankingDecisive is the sim run-time ratio above which the oracle
@@ -120,10 +120,10 @@ type PolicyReport struct {
 	Policy   string           `json:"policy"`
 	Sim      SubstrateOutcome `json:"sim"`
 	Live     SubstrateOutcome `json:"live"`
-	// SimTrace is the simulator's trace-event summary (kind → count).
+	// SimTrace counts the simulator's scheduling events by kind.
 	SimTrace map[string]int `json:"sim_trace,omitempty"`
-	// CheckerViolations counts live-side invariant violations (their
-	// details ride along as divergences).
+	// CheckerViolations counts invariant violations on both substrates
+	// (their details ride along as divergences).
 	CheckerViolations int          `json:"checker_violations"`
 	Divergences       []Divergence `json:"divergences,omitempty"`
 }
@@ -252,7 +252,7 @@ func RunConformance(scenarios []Scenario, policies []rt.Policy, seed int64) (*Re
 const liveRetries = 2
 
 func runOne(sc Scenario, pol rt.Policy, seed int64) (PolicyReport, error) {
-	simOut, simTrace, err := runSimSide(sc, pol, seed)
+	simOut, simTrace, simChecker, err := runSimSide(sc, pol, seed)
 	if err != nil {
 		return PolicyReport{Scenario: sc.Name, Policy: pol.String()},
 			fmt.Errorf("sim side: %w", err)
@@ -263,7 +263,7 @@ func runOne(sc Scenario, pol rt.Policy, seed int64) (PolicyReport, error) {
 		if err != nil {
 			return pr, fmt.Errorf("live side: %w", err)
 		}
-		pr = compareOne(sc, pol, simOut, simTrace, liveOut, checker)
+		pr = compareOne(sc, pol, simOut, simTrace, simChecker, liveOut, checker)
 		if len(pr.Divergences) == 0 || attempt >= liveRetries || !timingOnly(pr) {
 			return pr, nil
 		}
@@ -285,7 +285,7 @@ func timingOnly(pr PolicyReport) bool {
 }
 
 // compareOne diffs one live outcome against the sim outcome.
-func compareOne(sc Scenario, pol rt.Policy, simOut SubstrateOutcome, simTrace map[string]int, liveOut SubstrateOutcome, checker *Checker) PolicyReport {
+func compareOne(sc Scenario, pol rt.Policy, simOut SubstrateOutcome, simTrace map[string]int, simChecker *Checker, liveOut SubstrateOutcome, liveChecker *Checker) PolicyReport {
 	pr := PolicyReport{Scenario: sc.Name, Policy: pol.String()}
 	div := func(check, format string, args ...any) {
 		pr.Divergences = append(pr.Divergences, Divergence{
@@ -372,20 +372,47 @@ func compareOne(sc Scenario, pol rt.Policy, simOut SubstrateOutcome, simTrace ma
 		}
 	}
 
-	// Live-side invariants.
-	if vs := checker.Violations(); len(vs) > 0 {
-		pr.CheckerViolations = len(vs)
+	// Invariants, on both substrates.
+	for _, side := range []struct {
+		name string
+		c    *Checker
+	}{{"sim", simChecker}, {"live", liveChecker}} {
+		vs := side.c.Violations()
+		pr.CheckerViolations += len(vs)
 		for _, v := range vs {
-			div("invariant", "%s", v)
+			div("invariant", "%s: %s", side.name, v)
 		}
 	}
 	return pr
 }
 
-// runSimSide executes the scenario on the discrete-event simulator with a
+// newChecker returns the non-strict Checker either substrate's run of sc
+// under pol is watched by.
+func newChecker(sc Scenario, pol rt.Policy) *Checker {
+	return New(Options{
+		Cores:      sc.Cores,
+		Programs:   len(sc.Graphs),
+		Policy:     pol,
+		SocketSize: sc.SocketSize,
+	})
+}
+
+// runSimSide executes the scenario on the discrete-event simulator,
+// watched by a Checker, and counts its events by kind.
+func runSimSide(sc Scenario, pol rt.Policy, seed int64) (SubstrateOutcome, map[string]int, *Checker, error) {
+	checker := newChecker(sc, pol)
+	kinds := make(map[string]int)
+	out, err := simulate(sc, pol, seed, func(ev trace.Event) {
+		kinds[ev.Kind.String()]++
+		checker.Observe(ev)
+	})
+	return out, kinds, checker, err
+}
+
+// simulate runs the scenario on the discrete-event simulator with a
 // neutral machine model (no cache or contention penalties), so the diff
-// isolates scheduling behaviour.
-func runSimSide(sc Scenario, pol rt.Policy, seed int64) (SubstrateOutcome, map[string]int, error) {
+// isolates scheduling behaviour, reporting every event to obs.
+func simulate(sc Scenario, pol rt.Policy, seed int64, obs trace.Observer) (SubstrateOutcome, error) {
 	socketSize := sc.Cores
 	if sc.SocketSize > 0 {
 		socketSize = sc.SocketSize
@@ -409,13 +436,12 @@ func runSimSide(sc Scenario, pol rt.Policy, seed int64) (SubstrateOutcome, map[s
 	}
 	m, err := sim.NewMachine(cfg, sc.Graphs)
 	if err != nil {
-		return SubstrateOutcome{}, nil, err
+		return SubstrateOutcome{}, err
 	}
-	rec := &trace.Recorder{}
-	m.Trace = rec.Hook()
+	m.Observe = obs
 	res, err := m.Run(sim.RunOpts{TargetRuns: sc.TargetRuns})
 	if err != nil {
-		return SubstrateOutcome{}, nil, err
+		return SubstrateOutcome{}, err
 	}
 	var out SubstrateOutcome
 	for _, p := range res.Programs {
@@ -431,11 +457,7 @@ func runSimSide(sc Scenario, pol rt.Policy, seed int64) (SubstrateOutcome, map[s
 		})
 	}
 	out.Shares = shares(out.Programs)
-	sum := make(map[string]int)
-	for k, n := range rec.Summary() {
-		sum[k.String()] = n
-	}
-	return out, sum, nil
+	return out, nil
 }
 
 // runLiveSide executes the scenario on the live runtime under a fake
@@ -455,12 +477,7 @@ func runLiveSide(sc Scenario, pol rt.Policy) (SubstrateOutcome, *Checker, error)
 	defer runtime.GOMAXPROCS(prev)
 
 	fake := vclock.NewFake()
-	checker := New(Options{
-		Cores:      sc.Cores,
-		Programs:   len(sc.Graphs),
-		Policy:     pol,
-		SocketSize: sc.SocketSize,
-	})
+	checker := newChecker(sc, pol)
 	const coordPeriod = 2 * time.Millisecond
 	rtCfg := rt.Config{
 		Cores:       sc.Cores,

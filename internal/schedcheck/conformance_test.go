@@ -6,6 +6,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"dws/internal/coretable"
+	"dws/internal/rt"
+	"dws/internal/trace"
 )
 
 // artifactDir returns where a failing conformance run dumps its JSONL
@@ -105,5 +109,68 @@ func TestConformanceSeedSweep(t *testing.T) {
 			}
 			checkReport(t, rep, "seed"+f)
 		})
+	}
+}
+
+// TestSimCheckerCatchesPlantedFaults: the Checker watching the sim side of
+// a conformance cell is not vacuous. The untouched DWS stream of the
+// exchange scenario is clean; the same stream with one reclaim moved off
+// the reclaimer's home block, or with one wake dropped, is caught by the
+// invariant that owns that rule.
+func TestSimCheckerCatchesPlantedFaults(t *testing.T) {
+	sc := DefaultScenarios()[1] // tail-vs-wide
+	run := func(plant func(ev *trace.Event) (keep bool)) []Violation {
+		t.Helper()
+		c := newChecker(sc, rt.DWS)
+		if _, err := simulate(sc, rt.DWS, 1, func(ev trace.Event) {
+			if plant(&ev) {
+				c.Observe(ev)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return c.Violations()
+	}
+	named := func(vs []Violation, inv string) bool {
+		for _, v := range vs {
+			if v.Invariant == inv {
+				return true
+			}
+		}
+		return false
+	}
+
+	seen := map[trace.Kind]int{}
+	if vs := run(func(ev *trace.Event) bool { seen[ev.Kind]++; return true }); len(vs) > 0 {
+		t.Fatalf("untouched sim stream: %d violations, first %s", len(vs), vs[0])
+	}
+	if seen[trace.Reclaim] == 0 || seen[trace.Wake] == 0 {
+		t.Fatalf("scenario emits no reclaim or no wake to plant on: %v", seen)
+	}
+
+	moved := false
+	vs := run(func(ev *trace.Event) bool {
+		if ev.Kind == trace.Reclaim && !moved {
+			moved = true
+			// The other program's first static home core.
+			other := 2 - int(ev.Prog)
+			ev.Core = coretable.HomeCores(sc.Cores, len(sc.Graphs), other)[0]
+		}
+		return true
+	})
+	if !named(vs, "reclaim-home-only") {
+		t.Errorf("reclaim moved off its home block: violations %v, want reclaim-home-only", vs)
+	}
+
+	dropped := false
+	vs = run(func(ev *trace.Event) bool {
+		if ev.Kind == trace.Wake && !dropped {
+			dropped = true
+			return false
+		}
+		return true
+	})
+	if !named(vs, "sleep-wake-alternation") {
+		t.Errorf("one wake dropped: violations %v, want sleep-wake-alternation", vs)
 	}
 }

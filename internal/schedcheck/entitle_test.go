@@ -6,13 +6,14 @@ import (
 
 	"dws/internal/arbiter"
 	"dws/internal/rt"
+	"dws/internal/trace"
 	"dws/internal/vclock"
 )
 
-// entRow builds one ObsEntitle row of a batch.
-func entRow(prog int32, old, new, floor int, score float64, active bool, epoch int64, batch int) rt.ObsEvent {
-	return rt.ObsEvent{
-		Kind: rt.ObsEntitle, Prog: prog, Core: -1,
+// entRow builds one trace.Entitle row of a batch.
+func entRow(prog int32, old, new, floor int, score float64, active bool, epoch int64, batch int) trace.Event {
+	return trace.Event{
+		Kind: trace.Entitle, Prog: prog, Core: -1,
 		EOld: old, ENew: new, Floor: floor, Score: score,
 		Weight: score, Active: active, Trigger: "demand",
 		Epoch: epoch, Batch: batch,
@@ -110,7 +111,7 @@ func TestCheckerReclaimEntitledHome(t *testing.T) {
 	c := New(Options{Cores: 4, Programs: 2, Policy: rt.DWS})
 	c.Observe(entRow(1, 0, 3, 1, 3, true, 1, 2))
 	c.Observe(entRow(2, 0, 1, 1, 1, true, 1, 2))
-	c.Observe(rt.ObsEvent{Kind: rt.ObsReclaim, Prog: 1, Core: 2, Victim: 2})
+	c.Observe(trace.Event{Kind: trace.Reclaim, Prog: 1, Core: 2, Victim: 2})
 	if err := c.Err(); err != nil {
 		t.Fatalf("reclaim inside the entitled block flagged: %v", err)
 	}
@@ -118,7 +119,7 @@ func TestCheckerReclaimEntitledHome(t *testing.T) {
 	// Core 3 is outside p1's entitled block; the reclaim is held pending
 	// (a justifying batch may be in flight), surfaces in Violations(), and
 	// becomes a recorded violation when the next batch fails to justify it.
-	c.Observe(rt.ObsEvent{Kind: rt.ObsReclaim, Prog: 1, Core: 3, Victim: 2})
+	c.Observe(trace.Event{Kind: trace.Reclaim, Prog: 1, Core: 3, Victim: 2})
 	if !hasViolation(c, "reclaim-home-only") {
 		t.Fatal("unjustified reclaim not surfaced while pending")
 	}
@@ -136,13 +137,13 @@ func TestCheckerReclaimEntitledHome(t *testing.T) {
 	c.Observe(entRow(2, 0, 1, 1, 1, true, 1, 2))
 	c.Observe(entRow(1, 3, 1, 1, 1, true, 2, 2)) // shrink p1 to {0}
 	c.Observe(entRow(2, 1, 3, 1, 3, true, 2, 2)) // p2 grows to {1,2,3}
-	c.Observe(rt.ObsEvent{Kind: rt.ObsReclaim, Prog: 1, Core: 2, Victim: 2})
+	c.Observe(trace.Event{Kind: trace.Reclaim, Prog: 1, Core: 2, Victim: 2})
 	if err := c.Err(); err != nil {
 		t.Fatalf("reclaim in the previous entitled block flagged: %v", err)
 	}
 	// And the new owner may reclaim its freshly entitled core 1 (outside
 	// its static home {2,3}).
-	c.Observe(rt.ObsEvent{Kind: rt.ObsReclaim, Prog: 2, Core: 1, Victim: 1})
+	c.Observe(trace.Event{Kind: trace.Reclaim, Prog: 2, Core: 1, Victim: 1})
 	if err := c.Err(); err != nil {
 		t.Fatalf("reclaim of a freshly entitled core flagged: %v", err)
 	}
@@ -201,7 +202,7 @@ func TestFaultIgnoreWeightsCaught(t *testing.T) {
 	if err := clean.Err(); err != nil {
 		t.Fatalf("clean weighted arbitration flagged: %v", err)
 	}
-	if clean.Count(rt.ObsEntitle) == 0 {
+	if clean.Count(trace.Entitle) == 0 {
 		t.Fatal("clean run emitted no entitle batches")
 	}
 

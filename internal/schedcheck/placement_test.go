@@ -7,6 +7,7 @@ import (
 	"dws/internal/arbiter"
 	"dws/internal/rt"
 	"dws/internal/topo"
+	"dws/internal/trace"
 	"dws/internal/vclock"
 )
 
@@ -28,13 +29,13 @@ func TestCheckerPlacedReclaimHomeOnly(t *testing.T) {
 	c := New(Options{Cores: 6, Programs: 3, Policy: rt.DWS, SocketSize: 2})
 	batch321(c)
 	// Both reclaims sit inside placed blocks but outside the flat ones.
-	c.Observe(rt.ObsEvent{Kind: rt.ObsReclaim, Prog: 2, Core: 5, Victim: 1})
-	c.Observe(rt.ObsEvent{Kind: rt.ObsReclaim, Prog: 3, Core: 3, Victim: 1})
+	c.Observe(trace.Event{Kind: trace.Reclaim, Prog: 2, Core: 5, Victim: 1})
+	c.Observe(trace.Event{Kind: trace.Reclaim, Prog: 3, Core: 3, Victim: 1})
 	if err := c.Err(); err != nil {
 		t.Fatalf("reclaims inside the placed blocks flagged: %v", err)
 	}
 	// Core 3 is in p2's flat prefix block [3,4] but not its placed [4,5].
-	c.Observe(rt.ObsEvent{Kind: rt.ObsReclaim, Prog: 2, Core: 3, Victim: 1})
+	c.Observe(trace.Event{Kind: trace.Reclaim, Prog: 2, Core: 3, Victim: 1})
 	if !hasViolation(c, "reclaim-home-only") {
 		t.Fatal("reclaim of a flat-block core outside the placed block not flagged")
 	}
@@ -43,11 +44,11 @@ func TestCheckerPlacedReclaimHomeOnly(t *testing.T) {
 	// semantics, so the legal/illegal cores swap.
 	c = New(Options{Cores: 6, Programs: 3, Policy: rt.DWS})
 	batch321(c)
-	c.Observe(rt.ObsEvent{Kind: rt.ObsReclaim, Prog: 2, Core: 3, Victim: 1})
+	c.Observe(trace.Event{Kind: trace.Reclaim, Prog: 2, Core: 3, Victim: 1})
 	if err := c.Err(); err != nil {
 		t.Fatalf("flat-legal reclaim flagged: %v", err)
 	}
-	c.Observe(rt.ObsEvent{Kind: rt.ObsReclaim, Prog: 3, Core: 3, Victim: 1})
+	c.Observe(trace.Event{Kind: trace.Reclaim, Prog: 3, Core: 3, Victim: 1})
 	if !hasViolation(c, "reclaim-home-only") {
 		t.Fatal("flat checker accepted p3 reclaiming a core of p2's block")
 	}
@@ -269,10 +270,10 @@ func TestLocalityReclaimScenario(t *testing.T) {
 	if err := ck.Err(); err != nil {
 		t.Fatalf("clean locality scenario violated invariants: %v", err)
 	}
-	if n := ck.Count(rt.ObsReclaim); n < 2 {
+	if n := ck.Count(trace.Reclaim); n < 2 {
 		t.Fatalf("observed %d reclaims, want at least the two placed-socket ones", n)
 	}
-	if ck.Count(rt.ObsEntitle) == 0 {
+	if ck.Count(trace.Entitle) == 0 {
 		t.Fatal("no entitle batches observed")
 	}
 }

@@ -67,10 +67,7 @@ func (m *Machine) arbiterTick() {
 			NA:     p.active,
 		})
 	}
-	for _, d := range m.arb.Tick(inputs) {
-		m.trace("p%d entitle %d->%d (%s epoch=%d)",
-			d.PID, int(d.Old), int(d.New), d.Trigger, d.Epoch)
-	}
+	arbiter.Report(m.arb.Tick(inputs), m.emit)
 }
 
 // Entitlements returns the core table's current entitlement vector (one

@@ -2,10 +2,10 @@ package sim
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"dws/internal/task"
+	"dws/internal/trace"
 )
 
 func arbGraphs() []*task.Graph {
@@ -62,10 +62,10 @@ func TestArbiterWeightedShiftsEntitlements(t *testing.T) {
 	cfg.Debug = true
 	m := mustMachine(t, cfg, arbGraphs())
 
-	var entLines []string
-	m.Trace = func(timeUS int64, format string, args ...any) {
-		if strings.HasPrefix(format, "p%d entitle") {
-			entLines = append(entLines, format)
+	entRows := 0
+	m.Observe = func(ev trace.Event) {
+		if ev.Kind == trace.Entitle {
+			entRows++
 		}
 	}
 	res, err := m.Run(RunOpts{TargetRuns: 3, HorizonUS: 60_000_000_000})
@@ -76,8 +76,8 @@ func TestArbiterWeightedShiftsEntitlements(t *testing.T) {
 	if ents[0] != 11 || ents[1] != 5 {
 		t.Fatalf("2:1 entitlements = %v, want [11 5 ...]", ents)
 	}
-	if len(entLines) == 0 {
-		t.Fatal("no entitle trace lines emitted")
+	if entRows == 0 {
+		t.Fatal("no entitle events emitted")
 	}
 	heavy := res.Programs[0].MeanRunUS()
 	light := res.Programs[1].MeanRunUS()

@@ -1,10 +1,10 @@
 package sim
 
 import (
-	"strings"
 	"testing"
 
 	"dws/internal/task"
+	"dws/internal/trace"
 )
 
 // wideGraph always wants more cores than its share.
@@ -140,22 +140,18 @@ func TestCoordinatorTicksCounted(t *testing.T) {
 	}
 }
 
-// TestTraceEmitsProtocolEvents: the Trace hook reports the protocol's
+// TestTraceEmitsProtocolEvents: the Observe hook reports the protocol's
 // vocabulary during a DWS co-run.
 func TestTraceEmitsProtocolEvents(t *testing.T) {
 	m := mustMachine(t, debugConfig(DWS), []*task.Graph{wideGraph(), narrowGraph()})
-	var sb strings.Builder
-	m.Trace = func(ts int64, format string, args ...any) {
-		sb.WriteString(format)
-		sb.WriteByte('\n')
-	}
+	seen := map[trace.Kind]int{}
+	m.Observe = func(ev trace.Event) { seen[ev.Kind]++ }
 	if _, err := m.Run(RunOpts{TargetRuns: 2, HorizonUS: 120_000_000_000}); err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
-	for _, want := range []string{"sleeps", "claims", "coord", "run"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("trace missing %q events", want)
+	for _, want := range []trace.Kind{trace.Sleep, trace.Wake, trace.Release, trace.Claim, trace.CoordTick, trace.RunDone} {
+		if seen[want] == 0 {
+			t.Errorf("trace missing %v events (saw %v)", want, seen)
 		}
 	}
 }

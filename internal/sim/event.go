@@ -162,7 +162,6 @@ func (m *Machine) fire(e *event) {
 		}
 	case evSpinPark:
 		if m.spinEnds(w, e.gen) {
-			m.trace("p%d w%d park(spin) fs=%d", w.prog.id, w.id, w.failedSteals)
 			m.parkWorker(w, true)
 		}
 	case evWake:

@@ -11,6 +11,7 @@ import (
 	"dws/internal/coretable"
 	"dws/internal/task"
 	"dws/internal/topo"
+	"dws/internal/trace"
 	"dws/internal/wfq"
 )
 
@@ -71,16 +72,21 @@ type Machine struct {
 	// analog of the server admission's fallbackNanos.
 	svcFallbackUS int64
 
-	// Trace, when non-nil, receives a line for every notable scheduling
-	// event (sleeps, wakes, claims, reclaims, evictions, coordinator
-	// decisions, run completions). Used by tests and the dwssim CLI's
-	// -trace flag.
-	Trace func(timeUS int64, format string, args ...any)
+	// Observe, when non-nil, receives a typed trace.Event, stamped with
+	// the simulated time, for every scheduling transition (sleeps, wakes,
+	// claims, reclaims, releases, evictions, coordinator passes, run
+	// completions, entitlements, open-loop job fates) — the vocabulary
+	// the live runtime reports to rt.Config.Observer.
+	Observe trace.Observer
 }
 
-func (m *Machine) trace(format string, args ...any) {
-	if m.Trace != nil {
-		m.Trace(m.now, format, args...)
+// emit reports one transition to Observe (a no-op without one). The
+// nil-check is the entire unobserved cost: ev is built by value, so a
+// site allocates nothing when no one listens.
+func (m *Machine) emit(ev trace.Event) {
+	if m.Observe != nil {
+		ev.AtUS = m.now
+		m.Observe(ev)
 	}
 }
 
@@ -390,7 +396,7 @@ func (m *Machine) getWork(w *Worker) {
 	if m.table != nil && m.table.Occupant(w.id) != p.id {
 		m.table.AckEviction(w.id)
 		p.stats.Evictions++
-		m.trace("p%d w%d evicted", p.id, w.id)
+		m.emit(trace.Event{Kind: trace.Evict, Prog: p.id, Core: w.id})
 		m.parkWorker(w, false)
 		return
 	}
@@ -526,23 +532,26 @@ func (m *Machine) parkWorker(w *Worker, release bool) {
 	p.stats.Sleeps++
 	c.removeFromRunq(w)
 	c.unschedule(m.now)
-	if release && m.table != nil {
-		m.table.Release(w.id, p.id)
+	m.emit(trace.Event{Kind: trace.Sleep, Prog: p.id, Core: w.id, Release: release})
+	if release && m.table != nil && m.table.Release(w.id, p.id) {
+		m.emit(trace.Event{Kind: trace.Release, Prog: p.id, Core: w.id})
 	}
-	m.trace("p%d w%d sleeps (release=%v active=%d)", p.id, w.id, release, p.active)
 	m.dispatch(c)
 }
 
-// wakeWorker transitions a sleeping worker to runnable after WakeLatencyUS.
-func (m *Machine) wakeWorker(w *Worker) {
+// wakeWorker transitions a sleeping worker to runnable after
+// WakeLatencyUS, reporting whether w was asleep.
+func (m *Machine) wakeWorker(w *Worker) bool {
 	if w.state != wSleeping {
-		return
+		return false
 	}
 	p := w.prog
 	w.setState(wWaking)
 	p.active++
 	p.stats.Wakes++
+	m.emit(trace.Event{Kind: trace.Wake, Prog: p.id, Core: w.id})
 	m.arm(m.now+m.cfg.WakeLatencyUS, event{kind: evWake, w: w})
+	return true
 }
 
 // wakeArrived makes a waking worker runnable on its core once the wake

@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"testing"
 
 	"dws/internal/task"
+	"dws/internal/trace"
 )
 
 // tieStreams is an open-loop input built so that arrivals tie, on the
@@ -35,14 +37,15 @@ func tieStreams() (jobs [][]Job, joins []int64) {
 // TestOpenArrivalTies pins a replay whose arrivals tie with each other,
 // with a join and with coordinator ticks — end time, event count, the
 // outcome log and the whole scheduling trace — to the values recorded
-// when RunOpen armed every arrival before the first event fired.
+// when RunOpen armed every arrival before the first event fired. The trace
+// hash is over the typed event stream, one JSON line per trace.Event.
 func TestOpenArrivalTies(t *testing.T) {
 	want := map[Policy]struct {
 		endUS, events      int64
 		logHash, traceHash uint64
 	}{
-		DWS: {222753, 487, 0xf0184d8dcb7c365a, 0x30a953b540adc6b7},
-		GO:  {904823, 394, 0xc554ade685ca7156, 0x5da61f7e924fa55b},
+		DWS: {222753, 487, 0xf0184d8dcb7c365a, 0xb3e2d669e0d5d211},
+		GO:  {904823, 394, 0xc554ade685ca7156, 0x2eeb73052fd6e156},
 	}
 	for _, pol := range []Policy{DWS, GO} {
 		graphs := []*task.Graph{
@@ -52,8 +55,11 @@ func TestOpenArrivalTies(t *testing.T) {
 		}
 		m := mustMachine(t, debugConfig(pol), graphs)
 		th := fnv.New64a()
-		m.Trace = func(timeUS int64, format string, args ...any) {
-			fmt.Fprintf(th, "%d "+format+"\n", append([]any{timeUS}, args...)...)
+		enc := json.NewEncoder(th)
+		m.Observe = func(ev trace.Event) {
+			if err := enc.Encode(ev); err != nil {
+				t.Fatal(err)
+			}
 		}
 		jobs, joins := tieStreams()
 		res, err := m.RunOpen(OpenOpts{Jobs: jobs, JoinsUS: joins, QueueCap: 1, HorizonUS: 600_000_000_000})

@@ -19,6 +19,7 @@ import (
 
 	"dws/internal/admit"
 	"dws/internal/task"
+	"dws/internal/trace"
 	"dws/internal/wfq"
 )
 
@@ -303,19 +304,15 @@ func (m *Machine) offer(p *Program, j *openJob) admit.Verdict {
 		Budget:      budget,
 		Cost:        float64(admit.Charge(p.svcEWMAUS, m.svcFallbackUS)),
 	})
-	switch d.Verdict {
-	case admit.EarlyReject:
-		m.trace("p%d job %d early-rejected (predicted %dµs > remaining %dµs)",
-			p.id, j.idx, d.Predicted, budget)
-	case admit.QueueFull:
-		m.trace("p%d job %d rejected (queue full)", p.id, j.idx)
-	case admit.Overload:
-		m.trace("p%d job %d rejected (global cap, worst placed)", p.id, j.idx)
+	if d.Verdict != admit.Admitted {
+		m.emit(trace.Event{Kind: trace.Job, Prog: p.id, Core: -1, Job: j.idx,
+			Verdict: d.Verdict.String(), PredictedUS: d.Predicted, BudgetUS: budget})
 	}
 	if d.DidShed {
-		m.trace("p%d job %d shed for p%d job %d (global cap)",
-			m.progs[d.VictimFlow].id, d.Victim.idx, p.id, j.idx)
-		m.jobDone(m.progs[d.VictimFlow], d.Victim, JobShed)
+		victim := m.progs[d.VictimFlow]
+		m.emit(trace.Event{Kind: trace.Job, Prog: p.id, Core: -1, Job: d.Victim.idx,
+			Verdict: admit.Shed.String(), Victim: victim.id})
+		m.jobDone(victim, d.Victim, JobShed)
 	}
 	return d.Verdict
 }
@@ -336,7 +333,8 @@ func refusalStatus(v admit.Verdict) JobStatus {
 // it.
 func (m *Machine) startJob(p *Program, j *openJob, w *Worker) {
 	for j.DeadlineUS > 0 && m.now > j.AtUS+j.DeadlineUS {
-		m.trace("p%d job %d expired after %dµs queued", p.id, j.idx, m.now-j.AtUS)
+		m.emit(trace.Event{Kind: trace.Job, Prog: p.id, Core: -1, Job: j.idx,
+			Verdict: "expired", WaitUS: m.now - j.AtUS})
 		m.jobDone(p, j, JobExpired)
 		if m.stopped || m.adm.Len(p.idx) == 0 {
 			p.curJob = nil
@@ -350,7 +348,8 @@ func (m *Machine) startJob(p *Program, j *openJob, w *Worker) {
 	p.graph = j.Graph
 	p.runActive = true
 	p.runStart = m.now
-	m.trace("p%d job %d starts after %dµs queued", p.id, j.idx, m.now-j.AtUS)
+	m.emit(trace.Event{Kind: trace.Job, Prog: p.id, Core: -1, Job: j.idx,
+		Verdict: "start", WaitUS: m.now - j.AtUS})
 	m.regrabHome(p)
 	m.pushTask(w, m.newTask(j.Graph.Root, nil))
 	// The push came from the arrival event, not a running worker, so the

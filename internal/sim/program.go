@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"dws/internal/task"
+	"dws/internal/trace"
 )
 
 // Program is one work-stealing program: k workers (one per core), its own
@@ -135,7 +136,8 @@ func (m *Machine) finishRun(p *Program, w *Worker) {
 	p.stats.RunTimesUS = append(p.stats.RunTimesUS, m.now-p.runStart)
 	p.stats.RunStartsUS = append(p.stats.RunStartsUS, p.runStart)
 	p.runsDone++
-	m.trace("p%d run %d done in %dµs", p.id, p.runsDone, m.now-p.runStart)
+	m.emit(trace.Event{Kind: trace.RunDone, Prog: p.id, Core: -1,
+		LocalSteals: p.stats.LocalSteals, RemoteSteals: p.stats.RemoteSteals})
 	if m.jobMode {
 		m.jobFinished(p, w)
 		return
@@ -195,14 +197,14 @@ func (m *Machine) coordTick(p *Program) {
 	if nw <= 0 {
 		return
 	}
-	m.trace("p%d coord nb=%d na=%d nw=%d", p.id, nb, na, nw)
-
+	ev := trace.Event{Kind: trace.CoordTick, Prog: p.id, Core: -1, NB: nb, NA: na, NW: nw}
 	switch m.cfg.Policy {
 	case DWSNC:
-		m.coordWakeNC(p, nw)
+		m.coordWakeNC(p, &ev)
 	case DWS:
-		m.coordWakeDWS(p, nw)
+		m.coordWakeDWS(p, &ev)
 	}
+	m.emit(ev)
 }
 
 // coordWakeNC wakes up to nw sleeping workers with no regard for core
@@ -217,23 +219,25 @@ func (p *Program) sleepingWorkers() []*Worker {
 	return s
 }
 
-func (m *Machine) coordWakeNC(p *Program, nw int) {
+func (m *Machine) coordWakeNC(p *Program, ev *trace.Event) {
 	sleepers := p.sleepingWorkers()
 	if len(sleepers) == 0 {
 		return
 	}
-	if nw > len(sleepers) {
-		nw = len(sleepers)
-	}
+	nw := min(ev.NW, len(sleepers))
 	for _, i := range p.rng.Perm(len(sleepers))[:nw] {
-		m.wakeWorker(sleepers[i])
+		if m.wakeWorker(sleepers[i]) {
+			ev.Woken++
+		}
 	}
 }
 
 // coordWakeDWS implements §3.3: claim free cores first; if demand still
 // exceeds supply, reclaim up to N_r of the program's home cores from their
-// borrowers; never touch cores other programs rightfully hold.
-func (m *Machine) coordWakeDWS(p *Program, nw int) {
+// borrowers; never touch cores other programs rightfully hold. The pass's
+// observation (N_f, N_r) and actions are recorded on ev.
+func (m *Machine) coordWakeDWS(p *Program, ev *trace.Event) {
+	nw := ev.NW
 	// Free cores where our affined worker is actually sleeping (it almost
 	// always is; skip transient wake-in-flight cores).
 	var free []int
@@ -253,14 +257,19 @@ func (m *Machine) coordWakeDWS(p *Program, nw int) {
 		}
 	}
 	nf, nr := len(free), len(borrowed)
+	ev.NF, ev.NR = nf, nr
+	epoch := m.table.EntitlementEpoch()
 
 	claim := func(core int) {
 		if !m.table.ClaimFree(core, p.id) {
 			return
 		}
 		p.stats.Claims++
-		m.trace("p%d claims c%d", p.id, core)
-		m.wakeWorker(p.workers[core])
+		ev.Claimed++
+		m.emit(trace.Event{Kind: trace.Claim, Prog: p.id, Core: core})
+		if m.wakeWorker(p.workers[core]) {
+			ev.Woken++
+		}
 	}
 	reclaim := func(core int) {
 		occ := m.table.Occupant(core)
@@ -271,8 +280,11 @@ func (m *Machine) coordWakeDWS(p *Program, nw int) {
 			return
 		}
 		p.stats.Reclaims++
-		m.trace("p%d reclaims c%d from p%d", p.id, core, occ)
-		m.wakeWorker(p.workers[core])
+		ev.Reclaimed++
+		m.emit(trace.Event{Kind: trace.Reclaim, Prog: p.id, Core: core, Victim: occ, Epoch: epoch})
+		if m.wakeWorker(p.workers[core]) {
+			ev.Woken++
+		}
 	}
 
 	switch {

@@ -1,191 +1,170 @@
-// Package trace turns the simulator's scheduling-event stream into typed,
-// queryable records: hook a Recorder into sim.Machine.Trace and get typed
-// events, per-kind summaries and JSONL export — the observability layer
-// behind "why did this program lose its cores?".
+// Package trace is the scheduling-event type both substrates emit: the
+// live runtime (internal/rt) and the discrete-event simulator
+// (internal/sim) report every DWS protocol transition as an Event to an
+// Observer, and internal/schedcheck checks either stream against the same
+// invariants. An Event marshals to one JSON object, so a stream is JSONL.
 package trace
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-)
+import "errors"
 
-// Kind classifies a scheduling event.
+// Kind classifies a scheduling transition. It marshals as its name.
 type Kind int
 
-// Event kinds, mirroring the DWS protocol vocabulary.
+// Event kinds, mirroring the DWS protocol vocabulary (§3.1–§3.3).
 const (
-	// KindOther is any event this package does not classify.
-	KindOther Kind = iota
-	// KindSleep: a worker went to sleep (voluntarily or after eviction).
-	KindSleep
-	// KindEvict: a worker observed that its core was reclaimed.
-	KindEvict
-	// KindClaim: a coordinator claimed a free core.
-	KindClaim
-	// KindReclaim: a coordinator reclaimed a borrowed home core.
-	KindReclaim
-	// KindCoord: a coordinator pass that decided to act (N_w > 0).
-	KindCoord
-	// KindRunDone: a program completed a run.
-	KindRunDone
-	// KindPark is the decision record preceding a voluntary sleep.
-	KindPark
-	// KindEntitle: the QoS arbiter published a new entitlement row for a
-	// program (old→new cores, with the batch trigger and epoch in Text).
-	KindEntitle
+	// Sleep: a worker went to sleep. Release says whether it was the
+	// voluntary T_SLEEP sleep (core slot released) or an eviction sleep.
+	Sleep Kind = iota
+	// Wake: a sleeping worker was transitioned to active.
+	Wake
+	// Claim: the program claimed a free core in the allocation table.
+	Claim
+	// Reclaim: the program reclaimed a home core from Victim. Epoch is
+	// the entitlement epoch the reclaimer's home block derived from (0
+	// before any arbitration), so an observer that has not yet seen that
+	// batch's Entitle rows can defer judging the reclaim instead of
+	// misjudging it against a stale vector — the live arbiter publishes to
+	// the table before its decision rows reach the observer, so a
+	// coordinator acting on the fresh vector can legitimately emit first.
+	Reclaim
+	// Evict: a worker observed that its core was reclaimed and stopped.
+	Evict
+	// Release: the program released a core slot in the table.
+	Release
+	// CoordTick: one coordinator pass; carries the full §3.3 observation
+	// (NB, NA, NW, NF, NR) and what the pass actually did (Woken, Claimed,
+	// Reclaimed).
+	CoordTick
+	// Join: the program (re)joined the table lease; Epoch is the new
+	// generation.
+	Join
+	// Sweep: a sweep found Victim's lease expired; Cores slots were freed.
+	// Prog is the sweeping program (0 for the system sweeper).
+	Sweep
+	// RunStart / RunDone bracket one program run. RunDone carries the
+	// cumulative Spawned/Executed task counters, equal at every run
+	// boundary if no task was lost.
+	RunStart
+	RunDone
+	// Entitle: the arbiter published a new entitlement for Prog —
+	// EOld→ENew cores. One event per program row of the batch (Batch rows
+	// total, shrinks emitted before growths); Epoch is the entitlement
+	// epoch the batch published.
+	Entitle
+	// Job: an open-loop job's fate at the front door — admit's refusal
+	// (Verdict early_reject, queue_full, overload), or start, expired or
+	// shed. On a shed, Prog is the arriving program that displaced job
+	// Job of program Victim.
+	Job
 )
+
+var kindNames = [...]string{
+	Sleep: "sleep", Wake: "wake", Claim: "claim", Reclaim: "reclaim",
+	Evict: "evict", Release: "release", CoordTick: "coord-tick", Join: "join",
+	Sweep: "sweep", RunStart: "run-start", RunDone: "run-done",
+	Entitle: "entitle", Job: "job",
+}
 
 // String names the kind.
 func (k Kind) String() string {
-	switch k {
-	case KindSleep:
-		return "sleep"
-	case KindEvict:
-		return "evict"
-	case KindClaim:
-		return "claim"
-	case KindReclaim:
-		return "reclaim"
-	case KindCoord:
-		return "coord"
-	case KindRunDone:
-		return "run-done"
-	case KindPark:
-		return "park"
-	case KindEntitle:
-		return "entitle"
-	default:
-		return "other"
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
+	return "other"
 }
 
-// Event is one typed scheduling event.
+// MarshalText encodes the kind as its name.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText decodes a kind name, refusing names outside the vocabulary.
+func (k *Kind) UnmarshalText(b []byte) error {
+	for i, n := range kindNames {
+		if n == string(b) {
+			*k = Kind(i)
+			return nil
+		}
+	}
+	return errors.New("trace: unknown event kind " + string(b))
+}
+
+// Event is one typed scheduling transition. Only the fields relevant to
+// Kind are set; Core is -1 when no single core is involved.
 type Event struct {
-	// AtUS is the simulated timestamp.
-	AtUS int64 `json:"at_us"`
-	// Kind classifies the event.
-	Kind Kind `json:"-"`
-	// KindName is the kind's name (serialised form).
-	KindName string `json:"kind"`
-	// Prog is the acting program's ID (0 if not applicable).
-	Prog int32 `json:"prog,omitempty"`
-	// Worker / Core are the worker index and core involved (-1 if not
-	// applicable).
-	Worker int `json:"worker,omitempty"`
-	Core   int `json:"core,omitempty"`
-	// Text is the fully formatted trace line.
-	Text string `json:"text"`
+	// AtUS is the simulated timestamp; the live runtime leaves it 0.
+	AtUS int64 `json:"at_us,omitempty"`
+	Kind Kind  `json:"kind"`
+	// Prog is the acting program's 1-based table ID (0 = the system).
+	Prog int32 `json:"prog"`
+	// Core is the core/worker slot involved, -1 if not applicable.
+	Core int `json:"core"`
+	// Victim is the displaced program: the borrower on Reclaim, the dead
+	// program on Sweep, the shed job's program on a shed Job.
+	Victim int32 `json:"victim,omitempty"`
+	// Release distinguishes a voluntary sleep (true) from an eviction
+	// sleep on Sleep events.
+	Release bool `json:"release,omitempty"`
+	// Epoch is the lease generation on Join/Sweep, the entitlement epoch
+	// on Entitle, and the entitlement-epoch basis of the home block on
+	// Reclaim.
+	Epoch int64 `json:"epoch,omitempty"`
+
+	// Coordinator observation (CoordTick): NB queued tasks, NA active
+	// workers, NW = NB/NA wake target, NF free cores whose affined worker
+	// is sleeping, NR home cores held by a borrower whose affined worker
+	// is sleeping.
+	NB int `json:"nb,omitempty"`
+	NA int `json:"na,omitempty"`
+	NW int `json:"nw,omitempty"`
+	NF int `json:"nf,omitempty"`
+	NR int `json:"nr,omitempty"`
+	// Coordinator actions (CoordTick): workers woken, free cores claimed,
+	// home cores reclaimed by this pass.
+	Woken     int `json:"woken,omitempty"`
+	Claimed   int `json:"claimed,omitempty"`
+	Reclaimed int `json:"reclaimed,omitempty"`
+
+	// Arbiter decision row (Entitle): Prog's entitlement moved EOld→ENew
+	// under the batch's Trigger; Weight/Score/Floor/Demand/Activity/Active
+	// are the arbitration inputs the decision was computed from (Score is 0
+	// while the program is classified idle), and Batch is the number of
+	// rows in this publish. Epoch carries the entitlement epoch.
+	EOld     int     `json:"eold,omitempty"`
+	ENew     int     `json:"enew,omitempty"`
+	Floor    int     `json:"floor,omitempty"`
+	Batch    int     `json:"batch,omitempty"`
+	Weight   float64 `json:"weight,omitempty"`
+	Score    float64 `json:"score,omitempty"`
+	Demand   float64 `json:"demand,omitempty"`
+	Activity float64 `json:"activity,omitempty"`
+	Active   bool    `json:"active,omitempty"`
+	Trigger  string  `json:"trigger,omitempty"`
+
+	// Cores is the number of slots freed by a Sweep.
+	Cores int `json:"cores,omitempty"`
+	// Spawned/Executed are the program's cumulative task counters on
+	// RunDone (root injections count as spawns).
+	Spawned  int64 `json:"spawned,omitempty"`
+	Executed int64 `json:"executed,omitempty"`
+	// LocalSteals/RemoteSteals split the program's cumulative deque steals
+	// by whether thief and victim shared a socket (RunDone). Under a flat
+	// topology RemoteSteals is always 0.
+	LocalSteals  int64 `json:"local_steals,omitempty"`
+	RemoteSteals int64 `json:"remote_steals,omitempty"`
+
+	// Open-loop job outcome (Job): the job's per-program index, its
+	// Verdict, the time it waited queued (start, expired), and on a
+	// refusal admit's predicted queue wait against the deadline budget
+	// left.
+	Job         int    `json:"job,omitempty"`
+	Verdict     string `json:"verdict,omitempty"`
+	WaitUS      int64  `json:"wait_us,omitempty"`
+	PredictedUS int64  `json:"predicted_us,omitempty"`
+	BudgetUS    int64  `json:"budget_us,omitempty"`
 }
 
-// Recorder collects typed events from a sim.Machine.Trace hook.
-type Recorder struct {
-	// Max caps stored events (0 = 100k); past it, events are dropped and
-	// counted.
-	Max     int
-	Events  []Event
-	Dropped int
-}
-
-// Hook returns a function to assign to sim.Machine.Trace.
-func (r *Recorder) Hook() func(timeUS int64, format string, args ...any) {
-	return func(timeUS int64, format string, args ...any) {
-		maxEv := r.Max
-		if maxEv <= 0 {
-			maxEv = 100_000
-		}
-		if len(r.Events) >= maxEv {
-			r.Dropped++
-			return
-		}
-		ev := classify(timeUS, format, args)
-		ev.KindName = ev.Kind.String()
-		r.Events = append(r.Events, ev)
-	}
-}
-
-// classify maps the simulator's stable trace formats to typed events.
-// The formats are a contract pinned by this package's tests.
-func classify(at int64, format string, args []any) Event {
-	ev := Event{AtUS: at, Worker: -1, Core: -1, Text: fmt.Sprintf(format, args...)}
-	geti := func(i int) int {
-		if i < len(args) {
-			if v, ok := args[i].(int); ok {
-				return v
-			}
-		}
-		return -1
-	}
-	getp := func(i int) int32 {
-		if i < len(args) {
-			if v, ok := args[i].(int32); ok {
-				return v
-			}
-		}
-		return 0
-	}
-	switch format {
-	case "p%d w%d sleeps (release=%v active=%d)":
-		ev.Kind, ev.Prog, ev.Worker = KindSleep, getp(0), geti(1)
-		ev.Core = ev.Worker
-	case "p%d w%d evicted":
-		ev.Kind, ev.Prog, ev.Worker = KindEvict, getp(0), geti(1)
-		ev.Core = ev.Worker
-	case "p%d claims c%d":
-		ev.Kind, ev.Prog, ev.Core = KindClaim, getp(0), geti(1)
-	case "p%d reclaims c%d from p%d":
-		ev.Kind, ev.Prog, ev.Core = KindReclaim, getp(0), geti(1)
-	case "p%d coord nb=%d na=%d nw=%d":
-		ev.Kind, ev.Prog = KindCoord, getp(0)
-	case "p%d run %d done in %dµs":
-		ev.Kind, ev.Prog = KindRunDone, getp(0)
-	case "p%d w%d park(spin) fs=%d":
-		ev.Kind, ev.Prog, ev.Worker = KindPark, getp(0), geti(1)
-		ev.Core = ev.Worker
-	case "p%d entitle %d->%d (%s epoch=%d)":
-		ev.Kind, ev.Prog = KindEntitle, getp(0)
-	}
-	return ev
-}
-
-// Summary counts events per kind.
-func (r *Recorder) Summary() map[Kind]int {
-	s := make(map[Kind]int)
-	for _, ev := range r.Events {
-		s[ev.Kind]++
-	}
-	return s
-}
-
-// ByKind returns the events of one kind, in order.
-func (r *Recorder) ByKind(k Kind) []Event {
-	var out []Event
-	for _, ev := range r.Events {
-		if ev.Kind == k {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
-// ByProg returns the events of one program, in order.
-func (r *Recorder) ByProg(prog int32) []Event {
-	var out []Event
-	for _, ev := range r.Events {
-		if ev.Prog == prog {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
-// WriteJSONL writes one JSON object per event.
-func (r *Recorder) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, ev := range r.Events {
-		if err := enc.Encode(ev); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// Observer receives every scheduling transition of a system's programs.
+// The live runtime calls it synchronously from worker and coordinator
+// goroutines, so an implementation must be fast, concurrency-safe and must
+// not call back into the runtime. The invariant checker in
+// internal/schedcheck is the canonical implementation.
+type Observer func(Event)

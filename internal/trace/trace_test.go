@@ -2,110 +2,32 @@ package trace
 
 import (
 	"encoding/json"
-	"strings"
 	"testing"
 )
 
-func TestClassifyKnownFormats(t *testing.T) {
-	r := &Recorder{}
-	hook := r.Hook()
-	hook(10, "p%d w%d sleeps (release=%v active=%d)", int32(1), 3, true, 5)
-	hook(20, "p%d w%d evicted", int32(2), 7)
-	hook(30, "p%d claims c%d", int32(1), 9)
-	hook(40, "p%d reclaims c%d from p%d", int32(2), 9, int32(1))
-	hook(50, "p%d coord nb=%d na=%d nw=%d", int32(1), 10, 2, 5)
-	hook(60, "p%d run %d done in %dµs", int32(2), 1, int64(12345))
-	hook(70, "p%d w%d park(spin) fs=%d", int32(1), 4, 17)
-	hook(80, "something %s", "unclassified")
-
-	want := []struct {
-		kind   Kind
-		prog   int32
-		worker int
-		core   int
-	}{
-		{KindSleep, 1, 3, 3},
-		{KindEvict, 2, 7, 7},
-		{KindClaim, 1, -1, 9},
-		{KindReclaim, 2, -1, 9},
-		{KindCoord, 1, -1, -1},
-		{KindRunDone, 2, -1, -1},
-		{KindPark, 1, 4, 4},
-		{KindOther, 0, -1, -1},
-	}
-	if len(r.Events) != len(want) {
-		t.Fatalf("%d events, want %d", len(r.Events), len(want))
-	}
-	for i, w := range want {
-		ev := r.Events[i]
-		if ev.Kind != w.kind || ev.Prog != w.prog || ev.Worker != w.worker || ev.Core != w.core {
-			t.Errorf("event %d = %+v, want %+v", i, ev, w)
+// TestEventJSONRoundTrip: every kind marshals as its name and decodes back
+// to itself; a name outside the vocabulary is refused.
+func TestEventJSONRoundTrip(t *testing.T) {
+	for k := Sleep; k <= Job; k++ {
+		in := Event{AtUS: 7, Kind: k, Prog: 2, Core: -1}
+		b, err := json.Marshal(in)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if ev.KindName != ev.Kind.String() {
-			t.Errorf("event %d: KindName %q != %q", i, ev.KindName, ev.Kind.String())
+		var raw map[string]any
+		if err := json.Unmarshal(b, &raw); err != nil {
+			t.Fatal(err)
+		}
+		if raw["kind"] != k.String() || k.String() == "other" {
+			t.Errorf("%d marshals as %v, want its name", int(k), raw["kind"])
+		}
+		var out Event
+		if err := json.Unmarshal(b, &out); err != nil || out != in {
+			t.Errorf("%s: round trip %+v, %v; want %+v", k, out, err, in)
 		}
 	}
-	if r.Events[7].Text != "something unclassified" {
-		t.Errorf("text = %q", r.Events[7].Text)
-	}
-}
-
-func TestSummaryAndFilters(t *testing.T) {
-	r := &Recorder{}
-	hook := r.Hook()
-	for i := 0; i < 3; i++ {
-		hook(int64(i), "p%d claims c%d", int32(1), i)
-	}
-	hook(9, "p%d w%d evicted", int32(2), 1)
-
-	s := r.Summary()
-	if s[KindClaim] != 3 || s[KindEvict] != 1 {
-		t.Fatalf("summary = %v", s)
-	}
-	if got := len(r.ByKind(KindClaim)); got != 3 {
-		t.Fatalf("ByKind = %d", got)
-	}
-	if got := len(r.ByProg(2)); got != 1 {
-		t.Fatalf("ByProg = %d", got)
-	}
-}
-
-func TestCapAndDrop(t *testing.T) {
-	r := &Recorder{Max: 2}
-	hook := r.Hook()
-	for i := 0; i < 5; i++ {
-		hook(int64(i), "p%d claims c%d", int32(1), i)
-	}
-	if len(r.Events) != 2 || r.Dropped != 3 {
-		t.Fatalf("events=%d dropped=%d", len(r.Events), r.Dropped)
-	}
-}
-
-func TestWriteJSONL(t *testing.T) {
-	r := &Recorder{}
-	hook := r.Hook()
-	hook(5, "p%d claims c%d", int32(1), 2)
-	var sb strings.Builder
-	if err := r.WriteJSONL(&sb); err != nil {
-		t.Fatal(err)
-	}
-	var obj map[string]any
-	if err := json.Unmarshal([]byte(sb.String()), &obj); err != nil {
-		t.Fatal(err)
-	}
-	if obj["kind"] != "claim" || obj["at_us"] != float64(5) {
-		t.Fatalf("jsonl = %v", obj)
-	}
-}
-
-func TestKindStrings(t *testing.T) {
-	for k, want := range map[Kind]string{
-		KindOther: "other", KindSleep: "sleep", KindEvict: "evict",
-		KindClaim: "claim", KindReclaim: "reclaim", KindCoord: "coord",
-		KindRunDone: "run-done", KindPark: "park",
-	} {
-		if k.String() != want {
-			t.Errorf("%d.String() = %q, want %q", int(k), k.String(), want)
-		}
+	var ev Event
+	if err := json.Unmarshal([]byte(`{"kind":"park"}`), &ev); err == nil {
+		t.Error("unknown kind decoded without error")
 	}
 }
