@@ -1,6 +1,7 @@
 package dws_test
 
 import (
+	"fmt"
 	"os"
 	"regexp"
 	"strings"
@@ -30,6 +31,137 @@ func TestDocsNameWhatExists(t *testing.T) {
 				if _, err := bench.Select(name); err != nil {
 					t.Errorf("%s names -exp %s: %v", doc, name, err)
 				}
+			}
+		}
+	}
+}
+
+// TestExperimentsDocQuotesCode: EXPERIMENTS.md quotes every row of
+// bench.Experiments, run at bench.DefaultOptions (dwssim's defaults), as
+// one fenced block holding its text rendering byte for byte. The doc is
+// the baseline: a changed digit in the code's output fails here.
+func TestExperimentsDocQuotesCode(t *testing.T) {
+	doc, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []rendering
+	for _, e := range bench.Experiments {
+		tb, err := e.Run(bench.DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		want = append(want, rendering{e.Name, tb.String()})
+	}
+	for _, msg := range misquoted(string(doc), want) {
+		t.Error(msg)
+	}
+}
+
+// rendering is one experiment's text rendering (bench.Table.Render).
+type rendering struct{ name, text string }
+
+// misquoted returns one message for each rendering doc does not quote
+// exactly once as a fenced block, and one for each fenced block titled
+// like a table ("== … ==") that no rendering has. A block quotes a
+// rendering when it holds that rendering without its trailing blank line;
+// blocks are matched to renderings by their first (title) line.
+func misquoted(doc string, want []rendering) []string {
+	var blocks []string
+	var cur []string
+	in := false
+	for _, line := range strings.Split(doc, "\n") {
+		switch {
+		case strings.HasPrefix(line, "```") && in:
+			blocks, in = append(blocks, strings.Join(cur, "\n")), false
+		case strings.HasPrefix(line, "```"):
+			cur, in = nil, true
+		case in:
+			cur = append(cur, line)
+		}
+	}
+
+	var msgs []string
+	titles := map[string]bool{}
+	for _, r := range want {
+		text := strings.TrimRight(r.text, "\n")
+		title, _, _ := strings.Cut(text, "\n")
+		titles[title] = true
+		var quotes []string
+		for _, b := range blocks {
+			if first, _, _ := strings.Cut(b, "\n"); first == title {
+				quotes = append(quotes, b)
+			}
+		}
+		regen := "regenerate the block with `go run ./cmd/dwssim -exp " + r.name + "`"
+		switch {
+		case len(quotes) == 0:
+			msgs = append(msgs, fmt.Sprintf("EXPERIMENTS.md has no block for experiment %s (a fenced block beginning %q); %s", r.name, title, regen))
+		case len(quotes) > 1:
+			msgs = append(msgs, fmt.Sprintf("EXPERIMENTS.md quotes experiment %s %d times; keep one block", r.name, len(quotes)))
+		case quotes[0] != text:
+			msgs = append(msgs, fmt.Sprintf("EXPERIMENTS.md's block for experiment %s differs from the code's output at %s; %s", r.name, firstDiff(quotes[0], text), regen))
+		}
+	}
+	for _, b := range blocks {
+		if first, _, _ := strings.Cut(b, "\n"); strings.HasPrefix(first, "== ") && !titles[first] {
+			msgs = append(msgs, fmt.Sprintf("EXPERIMENTS.md quotes %q, which no experiment prints", first))
+		}
+	}
+	return msgs
+}
+
+// firstDiff names the first line at which the doc's block and the code's
+// rendering differ.
+func firstDiff(doc, code string) string {
+	d, c := strings.Split(doc, "\n"), strings.Split(code, "\n")
+	for i := 0; ; i++ {
+		var dl, cl string
+		if i < len(d) {
+			dl = d[i]
+		}
+		if i < len(c) {
+			cl = c[i]
+		}
+		if dl != cl || i >= len(d) || i >= len(c) {
+			return fmt.Sprintf("line %d: doc %q, code %q", i+1, dl, cl)
+		}
+	}
+}
+
+// TestMisquoted: the gate's matcher reports a drifted digit, a missing
+// block, a block quoted twice and a block no experiment prints, each
+// naming what it found, so TestExperimentsDocQuotesCode cannot pass
+// vacuously.
+func TestMisquoted(t *testing.T) {
+	tb := &bench.Table{Title: "Fig 9: sample", Header: []string{"x", "y"}, Rows: [][]string{{"1", "2.15x"}}, Notes: []string{"a note"}}
+	want := []rendering{{"fig9", tb.String()}}
+	quote := "```\n" + strings.TrimRight(tb.String(), "\n") + "\n```\n"
+	for _, c := range []struct {
+		name, doc string
+		report    []string // substrings of the one message expected; nil = none
+	}{
+		{"quoted", "# doc\n\n```sh\ndwssim -exp fig9\n```\n\n" + quote + "\nprose\n", nil},
+		{"drift", strings.Replace(quote, "2.15x", "2.16x", 1), []string{"experiment fig9", "line 4", `"1  2.16x"`, "-exp fig9"}},
+		{"missing", "# doc\n", []string{"experiment fig9", "no block", "-exp fig9"}},
+		{"twice", quote + quote, []string{"experiment fig9", "2 times"}},
+		{"truncated", strings.Replace(quote, "note: a note\n", "", 1), []string{"experiment fig9", "line 5"}},
+		{"stale", quote + "```\n== Fig 8: gone ==\n```\n", []string{`"== Fig 8: gone =="`, "no experiment"}},
+	} {
+		msgs := misquoted(c.doc, want)
+		if c.report == nil {
+			if len(msgs) != 0 {
+				t.Errorf("%s: unexpected %q", c.name, msgs)
+			}
+			continue
+		}
+		if len(msgs) != 1 {
+			t.Errorf("%s: %d messages %q, want 1", c.name, len(msgs), msgs)
+			continue
+		}
+		for _, sub := range c.report {
+			if !strings.Contains(msgs[0], sub) {
+				t.Errorf("%s: %q does not say %q", c.name, msgs[0], sub)
 			}
 		}
 	}

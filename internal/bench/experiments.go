@@ -172,24 +172,17 @@ func Fig4Table(outcomes []MixOutcome) *Table {
 		Header: []string{"mix", "bench", "solo(ms)",
 			"ABP", "EP", "DWS"},
 	}
-	maxVsABP, maxVsEP := 0.0, 0.0
 	for _, o := range outcomes {
 		for i := 0; i < 2; i++ {
 			t.Rows = append(t.Rows, []string{
 				o.Mix.String(), o.Names[i], ms(o.SoloUS[i]),
 				ratio(o.Norm(sim.ABP, i)), ratio(o.Norm(sim.EP, i)), ratio(o.Norm(sim.DWS, i)),
 			})
-			if g := stats.Improvement(o.MeanUS[sim.ABP][i], o.MeanUS[sim.DWS][i]); g > maxVsABP {
-				maxVsABP = g
-			}
-			if g := stats.Improvement(o.MeanUS[sim.EP][i], o.MeanUS[sim.DWS][i]); g > maxVsEP {
-				maxVsEP = g
-			}
 		}
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("max execution-time reduction of DWS vs ABP: %.1f%% (paper: up to 32.3%%)", 100*maxVsABP),
-		fmt.Sprintf("max execution-time reduction of DWS vs EP:  %.1f%% (paper: up to 37.1%%)", 100*maxVsEP),
+		fmt.Sprintf("max execution-time reduction of DWS vs ABP: %.1f%% (paper: up to 32.3%%)", 100*maxReduction(outcomes, sim.ABP)),
+		fmt.Sprintf("max execution-time reduction of DWS vs EP:  %.1f%% (paper: up to 37.1%%)", 100*maxReduction(outcomes, sim.EP)),
 	)
 	for _, pol := range []sim.Policy{sim.ABP, sim.EP, sim.DWS} {
 		t.Notes = append(t.Notes, fmt.Sprintf(
@@ -197,6 +190,20 @@ func Fig4Table(outcomes []MixOutcome) *Table {
 			pol, meanFairness(outcomes, pol)))
 	}
 	return t
+}
+
+// maxReduction is the paper's headline statistic: the largest execution-
+// time reduction DWS gives any program instance over the base policy.
+func maxReduction(outcomes []MixOutcome, base sim.Policy) float64 {
+	best := 0.0
+	for _, o := range outcomes {
+		for i := 0; i < 2; i++ {
+			if g := stats.Improvement(o.MeanUS[base][i], o.MeanUS[sim.DWS][i]); g > best {
+				best = g
+			}
+		}
+	}
+	return best
 }
 
 // meanFairness averages Jain's fairness index of the two programs'

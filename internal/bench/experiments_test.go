@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"dws/internal/sim"
-	"dws/internal/stats"
 )
 
 // testOptions are fast but large enough for the shapes to be stable.
@@ -16,156 +15,120 @@ func testOptions() Options {
 	return opts
 }
 
-// TestFig4Shape asserts the paper's headline: across the mixes, DWS gives
-// a substantial maximum execution-time reduction vs ABP (paper: 32.3%) and
-// vs EP (paper: 37.1%), and is the best policy for most program instances.
-func TestFig4Shape(t *testing.T) {
-	outcomes, err := Fig4(testOptions())
+// TestPaperClaims asserts each claim of PAPER.md §3.4 and §4 that the
+// simulator reproduces, one subtest per claim, on the documented run:
+// DefaultOptions, whose text rendering EXPERIMENTS.md quotes. A failure
+// message starts with the claim's name and section.
+func TestPaperClaims(t *testing.T) {
+	opts := DefaultOptions()
+	fig4, err := Fig4(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(outcomes) != len(DefaultMixes) {
-		t.Fatalf("got %d outcomes, want %d", len(outcomes), len(DefaultMixes))
+	fig5, err := Fig5(opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	maxVsABP, maxVsEP := 0.0, 0.0
-	dwsWins := 0
-	instances := 0
-	for _, o := range outcomes {
-		for i := 0; i < 2; i++ {
-			instances++
-			abp := o.MeanUS[sim.ABP][i]
-			ep := o.MeanUS[sim.EP][i]
-			dws := o.MeanUS[sim.DWS][i]
-			if g := stats.Improvement(abp, dws); g > maxVsABP {
-				maxVsABP = g
+	fig6, err := Fig6(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, err := SoloOverhead(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := CoordPeriod(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	claim := func(name, section string, check func(fail func(format string, args ...any))) {
+		t.Run(name, func(t *testing.T) {
+			check(func(format string, args ...any) {
+				t.Helper()
+				t.Errorf(name+" ("+section+"): "+format, args...)
+			})
+		})
+	}
+	// slower reports, for every program instance of outcomes, whether the
+	// policy slow took longer than fast; an instance either policy was not
+	// run on fails the claim, so a dropped policy cannot pass vacuously.
+	slower := func(fail func(string, ...any), outcomes []MixOutcome, slow, fast sim.Policy) {
+		if len(outcomes) != len(DefaultMixes) {
+			fail("%d mixes measured, want %d", len(outcomes), len(DefaultMixes))
+		}
+		for _, o := range outcomes {
+			s, okS := o.MeanUS[slow]
+			f, okF := o.MeanUS[fast]
+			if !okS || !okF {
+				fail("mix %v was not run under both %v and %v", o.Mix, slow, fast)
+				continue
 			}
-			if g := stats.Improvement(ep, dws); g > maxVsEP {
-				maxVsEP = g
-			}
-			if dws <= abp*1.02 {
-				dwsWins++
-			}
-			// No program instance may be catastrophically degraded by DWS
-			// relative to ABP (the paper's DWS never loses to ABP).
-			if dws > abp*1.25 {
-				t.Errorf("mix %v %s: DWS %.0f >> ABP %.0f", o.Mix, o.Names[i], dws, abp)
+			for i, name := range o.Names {
+				if s[i] <= f[i] {
+					fail("mix %v %s: %v %.2fx is not slower than %v %.2fx",
+						o.Mix, name, slow, o.Norm(slow, i), fast, o.Norm(fast, i))
+				}
 			}
 		}
 	}
-	t.Logf("max reduction vs ABP = %.1f%%, vs EP = %.1f%%, DWS beats ABP on %d/%d instances",
-		100*maxVsABP, 100*maxVsEP, dwsWins, instances)
-	if maxVsABP < 0.20 {
-		t.Errorf("max improvement vs ABP %.1f%%, want >= 20%% (paper: 32.3%%)", 100*maxVsABP)
-	}
-	if maxVsEP < 0.05 {
-		t.Errorf("max improvement vs EP %.1f%%, want >= 5%% (paper: 37.1%%)", 100*maxVsEP)
-	}
-	if dwsWins < instances*3/4 {
-		t.Errorf("DWS beats ABP on only %d/%d instances", dwsWins, instances)
-	}
-	tb := Fig4Table(outcomes)
-	if !strings.Contains(tb.String(), "Fig 4") {
-		t.Error("Fig4Table missing title")
-	}
-}
 
-// TestFig5Shape asserts §4.2: DWS-NC performs worse than DWS on most
-// program instances (the coordinator matters).
-func TestFig5Shape(t *testing.T) {
-	outcomes, err := Fig5(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	worse, total := 0, 0
-	for _, o := range outcomes {
-		for i := 0; i < 2; i++ {
-			total++
-			if o.MeanUS[sim.DWSNC][i] > o.MeanUS[sim.DWS][i]*1.02 {
-				worse++
+	claim("fig4/dws-beats-abp", "§4.1, Fig. 4", func(fail func(string, ...any)) {
+		slower(fail, fig4, sim.ABP, sim.DWS)
+	})
+	claim("fig4/max-vs-abp", "§4.1, Fig. 4", func(fail func(string, ...any)) {
+		if g := maxReduction(fig4, sim.ABP); g < 0.323 {
+			fail("max reduction vs ABP %.1f%%, want at least the paper's 32.3%%", 100*g)
+		}
+	})
+	claim("fig4/beats-ep-somewhere", "§4.1, Fig. 4", func(fail func(string, ...any)) {
+		// The paper reports up to 37.1 %; this reproduction asserts only
+		// that the gain exists, because of its eight profiles only
+		// Mergesort leaves cores idle for a co-runner to absorb.
+		if g := maxReduction(fig4, sim.EP); g <= 0 {
+			fail("DWS is faster than EP on no instance (max reduction %.1f%%; paper: up to 37.1%%)", 100*g)
+		}
+	})
+	claim("fig5/dws-nc-slower", "§4.2, Fig. 5", func(fail func(string, ...any)) {
+		slower(fail, fig5, sim.DWSNC, sim.DWS)
+	})
+	claim("fig6/interior-minimum", "§4.3, Fig. 6", func(fail func(string, ...any)) {
+		k := opts.Cfg.Cores
+		sum := map[int]float64{}
+		best := 0
+		for _, r := range fig6 {
+			sum[r.TSleep] = r.MeanUS[0] + r.MeanUS[1]
+			if best == 0 || sum[r.TSleep] < sum[best] {
+				best = r.TSleep
 			}
 		}
-	}
-	t.Logf("DWS-NC worse than DWS on %d/%d instances", worse, total)
-	if worse < total*2/3 {
-		t.Errorf("DWS-NC worse on only %d/%d instances; coordinator should matter", worse, total)
-	}
-	tb := Fig5Table(outcomes)
-	if !strings.Contains(tb.String(), "DWS-NC") {
-		t.Error("Fig5Table missing DWS-NC column")
-	}
-}
-
-// TestFig6Shape asserts the T_SLEEP sweep's U-shape: the extremes (1 and
-// 128) are worse than the paper's suggested k..2k region (16..32).
-func TestFig6Shape(t *testing.T) {
-	rows, err := Fig6(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 8 {
-		t.Fatalf("got %d rows, want 8", len(rows))
-	}
-	sum := func(r Fig6Row) float64 { return r.MeanUS[0] + r.MeanUS[1] }
-	byTS := map[int]Fig6Row{}
-	for _, r := range rows {
-		byTS[r.TSleep] = r
-		t.Logf("T_SLEEP=%3d FFT=%8.0f Mergesort=%8.0f", r.TSleep, r.MeanUS[0], r.MeanUS[1])
-	}
-	mid := sum(byTS[16])
-	if s := sum(byTS[32]); s < mid {
-		mid = s
-	}
-	if sum(byTS[1]) < mid*1.01 {
-		t.Errorf("T_SLEEP=1 (%.0f) not worse than best of 16/32 (%.0f)", sum(byTS[1]), mid)
-	}
-	if sum(byTS[128]) < mid*1.005 {
-		t.Errorf("T_SLEEP=128 (%.0f) not worse than best of 16/32 (%.0f)", sum(byTS[128]), mid)
-	}
-}
-
-// TestSoloOverheadShape asserts §4.4: DWS costs a solo program little.
-func TestSoloOverheadShape(t *testing.T) {
-	rows, err := SoloOverhead(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		rel := r.DWSUS / r.PlainUS
-		t.Logf("%-9s plain=%8.0f dws=%8.0f (%.3fx)", r.Bench.Name, r.PlainUS, r.DWSUS, rel)
-		if rel > 1.10 {
-			t.Errorf("%s: DWS solo overhead %.1f%%, want <= 10%%", r.Bench.Name, 100*(rel-1))
+		if best < k/2 || best > 2*k {
+			fail("combined time is least at T_SLEEP=%d, outside [k/2, 2k] = [%d, %d]", best, k/2, 2*k)
 		}
-	}
-	tb := SoloOverheadTable(rows)
-	if len(tb.Rows) != len(rows) {
-		t.Error("SoloOverheadTable row count mismatch")
-	}
-}
-
-// TestCoordPeriodAblation checks the sweep runs and the suggested T=10ms
-// is not dominated by the extremes.
-func TestCoordPeriodAblation(t *testing.T) {
-	rows, err := CoordPeriod(testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 5 {
-		t.Fatalf("got %d rows, want 5", len(rows))
-	}
-	sum := func(r CoordRow) float64 { return r.MeanUS[0] + r.MeanUS[1] }
-	var at10, at100 float64
-	for _, r := range rows {
-		t.Logf("T=%6dµs FFT=%8.0f MS=%8.0f", r.PeriodUS, r.MeanUS[0], r.MeanUS[1])
-		switch r.PeriodUS {
-		case 10000:
-			at10 = sum(r)
-		case 100000:
-			at100 = sum(r)
+		for _, edge := range []int{1, 128} {
+			if s, ok := sum[edge]; !ok || s <= sum[best] {
+				fail("T_SLEEP=%d (%.0f µs, measured %v) is not worse than T_SLEEP=%d (%.0f µs)", edge, s, ok, best, sum[best])
+			}
 		}
-	}
-	if at10 > at100 {
-		t.Errorf("T=10ms (%.0f) worse than T=100ms (%.0f); coordinator should help when timely", at10, at100)
-	}
+	})
+	claim("solo/no-degradation", "§4.4", func(fail func(string, ...any)) {
+		for _, r := range solo {
+			if rel := r.DWSUS / r.PlainUS; rel > 1.01 {
+				fail("%s alone: DWS/plain = %.3f, want ≤ 1.01", r.Bench.Name, rel)
+			}
+		}
+	})
+	claim("coordperiod/t10-not-worse-than-t100", "§3.4", func(fail func(string, ...any)) {
+		sum := map[int64]float64{}
+		for _, r := range coord {
+			sum[r.PeriodUS] = r.MeanUS[0] + r.MeanUS[1]
+		}
+		at10, ok10 := sum[10000]
+		at100, ok100 := sum[100000]
+		if !ok10 || !ok100 || at10 > at100 {
+			fail("T=10 ms (%.0f µs, measured %v) is worse than T=100 ms (%.0f µs, measured %v)", at10, ok10, at100, ok100)
+		}
+	})
 }
 
 // TestTable2 lists all eight benchmarks.

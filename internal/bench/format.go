@@ -14,22 +14,19 @@ func Renderer(format string) (func(*Table, io.Writer) error, error) {
 	case "text":
 		return (*Table).Render, nil
 	case "csv":
-		return func(t *Table, w io.Writer) error { return t.WriteCSV(w, true) }, nil
+		return (*Table).WriteCSV, nil
 	case "json":
 		return (*Table).WriteJSON, nil
 	}
 	return nil, fmt.Errorf("bench: unknown format %q (have text, csv, json)", format)
 }
 
-// WriteCSV writes the table as CSV: a header row followed by data rows.
-// Title and notes are emitted as comment-like leading records only when
-// includeMeta is set.
-func (t *Table) WriteCSV(w io.Writer, includeMeta bool) error {
+// WriteCSV writes the table as CSV: a "# title" record, the header row,
+// the data rows, then one "# note: …" record per note.
+func (t *Table) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
-	if includeMeta {
-		if err := cw.Write([]string{"# " + t.Title}); err != nil {
-			return err
-		}
+	if err := cw.Write([]string{"# " + t.Title}); err != nil {
+		return err
 	}
 	if err := cw.Write(t.Header); err != nil {
 		return err
@@ -39,11 +36,9 @@ func (t *Table) WriteCSV(w io.Writer, includeMeta bool) error {
 			return err
 		}
 	}
-	if includeMeta {
-		for _, n := range t.Notes {
-			if err := cw.Write([]string{"# note: " + n}); err != nil {
-				return err
-			}
+	for _, n := range t.Notes {
+		if err := cw.Write([]string{"# note: " + n}); err != nil {
+			return err
 		}
 	}
 	cw.Flush()

@@ -18,7 +18,7 @@ func sampleTable() *Table {
 
 func TestWriteCSV(t *testing.T) {
 	var sb strings.Builder
-	if err := sampleTable().WriteCSV(&sb, true); err != nil {
+	if err := sampleTable().WriteCSV(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -37,16 +37,6 @@ func TestWriteCSV(t *testing.T) {
 	}
 	if recs[1][0] != "a" || recs[2][1] != "2" {
 		t.Fatalf("bad cells: %v", recs)
-	}
-}
-
-func TestWriteCSVNoMeta(t *testing.T) {
-	var sb strings.Builder
-	if err := sampleTable().WriteCSV(&sb, false); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(sb.String(), "#") {
-		t.Fatalf("metadata leaked: %s", sb.String())
 	}
 }
 

@@ -74,13 +74,6 @@ func (t *Table) String() string {
 	return sb.String()
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // ms formats µs as milliseconds with one decimal.
 func ms(us float64) string { return fmt.Sprintf("%.1f", us/1000) }
 
