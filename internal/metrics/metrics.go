@@ -133,16 +133,26 @@ func (f *family) with(labelVals []string) *series {
 		panic(fmt.Sprintf("metrics: %s wants %d label values, got %d",
 			f.name, len(f.labels), len(labelVals)))
 	}
-	key := strings.Join(labelVals, "\x00")
+	// The series key is the values joined by NUL, built in a stack buffer:
+	// looking up an existing series, the steady state, allocates nothing,
+	// and only inserting one copies the key.
+	var buf [128]byte
+	key := buf[:0]
+	for i, v := range labelVals {
+		if i > 0 {
+			key = append(key, 0)
+		}
+		key = append(key, v...)
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	s, ok := f.series[key]
+	s, ok := f.series[string(key)]
 	if !ok {
 		s = &series{labelVals: append([]string(nil), labelVals...)}
 		if f.kind == kindHistogram {
 			s.bkts = make([]uint64, len(f.buckets))
 		}
-		f.series[key] = s
+		f.series[string(key)] = s
 	}
 	return s
 }

@@ -118,6 +118,26 @@ func TestConcurrentUse(t *testing.T) {
 	}
 }
 
+// TestWithExistingSeriesAllocatesNothing: the serving path looks up a
+// multi-label series on every job; once the series exists, that lookup and
+// the increment allocate nothing.
+func TestWithExistingSeriesAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	c := r.NewCounter("jobs", "", "tenant", "kernel", "status")
+	h := r.NewHistogram("lat", "", nil, "tenant", "kernel")
+	c.With("alice", "FFT", "ok").Inc()
+	h.With("alice", "FFT").Observe(1)
+	if n := testing.AllocsPerRun(100, func() {
+		c.With("alice", "FFT", "ok").Inc()
+		h.With("alice", "FFT").Observe(0.5)
+	}); n != 0 {
+		t.Fatalf("With on an existing series allocated %v times per call, want 0", n)
+	}
+	if !strings.Contains(render(r), `jobs{tenant="alice",kernel="FFT",status="ok"} 102`) {
+		t.Errorf("lookups did not reach the existing series:\n%s", render(r))
+	}
+}
+
 func TestSchemaConflictPanics(t *testing.T) {
 	r := NewRegistry()
 	r.NewCounter("x", "")

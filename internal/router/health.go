@@ -2,8 +2,10 @@ package router
 
 import (
 	"bufio"
+	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,6 +19,11 @@ import (
 type shard struct {
 	name string
 	url  string
+	// jobs is url+"/v1/jobs", parsed once, and nameHeader the X-DWS-Shard
+	// value of the answers this shard serves; every job shares both
+	// read-only.
+	jobs       *url.URL
+	nameHeader []string
 
 	mu sync.Mutex
 	// ejected opens the circuit: the shard takes no routed work. A
@@ -36,6 +43,14 @@ type shard struct {
 	lastErr string
 	probes  int64
 	fails   int64
+}
+
+func newShard(spec ShardSpec) (*shard, error) {
+	jobs, err := url.Parse(spec.URL + "/v1/jobs")
+	if err != nil {
+		return nil, fmt.Errorf("router: shard %s: %w", spec.Name, err)
+	}
+	return &shard{name: spec.Name, url: spec.URL, jobs: jobs, nameHeader: []string{spec.Name}}, nil
 }
 
 func (s *shard) healthy() bool {

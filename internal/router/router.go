@@ -49,26 +49,54 @@ type Config struct {
 	// 3); ReadmitAfter consecutive successes close it again (≤0 = 2).
 	EjectAfter   int
 	ReadmitAfter int
-	// Client forwards jobs (nil = no-timeout client; job deadlines bound
-	// the calls server-side, and dwsd submits block until completion).
-	Client *http.Client
 	// Logf, when non-nil, receives router event lines.
 	Logf func(format string, args ...any)
 }
 
+// shardIdleConns is how many idle keep-alive connections the router keeps
+// per shard. net/http's default is 2, so with more than two concurrent
+// clients most answers would close their connection and the next burst
+// would redial.
+const shardIdleConns = 64
+
+// maxBody caps a job body at dwsd's own limit.
+const maxBody = 1 << 20
+
+// Header keys in canonical form, so the submit path reads and writes them
+// as map entries: Get and Set would re-canonicalise "X-DWS-…" (one
+// allocation) on every call.
+var (
+	keyRejectReason = http.CanonicalHeaderKey(server.RejectReasonHeader)
+	keyShard        = http.CanonicalHeaderKey("X-DWS-Shard")
+	keySpills       = http.CanonicalHeaderKey("X-DWS-Spills")
+	relayedHeaders  = [...]string{"Content-Type", "Retry-After", keyRejectReason}
+)
+
+// jobHeader is the header of every job offered to a shard. The transport
+// only reads it, so all hops share the one map.
+var jobHeader = http.Header{"Content-Type": {"application/json"}}
+
 // Router is the HTTP front tier federating N dwsd shards.
 type Router struct {
-	cfg         Config
-	spill       string
-	reg         *metrics.Registry
-	mux         *http.ServeMux
-	client      *http.Client
+	cfg   Config
+	spill string
+	reg   *metrics.Registry
+	mux   *http.ServeMux
+	// transport makes every shard call: jobs and tenant deletes directly,
+	// probes and the /v1/info and /v1/tenants fan-outs through
+	// probeClient. Job calls skip http.Client: they follow no redirects
+	// and carry no timeout (job deadlines bound them server-side).
+	transport   http.RoundTripper
 	probeClient *http.Client
+	// spillsHeader[h] is the X-DWS-Spills value of an answer relayed after
+	// h hops, shared read-only by every answer.
+	spillsHeader [][]string
 
 	mu       sync.Mutex
 	ring     *Ring
 	byName   map[string]*shard
-	order    []*shard // sorted by name: deterministic iteration everywhere
+	order    []*shard            // sorted by name: deterministic iteration everywhere
+	placed   map[string][]*shard // tenant → placement order, until the tenant is released
 	rng      *rand.Rand
 	draining bool
 
@@ -115,24 +143,23 @@ func New(cfg Config) (*Router, error) {
 	if cfg.ReadmitAfter <= 0 {
 		cfg.ReadmitAfter = 2
 	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
 
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns = 0 // no federation-wide cap: MaxIdleConnsPerHost bounds it
+	tr.MaxIdleConnsPerHost = shardIdleConns
+	tr.DisableCompression = true // shards never gzip; the Accept-Encoding header would cost a hop an allocation
 	rt := &Router{
 		cfg:         cfg,
 		spill:       cfg.Spill,
 		reg:         metrics.NewRegistry(),
 		mux:         http.NewServeMux(),
-		client:      cfg.Client,
-		probeClient: &http.Client{Timeout: cfg.ProbeTimeout},
+		transport:   tr,
+		probeClient: &http.Client{Transport: tr, Timeout: cfg.ProbeTimeout},
 		ring:        NewRing(cfg.Replicas, cfg.LoadFactor),
 		byName:      map[string]*shard{},
+		placed:      map[string][]*shard{},
 		rng:         rand.New(rand.NewSource(time.Now().UnixNano())),
 		stopProbe:   make(chan struct{}),
-	}
-	if rt.client == nil {
-		rt.client = &http.Client{}
 	}
 	for _, spec := range cfg.Shards {
 		if spec.Name == "" || spec.URL == "" {
@@ -141,12 +168,18 @@ func New(cfg Config) (*Router, error) {
 		if rt.byName[spec.Name] != nil {
 			return nil, fmt.Errorf("router: duplicate shard name %q", spec.Name)
 		}
-		s := &shard{name: spec.Name, url: spec.URL}
+		s, err := newShard(spec)
+		if err != nil {
+			return nil, err
+		}
 		rt.byName[spec.Name] = s
 		rt.order = append(rt.order, s)
 		rt.ring.Add(spec.Name)
 	}
 	sort.Slice(rt.order, func(i, j int) bool { return rt.order[i].name < rt.order[j].name })
+	for h := 0; h <= min(cfg.SpillBudget, len(rt.order)-1); h++ {
+		rt.spillsHeader = append(rt.spillsHeader, []string{strconv.Itoa(h)})
+	}
 
 	rt.mSpills = rt.reg.NewCounter("dws_router_spills_total",
 		"Jobs redirected between shards, by edge and refusal reason.", "from", "to", "reason")
@@ -192,7 +225,11 @@ func (rt *Router) Handler() http.Handler { return rt.mux }
 // Metrics exposes the registry (tests scrape it without HTTP).
 func (rt *Router) Metrics() *metrics.Registry { return rt.reg }
 
-func (rt *Router) logf(format string, args ...any) { rt.cfg.Logf(format, args...) }
+func (rt *Router) logf(format string, args ...any) {
+	if rt.cfg.Logf != nil {
+		rt.cfg.Logf(format, args...)
+	}
+}
 
 // probeLoop drives the per-shard health probes until Shutdown.
 func (rt *Router) probeLoop() {
@@ -249,6 +286,7 @@ func (rt *Router) Shutdown(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
+		rt.probeClient.CloseIdleConnections()
 		return nil
 	case <-ctx.Done():
 		return fmt.Errorf("router: drain incomplete: %w", ctx.Err())
@@ -256,10 +294,16 @@ func (rt *Router) Shutdown(ctx context.Context) error {
 }
 
 // placement returns the tenant's shard order: bounded-load sticky home
-// first, then the ring walk — the spill-over preference sequence.
+// first, then the ring walk — the spill-over preference sequence. Both
+// halves are fixed until the tenant is released (the shard set never
+// changes after New), so the order is built once per tenant and shared
+// read-only by its jobs.
 func (rt *Router) placement(tenant string) []*shard {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
+	if order, ok := rt.placed[tenant]; ok {
+		return order
+	}
 	home := rt.ring.Assign(tenant)
 	order := make([]*shard, 0, len(rt.order))
 	if s := rt.byName[home]; s != nil {
@@ -273,13 +317,24 @@ func (rt *Router) placement(tenant string) []*shard {
 			order = append(order, s)
 		}
 	}
+	rt.placed[tenant] = order
 	return order
 }
 
-// firstHealthy picks the first circuit-closed unvisited shard in order.
-func firstHealthy(order []*shard, visited map[*shard]bool) *shard {
+// tried reports whether s already refused the job.
+func tried(refusals []refusal, s *shard) bool {
+	for _, rf := range refusals {
+		if rf.shard == s {
+			return true
+		}
+	}
+	return false
+}
+
+// firstHealthy picks the first circuit-closed untried shard in order.
+func firstHealthy(order []*shard, refusals []refusal) *shard {
 	for _, s := range order {
-		if !visited[s] && s.healthy() {
+		if !tried(refusals, s) && s.healthy() {
 			return s
 		}
 	}
@@ -287,16 +342,16 @@ func firstHealthy(order []*shard, visited map[*shard]bool) *shard {
 }
 
 // nextSpill picks the spill target under the configured policy.
-func (rt *Router) nextSpill(order []*shard, visited map[*shard]bool) *shard {
+func (rt *Router) nextSpill(order []*shard, refusals []refusal) *shard {
 	switch rt.spill {
 	case SpillNone:
 		return nil
 	case SpillNext:
-		return firstHealthy(order, visited)
+		return firstHealthy(order, refusals)
 	case SpillRandom:
 		var cands []*shard
 		for _, s := range order {
-			if !visited[s] && s.healthy() {
+			if !tried(refusals, s) && s.healthy() {
 				cands = append(cands, s)
 			}
 		}
@@ -312,7 +367,7 @@ func (rt *Router) nextSpill(order []*shard, visited map[*shard]bool) *shard {
 
 // refusal records one shard's no.
 type refusal struct {
-	shard  string
+	shard  *shard
 	reason string
 	retry  int // Retry-After seconds (0 = none offered)
 }
@@ -331,12 +386,16 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	rt.mu.Unlock()
 	defer rt.inflight.Done()
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	body, err := readBody(w, r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
-	var req server.JobRequest
+	// Placement needs only the tenant. The shard validates the rest, and
+	// its 400 is relayed like any other answer.
+	var req struct {
+		Tenant string `json:"tenant"`
+	}
 	if err := json.Unmarshal(body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
@@ -348,46 +407,50 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	order := rt.placement(req.Tenant)
 	start := time.Now()
-	visited := map[*shard]bool{}
-	var refusals []refusal
+	// The shards that refused are the shards visited, all but the current
+	// one. The array holds the default budget's refusals without growing.
+	var refused [4]refusal
+	refusals := refused[:0]
 	budget := rt.cfg.SpillBudget
 	hops := 0
+	// GetBody lets the transport replay the job on a fresh connection when
+	// a kept-alive one turns out closed, as http.NewRequest would.
+	getBody := func() (io.ReadCloser, error) { return jobBody(body), nil }
 
-	cur := firstHealthy(order, visited)
+	cur := firstHealthy(order, nil)
 	if cur == nil {
 		writeError(w, http.StatusServiceUnavailable, "no healthy shard for tenant %q", req.Tenant)
 		return
 	}
 	for {
-		visited[cur] = true
 		attemptAt := time.Now()
-		resp, err := rt.forward(r.Context(), cur, body)
+		resp, err := rt.forward(r.Context(), cur, body, getBody)
 		reason := ""
 		switch {
 		case err != nil:
-			rt.mErrors.With(cur.name).Inc()
 			if r.Context().Err() != nil {
-				// The client went away (or its deadline passed): nothing to
-				// relay, nowhere to spill.
+				// The client went away (or its deadline passed): not the
+				// shard's failure, nothing to relay, nowhere to spill.
 				return
 			}
+			rt.mErrors.With(cur.name).Inc()
 			reason = "unreachable"
-			refusals = append(refusals, refusal{cur.name, reason, 0})
+			refusals = append(refusals, refusal{cur, reason, 0})
 			if cur.markFailure(rt.cfg.EjectAfter) {
 				rt.logf("shard %s ejected (forward failure: %v)", cur.name, err)
 			}
 		case resp.StatusCode == http.StatusTooManyRequests &&
-			admit.SpillableReason(resp.Header.Get(server.RejectReasonHeader)):
-			reason = resp.Header.Get(server.RejectReasonHeader)
+			admit.SpillableReason(headerValue(resp.Header, keyRejectReason)):
+			reason = headerValue(resp.Header, keyRejectReason)
 			rt.m429.With(cur.name, reason).Inc()
-			refusals = append(refusals, refusal{cur.name, reason, retrySeconds(resp)})
+			refusals = append(refusals, refusal{cur, reason, retrySeconds(resp)})
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 		case resp.StatusCode == http.StatusServiceUnavailable:
 			// Draining or out of tenant slots: shard-level unavailability,
 			// worth a sibling even though it is not a 429.
 			reason = "unavailable"
-			refusals = append(refusals, refusal{cur.name, reason, retrySeconds(resp)})
+			refusals = append(refusals, refusal{cur, reason, retrySeconds(resp)})
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 		default:
@@ -396,53 +459,93 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			rt.mAdmitLat.With(cur.name).Observe(attemptAt.Sub(start).Seconds())
 			rt.mForwarded.With(cur.name).Inc()
 			if resp.StatusCode == http.StatusTooManyRequests {
-				rt.m429.With(cur.name, resp.Header.Get(server.RejectReasonHeader)).Inc()
+				rt.m429.With(cur.name, headerValue(resp.Header, keyRejectReason)).Inc()
 			}
-			rt.relay(w, resp, cur.name, hops)
+			rt.relay(w, resp, cur, hops)
 			return
 		}
 
 		if budget <= 0 {
 			break
 		}
-		next := rt.nextSpill(order, visited)
+		next := rt.nextSpill(order, refusals)
 		if next == nil {
 			break
 		}
 		budget--
 		hops++
 		rt.mSpills.With(cur.name, next.name, reason).Inc()
-		rt.logf("spill %s→%s tenant=%s reason=%s", cur.name, next.name, req.Tenant, reason)
+		if rt.cfg.Logf != nil { // boxing the arguments allocates even for a no-op logger
+			rt.logf("spill %s→%s tenant=%s reason=%s", cur.name, next.name, req.Tenant, reason)
+		}
 		cur = next
 	}
 	rt.refuseAll(w, req.Tenant, refusals)
 }
 
-// forward posts the job body to the shard.
-func (rt *Router) forward(ctx context.Context, s *shard, body []byte) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.url+"/v1/jobs", bytes.NewReader(body))
-	if err != nil {
+// readBody reads a job body of at most maxBody bytes. A declared length
+// within the cap is read into one slice of exactly that size; any other
+// body goes through MaxBytesReader, whose error the caller answers 400.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	n := r.ContentLength
+	if n < 0 || n > maxBody {
+		return io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+	}
+	body := make([]byte, n)
+	if _, err := io.ReadFull(r.Body, body); err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	return rt.client.Do(req)
+	return body, nil
+}
+
+// jobBody is one hop's request body. Each hop gets its own reader, because
+// the transport may still read or close a body after RoundTrip returns;
+// the bytes are never written, so every hop shares them. It must stay a
+// NopCloser around a *bytes.Reader: the transport recognises that as
+// in-memory and writes headers and body in one go, where any other type
+// costs a separate flush of the headers.
+func jobBody(b []byte) io.ReadCloser { return io.NopCloser(bytes.NewReader(b)) }
+
+// forward offers the job to one shard, straight through the transport.
+// ctx is the client's request context, so a disconnect cancels the hop.
+func (rt *Router) forward(ctx context.Context, s *shard, body []byte, getBody func() (io.ReadCloser, error)) (*http.Response, error) {
+	req := (&http.Request{
+		Method:        http.MethodPost,
+		URL:           s.jobs,
+		Header:        jobHeader,
+		Body:          jobBody(body),
+		GetBody:       getBody,
+		ContentLength: int64(len(body)),
+	}).WithContext(ctx)
+	return rt.transport.RoundTrip(req)
 }
 
 // relay copies the shard's answer to the client, stamped with the serving
-// shard and the spill hop count.
-func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, shardName string, hops int) {
+// shard and the spill hop count. Header values are relayed as the slices
+// they arrived in (clipped, so an append elsewhere copies), and the stamps
+// are slices shared read-only by every answer.
+func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, s *shard, hops int) {
 	defer resp.Body.Close()
-	for _, h := range []string{"Content-Type", "Retry-After", server.RejectReasonHeader} {
-		if v := resp.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
+	h := w.Header()
+	for _, k := range relayedHeaders {
+		if v := resp.Header[k]; len(v) > 0 && v[0] != "" {
+			h[k] = v[:1:1]
 		}
 	}
-	w.Header().Set("X-DWS-Shard", shardName)
+	h[keyShard] = s.nameHeader
 	if hops > 0 {
-		w.Header().Set("X-DWS-Spills", strconv.Itoa(hops))
+		h[keySpills] = rt.spillsHeader[hops]
 	}
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
+}
+
+// headerValue is h.Get for a key already in canonical form.
+func headerValue(h http.Header, key string) string {
+	if v := h[key]; len(v) > 0 {
+		return v[0]
+	}
+	return ""
 }
 
 // refuseAll answers a job every tried shard refused. The Retry-After is
@@ -491,7 +594,11 @@ func maxInt(a, b int) int {
 
 // retrySeconds parses the shard's Retry-After hint (0 when absent).
 func retrySeconds(resp *http.Response) int {
-	v, err := strconv.Atoi(resp.Header.Get("Retry-After"))
+	s := headerValue(resp.Header, "Retry-After")
+	if s == "" {
+		return 0 // Atoi would build an error to say so
+	}
+	v, err := strconv.Atoi(s)
 	if err != nil || v < 0 {
 		return 0
 	}
@@ -627,7 +734,7 @@ func (rt *Router) handleDeleteTenant(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			continue
 		}
-		resp, err := rt.client.Do(req)
+		resp, err := rt.transport.RoundTrip(req)
 		if err != nil {
 			continue
 		}
@@ -639,6 +746,7 @@ func (rt *Router) handleDeleteTenant(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.mu.Lock()
 	rt.ring.Release(name)
+	delete(rt.placed, name)
 	rt.mu.Unlock()
 	if !found {
 		writeError(w, http.StatusNotFound, "tenant %q not found on any shard", name)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -16,16 +17,18 @@ import (
 )
 
 // fakeShard is a scriptable dwsd stand-in: answer /v1/jobs with a
-// configured verdict, flip /healthz, count hits.
+// configured verdict, flip /healthz, count hits and connections.
 type fakeShard struct {
 	mu      sync.Mutex
 	status  int           // /v1/jobs response code
 	reason  string        // X-DWS-Reject-Reason on 429s
 	retry   string        // Retry-After value
 	delay   time.Duration // per-job service delay
+	hold    chan struct{} // when set, jobs wait for it to close
 	down    bool          // /healthz answers 503
 	refuse  bool          // connection-level failure: close without answering
 	hits    int
+	conns   int     // connections the shard accepted
 	backlog float64 // dws_global_queue_depth
 	srv     *httptest.Server
 }
@@ -36,14 +39,33 @@ func newFakeShard(t *testing.T) *fakeShard {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
-		status, reason, retry, delay, refuse := f.status, f.reason, f.retry, f.delay, f.refuse
+		status, reason, retry, delay, refuse, hold := f.status, f.reason, f.retry, f.delay, f.refuse, f.hold
 		f.hits++
 		f.mu.Unlock()
 		if refuse {
 			panic(http.ErrAbortHandler)
 		}
+		// Like dwsd, refuse a body that is not a JobRequest.
+		var req server.JobRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusBadRequest)
+			json.NewEncoder(w).Encode(server.ErrorResponse{Error: "fake shard: " + err.Error()})
+			return
+		}
+		if hold != nil {
+			select {
+			case <-hold:
+			case <-r.Context().Done():
+				return
+			}
+		}
 		if delay > 0 {
-			time.Sleep(delay)
+			select {
+			case <-time.After(delay):
+			case <-r.Context().Done():
+				return
+			}
 		}
 		if retry != "" {
 			w.Header().Set("Retry-After", retry)
@@ -76,7 +98,15 @@ func newFakeShard(t *testing.T) *fakeShard {
 	mux.HandleFunc("GET /v1/info", func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(server.Info{Policy: "DWS", Cores: 4, MaxTenants: 8, FreeSlots: 8})
 	})
-	f.srv = httptest.NewServer(mux)
+	f.srv = httptest.NewUnstartedServer(mux)
+	f.srv.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			f.mu.Lock()
+			f.conns++
+			f.mu.Unlock()
+		}
+	}
+	f.srv.Start()
 	t.Cleanup(f.srv.Close)
 	return f
 }
@@ -91,6 +121,12 @@ func (f *fakeShard) hitCount() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.hits
+}
+
+func (f *fakeShard) connCount() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.conns
 }
 
 // newTestRouter builds a router over the fakes with the prober idle (huge

@@ -421,16 +421,6 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
 	}
 	now := time.Now()
-	j := &job{
-		id:       s.nextID.Add(1),
-		req:      req,
-		spec:     spec,
-		size:     size,
-		client:   r.Context(),
-		enqueued: now,
-		deadline: now.Add(deadline),
-		done:     make(chan struct{}),
-	}
 
 	s.mu.Lock()
 	if s.draining {
@@ -469,7 +459,18 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 
-	j.tn = t
+	// Built only now, so a draining or no_slot refusal allocates no job.
+	j := &job{
+		id:       s.nextID.Add(1),
+		req:      req,
+		spec:     spec,
+		size:     size,
+		tn:       t,
+		client:   r.Context(),
+		enqueued: now,
+		deadline: now.Add(deadline),
+		done:     make(chan struct{}),
+	}
 	verdict, retry, victim := s.adm.submit(t, j, deadline)
 	reject := func(format string, args ...any) {
 		reason := verdict.String()
