@@ -58,9 +58,6 @@ func main() {
 		queue    = flag.Int("queue", 16, "per-tenant admission queue depth")
 		gqueue   = flag.Int("global-queue", 0, "global WFQ backlog cap across tenants (0 = tenants*queue/2; negative disables shedding)")
 		earlyRej = flag.Bool("early-reject", true, "reject jobs whose predicted queue wait exceeds their deadline")
-		deadline = flag.Duration("deadline", 30*time.Second, "default per-job deadline")
-		defSize  = flag.Float64("default-size", 0.25, "default job input scale")
-		maxSize  = flag.Float64("max-size", 1.0, "maximum job input scale")
 		drain    = flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget on SIGTERM")
 		period   = flag.Duration("period", 0, "coordinator period T (0 = rt default, 10ms)")
 		leaseTTL = flag.Duration("lease-ttl", 0, "core-table lease expiry for wedged-tenant eviction (0 = 10×period)")
@@ -86,9 +83,6 @@ func main() {
 		QueueDepth:       *queue,
 		GlobalQueueDepth: *gqueue,
 		NoEarlyReject:    !*earlyRej,
-		DefaultDeadline:  *deadline,
-		DefaultSize:      *defSize,
-		MaxSize:          *maxSize,
 		CoordPeriod:      *period,
 		LeaseTTL:         *leaseTTL,
 		ArbiterPeriod:    *arbiter,

@@ -39,7 +39,6 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", "http://localhost:8080", "dwsd (or dwsrouter) base URL")
-		shards    = flag.String("shards", "", "comma-separated shard base URLs to drive directly, tenant-sticky (overrides -addr; a dwsrouter front tier needs only -addr)")
 		rate      = flag.Float64("rate", 20, "ad-hoc: aggregate submission rate (req/s), split across tenants")
 		duration  = flag.Duration("duration", 10*time.Second, "ad-hoc: how long to generate load")
 		tenants   = flag.String("tenants", "alice=FFT,bob=Mergesort", "ad-hoc: tenant=kernel pairs")
@@ -92,15 +91,8 @@ func main() {
 		return
 	}
 
-	var targets []string
-	for _, u := range strings.Split(*shards, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			targets = append(targets, u)
-		}
-	}
 	res, err := scenario.RunLive(tr, scenario.LiveOptions{
 		BaseURL:   *addr,
-		Targets:   targets,
 		TimeScale: *timescale,
 		Logf: func(format string, args ...any) {
 			fmt.Printf("dwsload: "+format+"\n", args...)
@@ -116,11 +108,7 @@ func main() {
 	// Snapshot the server-side tenant view (cores held, entitlement, queue
 	// depth) so the report shows *why* the latency split looks the way it
 	// does, not just the split itself.
-	snapURL := *addr
-	if len(targets) > 0 {
-		snapURL = targets[0] // direct shard mode: snapshot the first shard
-	}
-	tinfos, err := fetchTenants(snapURL)
+	tinfos, err := fetchTenants(*addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dwsload: tenant snapshot failed: %v\n", err)
 		return

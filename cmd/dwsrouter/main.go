@@ -82,10 +82,7 @@ func main() {
 		shards      = flag.String("shards", "", "comma-separated shard members, name=url or url (required)")
 		spill       = flag.String("spill", router.SpillNext, "spill policy on shard refusal: none|random|next")
 		spillBudget = flag.Int("spill-budget", 2, "max redirect hops per job")
-		replicas    = flag.Int("replicas", 0, "ring vnodes per shard (0 = default 128)")
-		loadFactor  = flag.Float64("load-factor", 0, "bounded-load factor c (0 = default 1.25)")
 		probePeriod = flag.Duration("probe-period", time.Second, "health probe interval")
-		probeTO     = flag.Duration("probe-timeout", 2*time.Second, "health probe round-trip budget")
 		ejectAfter  = flag.Int("eject-after", 3, "consecutive probe failures before a shard is ejected")
 		readmit     = flag.Int("readmit-after", 2, "consecutive probe successes before an ejected shard rejoins")
 		drain       = flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget on SIGTERM")
@@ -100,10 +97,7 @@ func main() {
 		Shards:       specs,
 		Spill:        *spill,
 		SpillBudget:  *spillBudget,
-		Replicas:     *replicas,
-		LoadFactor:   *loadFactor,
 		ProbePeriod:  *probePeriod,
-		ProbeTimeout: *probeTO,
 		EjectAfter:   *ejectAfter,
 		ReadmitAfter: *readmit,
 		Logf:         log.Printf,

@@ -137,7 +137,7 @@ func jobRecord(name string, pol rt.Policy, cores int, size, sec float64, st rt.S
 		Status:  server.StatusOK,
 		RunMS:   runMS,
 		TotalMS: runMS,
-		Stats:   server.FromRTStats(st),
+		Stats:   st,
 	}
 }
 

@@ -11,15 +11,23 @@ import (
 )
 
 // TestDocsNameWhatExists: the documents a reader follows may name a
-// binary only while its cmd/ directory exists, and an -exp argument only
-// while it is a row of bench.Experiments (or "all").
+// binary only while its cmd/ directory exists, a binary's flag only while
+// its cmd/<binary>/main.go declares it, and an -exp argument only while it
+// is a row of bench.Experiments (or "all").
 func TestDocsNameWhatExists(t *testing.T) {
 	cmdRef := regexp.MustCompile(`\bcmd/([a-z][a-z0-9]*)`)
 	expRef := regexp.MustCompile(`-exp[ =]([a-z][a-z0-9]*(?:\|[a-z][a-z0-9]*)*)`)
+	declared, err := declaredFlags()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, doc := range []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, msg := range undeclaredFlags(string(text), declared) {
+			t.Errorf("%s %s", doc, msg)
 		}
 		for _, m := range cmdRef.FindAllSubmatch(text, -1) {
 			if fi, err := os.Stat("cmd/" + string(m[1])); err != nil || !fi.IsDir() {
@@ -31,6 +39,111 @@ func TestDocsNameWhatExists(t *testing.T) {
 				if _, err := bench.Select(name); err != nil {
 					t.Errorf("%s names -exp %s: %v", doc, name, err)
 				}
+			}
+		}
+	}
+}
+
+// flagDecl matches one flag declaration in a command's main.go, on the
+// flag package or on a FlagSet named fs.
+var flagDecl = regexp.MustCompile(`(?:flag|fs)\.(\w+)\("([^"]+)"`)
+
+// declaredFlags reads, for every binary under cmd/, the flag names its
+// main.go declares. -h and -help come with the flag package.
+func declaredFlags() (map[string]map[string]bool, error) {
+	dirs, err := os.ReadDir("cmd")
+	if err != nil {
+		return nil, err
+	}
+	declared := map[string]map[string]bool{}
+	for _, d := range dirs {
+		src, err := os.ReadFile("cmd/" + d.Name() + "/main.go")
+		if err != nil {
+			return nil, err
+		}
+		names := map[string]bool{"h": true, "help": true}
+		for _, m := range flagDecl.FindAllStringSubmatch(string(src), -1) {
+			if m[1] != "NewFlagSet" {
+				names[m[2]] = true
+			}
+		}
+		declared[d.Name()] = names
+	}
+	return declared, nil
+}
+
+// flagRef matches one flag on a command line: -name or --name after a
+// blank, up to the value or "=".
+var flagRef = regexp.MustCompile(`(?:^|\s)--?([a-z][a-z0-9-]*)`)
+
+// undeclaredFlags returns one message for each flag doc passes to a binary
+// that the binary does not declare (declared maps a binary to its flag
+// names). Lines ending in a backslash continue on the next. A binary's
+// flags are the -name tokens after its name, up to the next binary named
+// or the first shell separator, comment or closing backtick.
+func undeclaredFlags(doc string, declared map[string]map[string]bool) []string {
+	var bins []string
+	for b := range declared {
+		bins = append(bins, regexp.QuoteMeta(b))
+	}
+	binRef := regexp.MustCompile(`\b(` + strings.Join(bins, "|") + `)\b`)
+	var msgs []string
+	for _, line := range strings.Split(strings.ReplaceAll(doc, "\\\n", " "), "\n") {
+		locs := binRef.FindAllStringSubmatchIndex(line, -1)
+		for i, loc := range locs {
+			bin, args := line[loc[2]:loc[3]], line[loc[1]:]
+			if i+1 < len(locs) {
+				args = line[loc[1]:locs[i+1][0]]
+			}
+			if cut := strings.IndexAny(args, "|;&#`"); cut >= 0 {
+				args = args[:cut]
+			}
+			for _, m := range flagRef.FindAllStringSubmatch(args, -1) {
+				if !declared[bin][m[1]] {
+					msgs = append(msgs, fmt.Sprintf("names `%s -%s`, which cmd/%s/main.go does not declare", bin, m[1], bin))
+				}
+			}
+		}
+	}
+	return msgs
+}
+
+// TestUndeclaredFlags: the flag matcher reports a deleted flag naming
+// binary and flag, follows backslash continuations, and passes live flags,
+// other commands' flags and hyphenated prose.
+func TestUndeclaredFlags(t *testing.T) {
+	declared := map[string]map[string]bool{
+		"dwsload":   {"addr": true, "rate": true},
+		"dwsrouter": {"shards": true, "spill": true},
+		"dwsd":      {"addr": true},
+	}
+	for _, c := range []struct {
+		name, doc string
+		report    []string // substrings of the one message expected; nil = none
+	}{
+		{"live", "dwsload -addr http://localhost:8080 -rate 20\n", nil},
+		{"deleted", "dwsload -shards http://a:1,http://b:2 -rate 5\n", []string{"dwsload -shards", "cmd/dwsload/main.go"}},
+		{"continued", "/tmp/dwsrouter -spill next \\\n  -replicas 64\n", []string{"dwsrouter -replicas"}},
+		{"next binary", "dwsrouter over N dwsd -addr :8081\n", nil},
+		{"separator", "go build -o /tmp/dwsd ./cmd/dwsd && go build -o /tmp/x\n", nil},
+		{"inline code", "`dwsd -addr :1` answers, unlike -x\n", nil},
+		{"prose", "dwsd on a 2-CPU host -- e.g. -1 more\n", nil},
+		{"go flags", "go test -run TestX -v ./cmd/dwsload\n", nil},
+	} {
+		msgs := undeclaredFlags(c.doc, declared)
+		if c.report == nil {
+			if len(msgs) != 0 {
+				t.Errorf("%s: unexpected %q", c.name, msgs)
+			}
+			continue
+		}
+		if len(msgs) != 1 {
+			t.Errorf("%s: %d messages %q, want 1", c.name, len(msgs), msgs)
+			continue
+		}
+		for _, sub := range c.report {
+			if !strings.Contains(msgs[0], sub) {
+				t.Errorf("%s: %q does not say %q", c.name, msgs[0], sub)
 			}
 		}
 	}

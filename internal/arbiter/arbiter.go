@@ -36,27 +36,31 @@ import (
 	"dws/internal/trace"
 )
 
+// The arbitration policy's fixed constants.
+const (
+	// alpha is the EWMA smoothing factor for the demand signals in (0, 1];
+	// higher reacts faster.
+	alpha = 0.3
+	// floorFrac is the fraction of a program's proportional weighted share
+	// guaranteed as its floor while active.
+	floorFrac = 0.5
+	// sloBoostMax caps the score multiplier SLO pressure can apply (a
+	// tenant blowing its SLO counts at most double).
+	sloBoostMax = 2.0
+	// idleBelow is the activity-EWMA threshold under which a program is
+	// classified idle and its entitlement redistributed.
+	idleBelow = 0.25
+)
+
 // Config parameterises an Arbiter. The zero value of every field selects
 // the documented default.
 type Config struct {
 	// Cores is k, the number of cores being arbitrated. Required.
 	Cores int
-	// Alpha is the EWMA smoothing factor for the demand signals in (0, 1];
-	// higher reacts faster. Default 0.3.
-	Alpha float64
 	// Hysteresis is how many consecutive ticks a changed entitlement
 	// proposal must persist before it is published (structural changes
 	// bypass it). Default 2. Negative disables (publish immediately).
 	Hysteresis int
-	// FloorFrac is the fraction of a program's proportional weighted share
-	// guaranteed as its floor while active. Default 0.5.
-	FloorFrac float64
-	// SLOBoostMax caps the score multiplier SLO pressure can apply.
-	// Default 2 (a tenant blowing its SLO counts at most double).
-	SLOBoostMax float64
-	// IdleBelow is the activity-EWMA threshold under which a program is
-	// classified idle and its entitlement redistributed. Default 0.25.
-	IdleBelow float64
 	// FaultIgnoreWeights injects the "ignore weights" coordinator fault for
 	// schedcheck: the arbiter reports true scores in its decisions but
 	// apportions as if every active program scored equally. Tests only.
@@ -68,20 +72,8 @@ func (c *Config) withDefaults() Config {
 	if cfg.Cores <= 0 {
 		panic(fmt.Sprintf("arbiter: non-positive core count %d", cfg.Cores))
 	}
-	if cfg.Alpha <= 0 || cfg.Alpha > 1 {
-		cfg.Alpha = 0.3
-	}
 	if cfg.Hysteresis == 0 {
 		cfg.Hysteresis = 2
-	}
-	if cfg.FloorFrac <= 0 || cfg.FloorFrac > 1 {
-		cfg.FloorFrac = 0.5
-	}
-	if cfg.SLOBoostMax < 1 {
-		cfg.SLOBoostMax = 2
-	}
-	if cfg.IdleBelow <= 0 {
-		cfg.IdleBelow = 0.25
 	}
 	return cfg
 }
@@ -271,13 +263,13 @@ func (a *Arbiter) Tick(inputs []Input) []Decision {
 		if na < 1 {
 			na = 1
 		}
-		st.activity.add(a.cfg.Alpha, float64(in.NA+in.NB))
-		st.surplus.add(a.cfg.Alpha, float64(in.NB)/float64(na))
-		st.qwait.add(a.cfg.Alpha, in.QueueWait.Seconds())
+		st.activity.add(alpha, float64(in.NA+in.NB))
+		st.surplus.add(alpha, float64(in.NB)/float64(na))
+		st.qwait.add(alpha, in.QueueWait.Seconds())
 		st.boost = 0
 		if in.SLO > 0 {
 			st.boost = st.qwait.v / in.SLO.Seconds()
-			if max := a.cfg.SLOBoostMax - 1; st.boost > max {
+			if max := sloBoostMax - 1; st.boost > max {
 				st.boost = max
 			}
 		}
@@ -300,7 +292,7 @@ func (a *Arbiter) Tick(inputs []Input) []Decision {
 	anyActive := false
 	for pid, st := range a.state {
 		weights[pid-1] = st.weight
-		if st.activity.v >= a.cfg.IdleBelow {
+		if st.activity.v >= idleBelow {
 			active[pid-1] = true
 			anyActive = true
 		}
@@ -315,7 +307,7 @@ func (a *Arbiter) Tick(inputs []Input) []Decision {
 			scores[pid-1] = st.weight * (1 + st.boost)
 		}
 	}
-	floors := Floors(k, weights, active, a.cfg.FloorFrac)
+	floors := Floors(k, weights, active, floorFrac)
 
 	apportionScores := scores
 	if a.cfg.FaultIgnoreWeights {

@@ -37,14 +37,8 @@ type Config struct {
 	// SpillBudget caps redirect hops per job (≤0 = 2): a job is offered to
 	// at most 1+SpillBudget shards.
 	SpillBudget int
-	// Replicas and LoadFactor parameterize the placement ring (≤0 take the
-	// ring defaults).
-	Replicas   int
-	LoadFactor float64
-	// ProbePeriod is the health-probe interval (≤0 = 1s); ProbeTimeout
-	// bounds each probe round trip (≤0 = 2s).
-	ProbePeriod  time.Duration
-	ProbeTimeout time.Duration
+	// ProbePeriod is the health-probe interval (≤0 = 1s).
+	ProbePeriod time.Duration
 	// EjectAfter consecutive probe failures open a shard's circuit (≤0 =
 	// 3); ReadmitAfter consecutive successes close it again (≤0 = 2).
 	EjectAfter   int
@@ -58,6 +52,9 @@ type Config struct {
 // clients most answers would close their connection and the next burst
 // would redial.
 const shardIdleConns = 64
+
+// probeTimeout bounds each probe and fan-out round trip.
+const probeTimeout = 2 * time.Second
 
 // maxBody caps a job body at dwsd's own limit.
 const maxBody = 1 << 20
@@ -134,9 +131,6 @@ func New(cfg Config) (*Router, error) {
 	if cfg.ProbePeriod <= 0 {
 		cfg.ProbePeriod = time.Second
 	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 2 * time.Second
-	}
 	if cfg.EjectAfter <= 0 {
 		cfg.EjectAfter = 3
 	}
@@ -154,8 +148,8 @@ func New(cfg Config) (*Router, error) {
 		reg:         metrics.NewRegistry(),
 		mux:         http.NewServeMux(),
 		transport:   tr,
-		probeClient: &http.Client{Transport: tr, Timeout: cfg.ProbeTimeout},
-		ring:        NewRing(cfg.Replicas, cfg.LoadFactor),
+		probeClient: &http.Client{Transport: tr, Timeout: probeTimeout},
+		ring:        NewRing(0, 0),
 		byName:      map[string]*shard{},
 		placed:      map[string][]*shard{},
 		rng:         rand.New(rand.NewSource(time.Now().UnixNano())),
@@ -618,13 +612,13 @@ func (rt *Router) handleInfo(w http.ResponseWriter, r *http.Request) {
 		if !s.healthy() {
 			continue
 		}
-		info, err := rt.fetchShardInfo(r.Context(), s)
-		if err != nil {
+		var info server.Info
+		if err := rt.getShard(r.Context(), s, "/v1/info", &info); err != nil {
 			continue
 		}
 		agg.HealthyShards++
 		if first {
-			template := *info
+			template := info
 			template.Cores, template.MaxTenants, template.FreeSlots, template.GlobalQueue = 0, 0, 0, 0
 			agg.Info = template
 			first = false
@@ -641,25 +635,22 @@ func (rt *Router) handleInfo(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, agg)
 }
 
-func (rt *Router) fetchShardInfo(ctx context.Context, s *shard) (*server.Info, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.url+"/v1/info", nil)
+// getShard GETs path from shard s and decodes its 200 answer into out.
+func (rt *Router) getShard(ctx context.Context, s *shard, path string, out any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.url+path, nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	resp, err := rt.probeClient.Do(req)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, resp.Body)
-		return nil, fmt.Errorf("GET /v1/info: %s", resp.Status)
+		return fmt.Errorf("GET %s: %s", path, resp.Status)
 	}
-	var info server.Info
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		return nil, err
-	}
-	return &info, nil
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // handleTenants merges every healthy shard's tenant table. A tenant that
@@ -673,8 +664,8 @@ func (rt *Router) handleTenants(w http.ResponseWriter, r *http.Request) {
 		if !s.healthy() {
 			continue
 		}
-		rows, err := rt.fetchShardTenants(r.Context(), s)
-		if err != nil {
+		var rows []server.TenantInfo
+		if err := rt.getShard(r.Context(), s, "/v1/tenants", &rows); err != nil {
 			continue
 		}
 		for i := range rows {
@@ -701,27 +692,6 @@ func (rt *Router) handleTenants(w http.ResponseWriter, r *http.Request) {
 		out = append(out, *merged[n])
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-func (rt *Router) fetchShardTenants(ctx context.Context, s *shard) ([]server.TenantInfo, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.url+"/v1/tenants", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := rt.probeClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return nil, fmt.Errorf("GET /v1/tenants: %s", resp.Status)
-	}
-	var rows []server.TenantInfo
-	if err := json.NewDecoder(resp.Body).Decode(&rows); err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // handleDeleteTenant evicts the tenant everywhere (spilled jobs may have

@@ -97,10 +97,6 @@ type Config struct {
 	TSleep int
 	// CoordPeriod is the paper's T (0 defaults to 10ms).
 	CoordPeriod time.Duration
-	// ParkSpin is how many failed steal attempts a thief performs between
-	// yields before the attempt counts toward TSleep (small backoff; ≤0
-	// defaults to 1).
-	ParkSpin int
 	// LeaseTTL is how stale a program's core-table heartbeat may grow
 	// before survivors declare it dead and free its cores (DWS only; ≤0
 	// defaults to 10×CoordPeriod, floored at 2s — on an oversubscribed
@@ -155,9 +151,9 @@ type Config struct {
 	// static HomeCores split. 0 disables arbitration (the paper's fixed
 	// shares).
 	ArbiterPeriod time.Duration
-	// Arbiter optionally tunes the arbitration policy (EWMA alpha,
-	// hysteresis, floors, SLO boost, fault injection). Cores is filled in
-	// from the system; nil uses the documented defaults.
+	// Arbiter optionally tunes the arbitration policy (hysteresis, fault
+	// injection). Cores is filled in from the system; nil uses the
+	// documented defaults.
 	Arbiter *arbiter.Config
 }
 
@@ -173,9 +169,6 @@ func (c *Config) validate() error {
 	}
 	if c.CoordPeriod <= 0 {
 		c.CoordPeriod = 10 * time.Millisecond
-	}
-	if c.ParkSpin <= 0 {
-		c.ParkSpin = 1
 	}
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 10 * c.CoordPeriod
@@ -449,23 +442,30 @@ func (s *System) Close() {
 
 // Stats is a snapshot of a program's scheduler counters.
 type Stats struct {
-	Steals, FailedSteals int64
+	Steals       int64 `json:"steals"`
+	FailedSteals int64 `json:"failed_steals"`
 	// LocalSteals and RemoteSteals split deque steals by whether the
 	// victim shared the thief's socket (Config.Topology). Injection-queue
 	// steals count toward Steals but neither locality bucket; under a
 	// flat topology every deque steal is local.
-	LocalSteals, RemoteSteals int64
-	Sleeps, Wakes, Evictions  int64
-	Claims, Reclaims          int64
-	Runs                      int64
+	LocalSteals  int64 `json:"local_steals,omitempty"`
+	RemoteSteals int64 `json:"remote_steals,omitempty"`
+	Sleeps       int64 `json:"sleeps"`
+	Wakes        int64 `json:"wakes"`
+	Evictions    int64 `json:"evictions"`
+	Claims       int64 `json:"claims"`
+	Reclaims     int64 `json:"reclaims"`
+	Runs         int64 `json:"runs"`
 	// DeadSweeps counts dead co-runner leases this program's coordinator
 	// swept; CoresRecovered the cores those sweeps freed (DWS only).
-	DeadSweeps, CoresRecovered int64
+	DeadSweeps     int64 `json:"dead_sweeps,omitempty"`
+	CoresRecovered int64 `json:"cores_recovered,omitempty"`
 	// Spawns counts tasks queued (Ctx.Spawn plus one root injection per
 	// run); Execs counts tasks executed. They are equal at every run
 	// boundary unless a task was lost — the conservation invariant the
-	// schedcheck checker asserts.
-	Spawns, Execs int64
+	// schedcheck checker asserts. Neither goes on the wire.
+	Spawns int64 `json:"-"`
+	Execs  int64 `json:"-"`
 }
 
 // Sub returns s - o counter-wise: one run's deltas from two readings of a

@@ -24,9 +24,8 @@ type FedSimOptions struct {
 	QueueCap int
 	// HorizonUS aborts a runaway replay; ≤0 derives a bound from the trace.
 	HorizonUS int64
-	// Admission configures every shard's front door; nil Weights are filled
-	// from the trace's declarations and nil is the sim's zero value, as in
-	// RunSim.
+	// Admission configures every shard's front door; nil is the sim's zero
+	// value, as in RunSim.
 	Admission *sim.AdmissionOpts
 }
 
@@ -93,7 +92,7 @@ func (p *Prepared) FedSim(opts FedSimOptions) (*FedReplay, error) {
 		prefByName[name] = walk
 	}
 
-	cfg, admission, horizon := p.machine(opts.Config, opts.Admission, opts.HorizonUS)
+	cfg, horizon := p.machine(opts.Config, opts.HorizonUS)
 	fed, err := sim.RunFederation(sim.FedOpts{
 		Cfg:            cfg,
 		Shards:         opts.Shards,
@@ -104,7 +103,7 @@ func (p *Prepared) FedSim(opts FedSimOptions) (*FedReplay, error) {
 		SpillBudget:    opts.SpillBudget,
 		SpillLatencyUS: opts.SpillLatencyUS,
 		QueueCap:       opts.QueueCap,
-		Admission:      admission,
+		Admission:      opts.Admission,
 		HorizonUS:      horizon,
 	})
 	if err != nil {

@@ -13,25 +13,12 @@ import (
 	"dws/internal/server"
 )
 
-// LiveOptions configures a replay against a running dwsd server — or, via
-// Targets, a set of them (federated shards addressed directly, or one
-// dwsrouter front tier which looks like a single big dwsd).
+// LiveOptions configures a replay against a running dwsd server.
 type LiveOptions struct {
-	// BaseURL is the server root, e.g. "http://localhost:8080". Ignored
-	// when Targets is set.
+	// BaseURL is the server root, e.g. "http://localhost:8080": one dwsd,
+	// or a dwsrouter front tier, which looks like a single big dwsd and
+	// places each tenant on its shard.
 	BaseURL string
-	// Targets, when non-empty, lists shard roots; each tenant's jobs all go
-	// to one target chosen by PickTarget (tenant stickiness — splitting one
-	// tenant across shards would split its WFQ history). A single-element
-	// Targets is exactly BaseURL behavior.
-	Targets []string
-	// PickTarget maps a tenant to an index into Targets; nil defaults to an
-	// FNV-1a hash of the tenant name, the same keyed placement the router's
-	// ring uses (minus bounded loads).
-	PickTarget func(tenant string, targets []string) int
-	// Client is the HTTP client (nil = a client with a 5-minute per-job
-	// timeout).
-	Client *http.Client
 	// TimeScale maps trace µs to wall µs: 1.0 replays in real time, 0.1
 	// replays 10× faster. ≤0 defaults to 1.0.
 	TimeScale float64
@@ -53,41 +40,19 @@ func RunLive(tr *Trace, opts LiveOptions) (*Result, error) {
 	if opts.TimeScale <= 0 {
 		opts.TimeScale = 1
 	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{Timeout: 5 * time.Minute}
-	}
+	client := &http.Client{Timeout: 5 * time.Minute} // one job, queue wait included
 	logf := opts.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	targets := opts.Targets
-	if len(targets) == 0 {
-		targets = []string{opts.BaseURL}
-	}
-	pick := opts.PickTarget
-	if pick == nil {
-		pick = defaultPickTarget
-	}
-	// target resolves a tenant to its sticky shard root; with one target
-	// every tenant lands on it and the replay is the single-server replay.
-	target := func(tenant string) string {
-		if len(targets) == 1 {
-			return targets[0]
-		}
-		i := pick(tenant, targets)
-		if i < 0 || i >= len(targets) {
-			i = 0
-		}
-		return targets[i]
-	}
+	base := opts.BaseURL
 
-	info, err := fetchInfo(client, targets[0])
+	info, err := fetchInfo(client, base)
 	if err != nil {
-		return nil, fmt.Errorf("scenario: %s unreachable: %w", targets[0], err)
+		return nil, fmt.Errorf("scenario: %s unreachable: %w", base, err)
 	}
-	logf("replaying %q against %d target(s) [%s ...]: policy=%s cores=%d timescale=%g",
-		tr.Name, len(targets), targets[0], info.Policy, info.Cores, opts.TimeScale)
+	logf("replaying %q against %s: policy=%s cores=%d timescale=%g",
+		tr.Name, base, info.Policy, info.Cores, opts.TimeScale)
 
 	// Kernel refs resolve to server catalog names up front so a typo fails
 	// before any job fires.
@@ -133,7 +98,7 @@ func RunLive(tr *Trace, opts LiveOptions) (*Result, error) {
 			if tw := tenantWG[e.Tenant]; tw != nil {
 				tw.Wait() // drain the tenant's in-flight jobs before deleting it
 			}
-			if err := deleteTenant(client, target(e.Tenant), e.Tenant); err != nil {
+			if err := deleteTenant(client, base, e.Tenant); err != nil {
 				logf("leave %s: %v", e.Tenant, err)
 			}
 		case OpJob:
@@ -158,7 +123,7 @@ func RunLive(tr *Trace, opts LiveOptions) (*Result, error) {
 			go func() {
 				defer wg.Done()
 				defer tw.Done()
-				record(fireJob(client, target(req.Tenant), req))
+				record(fireJob(client, base, req))
 			}()
 		}
 	}
@@ -167,16 +132,6 @@ func RunLive(tr *Trace, opts LiveOptions) (*Result, error) {
 	defer mu.Unlock()
 	makespanMS := float64(lastDone.Sub(start)) / float64(time.Millisecond)
 	return Summarize(tr.Name, info.Policy, "live", outcomes, makespanMS), nil
-}
-
-// defaultPickTarget is tenant-keyed FNV-1a placement across targets.
-func defaultPickTarget(tenant string, targets []string) int {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(tenant); i++ {
-		h ^= uint64(tenant[i])
-		h *= 1099511628211
-	}
-	return int(h % uint64(len(targets)))
 }
 
 // fireJob posts one job and classifies the response.

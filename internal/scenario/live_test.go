@@ -2,8 +2,6 @@ package scenario
 
 import (
 	"context"
-	"encoding/json"
-	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -77,90 +75,5 @@ func TestRunLiveUnreachable(t *testing.T) {
 	}}
 	if _, err := RunLive(tr, LiveOptions{BaseURL: "http://127.0.0.1:1"}); err == nil {
 		t.Fatal("replay against a dead address succeeded")
-	}
-}
-
-// TestRunLiveMultiTarget replays across two in-process shards with an
-// explicit picker and checks each tenant's jobs stay sticky to one shard.
-func TestRunLiveMultiTarget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live replay")
-	}
-	mk := func() *httptest.Server {
-		s, err := server.New(server.Config{Cores: 2, Policy: rt.DWS, MaxTenants: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hs := httptest.NewServer(s.Handler())
-		t.Cleanup(func() {
-			hs.Close()
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			_ = s.Shutdown(ctx)
-		})
-		return hs
-	}
-	hs0, hs1 := mk(), mk()
-
-	tr := &Trace{Version: Version, Name: "multi", Seed: 1, Events: []Event{
-		{AtUS: 0, Tenant: "alice", Op: OpJob, Kernel: "s-1", Scale: 0.02},
-		{AtUS: 50_000, Tenant: "bob", Op: OpJob, Kernel: "p-8", Scale: 0.01},
-		{AtUS: 100_000, Tenant: "alice", Op: OpJob, Kernel: "s-1", Scale: 0.02},
-		{AtUS: 150_000, Tenant: "bob", Op: OpJob, Kernel: "p-8", Scale: 0.01},
-	}}
-	res, err := RunLive(tr, LiveOptions{
-		Targets: []string{hs0.URL, hs1.URL},
-		PickTarget: func(tenant string, targets []string) int {
-			if tenant == "alice" {
-				return 0
-			}
-			return 1
-		},
-		TimeScale: 0.02,
-		Logf:      t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Sent != 4 || res.Errors != 0 || res.OK+res.Late != 4 {
-		t.Fatalf("multi-target replay: %+v", res)
-	}
-	// Stickiness: alice only ever existed on shard 0, bob on shard 1.
-	for _, probe := range []struct {
-		url  string
-		want string
-	}{{hs0.URL, "alice"}, {hs1.URL, "bob"}} {
-		resp, err := http.Get(probe.url + "/v1/tenants")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rows []server.TenantInfo
-		if err := json.NewDecoder(resp.Body).Decode(&rows); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if len(rows) != 1 || rows[0].Name != probe.want {
-			t.Fatalf("shard hosting %s has tenants %+v", probe.want, rows)
-		}
-	}
-}
-
-// TestDefaultPickTargetStable: the default placement is a pure function of
-// the tenant name.
-func TestDefaultPickTargetStable(t *testing.T) {
-	targets := []string{"a", "b", "c"}
-	seen := map[int]bool{}
-	for _, tenant := range []string{"t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7"} {
-		i := defaultPickTarget(tenant, targets)
-		if i < 0 || i >= len(targets) {
-			t.Fatalf("pick(%s) = %d out of range", tenant, i)
-		}
-		if j := defaultPickTarget(tenant, targets); j != i {
-			t.Fatalf("pick(%s) unstable: %d then %d", tenant, i, j)
-		}
-		seen[i] = true
-	}
-	if len(seen) < 2 {
-		t.Fatal("8 tenants all landed on one target: placement is degenerate")
 	}
 }

@@ -11,8 +11,9 @@ import (
 // SimOptions configures a simulated replay.
 type SimOptions struct {
 	// Config is the simulated machine (sim.DefaultConfig() + policy is the
-	// usual starting point). Weights and ArbiterPeriodUS are filled from
-	// the trace's weight declarations when the policy is DWS.
+	// usual starting point). A weighted trace's declarations fill Weights,
+	// which the arbiter and the front door both read, and under DWS turn
+	// on the arbiter (ArbiterPeriodUS) if the caller left it off.
 	Config sim.Config
 	// QueueCap bounds each tenant's admission queue (≤0 = 16, matching
 	// dwsd).
@@ -22,10 +23,7 @@ type SimOptions struct {
 	HorizonUS int64
 	// Admission configures the front door (weighted fair queueing,
 	// shed-from-max-tail under GlobalCap, deadline-aware early
-	// rejection). A nil Weights field is filled from the trace's weight
-	// declarations, so gold-qos-style traces get the same weights at
-	// admission as at the arbiter; a nil Admission is passed through as
-	// the sim's zero value (equal weights, no global cap, no early
+	// rejection); nil is the sim's zero value (no global cap, no early
 	// rejection).
 	Admission *sim.AdmissionOpts
 }
@@ -113,27 +111,20 @@ func Prepare(tr *Trace) (*Prepared, error) {
 	return p, nil
 }
 
-// machine fills the trace-derived parts of a replay's configuration: the
-// weights and the QoS arbiter for weighted DWS traces, the admission
-// weights when the caller left them open, and the default horizon.
-func (p *Prepared) machine(cfg sim.Config, adm *sim.AdmissionOpts, horizonUS int64) (sim.Config, *sim.AdmissionOpts, int64) {
-	if cfg.Policy == sim.DWS && p.weighted {
+// machine fills the trace-derived parts of a replay's configuration: a
+// weighted trace's weights under every policy, the QoS arbiter under DWS,
+// and the default horizon.
+func (p *Prepared) machine(cfg sim.Config, horizonUS int64) (sim.Config, int64) {
+	if p.weighted {
 		cfg.Weights = p.weights
-		if cfg.ArbiterPeriodUS <= 0 {
+		if cfg.Policy == sim.DWS && cfg.ArbiterPeriodUS <= 0 {
 			cfg.ArbiterPeriodUS = defaultArbiterPeriodUS
 		}
-	}
-	if adm != nil {
-		a := *adm
-		if a.Weights == nil {
-			a.Weights = p.weights
-		}
-		adm = &a
 	}
 	if horizonUS <= 0 {
 		horizonUS = p.horizonUS
 	}
-	return cfg, adm, horizonUS
+	return cfg, horizonUS
 }
 
 // outcome is one job's record in the scenario Result's terms.
@@ -158,7 +149,7 @@ func RunSim(tr *Trace, opts SimOptions) (*Result, error) {
 
 // Sim is RunSim on an already prepared trace.
 func (p *Prepared) Sim(opts SimOptions) (*Result, error) {
-	cfg, admission, horizon := p.machine(opts.Config, opts.Admission, opts.HorizonUS)
+	cfg, horizon := p.machine(opts.Config, opts.HorizonUS)
 	m, err := sim.NewMachine(cfg, p.anchors)
 	if err != nil {
 		return nil, err
@@ -168,7 +159,7 @@ func (p *Prepared) Sim(opts SimOptions) (*Result, error) {
 		JoinsUS:   p.joins,
 		QueueCap:  opts.QueueCap,
 		HorizonUS: horizon,
-		Admission: admission,
+		Admission: opts.Admission,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("scenario: replaying %q under %v: %w", p.name, cfg.Policy, err)

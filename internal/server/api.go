@@ -32,64 +32,9 @@ type JobRequest struct {
 	SLOMs int64 `json:"slo_ms,omitempty"`
 }
 
-// Stats mirrors rt.Stats as JSON — the scheduler counters of one program
-// over one job (deltas) or one CLI run (totals).
-type Stats struct {
-	Steals       int64 `json:"steals"`
-	FailedSteals int64 `json:"failed_steals"`
-	// LocalSteals / RemoteSteals split successful deque steals by whether
-	// thief and victim shared a socket (on a flat topology every deque
-	// steal is local).
-	LocalSteals  int64 `json:"local_steals,omitempty"`
-	RemoteSteals int64 `json:"remote_steals,omitempty"`
-	Sleeps       int64 `json:"sleeps"`
-	Wakes        int64 `json:"wakes"`
-	Evictions    int64 `json:"evictions"`
-	Claims       int64 `json:"claims"`
-	Reclaims     int64 `json:"reclaims"`
-	Runs         int64 `json:"runs"`
-	// Crash recovery: dead co-runner leases this program swept, and the
-	// cores those sweeps freed (DWS only).
-	DeadSweeps     int64 `json:"dead_sweeps,omitempty"`
-	CoresRecovered int64 `json:"cores_recovered,omitempty"`
-}
-
-// FromRTStats converts runtime counters to the wire form.
-func FromRTStats(s rt.Stats) Stats {
-	return Stats{
-		Steals:         s.Steals,
-		FailedSteals:   s.FailedSteals,
-		LocalSteals:    s.LocalSteals,
-		RemoteSteals:   s.RemoteSteals,
-		Sleeps:         s.Sleeps,
-		Wakes:          s.Wakes,
-		Evictions:      s.Evictions,
-		Claims:         s.Claims,
-		Reclaims:       s.Reclaims,
-		Runs:           s.Runs,
-		DeadSweeps:     s.DeadSweeps,
-		CoresRecovered: s.CoresRecovered,
-	}
-}
-
-// Sub returns s - o counter-wise (per-job deltas from cumulative program
-// counters).
-func (s Stats) Sub(o Stats) Stats {
-	return Stats{
-		Steals:         s.Steals - o.Steals,
-		FailedSteals:   s.FailedSteals - o.FailedSteals,
-		LocalSteals:    s.LocalSteals - o.LocalSteals,
-		RemoteSteals:   s.RemoteSteals - o.RemoteSteals,
-		Sleeps:         s.Sleeps - o.Sleeps,
-		Wakes:          s.Wakes - o.Wakes,
-		Evictions:      s.Evictions - o.Evictions,
-		Claims:         s.Claims - o.Claims,
-		Reclaims:       s.Reclaims - o.Reclaims,
-		Runs:           s.Runs - o.Runs,
-		DeadSweeps:     s.DeadSweeps - o.DeadSweeps,
-		CoresRecovered: s.CoresRecovered - o.CoresRecovered,
-	}
-}
+// Stats are the scheduler counters of one program over one job (deltas)
+// or one CLI run (totals); rt.Stats carries the wire tags.
+type Stats = rt.Stats
 
 // Job statuses.
 const (

@@ -66,13 +66,6 @@ type Config struct {
 	// already exceeds its deadline is 429'd at submit with an honest
 	// Retry-After instead of expiring silently in the queue.
 	NoEarlyReject bool
-	// DefaultDeadline applies to jobs that do not set deadline_ms;
-	// ≤0 defaults to 30s.
-	DefaultDeadline time.Duration
-	// DefaultSize and MaxSize bound the per-job input scale; they default
-	// to 0.25 and 1.0.
-	DefaultSize float64
-	MaxSize     float64
 	// CoordPeriod and LeaseTTL tune the hosted system's coordinator
 	// period and core-table lease expiry (crash/wedge recovery); ≤0 uses
 	// the rt defaults (10ms, and 10×CoordPeriod floored at 2s).
@@ -108,15 +101,6 @@ func (c *Config) validate() error {
 			c.GlobalQueueDepth = c.QueueDepth
 		}
 	}
-	if c.DefaultDeadline <= 0 {
-		c.DefaultDeadline = 30 * time.Second
-	}
-	if c.DefaultSize <= 0 {
-		c.DefaultSize = 0.25
-	}
-	if c.MaxSize <= 0 {
-		c.MaxSize = 1.0
-	}
 	switch {
 	case c.ArbiterPeriod < 0:
 		c.ArbiterPeriod = 0 // explicitly disabled
@@ -125,6 +109,14 @@ func (c *Config) validate() error {
 	}
 	return nil
 }
+
+// Per-job defaults: a job that sets no deadline_ms gets defaultDeadline,
+// one that sets no size gets defaultSize, and no job may exceed maxSize.
+const (
+	defaultDeadline = 30 * time.Second
+	defaultSize     = 0.25
+	maxSize         = 1.0
+)
 
 var tenantNameRe = regexp.MustCompile(`^[a-zA-Z0-9._-]{1,64}$`)
 
@@ -236,7 +228,7 @@ func New(cfg Config) (*Server, error) {
 		globalDepth.With().Set(float64(s.adm.total()))
 		for _, t := range s.tenantList() {
 			qDepth.With(t.name).Set(float64(t.queueLen()))
-			st := FromRTStats(t.prog.Stats())
+			st := t.prog.Stats()
 			for name, get := range progGauges {
 				progVecs[name].With(t.name).Set(float64(get(st)))
 			}
@@ -409,14 +401,14 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	}
 	size := req.Size
 	if size <= 0 {
-		size = s.cfg.DefaultSize
+		size = defaultSize
 	}
-	if size > s.cfg.MaxSize {
+	if size > maxSize {
 		writeError(w, http.StatusBadRequest,
-			"size %v exceeds the server cap %v", size, s.cfg.MaxSize)
+			"size %v exceeds the server cap %v", size, maxSize)
 		return
 	}
-	deadline := s.cfg.DefaultDeadline
+	deadline := defaultDeadline
 	if req.DeadlineMS > 0 {
 		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
 	}
@@ -552,12 +544,7 @@ func (s *Server) resolveShed(j *job) {
 	t := j.tn
 	queueWait := time.Since(j.enqueued)
 	j.retry = t.retryAfter()
-	j.res = JobResult{
-		ID: j.id, Tenant: t.name, Kernel: j.spec.Name,
-		Policy: s.sys.Policy().String(), Cores: s.sys.Cores(), Size: j.size,
-		Status:  StatusShed,
-		QueueMS: ms(queueWait), TotalMS: ms(queueWait),
-	}
+	j.res = j.result(StatusShed, queueWait, 0, Stats{})
 	t.shed.Add(1)
 	s.mShed.With(t.name).Inc()
 	s.mRejected.With(t.name, admit.Shed.String()).Inc()
@@ -614,7 +601,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, _ *http.Request) {
 		QueueDepth:      s.cfg.QueueDepth,
 		GlobalQueue:     s.cfg.GlobalQueueDepth,
 		EarlyReject:     !s.cfg.NoEarlyReject,
-		DefaultSize:     s.cfg.DefaultSize,
+		DefaultSize:     defaultSize,
 		Kernels:         kernels.Names(),
 		ArbiterPeriodMS: float64(s.cfg.ArbiterPeriod) / float64(time.Millisecond),
 	})

@@ -91,6 +91,19 @@ func newTenant(s *Server, name string, prog *rt.Program) *tenant {
 	return t
 }
 
+// result is the terminal record of j: served, or resolved without running
+// (run = 0, no counters) when it expired, was canceled or evicted, or shed.
+func (j *job) result(status string, queueWait, run time.Duration, st Stats) JobResult {
+	sys := j.tn.srv.sys
+	return JobResult{
+		ID: j.id, Tenant: j.tn.name, Kernel: j.spec.Name,
+		Policy: sys.Policy().String(), Cores: sys.Cores(), Size: j.size,
+		Status:  status,
+		QueueMS: ms(queueWait), RunMS: ms(run), TotalMS: ms(queueWait + run),
+		Stats: st,
+	}
+}
+
 // run drains the tenant's WFQ flow until it is closed (tenant deletion,
 // server drain, or lease-expiry eviction), then closes the program.
 // Queued jobs admitted before the close are still served — graceful
@@ -116,13 +129,7 @@ func (t *tenant) run() {
 
 // failFast resolves a queued job without running it (evicted tenant).
 func (t *tenant) failFast(j *job) {
-	queueWait := time.Since(j.enqueued)
-	j.res = JobResult{
-		ID: j.id, Tenant: t.name, Kernel: j.spec.Name,
-		Policy: t.srv.sys.Policy().String(), Cores: t.srv.sys.Cores(), Size: j.size,
-		Status:  StatusCanceled,
-		QueueMS: ms(queueWait), TotalMS: ms(queueWait),
-	}
+	j.res = j.result(StatusCanceled, time.Since(j.enqueued), 0, Stats{})
 	t.srv.mJobs.With(t.name, j.spec.Name, StatusCanceled).Inc()
 	close(j.done)
 }
@@ -145,19 +152,14 @@ func (t *tenant) serve(j *job) {
 		if expired {
 			status = StatusExpired
 		}
-		j.res = JobResult{
-			ID: j.id, Tenant: t.name, Kernel: j.spec.Name,
-			Policy: s.sys.Policy().String(), Cores: s.sys.Cores(), Size: j.size,
-			Status:  status,
-			QueueMS: ms(queueWait), TotalMS: ms(queueWait),
-		}
+		j.res = j.result(status, queueWait, 0, Stats{})
 		s.mJobs.With(t.name, j.spec.Name, status).Inc()
 		s.mQueueWait.With(t.name).Observe(queueWait.Seconds())
 		close(j.done)
 		return
 	}
 
-	before := FromRTStats(t.prog.Stats())
+	before := t.prog.Stats()
 	t.inFlight.Store(true)
 	err := t.prog.Run(j.spec.NewTask(j.size))
 	t.inFlight.Store(false)
@@ -167,13 +169,7 @@ func (t *tenant) serve(j *job) {
 		// Only ErrClosed can surface here, and only on shutdown races.
 		status = StatusCanceled
 	}
-	j.res = JobResult{
-		ID: j.id, Tenant: t.name, Kernel: j.spec.Name,
-		Policy: s.sys.Policy().String(), Cores: s.sys.Cores(), Size: j.size,
-		Status:  status,
-		QueueMS: ms(queueWait), RunMS: ms(runDur), TotalMS: ms(queueWait + runDur),
-		Stats: FromRTStats(t.prog.Stats()).Sub(before),
-	}
+	j.res = j.result(status, queueWait, runDur, t.prog.Stats().Sub(before))
 	t.jobsServed.Add(1)
 	t.observeRun(runDur, j.size)
 	s.mJobs.With(t.name, j.spec.Name, status).Inc()
@@ -243,7 +239,7 @@ func (t *tenant) info() TenantInfo {
 		Weight:        weight,
 		SLOMs:         int64(slo / time.Millisecond),
 		EntitledCores: entitled,
-		Stats:         FromRTStats(t.prog.Stats()),
+		Stats:         t.prog.Stats(),
 	}
 }
 

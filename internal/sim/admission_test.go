@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"testing"
@@ -17,8 +16,8 @@ func bigRoot() *task.Node { return task.ParallelFor(64, 12_000) }
 // and no early rejection behaves as bounded per-program FIFOs" by numbers:
 // the constants are what the per-program pending-FIFO path (deleted in
 // PR 20) produced at its last commit for this stream, which exercises
-// queueing, rejection, and deadline expiry. A nil Admission and every
-// spelling of the all-defaults AdmissionOpts must reproduce them.
+// queueing, rejection, and deadline expiry. A nil Admission and the
+// all-defaults AdmissionOpts must both reproduce them.
 func TestOpenAdmissionDegeneracy(t *testing.T) {
 	want := map[Policy]struct {
 		endUS, events int64
@@ -30,9 +29,7 @@ func TestOpenAdmissionDegeneracy(t *testing.T) {
 	for _, pol := range []Policy{DWS, GO} {
 		for _, adm := range []*AdmissionOpts{
 			nil,
-			{},                            // zero value: all defaults
-			{Weights: []float64{1, 1}},    // explicit equal weights
-			{Weights: []float64{0, -3.5}}, // non-positive clamps to 1
+			{}, // zero value: all defaults
 		} {
 			ga := &task.Graph{Name: "ta", Root: task.Leaf(1), MemIntensity: 0.4}
 			gb := &task.Graph{Name: "tb", Root: task.Leaf(1), MemIntensity: 0.7}
@@ -76,7 +73,9 @@ func TestOpenAdmissionDegeneracy(t *testing.T) {
 func TestOpenAdmissionShedFavorsWeight(t *testing.T) {
 	gold := &task.Graph{Name: "gold", Root: task.Leaf(1)}
 	bronze := &task.Graph{Name: "bronze", Root: task.Leaf(1)}
-	m := mustMachine(t, debugConfig(DWS), []*task.Graph{gold, bronze})
+	cfg := debugConfig(DWS)
+	cfg.Weights = []float64{2, 1}
+	m := mustMachine(t, cfg, []*task.Graph{gold, bronze})
 
 	// t=0: both programs start a long job (idle-start, no queueing).
 	// t=1..3ms: bronze queues three more — backlog 3 = global cap.
@@ -92,7 +91,7 @@ func TestOpenAdmissionShedFavorsWeight(t *testing.T) {
 		},
 		QueueCap:  8,
 		HorizonUS: 600_000_000_000,
-		Admission: &AdmissionOpts{Weights: []float64{2, 1}, GlobalCap: 3},
+		Admission: &AdmissionOpts{GlobalCap: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -169,19 +168,5 @@ func TestOpenAdmissionEarlyReject(t *testing.T) {
 	off := run(false)
 	if got := off.Jobs[2].Status; got != JobExpired {
 		t.Fatalf("with early rejection off the doomed job should silently expire, got %v", got)
-	}
-}
-
-// TestOpenAdmissionValidation: a weights vector that doesn't match the
-// program count is a config error.
-func TestOpenAdmissionValidation(t *testing.T) {
-	g := &task.Graph{Name: "t", Root: task.Leaf(1)}
-	m := mustMachine(t, debugConfig(DWS), []*task.Graph{g})
-	_, err := m.RunOpen(OpenOpts{
-		Jobs:      [][]Job{mkJobs(1, 0, 0, 0, smallRoot)},
-		Admission: &AdmissionOpts{Weights: []float64{1, 2}},
-	})
-	if !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("mismatched weights: err = %v, want ErrBadConfig", err)
 	}
 }

@@ -36,7 +36,8 @@ func (m *Machine) homeOf(p *Program) []int {
 	return p.home
 }
 
-// weightOf returns p's arbitration weight (1 without Config.Weights).
+// weightOf returns p's arbitration and admission weight (1 without
+// Config.Weights).
 func (m *Machine) weightOf(p *Program) float64 {
 	if m.cfg.Weights == nil {
 		return 1

@@ -162,9 +162,11 @@ type Config struct {
 	// equal the HomeCores split, so a run is bit-identical to an
 	// arbiter-disabled one. 0 disables.
 	ArbiterPeriodUS int64
-	// Weights assigns each program an arbitration weight (nil = all 1).
-	// Only meaningful with ArbiterPeriodUS > 0; when set, its length must
-	// equal the number of programs.
+	// Weights assigns each program its arbitration and admission weight;
+	// the live server applies one declared weight to both (nil = all 1).
+	// The arbiter reads it only with ArbiterPeriodUS > 0; the front door of
+	// an open-loop replay always does. When set, its length must equal the
+	// number of programs.
 	Weights []float64
 
 	// NoLocality disables the topology awareness a multi-socket SocketSize

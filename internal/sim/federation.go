@@ -162,9 +162,7 @@ func (m *Machine) startFed(queueCap int, adm *AdmissionOpts) error {
 	if m.nEv > 0 || m.jobMode {
 		return fmt.Errorf("%w: machine already ran", ErrBadConfig)
 	}
-	if err := m.armAdmission(queueCap, adm); err != nil {
-		return err
-	}
+	m.armAdmission(queueCap, adm)
 	m.jobMode = true
 	m.fedMode = true
 	for _, p := range m.progs {

@@ -314,17 +314,19 @@ func TestFederationBudgetBoundsHops(t *testing.T) {
 func TestFederationShedSpills(t *testing.T) {
 	graphs := fedGraphs(2)
 	pref := [][]int{{0, 1}, {0, 1}}
+	// Asymmetric weights: the heavy tenant's arrivals displace the light
+	// tenant's queued tail at the global cap.
+	cfg := smallFedCfg()
+	cfg.Weights = []float64{10, 1}
 	res, err := RunFederation(FedOpts{
-		Cfg:      smallFedCfg(),
-		Shards:   2,
-		Programs: graphs,
-		Jobs:     fedStream(2, 40, 400, 0),
-		Pref:     pref,
-		Spill:    SpillNext,
-		QueueCap: 8,
-		// Asymmetric weights: the heavy tenant's arrivals displace the light
-		// tenant's queued tail at the global cap.
-		Admission: &AdmissionOpts{GlobalCap: 3, Weights: []float64{10, 1}},
+		Cfg:       cfg,
+		Shards:    2,
+		Programs:  graphs,
+		Jobs:      fedStream(2, 40, 400, 0),
+		Pref:      pref,
+		Spill:     SpillNext,
+		QueueCap:  8,
+		Admission: &AdmissionOpts{GlobalCap: 3},
 		HorizonUS: 60_000_000_000,
 	})
 	if err != nil {

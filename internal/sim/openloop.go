@@ -116,23 +116,18 @@ type OpenOpts struct {
 	QueueCap int
 	// HorizonUS aborts the replay at this simulated time; 0 means none.
 	HorizonUS int64
-	// SampleUS, when positive, records core-occupancy samples as in
-	// RunOpts.
-	SampleUS int64
 	// Admission configures the front door every arrival passes — the
 	// server's own (internal/admit over internal/wfq): weighted fair
 	// queueing across programs, shed-from-max-tail under a global backlog
-	// cap, and deadline-aware early rejection. nil means the zero value:
-	// equal weights, no global cap, no early rejection, which behaves as
-	// independent bounded per-program FIFOs.
+	// cap, and deadline-aware early rejection. Flow weights are
+	// Config.Weights. nil means the zero value: no global cap and no early
+	// rejection, which under equal weights behaves as independent bounded
+	// per-program FIFOs.
 	Admission *AdmissionOpts
 }
 
 // AdmissionOpts configures the WFQ front-door analog.
 type AdmissionOpts struct {
-	// Weights[i] is program i's WFQ weight (values ≤ 0 clamp to 1); nil
-	// means all 1.
-	Weights []float64
 	// GlobalCap caps the total backlog across programs; at the cap an
 	// arrival displaces the worst-placed queued tail in virtual time if
 	// there is one, and is rejected otherwise. ≤0 means no global cap.
@@ -186,9 +181,7 @@ func (m *Machine) RunOpen(opts OpenOpts) (*Results, error) {
 		return nil, fmt.Errorf("%w: no jobs", ErrBadConfig)
 	}
 
-	if err := m.armAdmission(opts.QueueCap, opts.Admission); err != nil {
-		return nil, err
-	}
+	m.armAdmission(opts.QueueCap, opts.Admission)
 
 	m.jobMode = true
 	m.jobsOutstanding = total
@@ -219,7 +212,6 @@ func (m *Machine) RunOpen(opts OpenOpts) (*Results, error) {
 	if m.arb != nil {
 		m.scheduleArbiter()
 	}
-	m.startSampling(opts.SampleUS)
 
 	err := m.loop(opts.HorizonUS)
 	return m.results(), err
@@ -260,28 +252,20 @@ func (m *Machine) armArrivals(p *Program, js []Job) {
 
 // armAdmission builds the machine's front door: one WFQ flow per program
 // and the fixed limits every offer is decided under. A nil adm is the
-// zero value; queueCap ≤ 0 defaults to 16, dwsd's default depth.
-func (m *Machine) armAdmission(queueCap int, adm *AdmissionOpts) error {
+// zero value; queueCap ≤ 0 defaults to 16, dwsd's default depth. The flow
+// weights are Config.Weights, the ones the arbiter reads.
+func (m *Machine) armAdmission(queueCap int, adm *AdmissionOpts) {
 	if adm == nil {
 		adm = &AdmissionOpts{}
-	}
-	if adm.Weights != nil && len(adm.Weights) != len(m.progs) {
-		return fmt.Errorf("%w: %d admission weights for %d programs",
-			ErrBadConfig, len(adm.Weights), len(m.progs))
 	}
 	if queueCap <= 0 {
 		queueCap = 16
 	}
 	m.admLimits = admit.Limits{Depth: queueCap, GlobalCap: adm.GlobalCap, EarlyReject: adm.EarlyReject}
 	m.adm = wfq.New[*openJob]()
-	for i := range m.progs {
-		w := 1.0
-		if adm.Weights != nil {
-			w = adm.Weights[i]
-		}
-		m.adm.AddFlow(i, w)
+	for _, p := range m.progs {
+		m.adm.AddFlow(p.idx, m.weightOf(p))
 	}
-	return nil
 }
 
 // offer presents one job to the machine at its current clock: an idle
