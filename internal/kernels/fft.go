@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"math/cmplx"
+	"sync"
 
 	"dws/internal/rt"
 )
@@ -118,11 +119,71 @@ func fftBuild(slab []fftNode, a, scratch, w []complex128) (*fftNode, []fftNode) 
 // paper's repetition model, and the rt-overhead benchmarks) measures
 // scheduling, not the allocator. The returned task owns its scratch: run
 // it on one program at a time, like the in-place sort and factorisations.
+// The catalog's FFT job (catalogFFT) runs the same tree, but shares one
+// twiddle table and one input among all jobs of a length and recycles
+// its buffers.
 func FFTTask(a []complex128) rt.Task {
-	w := twiddles(len(a))
+	return fftTree(a, twiddles(len(a))).Run
+}
+
+// fftTree lays the spawn tree over a, with a scratch buffer of its own,
+// and returns its root; root.a is a, where the transform ends up.
+func fftTree(a, w []complex128) *fftNode {
 	slab := make([]fftNode, 2*max(1, len(a)/fftCutoff)-1) // a full binary tree over the leaf blocks
 	root, _ := fftBuild(slab, a, make([]complex128, len(a)), w)
-	return root.Run
+	return root
+}
+
+// fftShared is what every catalog FFT job of one length has in common.
+type fftShared struct {
+	once  sync.Once
+	in, w []complex128 // the job's input and twiddles(len(in)), only read
+	task  rt.Task      // s.run, bound once: a method value per NewTask would allocate
+	trees sync.Pool    // *fftNode: a tree over buffers of its own
+}
+
+// fftServed holds the shared state of the lengths 2⁰…2¹⁸, built on a
+// length's first job. dwsd caps size at 1.0 and pow2(1<<18, 1.0) = 2¹⁸,
+// so a served job always has a slot: at most 19 inputs and tables.
+var fftServed [19]fftShared
+
+// fftRan, when a test sets it, is handed each catalog FFT job's output
+// before its buffer goes back to the pool.
+var fftRan func(out []complex128)
+
+// catalogFFT returns the catalog's FFT job of length n: the transform of
+// RandComplex(n, 7), the same input every run. Below 2¹⁹ the job reads
+// its length's shared input and table and takes its buffers from the
+// length's pool, so after a length's first job NewTask allocates nothing,
+// and runs of one task may overlap. A longer job (only a CLI asks for
+// size > 1.0) builds its input and table per job.
+func catalogFFT(n int) rt.Task {
+	k := bits.TrailingZeros(uint(n))
+	if k >= len(fftServed) {
+		s := &fftShared{in: RandComplex(n, 7), w: twiddles(n)}
+		return s.run
+	}
+	s := &fftServed[k]
+	s.once.Do(func() {
+		s.in, s.w = RandComplex(n, 7), twiddles(n)
+		s.task = s.run
+	})
+	return s.task
+}
+
+// run transforms a copy of s.in in a tree from s.trees and returns the
+// tree afterwards, so concurrent runs never share a buffer.
+func (s *fftShared) run(c *rt.Ctx) {
+	root, _ := s.trees.Get().(*fftNode)
+	if root == nil {
+		root = fftTree(make([]complex128, len(s.in)), s.w)
+	}
+	copy(root.a, s.in)
+	root.Run(c)
+	if fftRan != nil {
+		fftRan(root.a)
+	}
+	s.trees.Put(root)
 }
 
 // DFTNaive returns the discrete Fourier transform of a by the O(n²)

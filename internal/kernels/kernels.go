@@ -83,16 +83,27 @@ func RandMatrix(n int, seed int64) []float64 {
 
 // SPDMatrix returns a symmetric positive-definite n×n matrix (AᵀA + nI),
 // deterministic in seed — a valid Cholesky input.
+//
+// Row k of A adds a[k][i]·a[k][j] to every entry of the upper triangle,
+// so both matrices are read along rows; the lower triangle is the upper's
+// mirror. Each entry still sums its products from 0 in ascending k, and
+// a product does not depend on its operands' order, so every entry has
+// the bits of the column-walking Σₖ a[k][i]·a[k][j].
 func SPDMatrix(n int, seed int64) []float64 {
 	a := RandMatrix(n, seed)
 	m := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			var s float64
-			for k := 0; k < n; k++ {
-				s += a[k*n+i] * a[k*n+j]
+	for k := 0; k < n; k++ {
+		ak := a[k*n : k*n+n]
+		for i, aki := range ak {
+			row, mi := ak[i:], m[i*n+i:i*n+n] // columns i…n-1
+			for j, akj := range row {
+				mi[j] += aki * akj
 			}
-			m[i*n+j] = s
+		}
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < i; j++ {
+			m[i*n+j] = m[j*n+i]
 		}
 		m[i*n+i] += float64(n)
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -507,20 +508,59 @@ func msMerges(n int) int {
 	return 1 + msMerges(n/2) + msMerges(n-n/2)
 }
 
-// TestNewTaskAllocs pins what a served Mergesort or FFT job allocates
-// before its kernel runs: the input, the scratch buffer, the spawn tree
-// as one slab (the FFT's twiddle table too) and the task value — not an
-// object per tree node, of which there are 255 and 127.
+// TestNewTaskAllocs pins what a served Mergesort job allocates before its
+// kernel runs: the input, the scratch buffer, the spawn tree as one slab
+// and the task value — not an object per tree node, of which there are
+// 255.
 func TestNewTaskAllocs(t *testing.T) {
-	for _, name := range []string{"Mergesort", "FFT"} {
-		spec, ok := ByName(name)
-		if !ok {
-			t.Fatalf("%s missing from the catalog", name)
+	spec, ok := ByName("Mergesort")
+	if !ok {
+		t.Fatal("Mergesort missing from the catalog")
+	}
+	var task rt.Task
+	got := testing.AllocsPerRun(10, func() { task = spec.NewTask(0.05) })
+	if task == nil || got > 6 {
+		t.Errorf("Mergesort NewTask(0.05) allocates %v times, want at most 6", got)
+	}
+}
+
+// raceEnabled reports a -race build, in which sync.Pool drops a quarter
+// of what it is given back (race_test.go sets it).
+var raceEnabled bool
+
+// TestFFTJobSteadyState pins what a served FFT job costs once its length
+// has been served before: NewTask and Run allocate no input, table,
+// buffer or tree (five allocations and 512 KB of buffers at size 0.05),
+// only what a run of the runtime does now and then.
+func TestFFTJobSteadyState(t *testing.T) {
+	spec, _ := ByName("FFT")
+	p := benchSystem(t)
+	job := func() {
+		if err := p.Run(spec.NewTask(0.05)); err != nil {
+			t.Fatal(err)
 		}
-		var task rt.Task
-		got := testing.AllocsPerRun(10, func() { task = spec.NewTask(0.05) })
-		if task == nil || got > 6 {
-			t.Errorf("%s NewTask(0.05) allocates %v times, want at most 6", name, got)
-		}
+	}
+	for warm := 0; warm < 10; warm++ {
+		job()
+	}
+	got := testing.AllocsPerRun(20, job)
+	t.Logf("NewTask + Run of FFT(0.05): %v allocations a job", got)
+	if got >= 5 {
+		t.Errorf("NewTask + Run of FFT(0.05) allocates %v times a job, want fewer than 5", got)
+	}
+	if raceEnabled {
+		return // a dropped tree is rebuilt: 512 KB every fourth job or so
+	}
+	const jobs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < jobs; i++ {
+		job()
+	}
+	runtime.ReadMemStats(&after)
+	perJob := (after.TotalAlloc - before.TotalAlloc) / jobs
+	t.Logf("NewTask + Run of FFT(0.05): %d bytes a job", perJob)
+	if perJob > 16<<10 {
+		t.Errorf("NewTask + Run of FFT(0.05) allocates %d bytes a job, want under 16 KB (one buffer is 256 KB)", perJob)
 	}
 }

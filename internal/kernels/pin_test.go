@@ -274,3 +274,56 @@ func TestFFTTaskSeqNaiveAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestSPDMatrixBits pins SPDMatrix's row-order build to the column-walking
+// triple loop it replaced, compared with ==: every entry sums the same
+// products from 0 in the same order, so it must have the same bits.
+func TestSPDMatrixBits(t *testing.T) {
+	for _, n := range []int{1, 8, 33, 96} {
+		a := RandMatrix(n, 12)
+		want := make([]float64, n*n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				var s float64
+				for k := 0; k < n; k++ {
+					s += a[k*n+i] * a[k*n+j]
+				}
+				want[i*n+j] = s
+			}
+			want[i*n+i] += float64(n)
+		}
+		got := SPDMatrix(n, 12)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d entry (%d,%d): %v, the triple loop gives %v", n, i/n, i%n, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestRandBatchOneArray: RandBatch's rows, carved from one array, hold
+// the values a slice per row drew, and each is capped at its own end (an
+// append to one must not write into the next). PNN's catalog batch
+// (1 000 rows at size 0.05) costs a few allocations, not one per row.
+func TestRandBatchOneArray(t *testing.T) {
+	const n, width = 33, 5
+	rng := newStream(2)
+	got := RandBatch(n, width, 2)
+	if len(got) != n {
+		t.Fatalf("%d rows, want %d", len(got), n)
+	}
+	for i, row := range got {
+		if len(row) != width || cap(row) != width {
+			t.Fatalf("row %d: len %d cap %d, want %d and %d", i, len(row), cap(row), width, width)
+		}
+		for j, v := range row {
+			if want := rng.unit(); v != want {
+				t.Fatalf("row %d feature %d: %v, want %v", i, j, v, want)
+			}
+		}
+	}
+	rows := dim(20_000, 0.05)
+	if allocs := testing.AllocsPerRun(10, func() { RandBatch(rows, 16, 2) }); allocs > 6 {
+		t.Errorf("RandBatch(%d, 16) allocates %v times, want at most 6", rows, allocs)
+	}
+}

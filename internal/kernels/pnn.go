@@ -104,15 +104,17 @@ func (p *PNN) ForwardTask(batch [][]float64, out [][]float64) rt.Task {
 }
 
 // RandBatch returns n samples of dim features each, deterministic in seed.
+// The samples are consecutive rows of one backing array, each capped at
+// its own end.
 func RandBatch(n, dim int, seed int64) [][]float64 {
 	rng := newStream(seed)
+	all := make([]float64, n*dim)
+	for i := range all {
+		all[i] = rng.unit()
+	}
 	batch := make([][]float64, n)
 	for i := range batch {
-		s := make([]float64, dim)
-		for j := range s {
-			s[j] = rng.unit()
-		}
-		batch[i] = s
+		batch[i] = all[i*dim : (i+1)*dim : (i+1)*dim]
 	}
 	return batch
 }
