@@ -15,15 +15,11 @@ type FedSimOptions struct {
 	Config sim.Config
 	// Shards is K (≥1).
 	Shards int
-	// Spill is the redirect policy; SpillBudget caps hops (≤0 = 2).
-	Spill       sim.SpillPolicy
-	SpillBudget int
-	// SpillLatencyUS[from][to] is the inter-shard redirect delay; nil = 0.
-	SpillLatencyUS [][]int64
+	// Spill is the redirect policy, with the sim's default hop budget and
+	// no redirect delay.
+	Spill sim.SpillPolicy
 	// QueueCap bounds each tenant's per-shard admission queue (≤0 = 16).
 	QueueCap int
-	// HorizonUS aborts a runaway replay; ≤0 derives a bound from the trace.
-	HorizonUS int64
 	// Admission configures every shard's front door; nil is the sim's zero
 	// value, as in RunSim.
 	Admission *sim.AdmissionOpts
@@ -92,19 +88,17 @@ func (p *Prepared) FedSim(opts FedSimOptions) (*FedReplay, error) {
 		prefByName[name] = walk
 	}
 
-	cfg, horizon := p.machine(opts.Config, opts.HorizonUS)
+	cfg := p.machine(opts.Config)
 	fed, err := sim.RunFederation(sim.FedOpts{
-		Cfg:            cfg,
-		Shards:         opts.Shards,
-		Programs:       p.anchors,
-		Jobs:           p.jobs,
-		Pref:           pref,
-		Spill:          opts.Spill,
-		SpillBudget:    opts.SpillBudget,
-		SpillLatencyUS: opts.SpillLatencyUS,
-		QueueCap:       opts.QueueCap,
-		Admission:      opts.Admission,
-		HorizonUS:      horizon,
+		Cfg:       cfg,
+		Shards:    opts.Shards,
+		Programs:  p.anchors,
+		Jobs:      p.jobs,
+		Pref:      pref,
+		Spill:     opts.Spill,
+		QueueCap:  opts.QueueCap,
+		Admission: opts.Admission,
+		HorizonUS: p.horizonUS,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("scenario: federated replay of %q (%d shards, %v): %w",

@@ -15,12 +15,6 @@ type SimOptions struct {
 	// which the arbiter and the front door both read, and under DWS turn
 	// on the arbiter (ArbiterPeriodUS) if the caller left it off.
 	Config sim.Config
-	// QueueCap bounds each tenant's admission queue (≤0 = 16, matching
-	// dwsd).
-	QueueCap int
-	// HorizonUS aborts a runaway replay; ≤0 derives a generous bound from
-	// the trace length.
-	HorizonUS int64
 	// Admission configures the front door (weighted fair queueing,
 	// shed-from-max-tail under GlobalCap, deadline-aware early
 	// rejection); nil is the sim's zero value (no global cap, no early
@@ -112,19 +106,16 @@ func Prepare(tr *Trace) (*Prepared, error) {
 }
 
 // machine fills the trace-derived parts of a replay's configuration: a
-// weighted trace's weights under every policy, the QoS arbiter under DWS,
-// and the default horizon.
-func (p *Prepared) machine(cfg sim.Config, horizonUS int64) (sim.Config, int64) {
+// weighted trace's weights under every policy and the QoS arbiter under
+// DWS.
+func (p *Prepared) machine(cfg sim.Config) sim.Config {
 	if p.weighted {
 		cfg.Weights = p.weights
 		if cfg.Policy == sim.DWS && cfg.ArbiterPeriodUS <= 0 {
 			cfg.ArbiterPeriodUS = defaultArbiterPeriodUS
 		}
 	}
-	if horizonUS <= 0 {
-		horizonUS = p.horizonUS
-	}
-	return cfg, horizonUS
+	return cfg
 }
 
 // outcome is one job's record in the scenario Result's terms.
@@ -149,27 +140,15 @@ func RunSim(tr *Trace, opts SimOptions) (*Result, error) {
 
 // Sim is RunSim on an already prepared trace.
 func (p *Prepared) Sim(opts SimOptions) (*Result, error) {
-	cfg, horizon := p.machine(opts.Config, opts.HorizonUS)
-	m, err := sim.NewMachine(cfg, p.anchors)
+	res, err := p.simReplay(opts)
 	if err != nil {
 		return nil, err
 	}
-	res, err := m.RunOpen(sim.OpenOpts{
-		Jobs:      p.streams,
-		JoinsUS:   p.joins,
-		QueueCap:  opts.QueueCap,
-		HorizonUS: horizon,
-		Admission: opts.Admission,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("scenario: replaying %q under %v: %w", p.name, cfg.Policy, err)
-	}
-
 	outcomes := make([]Outcome, len(res.Jobs))
 	for i, j := range res.Jobs {
 		outcomes[i] = p.outcome(j.Prog, j.Status, j.AtUS, j.DoneUS)
 	}
-	r := Summarize(p.name, cfg.Policy.String(), "sim", outcomes, float64(res.EndTimeUS)/1000)
+	r := Summarize(p.name, opts.Config.Policy.String(), "sim", outcomes, float64(res.EndTimeUS)/1000)
 	// The sim tracks the locality steal split per program, not per job:
 	// fold the program totals into the summary after the fact.
 	row := map[string]*TenantResult{}
@@ -187,6 +166,24 @@ func (p *Prepared) Sim(opts SimOptions) (*Result, error) {
 		r.RemoteSteals += pr.Stats.RemoteSteals
 	}
 	return r, nil
+}
+
+// simReplay runs the one-machine replay Sim summarises.
+func (p *Prepared) simReplay(opts SimOptions) (*sim.Results, error) {
+	m, err := sim.NewMachine(p.machine(opts.Config), p.anchors)
+	if err != nil {
+		return nil, err
+	}
+	res, err := m.RunOpen(sim.OpenOpts{
+		Jobs:      p.streams,
+		JoinsUS:   p.joins,
+		HorizonUS: p.horizonUS,
+		Admission: opts.Admission,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("scenario: replaying %q under %v: %w", p.name, opts.Config.Policy, err)
+	}
+	return res, nil
 }
 
 // resolveKernel looks a trace kernel reference up by ID ("p-1", "s-2")

@@ -21,7 +21,7 @@ const (
 // event is one scheduled action. Events with equal timestamps fire in
 // scheduling order (seq), which keeps simulations deterministic. An
 // open-loop arrival is the one event whose seq is reserved before it is
-// armed (see RunOpen).
+// armed (see armArrivals).
 type event struct {
 	at  int64
 	seq int64
@@ -106,7 +106,7 @@ func (m *Machine) arm(at int64, e event) {
 
 // armSeq is arm under a seq drawn earlier: the event takes the place among
 // equal timestamps it would have had if it had been armed when the seq was
-// reserved. RunOpen's arrivals use it.
+// reserved. armArrivals uses it.
 func (m *Machine) armSeq(at, seq int64, e event) {
 	if at < m.now {
 		at = m.now

@@ -1,31 +1,29 @@
 package sim
 
-// Federated open-loop replay: RunFederation drives K independent machines
-// ("shards") in event-time lockstep off one global arrival stream, the sim
-// analog of a dwsrouter front tier over N dwsd instances. Every shard
-// hosts every tenant (dwsd creates tenants on first use); each job is
-// offered to its tenant's home shard first and, when the home refuses it
-// (queue full, global-cap reject, or a later shed from the WFQ backlog),
-// the driver may spill it to a sibling under a configurable policy —
-// {no-spill, random, next-preferred} — charging a per-(src,dst) spill
-// latency on every redirect, so committed results can predict which spill
-// policy the live router should run before it exists in production.
+// Federated open-loop replay: RunFederation replays one global arrival
+// stream through K independent machines ("shards"), the sim analog of a
+// dwsrouter front tier over N dwsd instances, on the same driver as
+// RunOpen, which is its one-machine case. Every shard hosts every tenant
+// (dwsd creates tenants on first use); each job is offered to its
+// tenant's home shard first and, when the home refuses it (queue full,
+// global-cap reject, or a later shed from the WFQ backlog), may spill to a
+// sibling under a configurable policy — {no-spill, random, next-preferred}
+// — charging a per-(src,dst) spill latency on every redirect, so committed
+// results can predict which spill policy the live router should run.
 //
-// Determinism: machines share no state; the driver always advances the
-// globally earliest event (ties broken by shard index, with arrivals
-// firing before same-time machine events), arrivals at equal times fire in
-// job-index order, and the only RNG (random spill) is seeded from the
-// config. Given identical options a federated replay is bit-for-bit
-// reproducible.
+// Determinism: machines share no state. Each orders its own events by
+// (at, seq): a tenant's home arrivals take the seqs armArrivals reserves,
+// a spill the seq it draws when scheduled onto the destination. The
+// driver steps the shard whose earliest event is earliest, equal times
+// going to the lower shard index, and the one RNG (random spill) is
+// seeded from the config. Given identical options a federated replay is
+// bit-for-bit reproducible.
 
 import (
-	"container/heap"
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 
-	"dws/internal/admit"
 	"dws/internal/task"
 )
 
@@ -91,8 +89,8 @@ type FedOpts struct {
 	Shards int
 	// Programs are the per-tenant anchor graphs, hosted on every shard.
 	Programs []*task.Graph
-	// Jobs is the global arrival stream. Arrivals at equal times fire in
-	// index order.
+	// Jobs is the global arrival stream. Each tenant's jobs must be in
+	// time order, as RunOpen requires of a stream.
 	Jobs []FedJob
 	// Pref[tenant] is the shard preference order, home first — the ring
 	// walk. Every entry must be a non-empty list of distinct shard indices.
@@ -155,77 +153,6 @@ type FedResults struct {
 	Shards []*Results
 }
 
-// startFed arms a machine for driver-injected arrivals: all programs
-// activate at time 0 and the machine never self-stops (the federation
-// driver owns termination).
-func (m *Machine) startFed(queueCap int, adm *AdmissionOpts) error {
-	if m.nEv > 0 || m.jobMode {
-		return fmt.Errorf("%w: machine already ran", ErrBadConfig)
-	}
-	m.armAdmission(queueCap, adm)
-	m.jobMode = true
-	m.fedMode = true
-	for _, p := range m.progs {
-		m.activateProgram(p)
-		if m.cfg.Policy == DWS || m.cfg.Policy == DWSNC {
-			m.scheduleCoordinator(p)
-		}
-	}
-	for _, c := range m.cores {
-		if c.cur == nil {
-			m.dispatch(c)
-		}
-	}
-	if m.arb != nil {
-		m.scheduleArbiter()
-	}
-	return nil
-}
-
-// advanceBefore runs every event strictly before t and moves the clock
-// forward to t (never backwards: a shard whose clock already passed t —
-// a spill arriving from a slower sibling — stays where it is, and the
-// job effectively arrives at the shard's present).
-func (m *Machine) advanceBefore(t int64) error {
-	for len(m.events) > 0 && m.events[0].at < t {
-		if err := m.step(); err != nil {
-			return err
-		}
-	}
-	if m.now < t {
-		m.now = t
-	}
-	return nil
-}
-
-// fedArrival is one pending delivery of a job to a shard.
-type fedArrival struct {
-	at    int64
-	seq   int64
-	job   int
-	shard int
-}
-
-type fedArrivalHeap []*fedArrival
-
-func (h fedArrivalHeap) Len() int { return len(h) }
-func (h fedArrivalHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h fedArrivalHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *fedArrivalHeap) Push(x any)   { *h = append(*h, x.(*fedArrival)) }
-func (h *fedArrivalHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-
 // RunFederation replays the global job stream through K shards under the
 // configured spill policy and returns per-job outcomes plus the spill
 // ledger.
@@ -276,6 +203,8 @@ func RunFederation(opts FedOpts) (*FedResults, error) {
 		}
 	}
 	var valid task.Validator
+	last := make([]int64, len(opts.Programs))
+	count := make([]int, len(opts.Programs))
 	for i, j := range opts.Jobs {
 		if j.Tenant < 0 || j.Tenant >= len(opts.Programs) {
 			return nil, fmt.Errorf("%w: job %d names tenant %d of %d", ErrBadConfig, i, j.Tenant, len(opts.Programs))
@@ -283,15 +212,36 @@ func RunFederation(opts FedOpts) (*FedResults, error) {
 		if j.AtUS < 0 || j.DeadlineUS < 0 {
 			return nil, fmt.Errorf("%w: job %d has a negative time", ErrBadConfig, i)
 		}
+		if j.AtUS < last[j.Tenant] {
+			return nil, fmt.Errorf("%w: job %d at %dµs out of order (tenant %d's prev %dµs)",
+				ErrBadConfig, i, j.AtUS, j.Tenant, last[j.Tenant])
+		}
+		last[j.Tenant] = j.AtUS
 		if err := valid.Validate(j.Graph); err != nil {
 			return nil, fmt.Errorf("sim: federation job %d: %w", i, err)
 		}
+		count[j.Tenant]++
 	}
 	if opts.SpillBudget <= 0 {
 		opts.SpillBudget = 2
 	}
 
-	machines := make([]*Machine, opts.Shards)
+	// A tenant's stream keeps each job's global index, whichever shard
+	// the job ends on.
+	total, k := len(opts.Jobs), opts.Shards
+	streams := make([][]openJob, len(opts.Programs))
+	for tn := range streams {
+		streams[tn] = make([]openJob, 0, count[tn])
+	}
+	for i, j := range opts.Jobs {
+		streams[j.Tenant] = append(streams[j.Tenant], openJob{
+			Job: Job{AtUS: j.AtUS, Graph: j.Graph, DeadlineUS: j.DeadlineUS}, idx: i, startUS: -1})
+	}
+
+	// A tenant's stream arrives at its home shard; every other shard hosts
+	// the tenant with nothing to arrive but spills.
+	outstanding := total
+	machines := make([]*Machine, k)
 	for s := range machines {
 		cfg := opts.Cfg
 		cfg.Seed += int64(s) * 101
@@ -299,66 +249,43 @@ func RunFederation(opts FedOpts) (*FedResults, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sim: federation shard %d: %w", s, err)
 		}
-		if err := m.startFed(opts.QueueCap, opts.Admission); err != nil {
-			return nil, fmt.Errorf("sim: federation shard %d: %w", s, err)
+		home := make([][]openJob, len(streams))
+		for tn, pref := range opts.Pref {
+			if pref[0] == s {
+				home[tn] = streams[tn]
+			}
 		}
+		m.armOpen(opts.QueueCap, opts.Admission, nil, home, &outstanding)
 		machines[s] = m
 	}
 
-	type fedState struct {
-		visited []bool
-		budget  int
-		spills  int
-	}
-	total := len(opts.Jobs)
-	states := make([]fedState, total)
-	open := make([]*openJob, total)
-	outcomes := make([]FedOutcome, total)
-	terminal := 0
-	resolve := func(idx int, st JobStatus, shard int, doneUS int64) {
-		outcomes[idx] = FedOutcome{
-			Tenant: opts.Jobs[idx].Tenant,
-			Index:  idx,
-			AtUS:   opts.Jobs[idx].AtUS,
-			Status: st,
-			Shard:  shard,
-			Spills: states[idx].spills,
-			DoneUS: doneUS,
-		}
-		terminal++
-	}
-
+	spills := make([]int, total)
+	visited := make([]bool, total*k) // visited[idx*k+s]: shard s has refused or shed job idx
 	type spillKey struct {
 		from, to int
 		reason   string
 	}
 	spillLedger := map[spillKey]int64{}
-	latency := func(from, to int) int64 {
-		if opts.SpillLatencyUS == nil {
-			return 0
-		}
-		return opts.SpillLatencyUS[from][to]
-	}
 
 	// The only nondeterminism budget in the whole replay: random spill
 	// target choice, seeded off the shard config.
 	rng := rand.New(rand.NewSource(opts.Cfg.Seed*2654435761 + 97))
-	nextShard := func(idx, cur int) int {
-		st := &states[idx]
-		if opts.Spill == SpillNone || st.budget <= 0 {
+	nextShard := func(idx int) int {
+		if opts.Spill == SpillNone || spills[idx] >= opts.SpillBudget {
 			return -1
 		}
+		seen := visited[idx*k : idx*k+k]
 		if opts.Spill == SpillNext {
 			for _, s := range opts.Pref[opts.Jobs[idx].Tenant] {
-				if !st.visited[s] {
+				if !seen[s] {
 					return s
 				}
 			}
 			return -1
 		}
 		var cands []int
-		for s := 0; s < opts.Shards; s++ {
-			if !st.visited[s] {
+		for s := range seen {
+			if !seen[s] {
 				cands = append(cands, s)
 			}
 		}
@@ -368,122 +295,47 @@ func RunFederation(opts FedOpts) (*FedResults, error) {
 		return cands[rng.Intn(len(cands))]
 	}
 
-	arrivals := &fedArrivalHeap{}
-	var arrSeq int64
-	pushArrival := func(at int64, job, shard int) {
-		arrSeq++
-		heap.Push(arrivals, &fedArrival{at: at, seq: arrSeq, job: job, shard: shard})
-	}
-	for i, j := range opts.Jobs {
-		states[i] = fedState{visited: make([]bool, opts.Shards), budget: opts.SpillBudget}
-		open[i] = &openJob{Job: Job{AtUS: j.AtUS, Graph: j.Graph, DeadlineUS: j.DeadlineUS}, idx: i, startUS: -1}
-		pushArrival(j.AtUS, i, opts.Pref[j.Tenant][0])
-	}
-	heap.Init(arrivals)
-
-	// Shed jobs come back through the fedShed hook mid-event: redirect or
-	// resolve them in place.
-	for s := range machines {
-		s := s
-		m := machines[s]
-		m.fedShed = func(_ *Program, j *openJob) {
-			idx := j.idx
-			n := nextShard(idx, s)
+	// A shard that refuses or sheds a job hands it to the next shard the
+	// policy names, as a delivery on that shard's own heap after the
+	// redirect delay; with no shard left it resolves where it is.
+	for s, m := range machines {
+		m.spill = func(p *Program, j *openJob, st JobStatus) bool {
+			visited[j.idx*k+s] = true
+			n := nextShard(j.idx)
 			if n < 0 {
-				resolve(idx, JobShed, s, -1)
-				return
+				return false
 			}
-			states[idx].budget--
-			states[idx].spills++
-			spillLedger[spillKey{s, n, "shed"}]++
-			pushArrival(m.now+latency(s, n), idx, n)
+			spills[j.idx]++
+			reason := "reject"
+			if st == JobShed {
+				reason = "shed"
+			}
+			spillLedger[spillKey{s, n, reason}]++
+			at := m.now
+			if opts.SpillLatencyUS != nil {
+				at += opts.SpillLatencyUS[s][n]
+			}
+			dst := machines[n]
+			dst.schedule(at, func() { dst.deliver(dst.progs[p.idx], j) })
+			return true
 		}
 	}
 
-	// Outcomes the machines log (ok/late/expired) surface by draining each
-	// machine's log cursor after it processes events.
-	consumed := make([]int, opts.Shards)
-	drain := func(s int) {
-		m := machines[s]
-		for ; consumed[s] < len(m.jobLog); consumed[s]++ {
-			e := m.jobLog[consumed[s]]
-			resolve(e.Index, e.Status, s, e.DoneUS)
-		}
+	if err := loop(machines, opts.HorizonUS); err != nil {
+		return nil, err
 	}
 
-	deliver := func(a *fedArrival) {
-		idx := a.job
-		st := &states[idx]
-		st.visited[a.shard] = true
-		m := machines[a.shard]
-		p := m.progs[opts.Jobs[idx].Tenant]
-		v := m.offer(p, open[idx])
-		if v == admit.Admitted {
-			return // the machine's log resolves it
+	res := &FedResults{Outcomes: make([]FedOutcome, total)}
+	for s, m := range machines {
+		for _, o := range m.jobLog {
+			res.Outcomes[o.Index] = FedOutcome{Tenant: o.Prog, Index: o.Index, AtUS: o.AtUS,
+				Status: o.Status, Shard: s, Spills: spills[o.Index], DoneUS: o.DoneUS}
 		}
-		// A verdict that is not spillable is terminal here exactly as the
-		// live router relays it to the client unspilled.
-		n := -1
-		if v.Spillable() {
-			n = nextShard(idx, a.shard)
-		}
-		if n < 0 {
-			resolve(idx, refusalStatus(v), a.shard, -1)
-			return
-		}
-		st.budget--
-		st.spills++
-		spillLedger[spillKey{a.shard, n, "reject"}]++
-		pushArrival(m.now+latency(a.shard, n), idx, n)
-	}
-
-	for terminal < total {
-		mi := -1
-		tm := int64(math.MaxInt64)
-		for i, m := range machines {
-			if len(m.events) > 0 && m.events[0].at < tm {
-				tm, mi = m.events[0].at, i
-			}
-		}
-		ta := int64(math.MaxInt64)
-		if arrivals.Len() > 0 {
-			ta = (*arrivals)[0].at
-		}
-		if mi == -1 && ta == math.MaxInt64 {
-			return nil, ErrStalled
-		}
-		t := ta
-		if tm < t {
-			t = tm
-		}
-		if opts.HorizonUS > 0 && t > opts.HorizonUS {
-			return nil, ErrHorizon
-		}
-		if ta <= tm {
-			a := heap.Pop(arrivals).(*fedArrival)
-			if err := machines[a.shard].advanceBefore(a.at); err != nil {
-				return nil, err
-			}
-			drain(a.shard)
-			deliver(a)
-			drain(a.shard)
-		} else {
-			if err := machines[mi].step(); err != nil {
-				return nil, err
-			}
-			drain(mi)
-		}
-	}
-
-	res := &FedResults{Outcomes: outcomes}
-	for _, m := range machines {
-		if m.now > res.EndTimeUS {
-			res.EndTimeUS = m.now
-		}
+		res.EndTimeUS = max(res.EndTimeUS, m.now)
 		res.Shards = append(res.Shards, m.results())
 	}
-	for k, n := range spillLedger {
-		res.Spills = append(res.Spills, SpillCount{From: k.from, To: k.to, Reason: k.reason, Count: n})
+	for e, n := range spillLedger {
+		res.Spills = append(res.Spills, SpillCount{From: e.from, To: e.to, Reason: e.reason, Count: n})
 	}
 	sort.Slice(res.Spills, func(i, j int) bool {
 		a, b := res.Spills[i], res.Spills[j]

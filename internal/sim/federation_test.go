@@ -463,6 +463,7 @@ func TestFederationValidation(t *testing.T) {
 		{"latency negative", func(o *FedOpts) { o.SpillLatencyUS = [][]int64{{0, -1}, {0, 0}} }},
 		{"bad tenant", func(o *FedOpts) { o.Jobs[0].Tenant = 9 }},
 		{"negative time", func(o *FedOpts) { o.Jobs[0].AtUS = -1 }},
+		{"out of order", func(o *FedOpts) { o.Jobs[0].AtUS = 2_000 }},
 	}
 	for _, tc := range cases {
 		o := base()

@@ -46,21 +46,18 @@ type Machine struct {
 	progStamp []int64
 	progEpoch int64
 
-	// Open-loop state (RunOpen): jobMode switches finishRun's tail from the
-	// closed-loop restart to the job queue; jobsOutstanding counts jobs not
-	// yet terminal (RunOpen only; a federated machine does not count);
-	// jobLog accumulates outcomes in completion order.
-	jobMode         bool
-	jobsOutstanding int
-	jobLog          []JobOutcome
-
-	// Federated open-loop state (RunFederation): fedMode keeps the machine
-	// from self-stopping when its local job count hits zero (the driver
-	// injects jobs over time and owns termination); fedShed, when
-	// non-nil, intercepts shed jobs so the driver can spill them to a
-	// sibling shard instead of logging a terminal outcome here.
-	fedMode bool
-	fedShed func(p *Program, j *openJob)
+	// Open-loop state (armOpen): jobMode switches finishRun's tail from the
+	// closed-loop restart to the job queue; outstanding counts the jobs of
+	// the replay not yet terminal, shared by every machine in it, and the
+	// machine whose jobDone takes it to zero stops; jobLog accumulates
+	// outcomes in completion order. spill, when non-nil, is offered every
+	// spillable outcome (a rejection or a shed) before it is logged, and
+	// reports whether it took the job elsewhere — the federation's
+	// redirect; RunOpen leaves it nil.
+	jobMode     bool
+	outstanding *int
+	jobLog      []JobOutcome
+	spill       func(p *Program, j *openJob, st JobStatus) bool
 
 	// The front door (armAdmission): every open-loop job's backlog lives
 	// in one weighted fair queue across programs, and admLimits are the
@@ -340,10 +337,8 @@ func (m *Machine) Run(opts RunOpts) (*Results, error) {
 	}
 	m.startSampling(opts.SampleUS)
 
-	if err := m.loop(opts.HorizonUS); err != nil {
-		return m.results(), err
-	}
-	return m.results(), nil
+	err := loop([]*Machine{m}, opts.HorizonUS)
+	return m.results(), err
 }
 
 // startSampling arms the periodic core-occupancy sampler (no-op for
@@ -369,22 +364,31 @@ func (m *Machine) startSampling(sampleUS int64) {
 	m.after(sampleUS, sample)
 }
 
-// loop drains the event heap until the machine stops, the horizon passes,
-// or the event budget is exhausted. Shared by the closed-loop Run and the
-// open-loop RunOpen.
-func (m *Machine) loop(horizonUS int64) error {
-	for len(m.events) > 0 && !m.stopped {
+// loop steps whichever machine's earliest event is earliest — equal times
+// go to the lower index — until the machine it stepped stops, the horizon
+// passes, or the event budget is exhausted. One call drives a closed-loop
+// Run, an open-loop RunOpen and a federated replay alike.
+func loop(ms []*Machine, horizonUS int64) error {
+	for {
+		m := ms[0]
+		for _, c := range ms[1:] {
+			if len(m.events) == 0 || len(c.events) > 0 && c.events[0].at < m.events[0].at {
+				m = c
+			}
+		}
+		if len(m.events) == 0 {
+			return ErrStalled
+		}
 		if horizonUS > 0 && m.events[0].at > horizonUS {
 			return ErrHorizon
 		}
 		if err := m.step(); err != nil {
 			return err
 		}
+		if m.stopped {
+			return nil
+		}
 	}
-	if !m.stopped {
-		return ErrStalled
-	}
-	return nil
 }
 
 // getWork is the worker loop of Algorithm 1: check for eviction, take from

@@ -71,7 +71,9 @@ type Sample struct {
 type Results struct {
 	// EndTimeUS is the simulated time at which the machine stopped.
 	EndTimeUS int64
-	// Events is the number of processed simulation events.
+	// Events is the number of processed simulation events. Every open-loop
+	// delivery is one, so a federated shard's count includes its home
+	// arrivals and the spills it received.
 	Events int64
 	// Programs holds one entry per program, in launch order.
 	Programs []ProgResult
@@ -79,8 +81,9 @@ type Results struct {
 	CoreBusyUS []int64
 	// Samples holds the core-occupancy timeline when sampling was on.
 	Samples []Sample
-	// Jobs holds every open-loop job outcome (Machine.RunOpen), sorted by
-	// program then stream index; nil for closed-loop runs.
+	// Jobs holds every open-loop job outcome (Machine.RunOpen; a federated
+	// shard's, the jobs that resolved there), sorted by program then
+	// stream index; nil for closed-loop runs.
 	Jobs []JobOutcome
 }
 

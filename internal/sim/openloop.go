@@ -11,7 +11,8 @@ package sim
 //
 // This is the simulation substrate of internal/scenario: given identical
 // configuration, jobs, and seed, a replay is bit-for-bit reproducible on
-// the virtual clock.
+// the virtual clock. RunFederation drives K machines through the same
+// arming (armOpen) and the same event loop.
 
 import (
 	"fmt"
@@ -80,7 +81,8 @@ func (s JobStatus) String() string {
 type JobOutcome struct {
 	// Prog is the program index (RunOpen's Jobs index).
 	Prog int
-	// Index is the job's index within its program's stream.
+	// Index is the job's index within its program's stream (on a
+	// federated shard, within FedOpts.Jobs).
 	Index int
 	// AtUS echoes the arrival time.
 	AtUS int64
@@ -181,15 +183,31 @@ func (m *Machine) RunOpen(opts OpenOpts) (*Results, error) {
 		return nil, fmt.Errorf("%w: no jobs", ErrBadConfig)
 	}
 
-	m.armAdmission(opts.QueueCap, opts.Admission)
+	streams := make([][]openJob, len(opts.Jobs))
+	for i, js := range opts.Jobs {
+		streams[i] = make([]openJob, len(js))
+		for k, j := range js {
+			streams[i][k] = openJob{Job: j, idx: k, startUS: -1}
+		}
+	}
+	m.armOpen(opts.QueueCap, opts.Admission, opts.JoinsUS, streams, &total)
+	err := loop([]*Machine{m}, opts.HorizonUS)
+	return m.results(), err
+}
 
+// armOpen readies m for an open-loop replay: it builds the front door,
+// brings each program online at its join (nil joins: everyone at 0), and
+// arms each program's stream. outstanding is the replay's count of jobs
+// not yet terminal; RunOpen gives each machine its own, a federation one
+// for all its shards.
+func (m *Machine) armOpen(queueCap int, adm *AdmissionOpts, joins []int64, streams [][]openJob, outstanding *int) {
+	m.armAdmission(queueCap, adm)
 	m.jobMode = true
-	m.jobsOutstanding = total
+	m.outstanding = outstanding
 	for i, p := range m.progs {
-		p := p
 		join := int64(0)
-		if opts.JoinsUS != nil {
-			join = opts.JoinsUS[i]
+		if joins != nil {
+			join = joins[i]
 		}
 		activate := func() {
 			m.activateProgram(p)
@@ -202,7 +220,7 @@ func (m *Machine) RunOpen(opts OpenOpts) (*Results, error) {
 		} else {
 			m.schedule(join, activate)
 		}
-		m.armArrivals(p, opts.Jobs[i])
+		m.armArrivals(p, streams[i])
 	}
 	for _, c := range m.cores {
 		if c.cur == nil {
@@ -212,42 +230,42 @@ func (m *Machine) RunOpen(opts OpenOpts) (*Results, error) {
 	if m.arb != nil {
 		m.scheduleArbiter()
 	}
-
-	err := m.loop(opts.HorizonUS)
-	return m.results(), err
 }
 
 // armArrivals feeds p its job stream one arrival ahead. The stream's seqs
 // are reserved here, all at once and in stream order — exactly the seqs the
 // arrivals would draw if each were pushed now — but only the first arrival
 // is armed; each arrival arms its successor under the successor's reserved
-// seq before it offers its own job. A successor sorts after its
+// seq before it delivers its own job. A successor sorts after its
 // predecessor (later or equal time, larger seq), so it is in the heap
 // before anything that must fire after it can pop: the pop order, and with
 // it every result, is that of arming the whole stream up front, while the
 // heap holds one arrival a program instead of the replay's future.
-func (m *Machine) armArrivals(p *Program, js []Job) {
+func (m *Machine) armArrivals(p *Program, js []openJob) {
 	if len(js) == 0 {
 		return
 	}
 	first := m.seq + 1
 	m.seq += int64(len(js))
-	jobs := make([]openJob, len(js))
 	next := 0
 	var arrive func()
 	arrive = func() {
-		k := next
+		j := &js[next]
 		next++
 		if next < len(js) {
 			m.armSeq(js[next].AtUS, first+int64(next), event{kind: evFn, fn: arrive})
 		}
-		j := &jobs[k]
-		*j = openJob{Job: js[k], idx: k, startUS: -1}
-		if v := m.offer(p, j); v != admit.Admitted {
-			m.jobDone(p, j, refusalStatus(v))
-		}
+		m.deliver(p, j)
 	}
 	m.armSeq(js[0].AtUS, first, event{kind: evFn, fn: arrive})
+}
+
+// deliver offers j to p at the machine's clock and resolves a refusal —
+// the one path every arrival takes, a tenant's own and a spilled one.
+func (m *Machine) deliver(p *Program, j *openJob) {
+	if v := m.offer(p, j); v != admit.Admitted {
+		m.jobDone(p, j, refusalStatus(v))
+	}
 }
 
 // armAdmission builds the machine's front door: one WFQ flow per program
@@ -367,13 +385,11 @@ func (m *Machine) jobFinished(p *Program, w *Worker) {
 }
 
 // jobDone records a terminal outcome and stops the machine when the last
-// job resolves. In federated mode a shed job is handed back to the
-// federation driver for spill-over instead of being logged as terminal,
-// and the machine neither counts jobs nor self-stops — the driver owns
-// termination.
+// job of the replay resolves. A rejection or a shed — the outcomes
+// admit.Verdict.Spillable allows on — goes to the spill hook first, and
+// is not terminal if the hook took the job elsewhere.
 func (m *Machine) jobDone(p *Program, j *openJob, st JobStatus) {
-	if m.fedShed != nil && st == JobShed {
-		m.fedShed(p, j)
+	if m.spill != nil && (st == JobRejected || st == JobShed) && m.spill(p, j, st) {
 		return
 	}
 	done := int64(-1)
@@ -388,11 +404,7 @@ func (m *Machine) jobDone(p *Program, j *openJob, st JobStatus) {
 		StartUS: j.startUS,
 		DoneUS:  done,
 	})
-	if m.fedMode {
-		return
-	}
-	m.jobsOutstanding--
-	if m.jobsOutstanding == 0 {
+	if *m.outstanding--; *m.outstanding == 0 {
 		m.stopped = true
 	}
 }
