@@ -9,13 +9,23 @@ import (
 	"dws/internal/rt"
 )
 
-// fftCutoff is the subproblem size below which the parallel FFT recurses
-// sequentially.
+// fftCutoff is the block size at and below which the parallel FFT stops
+// splitting: a leaf transforms a block of at most fftCutoff points.
 const fftCutoff = 256
 
 // FFTSeq performs an in-place iterative radix-2 Cooley–Tukey FFT.
 // len(a) must be a power of two.
-func FFTSeq(a []complex128) { fftIter(a, twiddles(len(a))) }
+func FFTSeq(a []complex128) {
+	w := twiddles(len(a))
+	shift := 64 - uint(bits.TrailingZeros(uint(len(a))))
+	for i := range a {
+		j := int(bits.Reverse64(uint64(i)) >> shift)
+		if j > i {
+			a[i], a[j] = a[j], a[i]
+		}
+	}
+	fftLevels(a, w)
+}
 
 // twiddles returns the n/2 roots of unity every level of an n-point
 // transform reads: w[k] = exp(−2πik/n). A level of butterflies of width
@@ -38,20 +48,12 @@ func twiddles(n int) []complex128 {
 	return w
 }
 
-// fftIter transforms a in place — bit-reversal, then the butterfly
-// network level by level — reading its roots of unity from w, the table
-// of a transform of 2·len(w) ≥ len(a) points.
-func fftIter(a, w []complex128) {
-	n := len(a)
-	shift := 64 - uint(bits.TrailingZeros(uint(n)))
-	for i := 0; i < n; i++ {
-		j := int(bits.Reverse64(uint64(i)) >> shift)
-		if j > i {
-			a[i], a[j] = a[j], a[i]
-		}
-	}
-	for size := 2; size <= n; size <<= 1 {
-		for start := 0; start < n; start += size {
+// fftLevels runs the butterfly network over a, already in bit-reversed
+// order, level by level from width 2 to len(a), reading its roots of
+// unity from w, the table of a transform of 2·len(w) ≥ len(a) points.
+func fftLevels(a, w []complex128) {
+	for size := 2; size <= len(a); size <<= 1 {
+		for start := 0; start < len(a); start += size {
 			blk := a[start : start+size]
 			butterflies(blk, blk[:size/2], blk[size/2:], w)
 		}
@@ -60,7 +62,7 @@ func fftIter(a, w []complex128) {
 
 // butterflies writes the len(a)-point transform whose even- and
 // odd-index halves are already transformed in even and odd; a's halves
-// may be those same slices. w is as in fftIter.
+// may be those same slices. w is as in fftLevels.
 func butterflies(a, even, odd, w []complex128) {
 	half := len(a) / 2
 	stride := len(w) / half
@@ -71,66 +73,70 @@ func butterflies(a, even, odd, w []complex128) {
 	}
 }
 
-// fftNode is one task of the parallel transform's spawn tree: a leaf
-// transforms its block, an inner node deinterleaves its block into its
-// children's, spawns them, joins and combines.
+// fftNode is one task of the in-place spawn tree over the output; a is
+// its block, at offset off. A leaf gathers a[i] = in[bitrev(off+i)] and
+// runs the levels over a; an inner node spawns its halves, joins and
+// runs one level: no deinterleave, FFTSeq's butterflies in its order.
 type fftNode struct {
-	a, w        []complex128 // w: the whole transform's twiddles, shared
-	left, right *fftNode     // nil in a leaf
+	a, in, w    []complex128 // in, w: the whole input and twiddles, only read
+	off         int
+	left, right *fftNode // nil in a leaf
 }
 
 func (n *fftNode) Run(c *rt.Ctx) {
 	if n.left == nil {
-		fftIter(n.a, n.w)
+		shift := 64 - uint(bits.TrailingZeros(uint(len(n.in))))
+		for i := range n.a {
+			n.a[i] = n.in[bits.Reverse64(uint64(n.off+i))>>shift]
+		}
+		fftLevels(n.a, n.w)
 		return
-	}
-	a, even, odd := n.a, n.left.a, n.right.a
-	for i := range even {
-		even[i] = a[2*i]
-		odd[i] = a[2*i+1]
 	}
 	c.SpawnRunner(n.left)
 	c.SpawnRunner(n.right)
 	c.Sync()
-	butterflies(a, even, odd, n.w)
+	butterflies(n.a, n.a[:len(n.a)/2], n.a[len(n.a)/2:], n.w)
 }
 
-// fftBuild lays the tree over a out in slab, in spawn order, and returns
-// its root and the unused rest of slab. A child transforms its half of
-// scratch in place with the matching half of a as its own scratch:
-// disjoint between siblings, and the parent reads a again only after Sync.
-func fftBuild(slab []fftNode, a, scratch, w []complex128) (*fftNode, []fftNode) {
+// fftBuild lays the tree over a, at offset off, out in slab in spawn
+// order and returns its root and the unused rest of slab. Siblings own
+// disjoint halves of a; the parent reads a only after Sync.
+func fftBuild(slab []fftNode, a, in, w []complex128, off int) (*fftNode, []fftNode) {
 	n := &slab[0]
-	n.a, n.w, slab = a, w, slab[1:]
+	n.a, n.in, n.w, n.off, slab = a, in, w, off, slab[1:]
 	if half := len(a) / 2; len(a) > fftCutoff {
-		n.left, slab = fftBuild(slab, scratch[:half], a[:half], w)
-		n.right, slab = fftBuild(slab, scratch[half:], a[half:], w)
+		n.left, slab = fftBuild(slab, a[:half], in, w, off)
+		n.right, slab = fftBuild(slab, a[half:], in, w, off+half)
 	}
 	return n, slab
 }
 
 // FFTTask returns a task computing the FFT of a in place using a parallel
-// recursive decomposition: the even/odd halves are spawned until the
-// cutoff, matching the simulator's wide FFT profile.
+// recursive decomposition: the halves are spawned down to blocks of
+// fftCutoff points, matching the simulator's wide FFT profile.
 //
 // The scratch buffer, the twiddle table and the whole spawn tree — one
 // slab of fftNodes, not a closure per node, because a served job builds
 // a tree to run it once — are made here, so re-running the task (the
 // paper's repetition model, and the rt-overhead benchmarks) measures
-// scheduling, not the allocator. The returned task owns its scratch: run
-// it on one program at a time, like the in-place sort and factorisations.
-// The catalog's FFT job (catalogFFT) runs the same tree, but shares one
-// twiddle table and one input among all jobs of a length and recycles
-// its buffers.
+// scheduling, not the allocator. A run copies a to the scratch, whence
+// the leaves gather back into a. The task owns its scratch: run it on
+// one program at a time, like the in-place sort and factorisations.
+// The catalog's FFT job (catalogFFT) runs the same tree, but gathers
+// from the input all jobs of a length share and recycles its trees.
 func FFTTask(a []complex128) rt.Task {
-	return fftTree(a, twiddles(len(a))).Run
+	scratch := make([]complex128, len(a))
+	root := fftTree(a, scratch, twiddles(len(a)))
+	return func(c *rt.Ctx) {
+		copy(scratch, a)
+		root.Run(c)
+	}
 }
 
-// fftTree lays the spawn tree over a, with a scratch buffer of its own,
-// and returns its root; root.a is a, where the transform ends up.
-func fftTree(a, w []complex128) *fftNode {
-	slab := make([]fftNode, 2*max(1, len(a)/fftCutoff)-1) // a full binary tree over the leaf blocks
-	root, _ := fftBuild(slab, a, make([]complex128, len(a)), w)
+// fftTree lays the spawn tree transforming in into out; root.a is out.
+func fftTree(out, in, w []complex128) *fftNode {
+	slab := make([]fftNode, 2*max(1, len(out)/fftCutoff)-1) // a full binary tree over the leaf blocks
+	root, _ := fftBuild(slab, out, in, w, 0)
 	return root
 }
 
@@ -139,7 +145,7 @@ type fftShared struct {
 	once  sync.Once
 	in, w []complex128 // the job's input and twiddles(len(in)), only read
 	task  rt.Task      // s.run, bound once: a method value per NewTask would allocate
-	trees sync.Pool    // *fftNode: a tree over buffers of its own
+	trees sync.Pool    // *fftNode: a tree over an output buffer of its own
 }
 
 // fftServed holds the shared state of the lengths 2⁰…2¹⁸, built on a
@@ -152,11 +158,12 @@ var fftServed [19]fftShared
 var fftRan func(out []complex128)
 
 // catalogFFT returns the catalog's FFT job of length n: the transform of
-// RandComplex(n, 7), the same input every run. Below 2¹⁹ the job reads
-// its length's shared input and table and takes its buffers from the
-// length's pool, so after a length's first job NewTask allocates nothing,
-// and runs of one task may overlap. A longer job (only a CLI asks for
-// size > 1.0) builds its input and table per job.
+// RandComplex(n, 7), the same input every run. Below 2¹⁹ the job's
+// leaves gather from its length's shared input, and its tree (one
+// n-point buffer) comes from the length's pool, so after a length's
+// first job NewTask allocates nothing, and runs of one task may overlap.
+// A longer job (only a CLI asks for size > 1.0) builds its input and
+// table per job.
 func catalogFFT(n int) rt.Task {
 	k := bits.TrailingZeros(uint(n))
 	if k >= len(fftServed) {
@@ -171,14 +178,13 @@ func catalogFFT(n int) rt.Task {
 	return s.task
 }
 
-// run transforms a copy of s.in in a tree from s.trees and returns the
-// tree afterwards, so concurrent runs never share a buffer.
+// run transforms s.in, which nothing writes, into a tree from s.trees
+// and returns the tree afterwards: concurrent runs share no buffer.
 func (s *fftShared) run(c *rt.Ctx) {
 	root, _ := s.trees.Get().(*fftNode)
 	if root == nil {
-		root = fftTree(make([]complex128, len(s.in)), s.w)
+		root = fftTree(make([]complex128, len(s.in)), s.in, s.w)
 	}
-	copy(root.a, s.in)
 	root.Run(c)
 	if fftRan != nil {
 		fftRan(root.a)

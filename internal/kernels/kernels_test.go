@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"dws/internal/rt"
 )
@@ -562,5 +563,42 @@ func TestFFTJobSteadyState(t *testing.T) {
 	t.Logf("NewTask + Run of FFT(0.05): %d bytes a job", perJob)
 	if perJob > 16<<10 {
 		t.Errorf("NewTask + Run of FFT(0.05) allocates %d bytes a job, want under 16 KB (one buffer is 256 KB)", perJob)
+	}
+}
+
+// TestFFTTreeOneBuffer pins what a served FFT job builds when its
+// length's pool is empty: one tree, whose only buffer is its n-point
+// output (the leaves gather from the shared input), and its node slab.
+// The least of five pool misses is taken: the runtime's own goroutines
+// allocate now and then, and only ever add to the count.
+func TestFFTTreeOneBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a -race build allocates on its own account")
+	}
+	const n = 1 << 14
+	p := benchSystem(t)
+	warm := FFTTask(RandComplex(n, 3))
+	for i := 0; i < 10; i++ { // fill the workers' free lists for a tree this deep
+		if err := p.Run(warm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	in, w := RandComplex(n, 7), twiddles(n)
+	got := uint64(math.MaxUint64)
+	for try := 0; try < 5; try++ {
+		s := &fftShared{in: in, w: w}
+		job := rt.Task(s.run)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := p.Run(job); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+	}
+	slab := uint64(unsafe.Sizeof(fftNode{})) * (2*n/fftCutoff - 1)
+	t.Logf("a pool miss at n=%d allocates %d bytes (buffer %d, slab %d)", n, got, 16*n, slab)
+	if bound := 16*n + slab + 1<<10; got > bound {
+		t.Errorf("a pool miss at n=%d allocates %d bytes, want at most %d: one %d-byte buffer, the %d-byte slab and 1 KB", n, got, bound, 16*n, slab)
 	}
 }

@@ -275,6 +275,23 @@ func TestFFTTaskSeqNaiveAgree(t *testing.T) {
 	}
 }
 
+// TestFFTTaskIsFFTSeqBits: the parallel transform is FFTSeq's, bit for
+// bit, at every length a served job can have (2⁰…2¹⁸). Its leaves and
+// inner nodes run FFTSeq's butterflies on the same operands, so no
+// reordering of the tree may round differently.
+func TestFFTTaskIsFFTSeqBits(t *testing.T) {
+	for k := 0; k <= 18; k++ {
+		n := 1 << k
+		seq := RandComplex(n, int64(n))
+		par := append([]complex128(nil), seq...)
+		FFTSeq(seq)
+		run(t, FFTTask(par))
+		if !sameBits(seq, par) {
+			t.Errorf("n=2^%d: FFTTask's output differs from FFTSeq's in its bits", k)
+		}
+	}
+}
+
 // TestSPDMatrixBits pins SPDMatrix's row-order build to the column-walking
 // triple loop it replaced, compared with ==: every entry sums the same
 // products from 0 in the same order, so it must have the same bits.
