@@ -3,6 +3,7 @@ package arbiter
 import (
 	"sort"
 
+	"dws/internal/coretable"
 	"dws/internal/topo"
 )
 
@@ -142,4 +143,26 @@ func PlacedFor(t *topo.Topology, ents []int32, idx int) []int {
 		return nil
 	}
 	return Place(t, ents)[idx]
+}
+
+// Home returns program slot idx's current home block, the one its
+// coordinator reclaims against (§3.3 cases 2–3): the entitled block once
+// an arbiter has published into t, the static even split otherwise (and
+// always when t is nil). With placed set on a multi-socket topology the
+// entitled block is the placed one (PlacedFor over the published sizes);
+// otherwise it is the table's flat prefix-sum slice.
+func Home(t *coretable.Table, tp *topo.Topology, idx int, static []int, placed bool) []int {
+	if t == nil {
+		return static
+	}
+	if placed && !tp.Flat() {
+		if t.EntitlementEpoch() > 0 {
+			return PlacedFor(tp, t.Entitlements(), idx)
+		}
+		return static
+	}
+	if ent := t.EntitledCores(idx); ent != nil {
+		return ent
+	}
+	return static
 }

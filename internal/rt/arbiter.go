@@ -67,33 +67,14 @@ func (p *Program) demand() (nb, na int) {
 	return nb, int(p.active.Load())
 }
 
-// homeCores returns the program's current home block: the entitled block
-// the arbiter published when one exists, the paper's static HomeCores
-// split otherwise. Reclaim (§3.3 cases 2–3) stays home-only either way —
-// only the home itself is elastic.
-//
-// Under a non-flat topology the entitled block is not the flat
-// prefix-sum slice but the placed one — arbiter.Place recomputed from
-// the published size vector, so every reader (this runtime, the sim,
-// schedcheck) derives bit-identical blocks without any coretable wire
-// change. Static homes (no entitlement epoch yet) stay the flat even
-// split. FaultFlatPlacement plants the "ignore topology" bug the
-// schedcheck placed-block invariants must catch.
+// homeCores returns the program's current home block (arbiter.Home): the
+// entitled block the arbiter published when one exists — placed under a
+// non-flat topology — and the paper's static HomeCores split otherwise.
+// Reclaim (§3.3 cases 2–3) stays home-only either way; only the home
+// itself is elastic. FaultFlatPlacement plants the "ignore topology" bug
+// the schedcheck placed-block invariants must catch.
 func (p *Program) homeCores() []int {
-	t := p.sys.table
-	if t == nil {
-		return p.home
-	}
-	if tp := p.sys.cfg.Topology; !tp.Flat() && !p.sys.cfg.FaultFlatPlacement {
-		if t.EntitlementEpoch() > 0 {
-			return arbiter.PlacedFor(tp, t.Entitlements(), p.idx)
-		}
-		return p.home
-	}
-	if ent := t.EntitledCores(p.idx); ent != nil {
-		return ent
-	}
-	return p.home
+	return arbiter.Home(p.sys.table, p.sys.cfg.Topology, p.idx, p.home, !p.sys.cfg.FaultFlatPlacement)
 }
 
 // runHomeCores is homeCores for regrabHome, which runs once per job (DWS

@@ -3,10 +3,12 @@ package rt
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"dws/internal/arbiter"
 	"dws/internal/coretable"
 	"dws/internal/deque"
 	"dws/internal/trace"
@@ -50,6 +52,14 @@ type Program struct {
 	qosState
 
 	runMu sync.Mutex // serialises Run calls
+	// coordMu orders coordinator passes against home re-grabs: a run
+	// starts (root published, home re-taken) as one step to the
+	// coordinator, as a run starts in one event in the simulator, so no
+	// pass sees a started run before its home workers are woken and
+	// claims a foreign free core in their place. Holding it across wakes
+	// is safe: a wake's token send never blocks (one token per sleep).
+	// It also guards crng.
+	coordMu sync.Mutex
 	// Run's working set, allocated once per program rather than per job
 	// because runMu admits one run at a time: the root frame with its
 	// completion signal, the root task's node, the re-wake ticker (made
@@ -62,7 +72,7 @@ type Program struct {
 
 	coordStop chan struct{}
 	wg        sync.WaitGroup
-	crng      *rand.Rand // coordinator-goroutine RNG
+	crng      *rand.Rand // the coordinator's plan draws
 
 	st progStats
 }
@@ -78,6 +88,7 @@ func newProgram(s *System, name string, idx int) *Program {
 		nodeOverflow: deque.NewBounded[taskNode](nodeOverflowCap),
 		obs:          s.cfg.Observer,
 		coordStop:    make(chan struct{}),
+		crng:         rand.New(rand.NewSource(int64(idx)*7919 + 17)),
 	}
 	p.rootFrame.done = make(chan struct{}, 1)
 	p.st.init(s.cfg.Cores)
@@ -158,11 +169,6 @@ func (p *Program) emit(ev trace.Event) {
 // joiner starts on whatever home the arbiter left it; the arbiter's next
 // tick sees the join and republishes).
 func (p *Program) start() {
-	home := p.homeCores()
-	isHome := make(map[int]bool, len(home))
-	for _, c := range home {
-		isHome[c] = true
-	}
 	switch p.sys.cfg.Policy {
 	case ABP:
 		for _, w := range p.workers {
@@ -172,30 +178,23 @@ func (p *Program) start() {
 		for _, c := range p.home {
 			p.launch(p.workers[c], stateActive)
 		}
-	case DWS:
-		// Join the lease (heartbeat stamped) before taking any core, so
-		// there is no window where the program occupies cores without a
-		// live lease a survivor could check.
-		epoch := p.sys.table.Join(p.id)
-		p.emit(trace.Event{Kind: trace.Join, Core: -1, Epoch: epoch})
-		p.takeHome()
+	case DWS, DWSNC:
+		if p.sys.cfg.Policy == DWS {
+			// Join the lease (heartbeat stamped) before taking any core, so
+			// there is no window where the program occupies cores without
+			// a live lease a survivor could check.
+			epoch := p.sys.table.Join(p.id)
+			p.emit(trace.Event{Kind: trace.Join, Core: -1, Epoch: epoch})
+			p.regrabHome()
+		}
+		home := p.homeCores()
 		for _, w := range p.workers {
-			if isHome[w.id] {
+			if slices.Contains(home, w.id) {
 				p.launch(w, stateActive)
 			} else {
 				p.launch(w, stateSleeping)
 			}
 		}
-	case DWSNC:
-		for _, w := range p.workers {
-			if isHome[w.id] {
-				p.launch(w, stateActive)
-			} else {
-				p.launch(w, stateSleeping)
-			}
-		}
-	}
-	if p.sys.cfg.Policy == DWS || p.sys.cfg.Policy == DWSNC {
 		p.wg.Add(1)
 		go p.coordinate()
 	}
@@ -208,36 +207,6 @@ func (p *Program) launch(w *worker, initial int32) {
 	}
 	p.wg.Add(1)
 	go w.loop(initial == stateSleeping)
-}
-
-// takeHome (re)establishes the program's home allocation through the CAS
-// protocol: free home cores are claimed and borrowed ones reclaimed (the
-// eviction flag tells the borrower to stop). Unlike a blind install this
-// is safe when other programs — possibly in other OS processes — already
-// run on the shared table: a late or restarted joiner takes its home
-// share back the same way a reclaiming owner does. The home is the
-// entitled block when an arbiter is publishing, the static even split
-// otherwise.
-func (p *Program) takeHome() {
-	t := p.sys.table
-	home := p.homeCores()
-	epoch := t.EntitlementEpoch()
-	for _, c := range home {
-		switch occ := t.Occupant(c); {
-		case occ == p.id:
-			// Already ours (restart).
-		case occ == coretable.Free:
-			if t.ClaimFree(c, p.id) {
-				p.st.claims.Add(1)
-				p.emit(trace.Event{Kind: trace.Claim, Core: c})
-			}
-		default:
-			if t.Reclaim(c, p.id, occ) {
-				p.st.reclaims.Add(1)
-				p.emit(trace.Event{Kind: trace.Reclaim, Core: c, Victim: occ, Epoch: epoch})
-			}
-		}
-	}
 }
 
 // FailBeats is a fault-injection hook for tests and demos: while set, the
@@ -264,6 +233,7 @@ func (p *Program) Run(root Task) error {
 	}
 
 	p.rootFrame.pending.Store(1)
+	p.coordMu.Lock()
 	p.runActive.Store(true)
 	p.st.rootSpawns.Add(1) // the root injection
 	p.emit(trace.Event{Kind: trace.RunStart, Core: -1})
@@ -271,6 +241,7 @@ func (p *Program) Run(root Task) error {
 	n.fn, n.parent = root, &p.rootFrame
 	p.inject.Push(n)
 	p.regrabHome()
+	p.coordMu.Unlock()
 
 	// Wait for completion; if every worker managed to fall asleep in the
 	// window before the injection became visible, re-wake the home slots.
@@ -296,15 +267,25 @@ func (p *Program) Run(root Task) error {
 			return nil
 		case <-p.rewake.C():
 			if p.active.Load() == 0 {
+				p.coordMu.Lock()
 				p.regrabHome()
+				p.coordMu.Unlock()
 			}
 		}
 	}
 }
 
-// regrabHome re-establishes the initial even allocation for this program:
-// free home slots are claimed, borrowed ones reclaimed (DWS), and the
-// affined workers woken.
+// regrabHome (re)establishes the program's home allocation through the
+// CAS protocol and wakes the affined workers: free home cores are claimed
+// and borrowed ones reclaimed (the eviction flag tells the borrower to
+// stop). Unlike a blind install this is safe when other programs —
+// possibly in other OS processes — already run on the shared table: a
+// late or restarted joiner takes its home share back the same way a
+// reclaiming owner does. Run calls it per job, under coordMu; start
+// calls it once before any worker or the coordinator launches (its wakes
+// are then no-ops), which is safe for runHomeCores because start runs
+// under System.mu, before any Run can hold runMu. DWS-NC just wakes the
+// home workers.
 func (p *Program) regrabHome() {
 	switch p.sys.cfg.Policy {
 	case ABP, EP:
@@ -319,21 +300,20 @@ func (p *Program) regrabHome() {
 		epoch := t.EntitlementEpoch()
 		for _, c := range home {
 			switch occ := t.Occupant(c); {
-			case occ == p.id:
-				p.wake(p.workers[c])
 			case occ == coretable.Free:
-				if t.ClaimFree(c, p.id) {
-					p.st.claims.Add(1)
-					p.emit(trace.Event{Kind: trace.Claim, Core: c})
-					p.wake(p.workers[c])
+				if !t.ClaimFree(c, p.id) {
+					continue
 				}
-			default:
-				if t.Reclaim(c, p.id, occ) {
-					p.st.reclaims.Add(1)
-					p.emit(trace.Event{Kind: trace.Reclaim, Core: c, Victim: occ, Epoch: epoch})
-					p.wake(p.workers[c])
+				p.st.claims.Add(1)
+				p.emit(trace.Event{Kind: trace.Claim, Core: c})
+			case occ != p.id:
+				if !t.Reclaim(c, p.id, occ) {
+					continue
 				}
+				p.st.reclaims.Add(1)
+				p.emit(trace.Event{Kind: trace.Reclaim, Core: c, Victim: occ, Epoch: epoch})
 			}
+			p.wake(p.workers[c])
 		}
 	}
 }
@@ -413,38 +393,39 @@ func (p *Program) coordinate() {
 	}
 }
 
-// coordTick measures demand (N_b queued tasks, N_a active workers) and
-// wakes N_w = N_b / N_a sleeping workers following the paper's three
-// cases.
+// coordTick is one coordinator pass (§3.3): measure demand (N_b queued
+// tasks, N_a active workers), snapshot the sleeping workers' free and
+// borrowed home cores, and carry out arbiter.Plan's claims and reclaims
+// through the CAS protocol — at most N_w actions. DWS-NC plans over the
+// sleeping workers alone, with no table traffic.
 func (p *Program) coordTick() {
+	p.coordMu.Lock()
+	defer p.coordMu.Unlock()
 	if !p.runActive.Load() {
 		return
 	}
-	nb := p.inject.Len()
-	for _, w := range p.workers {
-		nb += w.deque.Len()
-	}
+	nb, na := p.demand()
 	if nb == 0 {
 		return
 	}
-	na := int(p.active.Load())
-	nw := nb
-	if na > 0 {
-		nw = nb / na
-	}
+	nw := arbiter.Want(nb, na)
 	if nw <= 0 {
 		return
 	}
-
 	ev := trace.Event{Kind: trace.CoordTick, Core: -1, NB: nb, NA: na, NW: nw}
 
 	if p.sys.cfg.Policy == DWSNC {
+		var sleepers []int
 		for _, w := range p.workers {
-			if nw == 0 {
-				break
+			if w.state.Load() == stateSleeping {
+				sleepers = append(sleepers, w.id)
 			}
-			if w.state.Load() == stateSleeping && p.wake(w) {
-				nw--
+		}
+		// N_w clamped to the sleepers keeps the pass in case 1: a random
+		// N_w of them, or all of them in a random order.
+		wake, _ := arbiter.Plan(min(nw, len(sleepers)), sleepers, nil, p.crng)
+		for _, c := range wake {
+			if p.wake(p.workers[c]) {
 				ev.Woken++
 			}
 		}
@@ -457,92 +438,60 @@ func (p *Program) coordTick() {
 	// below re-check every condition through the CAS protocol, so a stale
 	// snapshot entry only costs a skipped wake.
 	t := p.sys.table
-	var frees []int
-	for _, c := range shuffled(p.coordRNG(), t.FreeCores()) {
+	var free, borrowed []int
+	for _, c := range t.FreeCores() {
 		if p.workers[c].state.Load() == stateSleeping {
-			frees = append(frees, c)
+			free = append(free, c)
 		}
 	}
-	ev.NF = len(frees)
-	var recls []int
 	for _, c := range p.homeCores() {
 		if p.workers[c].state.Load() != stateSleeping {
 			continue
 		}
 		if occ := t.Occupant(c); occ != p.id && occ != coretable.Free {
-			recls = append(recls, c)
+			borrowed = append(borrowed, c)
 		}
 	}
-	ev.NR = len(recls)
+	ev.NF, ev.NR = len(free), len(borrowed)
 	// The entitlement epoch the reclaim targets derive from, read after
 	// homeCores so a concurrent publish can only make the stamp newer —
 	// observers judging reclaim legality defer to the stamped batch.
 	entEpoch := t.EntitlementEpoch()
-
-	// Case 1 — free slots first.
-	for _, c := range frees {
-		if nw == 0 {
-			break
+	claim, reclaim := arbiter.Plan(nw, free, borrowed, p.crng)
+	// FaultSkipReclaim drops cases 2–3 for invariant-checker tests.
+	if p.sys.cfg.FaultSkipReclaim {
+		reclaim = nil
+	}
+	for _, c := range claim {
+		w := p.workers[c]
+		if w.state.Load() != stateSleeping || !t.ClaimFree(c, p.id) {
+			continue
 		}
+		p.st.claims.Add(1)
+		p.emit(trace.Event{Kind: trace.Claim, Core: c})
+		ev.Claimed++
+		if p.wake(w) {
+			ev.Woken++
+		} else if t.Release(c, p.id) {
+			// The worker raced away; return the slot.
+			p.emit(trace.Event{Kind: trace.Release, Core: c})
+		}
+	}
+	for _, c := range reclaim {
 		w := p.workers[c]
 		if w.state.Load() != stateSleeping {
 			continue
 		}
-		if t.ClaimFree(c, p.id) {
-			p.st.claims.Add(1)
-			p.emit(trace.Event{Kind: trace.Claim, Core: c})
-			ev.Claimed++
-			if p.wake(w) {
-				nw--
-				ev.Woken++
-			} else {
-				// The worker raced away; return the slot.
-				if t.Release(c, p.id) {
-					p.emit(trace.Event{Kind: trace.Release, Core: c})
-				}
-			}
+		occ := t.Occupant(c)
+		if occ == p.id || occ == coretable.Free || !t.Reclaim(c, p.id, occ) {
+			continue
 		}
-	}
-	// Cases 2 and 3 — reclaim home slots from their borrowers, never more
-	// than N_r and never slots other programs rightfully hold.
-	// FaultSkipReclaim drops these cases for invariant-checker tests.
-	if !p.sys.cfg.FaultSkipReclaim {
-		for _, c := range recls {
-			if nw == 0 {
-				break
-			}
-			w := p.workers[c]
-			if w.state.Load() != stateSleeping {
-				continue
-			}
-			occ := t.Occupant(c)
-			if occ == p.id || occ == coretable.Free {
-				continue
-			}
-			if t.Reclaim(c, p.id, occ) {
-				p.st.reclaims.Add(1)
-				p.emit(trace.Event{Kind: trace.Reclaim, Core: c, Victim: occ, Epoch: entEpoch})
-				ev.Reclaimed++
-				if p.wake(w) {
-					nw--
-					ev.Woken++
-				}
-			}
+		p.st.reclaims.Add(1)
+		p.emit(trace.Event{Kind: trace.Reclaim, Core: c, Victim: occ, Epoch: entEpoch})
+		ev.Reclaimed++
+		if p.wake(w) {
+			ev.Woken++
 		}
 	}
 	p.emit(ev)
-}
-
-// coordRNG returns the coordinator's RNG (lazily created; the coordinator
-// is a single goroutine).
-func (p *Program) coordRNG() *rand.Rand {
-	if p.crng == nil {
-		p.crng = rand.New(rand.NewSource(int64(p.idx)*7919 + 17))
-	}
-	return p.crng
-}
-
-func shuffled(rng *rand.Rand, xs []int) []int {
-	rng.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	return xs
 }

@@ -7,33 +7,16 @@ import "dws/internal/arbiter"
 // runtime uses, ticked as a machine-level event, feeding it each
 // program's simulated demand (queued tasks, active workers) and declared
 // weight. Published entitlements land in the in-memory core table, and
-// regrabHome/coordWakeDWS derive the home block from there — so the sim
+// regrabHome and coordTick derive the home block from there — so the sim
 // and live substrates disagree only in their demand measurements, never
 // in arbitration arithmetic.
 
-// homeOf returns p's current home block: the entitled block from the core
-// table once the arbiter has published (entitlement epoch > 0), the
-// static even split otherwise. Mirrors rt.Program.homeCores so both
-// substrates reclaim against the same elastic home.
-//
-// On a multi-socket machine the entitled block is the placed one —
-// arbiter.Place recomputed from the published size vector, identical to
-// what the live runtime and schedcheck derive — so entitled blocks pack
-// within a socket whenever they fit. Static homes stay the flat split.
+// homeOf returns p's current home block (arbiter.Home, the derivation
+// rt.Program.homeCores makes): the entitled block once the arbiter has
+// published, placed within a socket on a multi-socket machine unless
+// Config.NoLocality; the static even split otherwise.
 func (m *Machine) homeOf(p *Program) []int {
-	if m.table == nil {
-		return p.home
-	}
-	if !m.topo.Flat() && !m.cfg.NoLocality {
-		if m.table.EntitlementEpoch() > 0 {
-			return arbiter.PlacedFor(m.topo, m.table.Entitlements(), p.idx)
-		}
-		return p.home
-	}
-	if ent := m.table.EntitledCores(p.idx); ent != nil {
-		return ent
-	}
-	return p.home
+	return arbiter.Home(m.table, m.topo, p.idx, p.home, !m.cfg.NoLocality)
 }
 
 // weightOf returns p's arbitration and admission weight (1 without

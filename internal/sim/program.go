@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 
+	"dws/internal/arbiter"
 	"dws/internal/task"
 	"dws/internal/trace"
 )
@@ -172,8 +173,10 @@ func (m *Machine) scheduleCoordinator(p *Program) {
 	m.after(m.cfg.CoordPeriodUS+int64(p.idx), p.coordFn)
 }
 
-// coordTick is one coordinator pass: measure demand, then wake sleeping
-// workers following the paper's three cases.
+// coordTick is one coordinator pass (§3.3): measure demand (N_b, N_a) and
+// the sleeping workers' reachable cores, let arbiter.Plan pick the cores
+// to claim and reclaim, and carry the plan out through the core table.
+// DWS-NC plans over the sleeping workers alone, with no table traffic.
 func (m *Machine) coordTick(p *Program) {
 	if m.stopped {
 		return
@@ -190,126 +193,72 @@ func (m *Machine) coordTick(p *Program) {
 		return
 	}
 	na := p.active
-	nw := nb
-	if na > 0 {
-		nw = nb / na
-	}
+	nw := arbiter.Want(nb, na)
 	if nw <= 0 {
 		return
 	}
 	ev := trace.Event{Kind: trace.CoordTick, Prog: p.id, Core: -1, NB: nb, NA: na, NW: nw}
-	switch m.cfg.Policy {
-	case DWSNC:
-		m.coordWakeNC(p, &ev)
-	case DWS:
-		m.coordWakeDWS(p, &ev)
-	}
-	m.emit(ev)
-}
-
-// coordWakeNC wakes up to nw sleeping workers with no regard for core
-// occupancy (the DWS-NC ablation).
-func (p *Program) sleepingWorkers() []*Worker {
-	var s []*Worker
-	for _, w := range p.workers {
-		if w.state == wSleeping {
-			s = append(s, w)
+	if m.cfg.Policy == DWSNC {
+		var sleepers []int
+		for _, w := range p.workers {
+			if w.state == wSleeping {
+				sleepers = append(sleepers, w.id)
+			}
 		}
-	}
-	return s
-}
-
-func (m *Machine) coordWakeNC(p *Program, ev *trace.Event) {
-	sleepers := p.sleepingWorkers()
-	if len(sleepers) == 0 {
+		// N_w clamped to the sleepers keeps the pass in case 1: a random
+		// N_w of them, or all of them in a random order.
+		wake, _ := arbiter.Plan(min(nw, len(sleepers)), sleepers, nil, p.rng)
+		for _, c := range wake {
+			if m.wakeWorker(p.workers[c]) {
+				ev.Woken++
+			}
+		}
+		m.emit(ev)
 		return
 	}
-	nw := min(ev.NW, len(sleepers))
-	for _, i := range p.rng.Perm(len(sleepers))[:nw] {
-		if m.wakeWorker(sleepers[i]) {
-			ev.Woken++
-		}
-	}
-}
 
-// coordWakeDWS implements §3.3: claim free cores first; if demand still
-// exceeds supply, reclaim up to N_r of the program's home cores from their
-// borrowers; never touch cores other programs rightfully hold. The pass's
-// observation (N_f, N_r) and actions are recorded on ev.
-func (m *Machine) coordWakeDWS(p *Program, ev *trace.Event) {
-	nw := ev.NW
 	// Free cores where our affined worker is actually sleeping (it almost
-	// always is; skip transient wake-in-flight cores).
-	var free []int
+	// always is; skip transient wake-in-flight cores), and the sleeping
+	// workers' home cores borrowed by other programs. The home block is
+	// the entitled one when the arbiter has published (reclaim stays
+	// home-only; only the home itself is elastic).
+	var free, borrowed []int
 	for _, c := range m.table.FreeCores() {
 		if p.workers[c].state == wSleeping {
 			free = append(free, c)
 		}
 	}
-	// Home cores currently borrowed by other programs. The home block is
-	// the entitled one when the arbiter has published (reclaim stays
-	// home-only; only the home itself is elastic).
-	var borrowed []int
 	for _, c := range m.homeOf(p) {
 		occ := m.table.Occupant(c)
 		if occ != p.id && occ != 0 && p.workers[c].state == wSleeping {
 			borrowed = append(borrowed, c)
 		}
 	}
-	nf, nr := len(free), len(borrowed)
-	ev.NF, ev.NR = nf, nr
+	ev.NF, ev.NR = len(free), len(borrowed)
 	epoch := m.table.EntitlementEpoch()
-
-	claim := func(core int) {
-		if !m.table.ClaimFree(core, p.id) {
-			return
+	claim, reclaim := arbiter.Plan(nw, free, borrowed, p.rng)
+	for _, c := range claim {
+		if !m.table.ClaimFree(c, p.id) {
+			continue
 		}
 		p.stats.Claims++
 		ev.Claimed++
-		m.emit(trace.Event{Kind: trace.Claim, Prog: p.id, Core: core})
-		if m.wakeWorker(p.workers[core]) {
+		m.emit(trace.Event{Kind: trace.Claim, Prog: p.id, Core: c})
+		if m.wakeWorker(p.workers[c]) {
 			ev.Woken++
 		}
 	}
-	reclaim := func(core int) {
-		occ := m.table.Occupant(core)
-		if occ == 0 || occ == p.id {
-			return
-		}
-		if !m.table.Reclaim(core, p.id, occ) {
-			return
+	for _, c := range reclaim {
+		occ := m.table.Occupant(c)
+		if occ == 0 || occ == p.id || !m.table.Reclaim(c, p.id, occ) {
+			continue
 		}
 		p.stats.Reclaims++
 		ev.Reclaimed++
-		m.emit(trace.Event{Kind: trace.Reclaim, Prog: p.id, Core: core, Victim: occ, Epoch: epoch})
-		if m.wakeWorker(p.workers[core]) {
+		m.emit(trace.Event{Kind: trace.Reclaim, Prog: p.id, Core: c, Victim: occ, Epoch: epoch})
+		if m.wakeWorker(p.workers[c]) {
 			ev.Woken++
 		}
 	}
-
-	switch {
-	case nw <= nf:
-		// Case 1: enough free cores; pick nw of them at random.
-		for _, i := range p.rng.Perm(nf)[:nw] {
-			claim(free[i])
-		}
-	case nw <= nf+nr:
-		// Case 2: all free cores plus (nw-nf) reclaimed home cores.
-		for _, c := range free {
-			claim(c)
-		}
-		need := nw - nf
-		for _, i := range p.rng.Perm(nr)[:need] {
-			reclaim(borrowed[i])
-		}
-	default:
-		// Case 3: demand exceeds everything reachable; take all free cores
-		// and all borrowed home cores, nothing more.
-		for _, c := range free {
-			claim(c)
-		}
-		for _, c := range borrowed {
-			reclaim(c)
-		}
-	}
+	m.emit(ev)
 }
