@@ -37,6 +37,7 @@ import (
 	"syscall"
 	"time"
 
+	"dws/internal/admit"
 	"dws/internal/router"
 )
 
@@ -80,8 +81,8 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
 		shards      = flag.String("shards", "", "comma-separated shard members, name=url or url (required)")
-		spill       = flag.String("spill", router.SpillNext, "spill policy on shard refusal: none|random|next")
-		spillBudget = flag.Int("spill-budget", 2, "max redirect hops per job")
+		spill       = flag.String("spill", "next", "spill policy on shard refusal: none|random|next")
+		spillBudget = flag.Int("spill-budget", admit.DefaultSpillBudget, "max redirect hops per job")
 		probePeriod = flag.Duration("probe-period", time.Second, "health probe interval")
 		ejectAfter  = flag.Int("eject-after", 3, "consecutive probe failures before a shard is ejected")
 		readmit     = flag.Int("readmit-after", 2, "consecutive probe successes before an ejected shard rejoins")
@@ -93,9 +94,13 @@ func main() {
 	if err != nil {
 		log.Fatalf("dwsrouter: %v", err)
 	}
+	policy, err := admit.ParseSpillPolicy(*spill)
+	if err != nil {
+		log.Fatalf("dwsrouter: %v", err)
+	}
 	rt, err := router.New(router.Config{
 		Shards:       specs,
-		Spill:        *spill,
+		Spill:        policy,
 		SpillBudget:  *spillBudget,
 		ProbePeriod:  *probePeriod,
 		EjectAfter:   *ejectAfter,

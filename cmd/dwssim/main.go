@@ -37,6 +37,7 @@ import (
 	"strings"
 	"time"
 
+	"dws/internal/admit"
 	"dws/internal/bench"
 	"dws/internal/scenario"
 	"dws/internal/sim"
@@ -60,7 +61,7 @@ type options struct {
 
 	scenario string
 	shards   int
-	spill    sim.SpillPolicy
+	spill    admit.SpillPolicy
 
 	exps   []bench.Experiment
 	render func(*bench.Table, io.Writer) error
@@ -109,7 +110,7 @@ func parse(args []string, stderr io.Writer) (*options, error) {
 	if o.cfg.Policy, err = sim.ParsePolicy(*policy); err != nil {
 		return nil, err
 	}
-	if o.spill, err = sim.ParseSpillPolicy(*spillName); err != nil {
+	if o.spill, err = admit.ParseSpillPolicy(*spillName); err != nil {
 		return nil, err
 	}
 	if *expName != "" {

@@ -13,13 +13,14 @@ import (
 	"sort"
 	"strings"
 
+	"dws/internal/admit"
 	"dws/internal/scenario"
 	"dws/internal/sim"
 )
 
 // FedPolicies is the spill-policy sweep, worst-expected first: the gate's
 // ranking rule asserts ok-rates are non-decreasing in this order.
-var FedPolicies = []sim.SpillPolicy{sim.SpillNone, sim.SpillRandom, sim.SpillNext}
+var FedPolicies = []admit.SpillPolicy{admit.SpillNone, admit.SpillRandom, admit.SpillNext}
 
 // FedShards is the federation size the suite models, matching the CI
 // live battery (dwsrouter over 3 dwsd shards); FedCores is the per-shard

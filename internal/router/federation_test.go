@@ -23,6 +23,7 @@ import (
 	"testing"
 	"time"
 
+	"dws/internal/admit"
 	"dws/internal/router"
 	"dws/internal/rt"
 	"dws/internal/scenario"
@@ -158,7 +159,7 @@ func TestFederationOverloadStorm(t *testing.T) {
 		QueueDepth: 8, GlobalQueueDepth: len(tenants) * 4,
 	}
 
-	runFed := func(name string, n int, spill string, sabotage func([]*fedShard)) (*scenario.Result, string) {
+	runFed := func(name string, n int, spill admit.SpillPolicy, sabotage func([]*fedShard)) (*scenario.Result, string) {
 		t.Helper()
 		rtr, front, shards := startFederation(t, n, shardCfg, router.Config{
 			Spill:       spill,
@@ -192,7 +193,7 @@ func TestFederationOverloadStorm(t *testing.T) {
 
 	// Single-shard baseline (a router over 1 shard: same proxy overhead,
 	// nothing to spill to).
-	baseline, _ := runFed("1-shard", 1, router.SpillNone, nil)
+	baseline, _ := runFed("1-shard", 1, admit.SpillNone, nil)
 
 	// Healthy 3-shard federation with next-preferred spill.
 	healthy, healthyMetrics := runFed("3-shard", 3, router.SpillNext, nil)
@@ -228,10 +229,10 @@ func TestFederationOverloadStorm(t *testing.T) {
 	_ = victim
 
 	// Sim-vs-live spill-policy ranking. Live no-spill 3-shard run:
-	noSpill, _ := runFed("3-shard-nospill", 3, router.SpillNone, nil)
+	noSpill, _ := runFed("3-shard-nospill", 3, admit.SpillNone, nil)
 	liveGap := healthy.OKRate() - noSpill.OKRate()
 
-	simRate := func(p sim.SpillPolicy) float64 {
+	simRate := func(p admit.SpillPolicy) float64 {
 		c := sim.DefaultConfig()
 		c.Policy = sim.DWS
 		c.Cores = cores
@@ -248,7 +249,7 @@ func TestFederationOverloadStorm(t *testing.T) {
 		t.Logf("fedsim %v: %s", p, fr.Result)
 		return fr.Result.OKRate()
 	}
-	simGap := simRate(sim.SpillNext) - simRate(sim.SpillNone)
+	simGap := simRate(sim.SpillNext) - simRate(admit.SpillNone)
 	if (simGap >= decisive && liveGap <= -decisive) || (simGap <= -decisive && liveGap >= decisive) {
 		t.Errorf("spill-policy ranking diverged: sim next-vs-none gap %.3f, live gap %.3f", simGap, liveGap)
 	}

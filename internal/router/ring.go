@@ -200,6 +200,24 @@ func (r *Ring) Assign(key string) string {
 	return home
 }
 
+// Walk is the key's spill walk: its bounded-load home (assigned as Assign
+// does), then the rest of its preference order. The live router and the
+// simulated federation both order a tenant's shards by it. Empty on an
+// empty ring.
+func (r *Ring) Walk(key string) []string {
+	home := r.Assign(key)
+	if home == "" {
+		return nil
+	}
+	walk := append(make([]string, 0, len(r.shards)), home)
+	for _, s := range r.Preference(key) {
+		if s != home {
+			walk = append(walk, s)
+		}
+	}
+	return walk
+}
+
 // Release forgets the key's assignment (tenant deletion).
 func (r *Ring) Release(key string) {
 	s, ok := r.assigned[key]

@@ -19,23 +19,18 @@ import (
 	"dws/internal/server"
 )
 
-// Spill policy names accepted by Config.Spill, matching the sim's
-// SpillPolicy vocabulary so one flag value drives both substrates.
-const (
-	SpillNone   = "none"
-	SpillRandom = "random"
-	SpillNext   = "next"
-)
+// SpillNext is admit.SpillNext, the zero Config.Spill.
+const SpillNext = admit.SpillNext
 
 // Config describes the federation front tier.
 type Config struct {
 	// Shards are the federated dwsd instances; at least one.
 	Shards []ShardSpec
-	// Spill selects the redirect policy: "none", "random", or "next"
-	// (next-preferred in ring order, the default).
-	Spill string
-	// SpillBudget caps redirect hops per job (≤0 = 2): a job is offered to
-	// at most 1+SpillBudget shards.
+	// Spill selects the redirect policy admit.Next applies; the zero value
+	// is next-preferred in the tenant's walk.
+	Spill admit.SpillPolicy
+	// SpillBudget caps redirect hops per job (≤0 = admit.DefaultSpillBudget):
+	// a job is offered to at most 1+SpillBudget shards.
 	SpillBudget int
 	// ProbePeriod is the health-probe interval (≤0 = 1s).
 	ProbePeriod time.Duration
@@ -75,10 +70,9 @@ var jobHeader = http.Header{"Content-Type": {"application/json"}}
 
 // Router is the HTTP front tier federating N dwsd shards.
 type Router struct {
-	cfg   Config
-	spill string
-	reg   *metrics.Registry
-	mux   *http.ServeMux
+	cfg Config
+	reg *metrics.Registry
+	mux *http.ServeMux
 	// transport makes every shard call: jobs and tenant deletes directly,
 	// probes and the /v1/info and /v1/tenants fan-outs through
 	// probeClient. Job calls skip http.Client: they follow no redirects
@@ -93,7 +87,7 @@ type Router struct {
 	ring     *Ring
 	byName   map[string]*shard
 	order    []*shard            // sorted by name: deterministic iteration everywhere
-	placed   map[string][]*shard // tenant → placement order, until the tenant is released
+	placed   map[string][]*shard // tenant → its walk, until the tenant is released
 	rng      *rand.Rand
 	draining bool
 
@@ -117,16 +111,8 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, errors.New("router: at least one shard is required")
 	}
-	if cfg.Spill == "" {
-		cfg.Spill = SpillNext
-	}
-	switch cfg.Spill {
-	case SpillNone, SpillRandom, SpillNext:
-	default:
-		return nil, fmt.Errorf("router: unknown spill policy %q (want none|random|next)", cfg.Spill)
-	}
 	if cfg.SpillBudget <= 0 {
-		cfg.SpillBudget = 2
+		cfg.SpillBudget = admit.DefaultSpillBudget
 	}
 	if cfg.ProbePeriod <= 0 {
 		cfg.ProbePeriod = time.Second
@@ -144,7 +130,6 @@ func New(cfg Config) (*Router, error) {
 	tr.DisableCompression = true // shards never gzip; the Accept-Encoding header would cost a hop an allocation
 	rt := &Router{
 		cfg:         cfg,
-		spill:       cfg.Spill,
 		reg:         metrics.NewRegistry(),
 		mux:         http.NewServeMux(),
 		transport:   tr,
@@ -287,76 +272,30 @@ func (rt *Router) Shutdown(ctx context.Context) error {
 	}
 }
 
-// placement returns the tenant's shard order: bounded-load sticky home
-// first, then the ring walk — the spill-over preference sequence. Both
-// halves are fixed until the tenant is released (the shard set never
-// changes after New), so the order is built once per tenant and shared
-// read-only by its jobs.
+// placement returns the tenant's walk (Ring.Walk): bounded-load sticky
+// home first, then the ring's preference order. The walk is fixed until
+// the tenant is released (the shard set never changes after New), so it
+// is built once per tenant and shared read-only by its jobs.
 func (rt *Router) placement(tenant string) []*shard {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if order, ok := rt.placed[tenant]; ok {
-		return order
+	if walk, ok := rt.placed[tenant]; ok {
+		return walk
 	}
-	home := rt.ring.Assign(tenant)
-	order := make([]*shard, 0, len(rt.order))
-	if s := rt.byName[home]; s != nil {
-		order = append(order, s)
+	names := rt.ring.Walk(tenant)
+	walk := make([]*shard, len(names))
+	for i, name := range names {
+		walk[i] = rt.byName[name]
 	}
-	for _, name := range rt.ring.Preference(tenant) {
-		if name == home {
-			continue
-		}
-		if s := rt.byName[name]; s != nil {
-			order = append(order, s)
-		}
-	}
-	rt.placed[tenant] = order
-	return order
+	rt.placed[tenant] = walk
+	return walk
 }
 
-// tried reports whether s already refused the job.
-func tried(refusals []refusal, s *shard) bool {
-	for _, rf := range refusals {
-		if rf.shard == s {
-			return true
-		}
-	}
-	return false
-}
-
-// firstHealthy picks the first circuit-closed untried shard in order.
-func firstHealthy(order []*shard, refusals []refusal) *shard {
-	for _, s := range order {
-		if !tried(refusals, s) && s.healthy() {
-			return s
-		}
-	}
-	return nil
-}
-
-// nextSpill picks the spill target under the configured policy.
-func (rt *Router) nextSpill(order []*shard, refusals []refusal) *shard {
-	switch rt.spill {
-	case SpillNone:
-		return nil
-	case SpillNext:
-		return firstHealthy(order, refusals)
-	case SpillRandom:
-		var cands []*shard
-		for _, s := range order {
-			if !tried(refusals, s) && s.healthy() {
-				cands = append(cands, s)
-			}
-		}
-		if len(cands) == 0 {
-			return nil
-		}
-		rt.mu.Lock()
-		defer rt.mu.Unlock()
-		return cands[rt.rng.Intn(len(cands))]
-	}
-	return nil
+// intn draws a random spill target from rt.rng.
+func (rt *Router) intn(n int) int {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return rt.rng.Intn(n)
 }
 
 // refusal records one shard's no.
@@ -399,24 +338,33 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	order := rt.placement(req.Tenant)
+	walk := rt.placement(req.Tenant)
 	start := time.Now()
 	// The shards that refused are the shards visited, all but the current
 	// one. The array holds the default budget's refusals without growing.
 	var refused [4]refusal
 	refusals := refused[:0]
-	budget := rt.cfg.SpillBudget
-	hops := 0
+	// out marks the shards a hop may not go to: the ones that refused the
+	// job and the ones whose circuit is open.
+	out := func(s *shard) bool {
+		for _, rf := range refusals {
+			if rf.shard == s {
+				return true
+			}
+		}
+		return !s.healthy()
+	}
 	// GetBody lets the transport replay the job on a fresh connection when
 	// a kept-alive one turns out closed, as http.NewRequest would.
 	getBody := func() (io.ReadCloser, error) { return jobBody(body), nil }
 
-	cur := firstHealthy(order, nil)
-	if cur == nil {
+	// The first hop is the walk's first healthy shard, whatever the policy.
+	cur, ok := admit.Next(admit.SpillNext, walk, rt.order, 0, 1, out, nil)
+	if !ok {
 		writeError(w, http.StatusServiceUnavailable, "no healthy shard for tenant %q", req.Tenant)
 		return
 	}
-	for {
+	for hops := 0; ; hops++ {
 		attemptAt := time.Now()
 		resp, err := rt.forward(r.Context(), cur, body, getBody)
 		reason := ""
@@ -459,15 +407,10 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 
-		if budget <= 0 {
+		next, ok := admit.Next(rt.cfg.Spill, walk, rt.order, hops, rt.cfg.SpillBudget, out, rt.intn)
+		if !ok {
 			break
 		}
-		next := rt.nextSpill(order, refusals)
-		if next == nil {
-			break
-		}
-		budget--
-		hops++
 		rt.mSpills.With(cur.name, next.name, reason).Inc()
 		if rt.cfg.Logf != nil { // boxing the arguments allocates even for a no-op logger
 			rt.logf("spill %s→%s tenant=%s reason=%s", cur.name, next.name, req.Tenant, reason)
@@ -574,16 +517,9 @@ func (rt *Router) refuseAll(w http.ResponseWriter, tenant string, refusals []ref
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(retry))
 	w.Header().Set(server.RejectReasonHeader, reason)
-	w.Header().Set("X-DWS-Spills", strconv.Itoa(maxInt(len(refusals)-1, 0)))
+	w.Header().Set("X-DWS-Spills", strconv.Itoa(max(len(refusals)-1, 0)))
 	writeError(w, http.StatusTooManyRequests,
 		"all %d shards refused the job for tenant %q; retry in %ds", len(refusals), tenant, retry)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // retrySeconds parses the shard's Retry-After hint (0 when absent).
@@ -602,9 +538,7 @@ func retrySeconds(resp *http.Response) int {
 // handleInfo aggregates healthy shards' /v1/info into one federation view.
 func (rt *Router) handleInfo(w http.ResponseWriter, r *http.Request) {
 	var agg Info
-	rt.mu.Lock()
-	agg.Spill = rt.spill
-	rt.mu.Unlock()
+	agg.Spill = rt.cfg.Spill.String()
 	agg.SpillBudget = rt.cfg.SpillBudget
 	agg.Shards = len(rt.order)
 	first := true

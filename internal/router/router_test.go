@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"dws/internal/admit"
 	"dws/internal/server"
 )
 
@@ -131,7 +132,7 @@ func (f *fakeShard) connCount() int {
 
 // newTestRouter builds a router over the fakes with the prober idle (huge
 // period; tests call ProbeAll explicitly).
-func newTestRouter(t *testing.T, spill string, budget int, fakes ...*fakeShard) *Router {
+func newTestRouter(t *testing.T, spill admit.SpillPolicy, budget int, fakes ...*fakeShard) *Router {
 	t.Helper()
 	specs := make([]ShardSpec, len(fakes))
 	for i, f := range fakes {
@@ -281,7 +282,7 @@ func TestSpillBudgetBounds(t *testing.T) {
 // TestSpillNonePolicy: the no-spill policy forwards the refusal directly.
 func TestSpillNonePolicy(t *testing.T) {
 	fakes := []*fakeShard{newFakeShard(t), newFakeShard(t)}
-	rt := newTestRouter(t, SpillNone, 2, fakes...)
+	rt := newTestRouter(t, admit.SpillNone, 2, fakes...)
 	home := homeIndex(rt, "tenant-e")
 	fakes[home].script(http.StatusTooManyRequests, "overload", "2")
 	resp := submit(t, rt, "tenant-e")
@@ -291,6 +292,48 @@ func TestSpillNonePolicy(t *testing.T) {
 	}
 	if fakes[1-home].hitCount() != 0 {
 		t.Error("no-spill policy still spilled")
+	}
+}
+
+// TestRandomSpillSkipsRefusedAndEjected: under the random policy a job
+// refused at home spills only to a shard that has not refused it and whose
+// circuit is closed. The ejected sibling would still serve jobs, so a
+// pick that ignored health would show up in X-DWS-Shard.
+func TestRandomSpillSkipsRefusedAndEjected(t *testing.T) {
+	fakes := []*fakeShard{newFakeShard(t), newFakeShard(t), newFakeShard(t)}
+	rt := newTestRouter(t, admit.SpillRandom, 2, fakes...)
+	home := homeIndex(rt, "tenant-r")
+	ejected, healthy := (home+1)%3, (home+2)%3
+	fakes[home].script(http.StatusTooManyRequests, "queue_full", "1")
+	fakes[ejected].mu.Lock()
+	fakes[ejected].down = true
+	fakes[ejected].mu.Unlock()
+	rt.ProbeAll()
+	rt.ProbeAll() // EjectAfter = 2
+
+	const jobs = 40
+	for n := 0; n < jobs; n++ {
+		resp := submit(t, rt, "tenant-r")
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("job %d: status %d, want 200 via spill", n, resp.StatusCode)
+		}
+		if got, want := resp.Header.Get("X-DWS-Shard"), fmt.Sprintf("s%d", healthy); got != want {
+			t.Fatalf("job %d served by %s, want the healthy untried %s", n, got, want)
+		}
+		if got := resp.Header.Get("X-DWS-Spills"); got != "1" {
+			t.Fatalf("job %d: X-DWS-Spills = %q, want 1", n, got)
+		}
+	}
+	if got := fakes[home].hitCount(); got != jobs {
+		t.Errorf("home saw %d jobs, want %d", got, jobs)
+	}
+	if got := fakes[ejected].hitCount(); got != 0 {
+		t.Errorf("ejected shard saw %d jobs", got)
+	}
+	want := fmt.Sprintf(`dws_router_spills_total{from="s%d",to="s%d",reason="queue_full"} %d`, home, healthy, jobs)
+	if out := scrape(rt); !strings.Contains(out, want) {
+		t.Errorf("metrics lack %s:\n%s", want, out)
 	}
 }
 
@@ -427,8 +470,8 @@ func TestInfoAggregates(t *testing.T) {
 	if info.Shards != 3 || info.HealthyShards != 3 {
 		t.Errorf("shards %d/%d, want 3/3", info.HealthyShards, info.Shards)
 	}
-	if info.Spill != SpillNext {
-		t.Errorf("spill %q, want next", info.Spill)
+	if info.Spill != SpillNext.String() {
+		t.Errorf("spill %q, want next-preferred", info.Spill)
 	}
 	if info.Policy != "DWS" {
 		t.Errorf("policy %q not taken from shard template", info.Policy)

@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 
+	"dws/internal/admit"
 	"dws/internal/router"
 	"dws/internal/sim"
 )
@@ -15,9 +16,9 @@ type FedSimOptions struct {
 	Config sim.Config
 	// Shards is K (≥1).
 	Shards int
-	// Spill is the redirect policy, with the sim's default hop budget and
-	// no redirect delay.
-	Spill sim.SpillPolicy
+	// Spill is the redirect policy, with the default hop budget and no
+	// redirect delay.
+	Spill admit.SpillPolicy
 	// QueueCap bounds each tenant's per-shard admission queue (≤0 = 16).
 	QueueCap int
 	// Admission configures every shard's front door; nil is the sim's zero
@@ -77,12 +78,10 @@ func (p *Prepared) FedSim(opts FedSimOptions) (*FedReplay, error) {
 	pref := make([][]int, len(p.tenants))
 	prefByName := map[string][]int{}
 	for i, name := range p.tenants {
-		home := ring.Assign(name)
-		walk := []int{shardIdx[home]}
-		for _, s := range ring.Preference(name) {
-			if s != home {
-				walk = append(walk, shardIdx[s])
-			}
+		names := ring.Walk(name)
+		walk := make([]int, len(names))
+		for n, s := range names {
+			walk[n] = shardIdx[s]
 		}
 		pref[i] = walk
 		prefByName[name] = walk

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"dws/internal/admit"
 	"dws/internal/sim"
 )
 
@@ -65,7 +66,7 @@ func TestRunFedSimPlacementMatchesRouterRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr, err := RunFedSim(tr, FedSimOptions{Config: fedSimCfg(), Shards: 3, Spill: sim.SpillNone, QueueCap: 4})
+	fr, err := RunFedSim(tr, FedSimOptions{Config: fedSimCfg(), Shards: 3, Spill: admit.SpillNone, QueueCap: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestRunFedSimSpillImprovesStorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(p sim.SpillPolicy) *FedReplay {
+	run := func(p admit.SpillPolicy) *FedReplay {
 		fr, err := RunFedSim(tr, FedSimOptions{
 			Config:    fedSimCfg(),
 			Shards:    3,
@@ -116,7 +117,7 @@ func TestRunFedSimSpillImprovesStorm(t *testing.T) {
 		}
 		return fr
 	}
-	none := run(sim.SpillNone)
+	none := run(admit.SpillNone)
 	next := run(sim.SpillNext)
 	if len(next.Fed.Spills) == 0 {
 		t.Fatal("storm replay spilled nothing")

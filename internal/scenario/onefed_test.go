@@ -3,6 +3,7 @@ package scenario_test
 import (
 	"testing"
 
+	"dws/internal/admit"
 	"dws/internal/bench"
 	"dws/internal/scenario"
 	"dws/internal/sim"
@@ -34,7 +35,7 @@ func TestOneShardFedSimIsSim(t *testing.T) {
 			cfg := sim.DefaultConfig()
 			cfg.Policy = pol
 			cfg.Cores, cfg.SocketSize = bench.FedCores, bench.FedCores
-			fed, err := p.FedSim(scenario.FedSimOptions{Config: cfg, Shards: 1, Spill: sim.SpillNone, Admission: adm})
+			fed, err := p.FedSim(scenario.FedSimOptions{Config: cfg, Shards: 1, Spill: admit.SpillNone, Admission: adm})
 			if churn {
 				if err == nil {
 					t.Fatalf("%s: the federation replayed a churn trace", name)

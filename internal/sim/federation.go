@@ -24,48 +24,12 @@ import (
 	"math/rand"
 	"sort"
 
+	"dws/internal/admit"
 	"dws/internal/task"
 )
 
-// SpillPolicy selects how a refused job is redirected between shards.
-type SpillPolicy int
-
-const (
-	// SpillNone never redirects: a refused job resolves at its home shard.
-	SpillNone SpillPolicy = iota
-	// SpillRandom redirects to a uniformly random unvisited shard.
-	SpillRandom
-	// SpillNext redirects to the next unvisited shard in the tenant's
-	// preference order (the consistent-hash ring walk the live router uses).
-	SpillNext
-)
-
-// ParseSpillPolicy maps the CLI/scenario names onto a policy.
-func ParseSpillPolicy(s string) (SpillPolicy, error) {
-	switch s {
-	case "", "none", "no-spill":
-		return SpillNone, nil
-	case "random", "random-spill":
-		return SpillRandom, nil
-	case "next", "next-preferred", "next-preferred-spill":
-		return SpillNext, nil
-	}
-	return 0, fmt.Errorf("sim: unknown spill policy %q (want none|random|next)", s)
-}
-
-// String names the policy as reports and BENCH_federation.json do.
-func (s SpillPolicy) String() string {
-	switch s {
-	case SpillNone:
-		return "no-spill"
-	case SpillRandom:
-		return "random"
-	case SpillNext:
-		return "next-preferred"
-	default:
-		return fmt.Sprintf("SpillPolicy(%d)", int(s))
-	}
-}
+// SpillNext is admit.SpillNext, the zero FedOpts.Spill.
+const SpillNext = admit.SpillNext
 
 // FedJob is one arrival in the federation's global job stream.
 type FedJob struct {
@@ -95,10 +59,10 @@ type FedOpts struct {
 	// Pref[tenant] is the shard preference order, home first — the ring
 	// walk. Every entry must be a non-empty list of distinct shard indices.
 	Pref [][]int
-	// Spill is the redirect policy.
-	Spill SpillPolicy
-	// SpillBudget caps redirect hops per job; ≤0 defaults to 2, matching
-	// the live router.
+	// Spill is the redirect policy; admit.Next picks each redirect's shard.
+	Spill admit.SpillPolicy
+	// SpillBudget caps redirect hops per job; ≤0 is
+	// admit.DefaultSpillBudget, as in the live router.
 	SpillBudget int
 	// SpillLatencyUS[from][to] is the redirect delay between shards (the
 	// inter-machine generalization of the intra-machine socket latency
@@ -223,7 +187,7 @@ func RunFederation(opts FedOpts) (*FedResults, error) {
 		count[j.Tenant]++
 	}
 	if opts.SpillBudget <= 0 {
-		opts.SpillBudget = 2
+		opts.SpillBudget = admit.DefaultSpillBudget
 	}
 
 	// A tenant's stream keeps each job's global index, whichever shard
@@ -259,6 +223,10 @@ func RunFederation(opts FedOpts) (*FedResults, error) {
 		machines[s] = m
 	}
 
+	shards := make([]int, k) // every shard, in index order
+	for s := range shards {
+		shards[s] = s
+	}
 	spills := make([]int, total)
 	visited := make([]bool, total*k) // visited[idx*k+s]: shard s has refused or shed job idx
 	type spillKey struct {
@@ -270,44 +238,23 @@ func RunFederation(opts FedOpts) (*FedResults, error) {
 	// The only nondeterminism budget in the whole replay: random spill
 	// target choice, seeded off the shard config.
 	rng := rand.New(rand.NewSource(opts.Cfg.Seed*2654435761 + 97))
-	nextShard := func(idx int) int {
-		if opts.Spill == SpillNone || spills[idx] >= opts.SpillBudget {
-			return -1
-		}
-		seen := visited[idx*k : idx*k+k]
-		if opts.Spill == SpillNext {
-			for _, s := range opts.Pref[opts.Jobs[idx].Tenant] {
-				if !seen[s] {
-					return s
-				}
-			}
-			return -1
-		}
-		var cands []int
-		for s := range seen {
-			if !seen[s] {
-				cands = append(cands, s)
-			}
-		}
-		if len(cands) == 0 {
-			return -1
-		}
-		return cands[rng.Intn(len(cands))]
-	}
 
-	// A shard that refuses or sheds a job hands it to the next shard the
-	// policy names, as a delivery on that shard's own heap after the
+	// A shard that refuses or sheds a job hands it to the next shard
+	// admit.Next names, out of the shards that have not refused it, as a
+	// delivery on that shard's own heap after the
 	// redirect delay; with no shard left it resolves where it is.
 	for s, m := range machines {
-		m.spill = func(p *Program, j *openJob, st JobStatus) bool {
-			visited[j.idx*k+s] = true
-			n := nextShard(j.idx)
-			if n < 0 {
+		m.spill = func(p *Program, j *openJob, v admit.Verdict) bool {
+			seen := visited[j.idx*k : j.idx*k+k]
+			seen[s] = true
+			n, ok := admit.Next(opts.Spill, opts.Pref[p.idx], shards, spills[j.idx], opts.SpillBudget,
+				func(d int) bool { return seen[d] }, rng.Intn)
+			if !ok {
 				return false
 			}
 			spills[j.idx]++
 			reason := "reject"
-			if st == JobShed {
+			if v == admit.Shed {
 				reason = "shed"
 			}
 			spillLedger[spillKey{s, n, reason}]++

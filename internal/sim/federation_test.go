@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"dws/internal/admit"
 	"dws/internal/task"
 )
 
@@ -56,7 +57,7 @@ func smallFedCfg() Config {
 // outcome log, spill ledger, and end time — including under random spill,
 // whose RNG is seeded from the config.
 func TestFederationDeterminism(t *testing.T) {
-	for _, pol := range []SpillPolicy{SpillNone, SpillRandom, SpillNext} {
+	for _, pol := range []admit.SpillPolicy{admit.SpillNone, admit.SpillRandom, SpillNext} {
 		run := func() *FedResults {
 			res, err := RunFederation(FedOpts{
 				Cfg:       smallFedCfg(),
@@ -104,7 +105,7 @@ func TestFederationNoSpillMatchesIndependentShards(t *testing.T) {
 		Programs:  graphs,
 		Jobs:      jobs,
 		Pref:      pref,
-		Spill:     SpillNone,
+		Spill:     admit.SpillNone,
 		QueueCap:  3,
 		HorizonUS: 60_000_000_000,
 	})
@@ -174,7 +175,7 @@ func TestFederationNextPreferredBeatsNoSpill(t *testing.T) {
 		pref[tn] = []int{0, 1, 2}
 	}
 	jobs := fedStream(tenants, 40, 500, 0) // a storm: far beyond one shard
-	run := func(pol SpillPolicy) int {
+	run := func(pol admit.SpillPolicy) int {
 		res, err := RunFederation(FedOpts{
 			Cfg:       smallFedCfg(),
 			Shards:    3,
@@ -194,7 +195,7 @@ func TestFederationNextPreferredBeatsNoSpill(t *testing.T) {
 				ok++
 			}
 		}
-		if pol != SpillNone {
+		if pol != admit.SpillNone {
 			spilled := false
 			for _, o := range res.Outcomes {
 				if o.Spills > 0 {
@@ -210,7 +211,7 @@ func TestFederationNextPreferredBeatsNoSpill(t *testing.T) {
 		}
 		return ok
 	}
-	okNone := run(SpillNone)
+	okNone := run(admit.SpillNone)
 	okNext := run(SpillNext)
 	if okNext <= okNone {
 		t.Fatalf("next-preferred completed %d jobs, no-spill %d: spilling to idle shards must win", okNext, okNone)
@@ -285,7 +286,7 @@ func TestFederationBudgetBoundsHops(t *testing.T) {
 			Programs:    graphs,
 			Jobs:        jobs,
 			Pref:        pref,
-			Spill:       SpillRandom,
+			Spill:       admit.SpillRandom,
 			SpillBudget: budget,
 			QueueCap:    1,
 			HorizonUS:   60_000_000_000,
@@ -470,34 +471,6 @@ func TestFederationValidation(t *testing.T) {
 		tc.mut(&o)
 		if _, err := RunFederation(o); !errors.Is(err, ErrBadConfig) && err == nil {
 			t.Errorf("%s: accepted", tc.name)
-		}
-	}
-}
-
-// TestParseSpillPolicy: names round-trip and junk is refused.
-func TestParseSpillPolicy(t *testing.T) {
-	for name, want := range map[string]SpillPolicy{
-		"":                     SpillNone,
-		"none":                 SpillNone,
-		"no-spill":             SpillNone,
-		"random":               SpillRandom,
-		"random-spill":         SpillRandom,
-		"next":                 SpillNext,
-		"next-preferred":       SpillNext,
-		"next-preferred-spill": SpillNext,
-	} {
-		got, err := ParseSpillPolicy(name)
-		if err != nil || got != want {
-			t.Errorf("ParseSpillPolicy(%q) = %v, %v", name, got, err)
-		}
-	}
-	if _, err := ParseSpillPolicy("sideways"); err == nil {
-		t.Error("junk policy accepted")
-	}
-	for _, p := range []SpillPolicy{SpillNone, SpillRandom, SpillNext} {
-		rt, err := ParseSpillPolicy(p.String())
-		if err != nil || rt != p {
-			t.Errorf("%v does not round-trip through String", p)
 		}
 	}
 }

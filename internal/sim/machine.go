@@ -51,13 +51,13 @@ type Machine struct {
 	// the replay not yet terminal, shared by every machine in it, and the
 	// machine whose jobDone takes it to zero stops; jobLog accumulates
 	// outcomes in completion order. spill, when non-nil, is offered every
-	// spillable outcome (a rejection or a shed) before it is logged, and
-	// reports whether it took the job elsewhere — the federation's
-	// redirect; RunOpen leaves it nil.
+	// refusal whose verdict is Spillable before it is logged, and reports
+	// whether it took the job elsewhere — the federation's redirect;
+	// RunOpen leaves it nil.
 	jobMode     bool
 	outstanding *int
 	jobLog      []JobOutcome
-	spill       func(p *Program, j *openJob, st JobStatus) bool
+	spill       func(p *Program, j *openJob, v admit.Verdict) bool
 
 	// The front door (armAdmission): every open-loop job's backlog lives
 	// in one weighted fair queue across programs, and admLimits are the

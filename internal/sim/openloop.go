@@ -264,8 +264,25 @@ func (m *Machine) armArrivals(p *Program, js []openJob) {
 // the one path every arrival takes, a tenant's own and a spilled one.
 func (m *Machine) deliver(p *Program, j *openJob) {
 	if v := m.offer(p, j); v != admit.Admitted {
-		m.jobDone(p, j, refusalStatus(v))
+		m.refuse(p, j, v)
 	}
+}
+
+// refuse resolves a job refused with v: a verdict admit.Verdict.Spillable
+// allows on goes to the spill hook first, and is not terminal if the hook
+// took the job elsewhere.
+func (m *Machine) refuse(p *Program, j *openJob, v admit.Verdict) {
+	if m.spill != nil && v.Spillable() && m.spill(p, j, v) {
+		return
+	}
+	st := JobRejected // the outcome log keeps queue-full and overload together
+	switch v {
+	case admit.EarlyReject:
+		st = JobEarlyReject
+	case admit.Shed:
+		st = JobShed
+	}
+	m.jobDone(p, j, st)
 }
 
 // armAdmission builds the machine's front door: one WFQ flow per program
@@ -314,18 +331,9 @@ func (m *Machine) offer(p *Program, j *openJob) admit.Verdict {
 		victim := m.progs[d.VictimFlow]
 		m.emit(trace.Event{Kind: trace.Job, Prog: p.id, Core: -1, Job: d.Victim.idx,
 			Verdict: admit.Shed.String(), Victim: victim.id})
-		m.jobDone(victim, d.Victim, JobShed)
+		m.refuse(victim, d.Victim, admit.Shed)
 	}
 	return d.Verdict
-}
-
-// refusalStatus maps a refusing verdict onto the outcome log's
-// vocabulary, which keeps queue-full and overload together as "rejected".
-func refusalStatus(v admit.Verdict) JobStatus {
-	if v == admit.EarlyReject {
-		return JobEarlyReject
-	}
-	return JobRejected
 }
 
 // startJob begins executing j (skipping over queued jobs whose deadline
@@ -385,13 +393,8 @@ func (m *Machine) jobFinished(p *Program, w *Worker) {
 }
 
 // jobDone records a terminal outcome and stops the machine when the last
-// job of the replay resolves. A rejection or a shed — the outcomes
-// admit.Verdict.Spillable allows on — goes to the spill hook first, and
-// is not terminal if the hook took the job elsewhere.
+// job of the replay resolves.
 func (m *Machine) jobDone(p *Program, j *openJob, st JobStatus) {
-	if m.spill != nil && (st == JobRejected || st == JobShed) && m.spill(p, j, st) {
-		return
-	}
 	done := int64(-1)
 	if st == JobOK || st == JobLate {
 		done = m.now
