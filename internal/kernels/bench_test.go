@@ -36,16 +36,94 @@ func BenchmarkFFTSeq(b *testing.B) {
 	}
 }
 
+// BenchmarkFFTPar times a run of FFTTask; its set-up (scratch, table and
+// tree) is made with the timer stopped.
 func BenchmarkFFTPar(b *testing.B) {
 	p := benchSystem(b)
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		data := randComplexBench(1 << 14)
+		task := FFTTask(randComplexBench(1 << 14))
 		b.StartTimer()
-		if err := p.Run(FFTTask(data)); err != nil {
+		if err := p.Run(task); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkFFTServed is a served FFT(0.05) job's budget (n = 2¹⁴, 64
+// leaves of fftCutoff points). job times NewTask + Run of the catalog's
+// job in steady state on a 2-core, 2-slot DWS program with the arbiter
+// on, which is dwsd's shape. The other three time the job's sequential
+// parts on one core: gather, every leaf's gather from the shared input;
+// leaves, every leaf's butterfly levels; inner, the inner nodes' levels
+// (widths 512 to 2¹⁴). The last two re-gather with the timer stopped.
+func BenchmarkFFTServed(b *testing.B) {
+	spec, _ := ByName("FFT")
+	b.Run("job", func(b *testing.B) {
+		s, err := rt.NewSystem(rt.Config{
+			Cores: 2, Programs: 2, Policy: rt.DWS, ArbiterPeriod: 50 * time.Millisecond,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close()
+		p, err := s.NewProgram("served")
+		if err != nil {
+			b.Fatal(err)
+		}
+		job := func() {
+			if err := p.Run(spec.NewTask(0.05)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for warm := 0; warm < 50; warm++ {
+			job()
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			job()
+		}
+	})
+
+	n := pow2(1<<18, 0.05)
+	in, w := RandComplex(n, 7), twiddles(n)
+	a := make([]complex128, n)
+	gatherAll := func() {
+		for off := 0; off < n; off += fftCutoff {
+			gather(a[off:off+fftCutoff], in, off)
+		}
+	}
+	leaves := func() {
+		for off := 0; off < n; off += fftCutoff {
+			fftLevels(a[off:off+fftCutoff], w)
+		}
+	}
+	b.Run("gather", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			gatherAll()
+		}
+	})
+	b.Run("leaves", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			gatherAll()
+			b.StartTimer()
+			leaves()
+		}
+	})
+	b.Run("inner", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			gatherAll()
+			leaves()
+			b.StartTimer()
+			for size := 2 * fftCutoff; size <= n; size <<= 1 {
+				for start := 0; start < n; start += size {
+					butterflies(a[start:start+size], w[size/2:size])
+				}
+			}
+		}
+	})
 }
 
 func randComplexBench(n int) []complex128 {

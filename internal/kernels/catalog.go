@@ -14,10 +14,11 @@ type Spec struct {
 	Name string
 	// NewTask returns a task over the kernel's deterministic input at
 	// scale size (1.0 ≈ hundreds of milliseconds on a multi-core host; ≤0
-	// defaults to 1.0). An FFT task copies that input into buffers
-	// recycled between runs, so every run of it gets the same input and
-	// runs may overlap; the other kernels build fresh input per call and
-	// compute on it in place, so build one per run.
+	// defaults to 1.0). An FFT task's leaves gather from one read-only
+	// input that its length's jobs share, into an output buffer recycled
+	// between runs, so every run of it gets the same input and runs may
+	// overlap; the other kernels build fresh input per call and compute on
+	// it in place, so build one per run.
 	NewTask func(size float64) rt.Task
 }
 

@@ -13,8 +13,8 @@ import (
 // splitting: a leaf transforms a block of at most fftCutoff points.
 const fftCutoff = 256
 
-// FFTSeq performs an in-place iterative radix-2 Cooley–Tukey FFT.
-// len(a) must be a power of two.
+// FFTSeq performs an in-place iterative Cooley–Tukey FFT: a bit-reversal
+// swap pass, then fftLevels. len(a) must be a power of two.
 func FFTSeq(a []complex128) {
 	w := twiddles(len(a))
 	shift := 64 - uint(bits.TrailingZeros(uint(len(a))))
@@ -27,49 +27,111 @@ func FFTSeq(a []complex128) {
 	fftLevels(a, w)
 }
 
-// twiddles returns the n/2 roots of unity every level of an n-point
-// transform reads: w[k] = exp(−2πik/n). A level of butterflies of width
-// size uses every (n/size)-th entry, so one table per transform replaces
-// a cmplx.Exp per butterfly (n/2·log₂n of them for n/2 distinct values).
-// The second quarter of the table is the first times −i.
+// twiddles returns the roots of unity every level of an n-point
+// transform reads, stacked by level: the level of butterflies of
+// half-width h reads w[h : 2h] in order, w[h+k] = exp(−πik/h), so a
+// block of any length ≤ n reads the same table. The top level,
+// w[n/2 : n], is filled by Sincos over its first quarter and its second
+// quarter is the first times −i; every lower level is every other entry
+// of the one above, copied, so each level reads the values (and rounds
+// as) a single n/2-entry table read at stride n/2h would.
 func twiddles(n int) []complex128 {
 	if n&(n-1) != 0 {
 		panic("kernels: FFT length must be a power of two")
 	}
-	w := make([]complex128, n/2)
-	q := (len(w) + 1) / 2
-	for k := range w[:q] {
+	w := make([]complex128, n)
+	top := w[n/2:]
+	q := (len(top) + 1) / 2
+	for k := range top[:q] {
 		sin, cos := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
-		w[k] = complex(cos, sin)
+		top[k] = complex(cos, sin)
 	}
-	for k, v := range w[:len(w)-q] {
-		w[q+k] = complex(imag(v), -real(v))
+	for k, v := range top[:len(top)-q] {
+		top[q+k] = complex(imag(v), -real(v))
+	}
+	for h := n / 4; h >= 1; h /= 2 {
+		for k := range w[h : 2*h] {
+			w[h+k] = w[2*h+2*k]
+		}
 	}
 	return w
 }
 
 // fftLevels runs the butterfly network over a, already in bit-reversed
 // order, level by level from width 2 to len(a), reading its roots of
-// unity from w, the table of a transform of 2·len(w) ≥ len(a) points.
+// unity from w, the stacked table of a transform of len(w) ≥ len(a)
+// points. Widths 2, 4 and 8 run as one radix-8 pass when len(a) ≥ 8.
 func fftLevels(a, w []complex128) {
-	for size := 2; size <= len(a); size <<= 1 {
+	size := 2
+	if len(a) >= 8 {
+		radix8(a, w[5], w[7])
+		size = 16
+	}
+	for ; size <= len(a); size <<= 1 {
+		tw := w[size/2 : size]
 		for start := 0; start < len(a); start += size {
-			blk := a[start : start+size]
-			butterflies(blk, blk[:size/2], blk[size/2:], w)
+			butterflies(a[start:start+size], tw)
 		}
 	}
 }
 
+// radix8 runs the butterflies of widths 2, 4 and 8 over each 8-point
+// block of a in one pass, in registers. Their twiddles are 1, w8 =
+// exp(−iπ/4), −i and w83 = exp(−3iπ/4); a product by 1 is skipped and one
+// by −i is a swap and a negation, which are exact.
+func radix8(a []complex128, w8, w83 complex128) {
+	for s := 0; s+8 <= len(a); s += 8 {
+		b := a[s : s+8 : s+8]
+		b0, b1 := b[0]+b[1], b[0]-b[1]
+		b2, b3 := b[2]+b[3], b[2]-b[3]
+		b4, b5 := b[4]+b[5], b[4]-b[5]
+		b6, b7 := b[6]+b[7], b[6]-b[7]
+
+		v := mulNegI(b3)
+		c0, c2 := b0+b2, b0-b2
+		c1, c3 := b1+v, b1-v
+		v = mulNegI(b7)
+		c4, c6 := b4+b6, b4-b6
+		c5, c7 := b5+v, b5-v
+
+		b[0], b[4] = c0+c4, c0-c4
+		v = c5 * w8
+		b[1], b[5] = c1+v, c1-v
+		v = mulNegI(c6)
+		b[2], b[6] = c2+v, c2-v
+		v = c7 * w83
+		b[3], b[7] = c3+v, c3-v
+	}
+}
+
+// mulNegI returns −i·x.
+func mulNegI(x complex128) complex128 { return complex(imag(x), -real(x)) }
+
 // butterflies writes the len(a)-point transform whose even- and
-// odd-index halves are already transformed in even and odd; a's halves
-// may be those same slices. w is as in fftLevels.
-func butterflies(a, even, odd, w []complex128) {
+// odd-index halves are already transformed in a's halves; w is the
+// level's len(a)/2 twiddles, as in fftLevels.
+func butterflies(a, w []complex128) {
 	half := len(a) / 2
-	stride := len(w) / half
-	lo, hi, even, odd := a[:half], a[half:2*half], even[:half], odd[:half]
-	for k := range lo {
-		u, v := even[k], odd[k]*w[k*stride]
+	lo, hi, w := a[:half], a[half:], w[:half]
+	hi = hi[:len(w)]
+	for k := range w {
+		u, v := lo[k], hi[k]*w[k]
 		lo[k], hi[k] = u+v, u-v
+	}
+}
+
+// gather fills a, the leaf block at offset off of the transform of in,
+// with its inputs in bit-reversed order: a[i] = in[rev_m(off+i)] for
+// len(in) = 2ᵐ. As len(a) = 2ˡ divides off, that index is
+// rev_l(i)·2^(m−l) + rev_(m−l)(off>>l): one base for the leaf, plus one
+// byte reversal per element, because l ≤ 8 (len(a) ≤ fftCutoff) and
+// bits.Reverse8(i) = rev_l(i)·2^(8−l) exactly.
+func gather(a, in []complex128, off int) {
+	m := uint(bits.TrailingZeros(uint(len(in))))
+	l := uint(bits.TrailingZeros(uint(len(a))))
+	base := int(bits.Reverse64(uint64(off>>l)) >> (64 - (m - l)))
+	for i := range a {
+		a[i] = in[int(bits.Reverse8(uint8(i)))<<m>>8+base]
 	}
 }
 
@@ -85,17 +147,14 @@ type fftNode struct {
 
 func (n *fftNode) Run(c *rt.Ctx) {
 	if n.left == nil {
-		shift := 64 - uint(bits.TrailingZeros(uint(len(n.in))))
-		for i := range n.a {
-			n.a[i] = n.in[bits.Reverse64(uint64(n.off+i))>>shift]
-		}
+		gather(n.a, n.in, n.off)
 		fftLevels(n.a, n.w)
 		return
 	}
 	c.SpawnRunner(n.left)
 	c.SpawnRunner(n.right)
 	c.Sync()
-	butterflies(n.a, n.a[:len(n.a)/2], n.a[len(n.a)/2:], n.w)
+	butterflies(n.a, n.w[len(n.a)/2:len(n.a)])
 }
 
 // fftBuild lays the tree over a, at offset off, out in slab in spawn

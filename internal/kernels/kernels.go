@@ -6,7 +6,7 @@
 // simulator's workload profiles (internal/workload), so the two substrates
 // agree on shape:
 //
-//	FFT        recursive radix-2 with parallel halves
+//	FFT        recursive radix-2 with parallel halves, radix-8 base pass
 //	PNN        GMDH-style polynomial network, parallel over units
 //	Cholesky   right-looking factorisation, parallel trailing update
 //	LU         Doolittle factorisation, parallel trailing update

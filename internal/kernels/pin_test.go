@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"math"
+	"math/bits"
 	"math/cmplx"
 	"runtime"
 	"sort"
@@ -290,6 +291,88 @@ func TestFFTTaskIsFFTSeqBits(t *testing.T) {
 			t.Errorf("n=2^%d: FFTTask's output differs from FFTSeq's in its bits", k)
 		}
 	}
+}
+
+// TestLeafGatherIsBitReverse: a leaf's byte-reversal gather reads
+// in[rev_m(off+i)], the bits.Reverse64 index, for every transform length
+// 2ᵐ up to 2¹⁸, every leaf length up to min(2ᵐ, fftCutoff) and every
+// offset of such a leaf.
+func TestLeafGatherIsBitReverse(t *testing.T) {
+	for m := 0; m <= 18; m++ {
+		n := 1 << m
+		in := make([]complex128, n)
+		for j := range in {
+			in[j] = complex(float64(j), 0)
+		}
+		for l := 1; l <= min(n, fftCutoff); l <<= 1 {
+			a := make([]complex128, l)
+			for off := 0; off < n; off += l {
+				gather(a, in, off)
+				for i, v := range a {
+					if want := bits.Reverse64(uint64(off+i)) >> (64 - m); real(v) != float64(want) {
+						t.Fatalf("n=2^%d, leaf of %d at %d: a[%d] = in[%v], want in[%d]", m, l, off, i, real(v), want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzFFT: at a length from 2⁰ to 2¹² and over finite inputs from the
+// fuzzer's bytes, FFTTask is FFTSeq bit for bit, and up to 256 points
+// FFTSeq is the definition within TestFFTSeqAgainstNaiveDFT's 1e-9. Each
+// part of an input is 8 of the bytes, cycled, read as a float64: a NaN or
+// an infinity reads as 0 and a magnitude of 1 or more as its Frexp
+// fraction, so every input lies in (−1, 1), subnormals and −0 included.
+func FuzzFFT(f *testing.F) {
+	f.Add(uint8(0), []byte{})
+	f.Add(uint8(3), []byte{0x3f, 0xf0, 0, 0, 0, 0, 0, 1, 0x80})
+	f.Add(uint8(8), []byte("the served FFT"))
+	f.Add(uint8(12), []byte{0xbf, 0xe5, 0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0, 0, 0, 0, 0, 0, 0, 1, 0xff})
+	p := benchSystem(f)
+	f.Fuzz(func(t *testing.T, k uint8, data []byte) {
+		n := 1 << (k % 13)
+		part := func(j int) float64 {
+			if len(data) == 0 {
+				return 0
+			}
+			var u uint64
+			for b := 0; b < 8; b++ {
+				u = u<<8 | uint64(data[(8*j+b)%len(data)])
+			}
+			switch x := math.Float64frombits(u); {
+			case math.IsNaN(x) || math.IsInf(x, 0):
+				return 0
+			case math.Abs(x) >= 1:
+				frac, _ := math.Frexp(x)
+				return frac
+			default:
+				return x
+			}
+		}
+		in := make([]complex128, n)
+		for i := range in {
+			in[i] = complex(part(2*i), part(2*i+1))
+		}
+		seq := append([]complex128(nil), in...)
+		par := append([]complex128(nil), in...)
+		FFTSeq(seq)
+		if err := p.Run(FFTTask(par)); err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(seq, par) {
+			t.Fatalf("n=%d: FFTTask's output differs from FFTSeq's in its bits", n)
+		}
+		if n > fftCutoff {
+			return
+		}
+		want := DFTNaive(in)
+		for i := range want {
+			if cmplx.Abs(seq[i]-want[i]) > 1e-9 {
+				t.Fatalf("n=%d bin %d: FFTSeq %v != DFTNaive %v", n, i, seq[i], want[i])
+			}
+		}
+	})
 }
 
 // TestSPDMatrixBits pins SPDMatrix's row-order build to the column-walking
