@@ -143,16 +143,98 @@ func BenchmarkMergesortSeq(b *testing.B) {
 	}
 }
 
+// BenchmarkMergesortPar times a run of MergesortTask; the task (buffer
+// and tree) is built once and the input refilled with the timer stopped.
 func BenchmarkMergesortPar(b *testing.B) {
 	p := benchSystem(b)
+	src := RandSlice(200_000, 1)
+	data := make([]int32, len(src))
+	task := MergesortTask(data)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		data := RandSlice(200_000, 1)
+		copy(data, src)
 		b.StartTimer()
-		if err := p.Run(MergesortTask(data)); err != nil {
+		if err := p.Run(task); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkMergesortServed is a served Mergesort(0.05) job's budget
+// (200 000 keys, 128 leaves of about 1 562). job times NewTask + Run of
+// the catalog's job in steady state on a 2-core, 2-slot DWS program with
+// the arbiter on, which is dwsd's shape. The other three time the job's
+// sequential parts on one core: input, NewTask alone (the keys, the
+// buffer and the tree); leaves, every leaf's radix sort; merges, the
+// seven merge levels above the cutoff. The last two refill the input with
+// the timer stopped, and merges sorts the leaves there too.
+func BenchmarkMergesortServed(b *testing.B) {
+	spec, _ := ByName("Mergesort")
+	b.Run("job", func(b *testing.B) {
+		s, err := rt.NewSystem(rt.Config{
+			Cores: 2, Programs: 2, Policy: rt.DWS, ArbiterPeriod: 50 * time.Millisecond,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close()
+		p, err := s.NewProgram("served")
+		if err != nil {
+			b.Fatal(err)
+		}
+		job := func() {
+			if err := p.Run(spec.NewTask(0.05)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for warm := 0; warm < 20; warm++ {
+			job()
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			job()
+		}
+	})
+	b.Run("input", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			spec.NewTask(0.05)
+		}
+	})
+
+	src := RandSlice(dim(4_000_000, 0.05), 11)
+	a, buf := make([]int32, len(src)), make([]int32, len(src))
+	noMerge := func([]int32, int, []int32) {}
+	b.Run("leaves", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			copy(a, src)
+			b.StartTimer()
+			msWalk(a, buf, radixSort, noMerge)
+		}
+	})
+	b.Run("merges", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			copy(a, src)
+			msWalk(a, buf, radixSort, noMerge)
+			b.StartTimer()
+			msWalk(a, buf, func([]int32, []int32) {}, merge)
+		}
+	})
+}
+
+// msWalk visits MergesortTask's tree over a in MergesortSeq's order:
+// leaf on each block of at most msCutoff keys, then inner on each merge.
+func msWalk(a, buf []int32, leaf func(a, buf []int32), inner func(a []int32, mid int, buf []int32)) {
+	if len(a) <= msCutoff {
+		leaf(a, buf)
+		return
+	}
+	mid := len(a) / 2
+	msWalk(a[:mid], buf[:mid], leaf, inner)
+	msWalk(a[mid:], buf[mid:], leaf, inner)
+	inner(a, mid, buf)
 }
 
 func BenchmarkCholeskySeq(b *testing.B) {

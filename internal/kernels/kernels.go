@@ -13,7 +13,7 @@
 //	GE         forward elimination, parallel row updates
 //	Heat       5-point Jacobi, parallel row bands per sweep
 //	SOR        red-black successive over-relaxation, parallel row bands
-//	Mergesort  parallel divide, sequential merge
+//	Mergesort  parallel divide, radix-sorted leaves, sequential merge
 //
 // All kernels are deterministic given their inputs; tests verify each
 // parallel version against its sequential reference.

@@ -6,32 +6,57 @@ import "dws/internal/rt"
 // sequentially.
 const msCutoff = 2048
 
-// MergesortSeq sorts a in place with a sequential top-down merge sort.
+// MergesortSeq sorts a in place with MergesortTask's algorithm on one
+// core: halves split down to msCutoff keys, each block radix-sorted, the
+// halves merged back up in the same order. The two are one sort, as
+// FFTSeq and FFTTask are one transform.
 func MergesortSeq(a []int32) {
-	buf := make([]int32, len(a))
-	msSeq(a, buf)
+	msSort(a, make([]int32, len(a)))
 }
 
-func msSeq(a, buf []int32) {
-	if len(a) <= 32 {
-		insertion(a)
+func msSort(a, buf []int32) {
+	if len(a) <= msCutoff {
+		radixSort(a, buf)
 		return
 	}
 	mid := len(a) / 2
-	msSeq(a[:mid], buf[:mid])
-	msSeq(a[mid:], buf[mid:])
+	msSort(a[:mid], buf[:mid])
+	msSort(a[mid:], buf[mid:])
 	merge(a, mid, buf)
 }
 
-func insertion(a []int32) {
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
+// radixSort sorts a through buf, which must be at least len(a) long, with
+// an LSD radix sort: four stable 8-bit passes, least significant digit
+// first. The key is the value with its sign bit flipped, so negative
+// values order first. One read pass counts all four digits; each pass
+// then turns its counts into starting offsets and scatters a → buf → a →
+// buf → a, which with an even number of passes ends in a with no copy.
+// A leaf's block is linear work instead of a comparison sort's n log n.
+func radixSort(a, buf []int32) {
+	buf = buf[:len(a)]
+	var count [4][256]uint32
+	for _, v := range a {
+		k := uint32(v) ^ 0x80000000
+		count[0][k&0xff]++
+		count[1][k>>8&0xff]++
+		count[2][k>>16&0xff]++
+		count[3][k>>24]++
+	}
+	src, dst := a, buf
+	for d := range count {
+		c := &count[d]
+		var sum uint32
+		for i, n := range c {
+			c[i] = sum
+			sum += n
 		}
-		a[j+1] = v
+		shift := 8 * uint(d)
+		for _, v := range src {
+			b := (uint32(v) ^ 0x80000000) >> shift & 0xff
+			dst[c[b]] = v
+			c[b]++
+		}
+		src, dst = dst, src
 	}
 }
 
@@ -104,7 +129,7 @@ type msNode struct {
 
 func (n *msNode) Run(c *rt.Ctx) {
 	if n.left == nil {
-		msSeq(n.a, n.buf)
+		radixSort(n.a, n.buf)
 		return
 	}
 	c.SpawnRunner(n.left)
@@ -127,8 +152,10 @@ func msBuild(slab []msNode, a, buf []int32) (*msNode, []msNode) {
 }
 
 // MergesortTask returns a task sorting a in place: recursive halves are
-// spawned in parallel; each merge is sequential, which caps parallelism
-// near the root exactly like the paper's p-8 (and the simulator profile).
+// spawned in parallel down to blocks of at most msCutoff keys, each of
+// which a leaf radix-sorts; each merge is sequential, which caps
+// parallelism near the root exactly like the paper's p-8 (and the
+// simulator profile). MergesortSeq is the same sort on one core.
 // The merge buffer and the whole spawn tree — one slab of msNodes, not a
 // closure per node, because a served job builds a tree to run it once —
 // are made here, so re-running the task allocates nothing (run it on one

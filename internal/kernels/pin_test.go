@@ -1,10 +1,12 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/cmplx"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -225,6 +227,112 @@ func FuzzMerge(f *testing.F) {
 		}
 		checkMerge(t, a, int(mid)%(len(a)+1))
 	})
+}
+
+// TestRadixLeafKeys holds the leaf's radix sort to slices.Sort on the
+// keys that break one: all equal, already sorted, reversed, the int32
+// extremes and their neighbours mixed, and for each of the four digits
+// keys that differ in that byte alone, so that a pass which orders its
+// digit wrongly, or goes missing, shows. Each block is sorted through a
+// buffer of exactly its length, as a leaf's half of the merge buffer is.
+func TestRadixLeafKeys(t *testing.T) {
+	cases := map[string][]int32{}
+	random := RandSlice(msCutoff, 5)
+	equal := make([]int32, msCutoff)
+	for i := range equal {
+		equal[i] = -7
+	}
+	cases["equal"] = equal
+	sorted := slices.Clone(random)
+	slices.Sort(sorted)
+	cases["sorted"] = sorted
+	cases["reversed"] = slices.Clone(sorted)
+	slices.Reverse(cases["reversed"])
+	ext := []int32{math.MinInt32, -1, 0, 1, math.MaxInt32}
+	var every []int32 // every sequence of four of ext, one after another
+	for i := 0; i < 625; i++ {
+		for j, k := i, 0; k < 4; j, k = j/5, k+1 {
+			every = append(every, ext[j%5])
+		}
+	}
+	cases["extremes"] = every
+	mixed := make([]int32, 1562)
+	for i, v := range random[:len(mixed)] {
+		mixed[i] = ext[uint32(v)%5]
+	}
+	cases["extremes-random"] = mixed
+	for d := 0; d < 4; d++ {
+		shift := 8 * d
+		for _, base := range []uint32{0, 0x8123_4567, 0x7edc_ba98, 0xffff_ffff} {
+			keys := make([]int32, 700)
+			for i, v := range random[:len(keys)] {
+				keys[i] = int32(base&^(0xff<<shift) | uint32(v)&(0xff<<shift))
+			}
+			cases[fmt.Sprintf("digit%d-%08x", d, base)] = keys
+		}
+	}
+	for name, a := range cases {
+		want := slices.Clone(a)
+		slices.Sort(want)
+		radixSort(a, make([]int32, len(a)))
+		if i := firstDiff(a, want); i >= 0 {
+			t.Errorf("%s: index %d: radix sorted %d, want %d", name, i, a[i], want[i])
+		}
+	}
+}
+
+// FuzzMergesort: at a length from 0 to 2·msCutoff+1, so one leaf or a
+// split, MergesortTask on a 2-core program and MergesortSeq both give
+// slices.Sort's order. Each key is 4 of the fuzzer's bytes, cycled, so
+// every radix digit of every key is the fuzzer's to choose.
+func FuzzMergesort(f *testing.F) {
+	f.Add(uint16(0), []byte{})
+	f.Add(uint16(5), []byte{0x80, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 1, 0x7f, 0xff, 0xff, 0xff})
+	f.Add(uint16(msCutoff), []byte("a leaf of its own"))
+	f.Add(uint16(msCutoff+1), []byte{1, 2, 3})
+	f.Add(uint16(2*msCutoff+1), []byte{0x12, 0x34, 0x56, 0x78, 0x9a})
+	s, err := rt.NewSystem(rt.Config{Cores: 2, Programs: 1, Policy: rt.DWS})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(s.Close)
+	p, err := s.NewProgram("fuzz")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, n uint16, data []byte) {
+		a := make([]int32, int(n)%(2*msCutoff+2))
+		for i := range a {
+			var u uint32
+			for b := 0; b < 4 && len(data) > 0; b++ {
+				u = u<<8 | uint32(data[(4*i+b)%len(data)])
+			}
+			a[i] = int32(u)
+		}
+		want := slices.Clone(a)
+		slices.Sort(want)
+		seq := slices.Clone(a)
+		MergesortSeq(seq)
+		if i := firstDiff(seq, want); i >= 0 {
+			t.Fatalf("n=%d: MergesortSeq index %d = %d, want %d", len(a), i, seq[i], want[i])
+		}
+		if err := p.Run(MergesortTask(a)); err != nil {
+			t.Fatal(err)
+		}
+		if i := firstDiff(a, want); i >= 0 {
+			t.Fatalf("n=%d: MergesortTask index %d = %d, want %d", len(a), i, a[i], want[i])
+		}
+	})
+}
+
+// firstDiff is the first index where a and b differ, or -1.
+func firstDiff(a, b []int32) int {
+	for i := range a {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return -1
 }
 
 // dftBin is one bin of the O(n²) definition, with the angle reduced mod
