@@ -10,8 +10,8 @@
 //	dwsd -cores 8 -policy DWS &
 //	dwsload -rate 20 -duration 15s -tenants alice=FFT,bob=Mergesort -size 0.1 -seed 7
 //
-// -scenario drives a committed catalog scenario or a recorded trace file
-// (.jsonl or .csv), the same lookup dwssim -scenario uses:
+// -scenario drives a committed catalog scenario or a recorded .jsonl trace
+// file, the same lookup dwssim -scenario uses:
 //
 //	dwsload -scenario bursty-pareto -timescale 1.0
 //	dwsload -scenario trace.jsonl
@@ -47,8 +47,8 @@ func main() {
 		weights   = flag.String("weights", "", "ad-hoc: tenant=weight QoS declarations, e.g. gold=2,bronze=1")
 		seed      = flag.Int64("seed", 1, "RNG seed for arrivals and sizes (same seed = same trace)")
 		arrival   = flag.String("arrival", "poisson", "ad-hoc arrival process: poisson or uniform")
-		scName    = flag.String("scenario", "", "replay a catalog scenario (see -list) or a .jsonl/.csv trace file instead of ad-hoc load")
-		out       = flag.String("out", "", "write the compiled trace here and exit without replaying")
+		scName    = flag.String("scenario", "", "replay a catalog scenario (see -list) or a .jsonl trace file instead of ad-hoc load")
+		out       = flag.String("out", "", "write the compiled trace here (.jsonl) and exit without replaying")
 		timescale = flag.Float64("timescale", 1.0, "trace-time to wall-time ratio (0.5 = replay 2x faster)")
 		list      = flag.Bool("list", false, "list catalog scenario names and exit")
 	)

@@ -10,7 +10,7 @@
 //	dwssim -bench p-1,p-8 -policy DWS -tsleep 128 -trace events.jsonl
 //
 // -scenario replays a scenario trace open-loop on the virtual clock — a
-// catalog name (see internal/scenario) or a .jsonl/.csv trace file — and
+// catalog name (see internal/scenario) or a .jsonl trace file — and
 // with -shards fans it across simulated federated shards:
 //
 //	dwssim -scenario bursty-pareto -policy GO
@@ -76,7 +76,7 @@ func parse(args []string, stderr io.Writer) (*options, error) {
 	var (
 		benchIDs  = fs.String("bench", "p-1,p-8", "comma-separated Table 2 IDs (p-1..p-8)")
 		policy    = fs.String("policy", def.Policy.String(), "ABP|EP|DWS|DWS-NC|GO")
-		scenName  = fs.String("scenario", "", "replay a catalog scenario or a .jsonl/.csv trace file open-loop instead of -bench")
+		scenName  = fs.String("scenario", "", "replay a catalog scenario or a .jsonl trace file open-loop instead of -bench")
 		shardsN   = fs.Int("shards", 0, "scenario mode: fan the trace across K simulated federated shards (0 = single machine)")
 		spillName = fs.String("spill", "next", "federated scenario mode: spill policy on shard refusal (none|random|next)")
 		expName   = fs.String("exp", "", "print an experiment table instead of -bench: all|"+strings.Join(bench.ExperimentNames(), "|"))

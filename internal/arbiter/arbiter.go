@@ -16,7 +16,7 @@
 // reclaim stays home-only (§3.3 case 2/3) but the home itself grows and
 // shrinks with demand and QoS.
 //
-// Hysteresis: a changed proposal must repeat for Config.Hysteresis
+// Hysteresis: a changed proposal must repeat for hysteresis (2)
 // consecutive ticks before it is published, so transient demand blips do
 // not thrash cores between programs. Structural changes — the first tick,
 // a program joining or leaving — publish immediately.
@@ -50,32 +50,20 @@ const (
 	// idleBelow is the activity-EWMA threshold under which a program is
 	// classified idle and its entitlement redistributed.
 	idleBelow = 0.25
+	// hysteresis is how many consecutive ticks a changed entitlement
+	// proposal must persist before it is published (structural changes
+	// bypass it).
+	hysteresis = 2
 )
 
-// Config parameterises an Arbiter. The zero value of every field selects
-// the documented default.
+// Config parameterises an Arbiter; only Cores is required.
 type Config struct {
 	// Cores is k, the number of cores being arbitrated. Required.
 	Cores int
-	// Hysteresis is how many consecutive ticks a changed entitlement
-	// proposal must persist before it is published (structural changes
-	// bypass it). Default 2. Negative disables (publish immediately).
-	Hysteresis int
 	// FaultIgnoreWeights injects the "ignore weights" coordinator fault for
 	// schedcheck: the arbiter reports true scores in its decisions but
 	// apportions as if every active program scored equally. Tests only.
 	FaultIgnoreWeights bool
-}
-
-func (c *Config) withDefaults() Config {
-	cfg := *c
-	if cfg.Cores <= 0 {
-		panic(fmt.Sprintf("arbiter: non-positive core count %d", cfg.Cores))
-	}
-	if cfg.Hysteresis == 0 {
-		cfg.Hysteresis = 2
-	}
-	return cfg
 }
 
 // Input is one program's demand report for a tick, assembled by the
@@ -189,12 +177,14 @@ type Arbiter struct {
 // New returns an Arbiter publishing into table. cfg.Cores must equal
 // table.K().
 func New(cfg Config, table *coretable.Table) *Arbiter {
-	c := cfg.withDefaults()
-	if table.K() != c.Cores {
-		panic(fmt.Sprintf("arbiter: config covers %d cores but table has %d", c.Cores, table.K()))
+	if cfg.Cores <= 0 {
+		panic(fmt.Sprintf("arbiter: non-positive core count %d", cfg.Cores))
+	}
+	if table.K() != cfg.Cores {
+		panic(fmt.Sprintf("arbiter: config covers %d cores but table has %d", cfg.Cores, table.K()))
 	}
 	return &Arbiter{
-		cfg:   c,
+		cfg:   cfg,
 		table: table,
 		state: make(map[int32]*progState),
 		ents:  table.Entitlements(),
@@ -334,7 +324,7 @@ func (a *Arbiter) Tick(inputs []Input) []Decision {
 			a.pending = proposal
 			a.pendingN = 1
 		}
-		if a.pendingN < a.cfg.Hysteresis {
+		if a.pendingN < hysteresis {
 			return nil
 		}
 		publish = true

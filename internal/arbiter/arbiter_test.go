@@ -58,10 +58,10 @@ func TestWeightedSplit(t *testing.T) {
 	}
 }
 
-// A steady-state demand change must survive Hysteresis consecutive ticks
-// before publishing; a blip that reverts must not publish at all.
+// A steady-state demand change must survive hysteresis (2) consecutive
+// ticks before publishing; a blip that reverts must not publish at all.
 func TestHysteresis(t *testing.T) {
-	arb, tb := newArb(t, 8, Config{Hysteresis: 2})
+	arb, tb := newArb(t, 8, Config{})
 	equal := []Input{saturated(1, 1), saturated(2, 1)}
 	arb.Tick(equal) // init publish: [4 4]
 	if got := tb.EntitlementEpoch(); got != 1 {
@@ -102,7 +102,7 @@ func TestHysteresis(t *testing.T) {
 // the active programs (its floor drops to 0), and reclaims it within a
 // couple of ticks of waking up.
 func TestIdleRedistribution(t *testing.T) {
-	arb, tb := newArb(t, 8, Config{Hysteresis: 1})
+	arb, tb := newArb(t, 8, Config{})
 	both := []Input{saturated(1, 1), saturated(2, 1)}
 	arb.Tick(both)
 
@@ -125,7 +125,7 @@ func TestIdleRedistribution(t *testing.T) {
 // When every program reads idle (between runs), entitlements must not
 // collapse: all are treated as active and the split stays put.
 func TestAllIdleKeepsSplit(t *testing.T) {
-	arb, tb := newArb(t, 8, Config{Hysteresis: 1})
+	arb, tb := newArb(t, 8, Config{})
 	arb.Tick([]Input{saturated(1, 1), saturated(2, 1)})
 	idle := []Input{{PID: 1, Weight: 1}, {PID: 2, Weight: 1}}
 	for i := 0; i < 40; i++ {
@@ -139,7 +139,7 @@ func TestAllIdleKeepsSplit(t *testing.T) {
 // SLO pressure (queue wait above the target) boosts a tenant's score and
 // shifts cores toward it, capped by SLOBoostMax.
 func TestSLOBoost(t *testing.T) {
-	arb, tb := newArb(t, 8, Config{Hysteresis: 1})
+	arb, tb := newArb(t, 8, Config{})
 	calm := []Input{
 		{PID: 1, Weight: 1, SLO: 10 * time.Millisecond, NB: 8, NA: 4},
 		saturated(2, 1),
@@ -211,7 +211,7 @@ func TestFaultIgnoreWeights(t *testing.T) {
 // Membership changes publish immediately (no hysteresis) with the right
 // trigger, and a leave zeroes the leaver's entitlement.
 func TestJoinLeaveTriggers(t *testing.T) {
-	arb, tb := newArb(t, 8, Config{Hysteresis: 3})
+	arb, tb := newArb(t, 8, Config{})
 	arb.Tick([]Input{saturated(1, 1)})
 	if got := tb.Entitlement(1); got != 8 {
 		t.Fatalf("solo entitlement = %d, want 8", got)
@@ -238,15 +238,28 @@ func TestJoinLeaveTriggers(t *testing.T) {
 // If another publisher wins the epoch race (multi-process), Tick resyncs
 // from the table instead of publishing over it.
 func TestStaleEpochResync(t *testing.T) {
-	arb, tb := newArb(t, 4, Config{Hysteresis: 1})
+	arb, tb := newArb(t, 4, Config{})
 	arb.Tick([]Input{saturated(1, 1), saturated(2, 1)})
 	// A rival publisher bumps the epoch behind the arbiter's back.
 	if _, ok := tb.SetEntitlements([]int32{1, 3, 0, 0}, tb.EntitlementEpoch()); !ok {
 		t.Fatal("rival publish failed")
 	}
+	// The changed proposal waits out the hysteresis; its publish then
+	// loses to the rival's epoch and resyncs.
 	weighted := []Input{saturated(1, 3), saturated(2, 1)}
-	if d := arb.Tick(weighted); d != nil {
-		t.Fatal("published over a rival's epoch")
+	for i := 0; i < hysteresis; i++ {
+		if d := arb.Tick(weighted); d != nil {
+			t.Fatal("published over a rival's epoch")
+		}
+	}
+	if a, b := arb.Epoch(), tb.EntitlementEpoch(); a != b {
+		t.Fatalf("arbiter epoch %d not resynced to the table's %d", a, b)
+	}
+	// After the resync the proposal waits out the hysteresis again.
+	for i := 1; i < hysteresis; i++ {
+		if d := arb.Tick(weighted); d != nil {
+			t.Fatalf("published %d tick(s) after resync, inside the hysteresis", i)
+		}
 	}
 	d := arb.Tick(weighted)
 	if d == nil {

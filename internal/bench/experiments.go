@@ -33,7 +33,6 @@ var Experiments = []Experiment{
 		return Variance(o, nil)
 	}, VarianceTable)},
 	{"elastic", "extension: a program arrives mid-run", named(Elasticity, ElasticityTable)},
-	{"sharing", "extension (§4.4): DWS on a work-sharing runtime", tabled(Sharing, SharingTable)},
 }
 
 // tabled joins a measurement and its renderer into an Experiment.Run.

@@ -10,8 +10,7 @@ import (
 )
 
 // Extension experiments beyond the paper's evaluation: scaling the number
-// of co-running programs, seed variance, elasticity and the §4.4
-// work-sharing adaptation.
+// of co-running programs, seed variance and elasticity.
 
 // ScaleRow is one program-count setting of the m-sweep.
 type ScaleRow struct {
@@ -196,7 +195,7 @@ func Elasticity(opts Options) ([]ElasticityRow, [2]string, error) {
 		res, err := m.Run(sim.RunOpts{
 			TargetRuns: opts.TargetRuns + 2,
 			HorizonUS:  4 * opts.horizon(a, b),
-			ArrivalsUS: []int64{0, arrival},
+			JoinsUS:    []int64{0, arrival},
 		})
 		if err != nil {
 			return nil, names, fmt.Errorf("elasticity %v: %w", pol, err)
@@ -235,62 +234,5 @@ func ElasticityTable(rows []ElasticityRow, names [2]string) *Table {
 	}
 	t.Notes = append(t.Notes,
 		"an elastic scheduler runs at solo speed in the 'alone' phase; EP's reserved partition cannot")
-	return t
-}
-
-// SharingRow is one mix of the work-sharing adaptation experiment.
-type SharingRow struct {
-	Mix   Mix
-	Names [2]string
-	ABPUS [2]float64
-	DWSUS [2]float64
-}
-
-// Sharing validates §4.4's generality claim: with every program switched
-// from work-stealing to a central work-sharing pool, the DWS sleep/wake +
-// coordinator mechanisms still beat the ABP-style baseline.
-func Sharing(opts Options) ([]SharingRow, error) {
-	opts.normalize()
-	opts.Cfg.WorkSharing = true
-	var rows []SharingRow
-	for _, mix := range []Mix{{1, 8}, {2, 7}, {3, 8}} {
-		a, b, err := mix.Graphs(opts.Scale)
-		if err != nil {
-			return nil, err
-		}
-		abp, err := RunMix(opts, sim.ABP, a, b)
-		if err != nil {
-			return nil, err
-		}
-		dws, err := RunMix(opts, sim.DWS, a, b)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, SharingRow{
-			Mix: mix, Names: [2]string{a.Name, b.Name},
-			ABPUS: abp.MeanUS, DWSUS: dws.MeanUS,
-		})
-	}
-	return rows, nil
-}
-
-// SharingTable renders the work-sharing adaptation results.
-func SharingTable(rows []SharingRow) *Table {
-	t := &Table{
-		Title: "extension (§4.4): DWS mechanisms on a work-sharing runtime",
-		Header: []string{"mix", "benchmarks", "sharing+ABP (ms)", "sharing+DWS (ms)",
-			"gain A", "gain B"},
-	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{
-			r.Mix.String(), r.Names[0] + "+" + r.Names[1],
-			ms(r.ABPUS[0]) + " / " + ms(r.ABPUS[1]),
-			ms(r.DWSUS[0]) + " / " + ms(r.DWSUS[1]),
-			fmt.Sprintf("%.0f%%", 100*stats.Improvement(r.ABPUS[0], r.DWSUS[0])),
-			fmt.Sprintf("%.0f%%", 100*stats.Improvement(r.ABPUS[1], r.DWSUS[1])),
-		})
-	}
-	t.Notes = append(t.Notes,
-		"all programs use one central FIFO task pool instead of per-worker deques; sleep/wake and the coordinator are unchanged")
 	return t
 }

@@ -38,31 +38,6 @@ func TestScaleM(t *testing.T) {
 	}
 }
 
-// TestSharingExperiment: sharing+DWS beats sharing+ABP on every mix.
-func TestSharingExperiment(t *testing.T) {
-	opts := testOptions()
-	opts.Scale = 0.5
-	rows, err := Sharing(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		t.Logf("%v %v ABP=%v DWS=%v", r.Mix, r.Names, r.ABPUS, r.DWSUS)
-		for i := 0; i < 2; i++ {
-			if r.DWSUS[i] > r.ABPUS[i]*1.10 {
-				t.Errorf("%v %s: sharing+DWS (%.0f) much worse than sharing+ABP (%.0f)",
-					r.Mix, r.Names[i], r.DWSUS[i], r.ABPUS[i])
-			}
-		}
-	}
-	if tb := SharingTable(rows); len(tb.Rows) != 3 {
-		t.Error("SharingTable row count")
-	}
-}
-
 // TestElasticityExperiment: DWS runs at near-solo speed while alone; EP
 // cannot.
 func TestElasticityExperiment(t *testing.T) {

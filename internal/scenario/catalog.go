@@ -140,12 +140,12 @@ func CompileByName(name string) (*Trace, error) {
 }
 
 // Load resolves what a -scenario flag names: a trace file when the
-// argument ends in .jsonl or .csv, else the catalog scenario of that name,
-// compiled. A non-zero seed replaces the catalog scenario's own; a trace
-// file is already compiled, so seed does not apply to it.
+// argument has a file extension (only .jsonl loads), else the catalog
+// scenario of that name, compiled. A non-zero seed replaces the catalog
+// scenario's own; a trace file is already compiled, so seed does not
+// apply to it.
 func Load(nameOrFile string, seed int64) (*Trace, error) {
-	switch filepath.Ext(nameOrFile) {
-	case ".jsonl", ".csv":
+	if filepath.Ext(nameOrFile) != "" {
 		return LoadFile(nameOrFile)
 	}
 	s, err := SpecByName(nameOrFile)

@@ -70,22 +70,19 @@ func TestCatalogCompiles(t *testing.T) {
 }
 
 // TestLoad: the -scenario lookup shared by dwssim and dwsload takes a
-// catalog name, a .jsonl path or a .csv path, and a miss names the catalog.
+// catalog name or a .jsonl path, a miss names the catalog, and any other
+// file extension is refused by name.
 func TestLoad(t *testing.T) {
 	want, err := CompileByName("gold-qos")
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	args := []string{"gold-qos"}
-	for _, ext := range []string{".jsonl", ".csv"} {
-		path := filepath.Join(dir, "trace"+ext)
-		if err := WriteFile(path, want); err != nil {
-			t.Fatal(err)
-		}
-		args = append(args, path)
+	path := filepath.Join(dir, "trace.jsonl")
+	if err := WriteFile(path, want); err != nil {
+		t.Fatal(err)
 	}
-	for _, arg := range args {
+	for _, arg := range []string{"gold-qos", path} {
 		got, err := Load(arg, 0)
 		if err != nil {
 			t.Fatalf("Load(%q): %v", arg, err)
@@ -106,6 +103,13 @@ func TestLoad(t *testing.T) {
 	}
 	if _, err := Load(filepath.Join(dir, "missing.jsonl"), 0); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("Load(missing.jsonl) = %v, want a file-not-found error", err)
+	}
+	csvPath := filepath.Join(dir, "trace.csv")
+	if err := os.WriteFile(csvPath, []byte("at_us,tenant\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(csvPath, 0); err == nil || !strings.Contains(err.Error(), `unknown trace extension ".csv"`) {
+		t.Errorf("Load(trace.csv) = %v, want the unknown-extension error", err)
 	}
 }
 
@@ -134,33 +138,27 @@ func TestCompileDeterministic(t *testing.T) {
 	}
 }
 
-// TestTraceRoundTrip: generate → write → load → write is bit-identical in
-// both encodings, and the loaded trace deeply equals the original.
+// TestTraceRoundTrip: generate → write → load → write is bit-identical,
+// and the loaded trace deeply equals the original.
 func TestTraceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	for _, tr := range compileCatalog(t) {
-		for _, ext := range []string{".jsonl", ".csv"} {
-			path := filepath.Join(dir, tr.Name+ext)
-			if err := WriteFile(path, tr); err != nil {
-				t.Fatalf("%s%s write: %v", tr.Name, ext, err)
-			}
-			got, err := LoadFile(path)
-			if err != nil {
-				t.Fatalf("%s%s load: %v", tr.Name, ext, err)
-			}
-			if !reflect.DeepEqual(tr, got) {
-				t.Fatalf("%s%s: round-trip changed the trace", tr.Name, ext)
-			}
-			var a, b bytes.Buffer
-			write := map[string]func(*bytes.Buffer, *Trace){
-				".jsonl": func(buf *bytes.Buffer, t2 *Trace) { _ = WriteJSONL(buf, t2) },
-				".csv":   func(buf *bytes.Buffer, t2 *Trace) { _ = WriteCSV(buf, t2) },
-			}[ext]
-			write(&a, tr)
-			write(&b, got)
-			if !bytes.Equal(a.Bytes(), b.Bytes()) {
-				t.Fatalf("%s%s: re-serialisation not byte-identical", tr.Name, ext)
-			}
+		path := filepath.Join(dir, tr.Name+".jsonl")
+		if err := WriteFile(path, tr); err != nil {
+			t.Fatalf("%s write: %v", tr.Name, err)
+		}
+		got, err := LoadFile(path)
+		if err != nil {
+			t.Fatalf("%s load: %v", tr.Name, err)
+		}
+		if !reflect.DeepEqual(tr, got) {
+			t.Fatalf("%s: round-trip changed the trace", tr.Name)
+		}
+		var a, b bytes.Buffer
+		_ = WriteJSONL(&a, tr)
+		_ = WriteJSONL(&b, got)
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("%s: re-serialisation not byte-identical", tr.Name)
 		}
 	}
 }

@@ -325,7 +325,7 @@ func drawSize(rng *rand.Rand, s Size) float64 {
 		v = max
 	}
 	// Round to 6 significant-ish decimals so traces stay readable and the
-	// CSV/JSONL encodings stay compact; rounding happens at generation so
+	// JSONL encoding stays compact; rounding happens at generation so
 	// the written trace IS the canonical one.
 	v = math.Round(v*1e6) / 1e6
 	if v <= 0 {

@@ -1,5 +1,5 @@
 // Package scenario is the trace-driven workload engine: a versioned
-// on-disk trace format (JSONL and CSV), seeded generators that compile a
+// on-disk trace format (JSONL), seeded generators that compile a
 // declarative Spec into a concrete trace, a committed catalog of named
 // scenarios, and runners that replay one trace through both substrates —
 // the deterministic simulator (internal/sim, virtual clock) and a live
@@ -14,17 +14,15 @@ package scenario
 
 import (
 	"bufio"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 )
 
-// Format and version of the on-disk trace encodings.
+// Format and version of the on-disk trace encoding.
 const (
 	FormatName = "dws-scenario-trace"
 	Version    = 1
@@ -157,8 +155,8 @@ func (t *Trace) Validate() error {
 	return nil
 }
 
-// checkName rejects names the CSV encoding (and log output) cannot carry
-// safely.
+// checkName rejects empty names and names carrying a character reserved
+// in log and report output.
 func checkName(what, s string) error {
 	if s == "" {
 		return fmt.Errorf("empty %s", what)
@@ -168,10 +166,6 @@ func checkName(what, s string) error {
 	}
 	return nil
 }
-
-// ftoa renders a float in the canonical shortest form that parses back to
-// the identical bit pattern, so write→load→write is byte-stable.
-func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // jsonlHeader is the first line of the JSONL encoding.
 type jsonlHeader struct {
@@ -231,130 +225,40 @@ func LoadJSONL(r io.Reader) (*Trace, error) {
 	return t, nil
 }
 
-var csvColumns = []string{"at_us", "tenant", "op", "kernel", "scale", "deadline_us", "weight"}
-
-// WriteCSV encodes the trace as a '#'-prefixed metadata line, a column
-// header, and one record per event.
-func WriteCSV(w io.Writer, t *Trace) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "# %s v%d name=%s seed=%d\n", FormatName, t.Version, t.Name, t.Seed); err != nil {
-		return err
-	}
-	cw := csv.NewWriter(bw)
-	if err := cw.Write(csvColumns); err != nil {
-		return err
-	}
-	for _, e := range t.Events {
-		rec := []string{
-			strconv.FormatInt(e.AtUS, 10),
-			e.Tenant,
-			string(e.Op),
-			e.Kernel,
-			ftoa(e.Scale),
-			strconv.FormatInt(e.DeadlineUS, 10),
-			ftoa(e.Weight),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// LoadCSV decodes a CSV trace. The result is validated.
-func LoadCSV(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	meta, err := br.ReadString('\n')
-	if err != nil && err != io.EOF {
-		return nil, err
-	}
-	t := &Trace{}
-	var v int
-	if _, err := fmt.Sscanf(strings.TrimSpace(meta), "# "+FormatName+" v%d name=%s seed=%d",
-		&v, &t.Name, &t.Seed); err != nil {
-		return nil, fmt.Errorf("scenario: bad CSV metadata line %q: %w", strings.TrimSpace(meta), err)
-	}
-	t.Version = v
-	cr := csv.NewReader(br)
-	cr.FieldsPerRecord = len(csvColumns)
-	head, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("scenario: missing CSV column header: %w", err)
-	}
-	for i, c := range csvColumns {
-		if head[i] != c {
-			return nil, fmt.Errorf("scenario: CSV column %d is %q, want %q", i, head[i], c)
-		}
-	}
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		var e Event
-		if e.AtUS, err = strconv.ParseInt(rec[0], 10, 64); err != nil {
-			return nil, fmt.Errorf("scenario: bad at_us %q: %w", rec[0], err)
-		}
-		e.Tenant, e.Op, e.Kernel = rec[1], Op(rec[2]), rec[3]
-		if e.Scale, err = strconv.ParseFloat(rec[4], 64); err != nil {
-			return nil, fmt.Errorf("scenario: bad scale %q: %w", rec[4], err)
-		}
-		if e.DeadlineUS, err = strconv.ParseInt(rec[5], 10, 64); err != nil {
-			return nil, fmt.Errorf("scenario: bad deadline_us %q: %w", rec[5], err)
-		}
-		if e.Weight, err = strconv.ParseFloat(rec[6], 64); err != nil {
-			return nil, fmt.Errorf("scenario: bad weight %q: %w", rec[6], err)
-		}
-		t.Events = append(t.Events, e)
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// WriteFile writes the trace to path, choosing the encoding by extension
-// (.jsonl or .csv).
+// WriteFile writes the trace to path as JSONL; path must end in .jsonl.
 func WriteFile(path string, t *Trace) error {
+	if err := checkExt(path); err != nil {
+		return err
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	switch filepath.Ext(path) {
-	case ".jsonl":
-		err = WriteJSONL(f, t)
-	case ".csv":
-		err = WriteCSV(f, t)
-	default:
-		err = fmt.Errorf("scenario: unknown trace extension %q (want .jsonl or .csv)", filepath.Ext(path))
-	}
-	if err != nil {
+	if err := WriteJSONL(f, t); err != nil {
 		return err
 	}
 	return f.Close()
 }
 
-// LoadFile loads a trace from path, choosing the encoding by extension.
+// LoadFile loads a JSONL trace from path; path must end in .jsonl.
 func LoadFile(path string) (*Trace, error) {
+	if err := checkExt(path); err != nil {
+		return nil, err
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	switch filepath.Ext(path) {
-	case ".jsonl":
-		return LoadJSONL(f)
-	case ".csv":
-		return LoadCSV(f)
-	default:
-		return nil, fmt.Errorf("scenario: unknown trace extension %q (want .jsonl or .csv)", filepath.Ext(path))
+	return LoadJSONL(f)
+}
+
+// checkExt rejects a trace path without the one on-disk encoding's
+// extension.
+func checkExt(path string) error {
+	if ext := filepath.Ext(path); ext != ".jsonl" {
+		return fmt.Errorf("scenario: unknown trace extension %q (want .jsonl)", ext)
 	}
+	return nil
 }

@@ -6,11 +6,11 @@ import (
 	"dws/internal/task"
 )
 
-// TestArrivalsValidation: mismatched arrival vectors are rejected.
+// TestArrivalsValidation: mismatched join vectors are rejected.
 func TestArrivalsValidation(t *testing.T) {
 	m := mustMachine(t, debugConfig(DWS), []*task.Graph{wideGraph(), narrowGraph()})
-	if _, err := m.Run(RunOpts{TargetRuns: 1, ArrivalsUS: []int64{0}}); err == nil {
-		t.Fatal("wrong-length arrivals accepted")
+	if _, err := m.Run(RunOpts{TargetRuns: 1, JoinsUS: []int64{0}}); err == nil {
+		t.Fatal("wrong-length joins accepted")
 	}
 }
 
@@ -22,7 +22,7 @@ func TestStaggeredArrivalCompletes(t *testing.T) {
 		res, err := m.Run(RunOpts{
 			TargetRuns: 2,
 			HorizonUS:  240_000_000_000,
-			ArrivalsUS: []int64{0, 60_000},
+			JoinsUS:    []int64{0, 60_000},
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", pol, err)
@@ -53,7 +53,7 @@ func TestDWSElasticity(t *testing.T) {
 		res, err := m.Run(RunOpts{
 			TargetRuns: 6,
 			HorizonUS:  240_000_000_000,
-			ArrivalsUS: []int64{0, arrival},
+			JoinsUS:    []int64{0, arrival},
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", pol, err)

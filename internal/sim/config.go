@@ -177,12 +177,6 @@ type Config struct {
 	// machine, not the policy).
 	NoLocality bool
 
-	// WorkSharing switches every program from per-worker deques with
-	// stealing to one central per-program task pool (FIFO takes) — the
-	// work-sharing model §4.4 claims DWS generalises to. The sleep/wake
-	// rules and the coordinator work unchanged on top of it.
-	WorkSharing bool
-
 	// Seed makes runs reproducible. Victim selection and free-core choice
 	// derive from it.
 	Seed int64

@@ -5,6 +5,7 @@ import (
 
 	"dws/internal/task"
 	"dws/internal/trace"
+	"dws/internal/workload"
 )
 
 // wideGraph always wants more cores than its share.
@@ -153,6 +154,46 @@ func TestTraceEmitsProtocolEvents(t *testing.T) {
 		if seen[want] == 0 {
 			t.Errorf("trace missing %v events (saw %v)", want, seen)
 		}
+	}
+}
+
+// TestClaimReclaimEventsMatchStats: every claim and reclaim a program
+// counts is on its event stream, the ones regrabHome makes when a run
+// restarts included — as the live runtime emits them.
+func TestClaimReclaimEventsMatchStats(t *testing.T) {
+	var graphs []*task.Graph
+	for _, id := range []string{"p-1", "p-8"} {
+		b, err := workload.ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, b.Make(0.2))
+	}
+	m := mustMachine(t, DefaultConfig(), graphs)
+	claims, reclaims := map[int32]int64{}, map[int32]int64{}
+	m.Observe = func(ev trace.Event) {
+		switch ev.Kind {
+		case trace.Claim:
+			claims[ev.Prog]++
+		case trace.Reclaim:
+			reclaims[ev.Prog]++
+		}
+	}
+	res, err := m.Run(RunOpts{TargetRuns: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := int64(0)
+	for i, p := range res.Programs {
+		pid := int32(i + 1)
+		if claims[pid] != p.Stats.Claims || reclaims[pid] != p.Stats.Reclaims {
+			t.Errorf("%s: stream has %d claims and %d reclaims, stats count %d and %d",
+				p.Name, claims[pid], reclaims[pid], p.Stats.Claims, p.Stats.Reclaims)
+		}
+		total += p.Stats.Reclaims
+	}
+	if total == 0 {
+		t.Fatal("no reclaims: the co-run no longer exercises regrabHome")
 	}
 }
 

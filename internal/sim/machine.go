@@ -147,8 +147,8 @@ func NewMachine(cfg Config, graphs []*task.Graph) (*Machine, error) {
 	}
 	m.buildVictimSets()
 	// Workers of sleeper policies participate from the start (asleep until
-	// their program arrives and takes its home share); other policies'
-	// workers stay off until arrival.
+	// their program joins and takes its home share); other policies'
+	// workers stay off until the join.
 	if cfg.Policy == DWS || cfg.Policy == DWSNC || cfg.Policy == GO {
 		for _, p := range m.progs {
 			for _, w := range p.workers {
@@ -209,9 +209,9 @@ func (m *Machine) buildVictimSets() {
 	}
 }
 
-// activateProgram brings a program online at its arrival time: it takes
-// its initial even core share per the policy and makes the corresponding
-// workers runnable. A program arriving late into a DWS machine claims its
+// activateProgram brings a program online when it joins: it takes its
+// initial even core share per the policy and makes the corresponding
+// workers runnable. A program joining late into a DWS machine claims its
 // free home cores and reclaims borrowed ones, exactly like a freshly
 // launched process in the paper.
 func (m *Machine) activateProgram(p *Program) {
@@ -263,7 +263,7 @@ func (m *Machine) activateProgram(p *Program) {
 		}
 	case GO:
 		// Goroutine-per-task: nothing runs until work is pushed; the push
-		// itself wakes a parked worker (wakepGO), so arrival is a no-op.
+		// itself wakes a parked worker (wakepGO), so joining is a no-op.
 	}
 }
 
@@ -280,12 +280,12 @@ type RunOpts struct {
 	// program is running on each core) every SampleUS µs into
 	// Results.Samples — the data behind the dwssim timeline view.
 	SampleUS int64
-	// ArrivalsUS optionally staggers program launches: program i arrives
-	// at ArrivalsUS[i] (µs). nil means everyone arrives at time 0, the
-	// paper's setup. A late DWS program takes its home share on arrival
+	// JoinsUS optionally staggers program launches: program i joins at
+	// JoinsUS[i] (µs). nil means everyone joins at time 0, the paper's
+	// setup. A late DWS program takes its home share when it joins
 	// (claiming free cores, reclaiming borrowed ones), so the machine is
-	// elastic across arrivals.
-	ArrivalsUS []int64
+	// elastic across joins.
+	JoinsUS []int64
 }
 
 // Errors returned by Run.
@@ -301,32 +301,53 @@ func (m *Machine) Run(opts RunOpts) (*Results, error) {
 	if opts.TargetRuns < 1 {
 		opts.TargetRuns = 1
 	}
-	if opts.ArrivalsUS != nil && len(opts.ArrivalsUS) != len(m.progs) {
-		return nil, fmt.Errorf("sim: %d arrival times for %d programs",
-			len(opts.ArrivalsUS), len(m.progs))
+	if opts.JoinsUS != nil && len(opts.JoinsUS) != len(m.progs) {
+		return nil, fmt.Errorf("%w: %d join times for %d programs",
+			ErrBadConfig, len(opts.JoinsUS), len(m.progs))
 	}
-	launch := func(p *Program) {
-		// The run must be active before any worker is dispatched, or idle
-		// workers would read the program as finished and retire.
-		m.startRun(p, p.workers[p.home[0]])
+	for i, p := range m.progs {
+		p.targetRuns = opts.TargetRuns
+		m.join(p, joinAt(opts.JoinsUS, i))
+	}
+	m.start()
+	m.startSampling(opts.SampleUS)
+
+	err := loop([]*Machine{m}, opts.HorizonUS)
+	return m.results(), err
+}
+
+// joinAt is program i's join time under joins (nil: everyone at 0).
+func joinAt(joins []int64, i int) int64 {
+	if joins == nil {
+		return 0
+	}
+	return joins[i]
+}
+
+// join brings p online at atUS, or now when atUS ≤ 0: its workers take
+// their initial share and a DWS or DWS-NC coordinator starts ticking. A
+// closed-loop program starts its first run first, or idle workers would
+// read it as finished and retire.
+func (m *Machine) join(p *Program, atUS int64) {
+	online := func() {
+		if !m.jobMode {
+			m.startRun(p, p.workers[p.home[0]])
+		}
 		m.activateProgram(p)
 		if m.cfg.Policy == DWS || m.cfg.Policy == DWSNC {
 			m.scheduleCoordinator(p)
 		}
 	}
-	for i, p := range m.progs {
-		p.targetRuns = opts.TargetRuns
-		arrival := int64(0)
-		if opts.ArrivalsUS != nil {
-			arrival = opts.ArrivalsUS[i]
-		}
-		if arrival <= 0 {
-			launch(p)
-		} else {
-			p := p
-			m.schedule(arrival, func() { launch(p) })
-		}
+	if atUS <= 0 {
+		online()
+		return
 	}
+	m.schedule(atUS, online)
+}
+
+// start dispatches every idle core and arms the arbiter: the tail of
+// arming a closed-loop Run and an open-loop replay alike.
+func (m *Machine) start() {
 	for _, c := range m.cores {
 		if c.cur == nil {
 			m.dispatch(c)
@@ -335,10 +356,6 @@ func (m *Machine) Run(opts RunOpts) (*Results, error) {
 	if m.arb != nil {
 		m.scheduleArbiter()
 	}
-	m.startSampling(opts.SampleUS)
-
-	err := loop([]*Machine{m}, opts.HorizonUS)
-	return m.results(), err
 }
 
 // startSampling arms the periodic core-occupancy sampler (no-op for
@@ -404,15 +421,6 @@ func (m *Machine) getWork(w *Worker) {
 		m.parkWorker(w, false)
 		return
 	}
-	if m.cfg.WorkSharing {
-		if t := p.central.steal(); t != nil {
-			w.failedSteals = 0
-			m.runTask(w, t)
-			return
-		}
-		m.idleSpin(w)
-		return
-	}
 	if t := w.deque.pop(); t != nil {
 		w.failedSteals = 0
 		m.runTask(w, t)
@@ -475,11 +483,11 @@ func (m *Machine) stealLoop(w *Worker) {
 	m.idleSpin(w)
 }
 
-// idleSpin is the drought path shared by the stealing and work-sharing
-// modes: no task is reachable right now, so spin until a push, a
-// preemption, the periodic recheck, or — for sleeper policies — the
-// T_SLEEP threshold. Sleeper policies back off StealYieldUS between
-// attempts, so the tolerated drought is ≈ TSleep × (StealCost + Yield).
+// idleSpin is the stealing phase's drought path: no task is reachable
+// right now, so spin until a push, a preemption, the periodic recheck, or
+// — for sleeper policies — the T_SLEEP threshold. Sleeper policies back
+// off StealYieldUS between attempts, so the tolerated drought is
+// ≈ TSleep × (StealCost + Yield).
 func (m *Machine) idleSpin(w *Worker) {
 	p := w.prog
 	cfg := &m.cfg

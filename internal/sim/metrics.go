@@ -23,8 +23,8 @@ type ProgStats struct {
 	LocalSteals, RemoteSteals int64
 	// Sleeps / Wakes / Evictions count worker state transitions.
 	Sleeps, Wakes, Evictions int64
-	// Claims / Reclaims count core-allocation-table operations by the
-	// coordinator.
+	// Claims / Reclaims count core-allocation-table operations, the
+	// coordinator's and those a program makes re-taking its home block.
 	Claims, Reclaims int64
 	// CoordTicks counts coordinator passes.
 	CoordTicks int64

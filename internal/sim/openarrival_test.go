@@ -38,13 +38,15 @@ func tieStreams() (jobs [][]Job, joins []int64) {
 // with a join and with coordinator ticks — end time, event count, the
 // outcome log and the whole scheduling trace — to the values recorded
 // when RunOpen armed every arrival before the first event fired. The trace
-// hash is over the typed event stream, one JSON line per trace.Event.
+// hash is over the typed event stream, one JSON line per trace.Event; the
+// DWS one was re-pinned when regrabHome began emitting its claims and
+// reclaims, which moved no other value.
 func TestOpenArrivalTies(t *testing.T) {
 	want := map[Policy]struct {
 		endUS, events      int64
 		logHash, traceHash uint64
 	}{
-		DWS: {222753, 487, 0xf0184d8dcb7c365a, 0xb3e2d669e0d5d211},
+		DWS: {222753, 487, 0xf0184d8dcb7c365a, 0xee2a29bb5271fa66},
 		GO:  {904823, 394, 0xc554ade685ca7156, 0x2eeb73052fd6e156},
 	}
 	for _, pol := range []Policy{DWS, GO} {

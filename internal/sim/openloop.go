@@ -159,11 +159,7 @@ func (m *Machine) RunOpen(opts OpenOpts) (*Results, error) {
 	total := 0
 	var valid task.Validator
 	for i, js := range opts.Jobs {
-		join := int64(0)
-		if opts.JoinsUS != nil {
-			join = opts.JoinsUS[i]
-		}
-		last := join
+		last := joinAt(opts.JoinsUS, i)
 		for k, j := range js {
 			if j.AtUS < last {
 				return nil, fmt.Errorf("%w: program %d job %d at %dµs out of order (prev %dµs / join)",
@@ -205,31 +201,10 @@ func (m *Machine) armOpen(queueCap int, adm *AdmissionOpts, joins []int64, strea
 	m.jobMode = true
 	m.outstanding = outstanding
 	for i, p := range m.progs {
-		join := int64(0)
-		if joins != nil {
-			join = joins[i]
-		}
-		activate := func() {
-			m.activateProgram(p)
-			if m.cfg.Policy == DWS || m.cfg.Policy == DWSNC {
-				m.scheduleCoordinator(p)
-			}
-		}
-		if join <= 0 {
-			activate()
-		} else {
-			m.schedule(join, activate)
-		}
+		m.join(p, joinAt(joins, i))
 		m.armArrivals(p, streams[i])
 	}
-	for _, c := range m.cores {
-		if c.cur == nil {
-			m.dispatch(c)
-		}
-	}
-	if m.arb != nil {
-		m.scheduleArbiter()
-	}
+	m.start()
 }
 
 // armArrivals feeds p its job stream one arrival ahead. The stream's seqs

@@ -55,10 +55,6 @@ type Program struct {
 	// retry fires.
 	allPoked bool
 
-	// central is the program's single task pool in work-sharing mode
-	// (Config.WorkSharing); takes are FIFO.
-	central taskQueue
-
 	// curJob is the open-loop job currently executing (Machine.RunOpen);
 	// admitted-but-not-started jobs wait in Machine.adm.
 	curJob *openJob
@@ -72,10 +68,9 @@ type Program struct {
 }
 
 // queuedTasks returns N_b, the total number of tasks in the program's
-// pools: all deques (including sleeping workers') plus the central pool
-// in work-sharing mode.
+// deques, sleeping workers' included.
 func (p *Program) queuedTasks() int {
-	n := p.central.len()
+	n := 0
 	for _, w := range p.workers {
 		n += w.deque.len()
 	}
@@ -98,11 +93,17 @@ func (m *Machine) startRun(p *Program, w *Worker) {
 	m.pushTask(w, m.newTask(p.graph.Root, nil))
 }
 
+// regrabHome re-takes p's home block for its sleeping workers: free home
+// cores are claimed and borrowed ones reclaimed, each emitting its Claim
+// or Reclaim event as rt.Program.regrabHome does (a reclaim carries the
+// entitlement epoch read before the pass). DWS-NC just wakes the home
+// workers.
 func (m *Machine) regrabHome(p *Program) {
 	switch m.cfg.Policy {
 	case DWS:
 		// The home block is elastic under the arbiter: re-take whatever the
 		// current entitlement says is ours.
+		epoch := m.table.EntitlementEpoch()
 		for _, c := range m.homeOf(p) {
 			if p.workers[c].state != wSleeping {
 				continue
@@ -112,11 +113,13 @@ func (m *Machine) regrabHome(p *Program) {
 			case occ == 0:
 				if m.table.ClaimFree(c, p.id) {
 					p.stats.Claims++
+					m.emit(trace.Event{Kind: trace.Claim, Prog: p.id, Core: c})
 					m.wakeWorker(p.workers[c])
 				}
 			case occ != p.id:
 				if m.table.Reclaim(c, p.id, occ) {
 					p.stats.Reclaims++
+					m.emit(trace.Event{Kind: trace.Reclaim, Prog: p.id, Core: c, Victim: occ, Epoch: epoch})
 					m.wakeWorker(p.workers[c])
 				}
 			}

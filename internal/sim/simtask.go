@@ -52,11 +52,10 @@ func (m *Machine) freeTask(t *simTask) {
 	m.freeTasks = t
 }
 
-// taskQueue is a task pool with LIFO pop at the back and FIFO steal at the
-// front — a worker's deque, or a program's central pool in work-sharing
-// mode (which only pushes and steals). Stealing advances a head index
-// instead of re-slicing, so the backing array is reused once it has grown
-// to the pool's high-water mark.
+// taskQueue is a worker's deque: LIFO pop at the back and FIFO steal at
+// the front. Stealing advances a head index instead of re-slicing, so the
+// backing array is reused once it has grown to the deque's high-water
+// mark.
 type taskQueue struct {
 	buf  []*simTask
 	head int

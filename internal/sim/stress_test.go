@@ -66,16 +66,16 @@ func TestStressRandomGraphs(t *testing.T) {
 		cfg.SocketSize = cfg.Cores / (rng.Intn(2) + 1)
 		cfg.TSleep = 0
 		cfg.Seed = int64(iter)
-		cfg.WorkSharing = rng.Intn(4) == 0
+		_ = rng.Intn(4) // the retired work-sharing draw keeps later draws in place
 		if nProgs > cfg.Cores {
 			nProgs = cfg.Cores
 			graphs = graphs[:nProgs]
 		}
-		var arrivals []int64
+		var joins []int64
 		if rng.Intn(2) == 0 {
-			arrivals = make([]int64, nProgs)
+			joins = make([]int64, nProgs)
 			for i := 1; i < nProgs; i++ {
-				arrivals[i] = int64(rng.Intn(20_000))
+				joins[i] = int64(rng.Intn(20_000))
 			}
 		}
 		m, err := NewMachine(cfg, graphs)
@@ -85,11 +85,11 @@ func TestStressRandomGraphs(t *testing.T) {
 		res, err := m.Run(RunOpts{
 			TargetRuns: rng.Intn(2) + 1,
 			HorizonUS:  600_000_000_000,
-			ArrivalsUS: arrivals,
+			JoinsUS:    joins,
 		})
 		if err != nil {
-			t.Fatalf("iter %d (%v, k=%d, m=%d, sharing=%v): %v",
-				iter, cfg.Policy, cfg.Cores, nProgs, cfg.WorkSharing, err)
+			t.Fatalf("iter %d (%v, k=%d, m=%d): %v",
+				iter, cfg.Policy, cfg.Cores, nProgs, err)
 		}
 		for _, p := range res.Programs {
 			if p.Runs() < 1 {

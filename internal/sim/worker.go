@@ -109,16 +109,11 @@ type Worker struct {
 	gen int64
 }
 
-// pushTask appends t to w's own deque (or the program's central pool in
-// work-sharing mode) and pokes any spinning siblings so they retry
-// immediately (models the near-instant pickup a real spinning thief gets,
-// which batched spinning would otherwise miss).
+// pushTask appends t to w's own deque and pokes any spinning siblings so
+// they retry immediately (models the near-instant pickup a real spinning
+// thief gets, which batched spinning would otherwise miss).
 func (m *Machine) pushTask(w *Worker, t *simTask) {
-	if m.cfg.WorkSharing {
-		w.prog.central.push(t)
-	} else {
-		w.deque.push(t)
-	}
+	w.deque.push(t)
 	m.notifySpinners(w.prog, w)
 	if m.cfg.Policy == GO {
 		m.wakepGO(w.prog, w)
