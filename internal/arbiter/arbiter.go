@@ -5,16 +5,16 @@
 //
 // Each program declares a weight and an optional latency SLO. Every
 // arbitration period the arbiter folds the programs' measured demand —
-// the coordinator's N_b/N_a surplus, worker activity, and (under dwsd)
-// observed queue wait — into per-program EWMAs, classifies programs as
-// active or idle, scores the active ones by weight with an SLO-pressure
-// boost, apportions the k cores by largest remainder over the scores
-// (subject to weighted floors so nobody is starved), and publishes the
-// resulting entitlement vector into the core table's v3 entitlement area
-// (coretable.SetEntitlements). Coordinators then derive their elastic
-// home block from the table instead of the static HomeCores split, so
-// reclaim stays home-only (§3.3 case 2/3) but the home itself grows and
-// shrinks with demand and QoS.
+// worker activity (N_a + N_b) and, under dwsd, observed queue wait — into
+// per-program EWMAs, classifies programs as active or idle, scores the
+// active ones by weight with an SLO-pressure boost, apportions the k
+// cores by largest remainder over the scores (subject to weighted floors
+// so nobody is starved), and publishes the resulting entitlement vector
+// into the core table's v3 entitlement area (coretable.SetEntitlements).
+// Coordinators then derive their elastic home block from the table
+// instead of the static HomeCores split, so reclaim stays home-only
+// (§3.3 case 2/3) but the home itself grows and shrinks with demand and
+// QoS.
 //
 // Hysteresis: a changed proposal must repeat for hysteresis (2)
 // consecutive ticks before it is published, so transient demand blips do
@@ -106,7 +106,6 @@ type Decision struct {
 	Weight   float64 // declared weight (normalised, ≥ 1e-9)
 	Score    float64 // weight × SLO boost while active, 0 while idle
 	Floor    int32   // weighted floor used for this batch
-	Demand   float64 // EWMA of N_b/max(N_a,1) — the surplus signal
 	Activity float64 // EWMA of N_a+N_b — the idleness signal
 	Active   bool
 	Trigger  string
@@ -127,7 +126,7 @@ func Report(batch []Decision, emit trace.Observer) {
 				Kind: trace.Entitle, Prog: d.PID, Core: -1,
 				EOld: int(d.Old), ENew: int(d.New), Floor: int(d.Floor),
 				Weight: d.Weight, Score: d.Score,
-				Demand: d.Demand, Activity: d.Activity, Active: d.Active,
+				Activity: d.Activity, Active: d.Active,
 				Trigger: d.Trigger, Epoch: d.Epoch, Batch: d.Batch,
 			})
 		}
@@ -149,7 +148,6 @@ func (e *ewma) add(alpha, x float64) {
 
 type progState struct {
 	activity ewma
-	surplus  ewma
 	qwait    ewma // seconds
 	weight   float64
 	boost    float64
@@ -249,12 +247,7 @@ func (a *Arbiter) Tick(inputs []Input) []Decision {
 			a.weightDirty = true
 		}
 		st.weight = w
-		na := in.NA
-		if na < 1 {
-			na = 1
-		}
 		st.activity.add(alpha, float64(in.NA+in.NB))
-		st.surplus.add(alpha, float64(in.NB)/float64(na))
 		st.qwait.add(alpha, in.QueueWait.Seconds())
 		st.boost = 0
 		if in.SLO > 0 {
@@ -386,7 +379,6 @@ func (a *Arbiter) Tick(inputs []Input) []Decision {
 		}
 		if st != nil {
 			d.Weight = st.weight
-			d.Demand = st.surplus.v
 			d.Activity = st.activity.v
 		}
 		if old[i] != proposal[i] {

@@ -95,47 +95,16 @@ func newProgram(s *System, name string, idx int) *Program {
 	for c := 0; c < s.cfg.Cores; c++ {
 		p.workers = append(p.workers, newWorker(p, c))
 	}
-	// Victim sets: all siblings (EP: home siblings only), partitioned by
-	// topology — same-socket victims first, then the remote ones grouped
-	// by ascending socket so a steal-back scan can jump straight to the
-	// robbing socket's segment (worker.stealOrder). Under a flat topology
-	// every victim is local and the layout is the old flat sibling list.
-	tp := s.cfg.Topology
-	pool := p.workers
-	if s.cfg.Policy == EP {
-		pool = nil
-		for _, c := range p.home {
-			pool = append(pool, p.workers[c])
+	// Victim pools: every core, or under EP the program's home cores.
+	pool := p.home
+	if s.cfg.Policy != EP {
+		pool = make([]int, s.cfg.Cores)
+		for c := range pool {
+			pool[c] = c
 		}
 	}
 	for _, w := range p.workers {
-		var vs []*worker
-		for _, v := range pool {
-			if v != w && v.socket == w.socket {
-				vs = append(vs, v)
-			}
-		}
-		w.nLocal = len(vs)
-		w.sockOff = make([]int, tp.NumSockets())
-		for i := range w.sockOff {
-			w.sockOff[i] = -1
-		}
-		for sock := 0; sock < tp.NumSockets(); sock++ {
-			if sock == w.socket {
-				continue
-			}
-			start := len(vs)
-			for _, v := range pool {
-				if v != w && v.socket == sock {
-					vs = append(vs, v)
-				}
-			}
-			if len(vs) > start {
-				w.sockOff[sock] = start
-			}
-		}
-		w.victims = vs
-		w.scan = make([]*worker, len(vs))
+		w.steal = arbiter.NewOrder(s.cfg.Topology, false, pool, w.id)
 	}
 	return p
 }

@@ -123,8 +123,8 @@ type Config struct {
 	// The invariant checker in internal/schedcheck plugs in here.
 	Observer trace.Observer
 	// Topology describes the socket layout of the core slots. It drives
-	// the two-phase victim order (same-socket victims are probed before
-	// remote ones, with steal-back bias and a bounded remote backoff) and,
+	// the victim order (arbiter.Order: same-socket victims before remote
+	// ones, with steal-back bias and a bounded remote backoff) and,
 	// when an arbiter publishes entitlements, the placement of each
 	// program's entitled block (arbiter.Place: within one socket when it
 	// fits, torn along socket boundaries when it doesn't). nil means flat

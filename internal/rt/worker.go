@@ -1,9 +1,11 @@
 package rt
 
 import (
+	"math/rand"
 	"runtime"
 	"sync/atomic"
 
+	"dws/internal/arbiter"
 	"dws/internal/deque"
 	"dws/internal/trace"
 )
@@ -17,39 +19,26 @@ const (
 // worker is one worker goroutine, affined to core slot id for its whole
 // life (the paper's w_ij ↔ c_j affinity).
 //
-// Field order groups owner-only hot state (deque pointer, RNG, free-lists,
-// drought counter) away from the cross-goroutine fields: state is CASed by
-// the coordinator on every wake and st is read by Stats(), so they sit
-// behind a pad where their traffic cannot dirty the owner's line.
+// Field order groups owner-only hot state (deque pointer, victim order,
+// RNG, free-lists, drought counter) away from the cross-goroutine fields:
+// state is CASed by the coordinator on every wake and st is read by
+// Stats(), so they sit behind a pad where their traffic cannot dirty the
+// owner's line.
 type worker struct {
 	p      *Program
 	id     int
 	socket int // Topology.SocketOf(id); fixed for the worker's life
 
 	deque *deque.Deque[taskNode]
-	rng   uint64 // xorshift64* victim-selector state; owner-only
+	steal arbiter.Order // Algorithm 1's victim order; owner-only
+	rng   *rand.Rand    // steal's draws, over src; owner-only
+	src   xorshift
 	pool  taskPool
 
 	failedSteals int
 	// evicted is set while the worker is acting on an eviction it has
 	// already acknowledged and counted (loop).
 	evicted bool
-	// remoteSkip is the remaining bounded remote-steal backoff: after a
-	// full two-phase scan (including remote sockets) comes up empty, the
-	// next remoteSkip scans stay same-socket only so a drought does not
-	// keep hammering remote LLCs. Always 0 under a flat topology.
-	remoteSkip int
-
-	// victims is this worker's scan set, hoisted from the program at
-	// construction: same-socket victims first (nLocal of them), then the
-	// remote ones grouped by ascending socket; sockOff[s] is the offset of
-	// socket s's segment in victims (-1 when s contributes none), which is
-	// where a steal-back scan starts. scan is the preallocated buffer
-	// stealOrder fills so trySteal never allocates.
-	victims []*worker
-	nLocal  int
-	sockOff []int
-	scan    []*worker
 
 	_ [64]byte // owner-local fields above, cross-goroutine below
 
@@ -57,8 +46,8 @@ type worker struct {
 	state  atomic.Int32
 	wakeCh chan struct{}
 	// robbedFrom is the socket id of the last thief that stole from this
-	// worker across a socket boundary (-1 = none). The owner consumes it
-	// on its next remote scan: a worker robbed remotely prefers stealing
+	// worker across a socket boundary (-1 = none). The owner hands it to
+	// steal at its next attempt: a worker robbed remotely prefers stealing
 	// back from the thief's socket, where its tasks (and their cache
 	// lines) went.
 	robbedFrom atomic.Int32
@@ -72,27 +61,36 @@ func newWorker(p *Program, id int) *worker {
 		deque:  deque.New[taskNode](64),
 		// Same per-(program, worker) seed family the old rand.Rand used;
 		// xorshift needs a non-zero state, which the +1 guarantees.
-		rng:    uint64(int64(p.idx)*1_000_003 + int64(id)*97 + 1),
+		src:    xorshift(int64(p.idx)*1_000_003 + int64(id)*97 + 1),
 		pool:   newTaskPool(),
 		st:     &p.st.w[id],
 		wakeCh: make(chan struct{}, 1),
 	}
+	w.rng = rand.New(&w.src)
 	w.robbedFrom.Store(-1)
 	return w
 }
 
-// nextRand advances the worker's xorshift64* PRNG. It replaces a per-worker
-// rand.Rand (≈5 KB of heap state and a method call per probe) with three
-// shifts in registers; statistical quality is far beyond what victim
-// selection needs.
-func (w *worker) nextRand() uint64 {
-	x := w.rng
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	w.rng = x
-	return x * 0x2545F4914F6CDD1D
+// xorshift is a xorshift64* generator, the rand.Source64 under each
+// worker's victim draws: three shifts in registers instead of the ≈5 KB
+// state of math/rand's default source. Its quality is far beyond what
+// victim selection needs.
+type xorshift uint64
+
+func (x *xorshift) Uint64() uint64 {
+	s := uint64(*x)
+	s ^= s << 13
+	s ^= s >> 7
+	s ^= s << 17
+	*x = xorshift(s)
+	return s * 0x2545F4914F6CDD1D
 }
+
+func (x *xorshift) Int63() int64 { return int64(x.Uint64() >> 1) }
+
+// Seed sets the state; the low bit is forced because a zero state never
+// leaves zero.
+func (x *xorshift) Seed(seed int64) { *x = xorshift(seed | 1) }
 
 // loop is Algorithm 1 on a live goroutine: pop the own pool, steal
 // otherwise, and under DWS/DWS-NC sleep after T_SLEEP consecutive failed
@@ -153,7 +151,7 @@ func (w *worker) loop(asleep bool) {
 		}
 		w.failedSteals++
 		w.st.failedSteals.Add(1)
-		if sleeper && w.failedSteals > cfg.TSleep {
+		if sleeper && arbiter.Park(w.failedSteals, cfg.TSleep) {
 			if w.park(true) {
 				continue
 			}
@@ -163,90 +161,33 @@ func (w *worker) loop(asleep bool) {
 	}
 }
 
-// remoteStealBackoff is how many scans stay same-socket only after a
-// full two-phase scan (locals and remotes) finds nothing. Small and
-// constant so the extra sleep latency it can add before the T_SLEEP
-// drought fires stays bounded.
-const remoteStealBackoff = 2
-
-// stealOrder fills w.scan with this attempt's probe order and returns
-// its length: phase 1 is the same-socket victims rotated by a random
-// offset, phase 2 (when includeRemote) the remote victims — starting at
-// the robbing socket's segment if this worker was recently robbed
-// across a socket boundary (steal-back), at a random remote otherwise.
-// Each victim appears exactly once per phase it belongs to; under a
-// flat topology every victim is phase 1 and the order is exactly the
-// old single-phase random rotation.
-func (w *worker) stealOrder(includeRemote bool) int {
-	vs := w.victims
-	nl := w.nLocal
-	k := 0
-	if nl > 0 {
-		off := int((w.nextRand() >> 32) * uint64(nl) >> 32)
-		for i := 0; i < nl; i++ {
-			w.scan[k] = vs[off]
-			k++
-			if off++; off == nl {
-				off = 0
-			}
-		}
-	}
-	nr := len(vs) - nl
-	if !includeRemote || nr == 0 {
-		return k
-	}
-	start := -1
-	if rf := w.robbedFrom.Load(); rf >= 0 {
-		w.robbedFrom.Store(-1)
-		if int(rf) < len(w.sockOff) {
-			if so := w.sockOff[rf]; so >= 0 {
-				start = so - nl
-			}
-		}
-	}
-	if start < 0 {
-		start = int((w.nextRand() >> 32) * uint64(nr) >> 32)
-	}
-	off := start
-	for i := 0; i < nr; i++ {
-		w.scan[k] = vs[nl+off]
-		k++
-		if off++; off == nr {
-			off = 0
-		}
-	}
-	return k
-}
-
-// trySteal probes the victims in stealOrder — same socket first, then
-// remote sockets unless the bounded backoff is skipping them — and
-// falls back to the program's injection queue. A scan without success
-// counts as one failed steal attempt toward T_SLEEP. The probe loop
-// walks the preallocated scan buffer (no per-attempt slice derivation)
-// and a successful steal is classified local/remote by its phase; a
-// remote steal leaves the thief's socket id with the victim to arm the
-// steal-back bias.
+// trySteal is one steal attempt: it draws victims from w.steal until one
+// yields a task or the current pass is spent, then falls back to the
+// program's injection queue. A failed attempt counts once toward T_SLEEP.
+// A cross-socket steal leaves the thief's socket id with the victim to
+// arm the steal-back bias, which the victim hands to its own order here.
 func (w *worker) trySteal() *taskNode {
-	full := w.remoteSkip == 0
-	if !full {
-		w.remoteSkip--
+	if w.robbedFrom.Load() >= 0 {
+		w.steal.Robbed(int(w.robbedFrom.Swap(-1)))
 	}
-	n := w.stealOrder(full)
-	nl := w.nLocal
-	for i := 0; i < n; i++ {
-		v := w.scan[i]
-		if t := v.deque.Steal(); t != nil {
-			if i < nl {
-				w.st.localSteals.Add(1)
-			} else {
-				w.st.remoteSteals.Add(1)
-				v.robbedFrom.Store(int32(w.socket))
+	if len(w.steal.Victims()) > 0 {
+		ws := w.p.workers
+		for {
+			v := ws[w.steal.Next(w.rng)]
+			if t := v.deque.Steal(); t != nil {
+				w.steal.Stole()
+				if v.socket == w.socket {
+					w.st.localSteals.Add(1)
+				} else {
+					w.st.remoteSteals.Add(1)
+					v.robbedFrom.Store(int32(w.socket))
+				}
+				return t
 			}
-			return t
+			if w.steal.PassDone() {
+				break
+			}
 		}
-	}
-	if full && n > nl {
-		w.remoteSkip = remoteStealBackoff
 	}
 	return w.p.inject.Steal()
 }
@@ -260,7 +201,7 @@ func (w *worker) park(release bool) bool {
 	if p.shutdown.Load() {
 		return false
 	}
-	if n := p.active.Add(-1); n == 0 && p.runActive.Load() {
+	if n := p.active.Add(-1); !arbiter.MaySleep(int(n), p.runActive.Load()) {
 		p.active.Add(1)
 		w.failedSteals = 0 // fresh drought window before the next attempt
 		return false

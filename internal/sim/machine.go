@@ -127,6 +127,11 @@ func NewMachine(cfg Config, graphs []*task.Graph) (*Machine, error) {
 		}
 	}
 
+	// Victim pools: every core, or under EP the program's home cores.
+	all := make([]int, cfg.Cores)
+	for c := range all {
+		all[c] = c
+	}
 	for i, g := range graphs {
 		p := &Program{
 			id:    int32(i + 1),
@@ -139,13 +144,19 @@ func NewMachine(cfg Config, graphs []*task.Graph) (*Machine, error) {
 		for c := 0; c < cfg.Cores; c++ {
 			p.workers = append(p.workers, &Worker{
 				prog: p, id: c, socket: c / cfg.SocketSize,
-				state: wOff, robbedFrom: -1,
+				state: wOff,
 			})
+		}
+		pool := all
+		if cfg.Policy == EP {
+			pool = p.home
+		}
+		for _, w := range p.workers {
+			w.steal = arbiter.NewOrder(m.topo, cfg.NoLocality, pool, w.id)
 		}
 		p.inState[wOff] = cfg.Cores
 		m.progs = append(m.progs, p)
 	}
-	m.buildVictimSets()
 	// Workers of sleeper policies participate from the start (asleep until
 	// their program joins and takes its home share); other policies'
 	// workers stay off until the join.
@@ -157,56 +168,6 @@ func NewMachine(cfg Config, graphs []*task.Graph) (*Machine, error) {
 		}
 	}
 	return m, nil
-}
-
-// buildVictimSets precomputes each worker's steal victims. On a
-// multi-socket machine (unless Config.NoLocality) the list is partitioned:
-// the worker's same-socket siblings first (the nLocal prefix), then the
-// remote ones grouped by ascending socket — nextVictim scans the local
-// segment before the remote one each pass. A flat machine keeps the
-// pre-topology flat list with nLocal covering everything.
-func (m *Machine) buildVictimSets() {
-	flat := m.cfg.NoLocality || m.topo.Flat()
-	for _, p := range m.progs {
-		pool := p.workers
-		if m.cfg.Policy == EP {
-			pool = nil
-			for _, c := range p.home {
-				pool = append(pool, p.workers[c])
-			}
-		}
-		p.victims = make([][]*Worker, m.cfg.Cores)
-		for _, w := range p.workers {
-			var vs []*Worker
-			if flat {
-				for _, v := range pool {
-					if v != w {
-						vs = append(vs, v)
-					}
-				}
-				w.nLocal = len(vs)
-				p.victims[w.id] = vs
-				continue
-			}
-			for _, v := range pool {
-				if v != w && v.socket == w.socket {
-					vs = append(vs, v)
-				}
-			}
-			w.nLocal = len(vs)
-			for s := 0; s < m.topo.NumSockets(); s++ {
-				if s == w.socket {
-					continue
-				}
-				for _, v := range pool {
-					if v.socket == s {
-						vs = append(vs, v)
-					}
-				}
-			}
-			p.victims[w.id] = vs
-		}
-	}
 }
 
 // activateProgram brings a program online when it joins: it takes its
@@ -436,12 +397,12 @@ func (m *Machine) getWork(w *Worker) {
 func (m *Machine) stealLoop(w *Worker) {
 	p := w.prog
 	cfg := &m.cfg
-	victims := p.victims[w.id]
+	victims := w.steal.Victims()
 	c := m.cores[w.id]
 
 	anyTasks := false
 	for _, v := range victims {
-		if v.deque.len() > 0 {
+		if p.workers[v].deque.len() > 0 {
 			anyTasks = true
 			break
 		}
@@ -450,16 +411,16 @@ func (m *Machine) stealLoop(w *Worker) {
 	if anyTasks {
 		maxDraw := 2 * len(victims)
 		for a := 1; a <= maxDraw; a++ {
-			v := w.nextVictim(victims)
+			v := p.workers[w.steal.Next(p.rng)]
 			if t := v.deque.steal(); t != nil {
 				w.failedSteals = 0
-				w.passSteal = true
+				w.steal.Stole()
 				p.stats.Steals++
 				lat := int64(a) * cfg.StealCostUS
 				if v.socket != w.socket {
 					lat += cfg.RemoteStealPenaltyUS
 					p.stats.RemoteSteals++
-					v.robbedFrom = w.socket
+					v.steal.Robbed(w.socket)
 				} else {
 					p.stats.LocalSteals++
 				}
@@ -471,7 +432,6 @@ func (m *Machine) stealLoop(w *Worker) {
 			// sleep threshold: a real thief scans victims in sub-µs steps
 			// and reaches visible work orders of magnitude faster than the
 			// yield-paced drought attempts that T_SLEEP is calibrated for.
-			w.failedSteals++
 			p.stats.FailedSteals++
 			if cfg.Policy == ABP && cfg.StrongYield && len(c.runq) > 1 {
 				m.yieldRotate(c)
@@ -492,11 +452,8 @@ func (m *Machine) idleSpin(w *Worker) {
 	p := w.prog
 	cfg := &m.cfg
 	sleeper := cfg.Policy == DWS || cfg.Policy == DWSNC || cfg.Policy == GO
-	if sleeper && m.canSleep(p) {
-		left := cfg.TSleep - w.failedSteals + 1
-		if left < 1 {
-			left = 1
-		}
+	if sleeper && arbiter.MaySleep(p.active-1, p.runActive) {
+		left := arbiter.ToPark(w.failedSteals, cfg.TSleep)
 		period := cfg.StealCostUS + cfg.StealYieldUS
 		m.beginSpin(w, m.now+int64(left)*period, period, evSpinPark)
 		return
@@ -517,13 +474,6 @@ func (m *Machine) yieldRotate(c *Core) {
 	c.unschedule(m.now)
 	c.rotate()
 	m.dispatch(c)
-}
-
-// canSleep reports whether one more worker of p may sleep: the last active
-// worker of a program with an unfinished run must keep stealing (liveness;
-// see DESIGN.md §5).
-func (m *Machine) canSleep(p *Program) bool {
-	return !p.runActive || p.active > 1
 }
 
 // parkWorker puts the scheduled worker to sleep. If release is true the

@@ -23,9 +23,6 @@ type Program struct {
 	rng   *rand.Rand
 
 	workers []*Worker
-	// victims[i] lists the steal victims of worker i (all other workers
-	// under ABP/DWS/DWS-NC; home siblings under EP).
-	victims [][]*Worker
 	home    []int
 
 	active int // workers in {waking, ready, running, spinning}

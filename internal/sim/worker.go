@@ -1,5 +1,7 @@
 package sim
 
+import "dws/internal/arbiter"
+
 // wState is a worker's scheduling state.
 type wState int
 
@@ -41,13 +43,6 @@ func (s wState) String() string {
 	}
 }
 
-// remoteStealBackoff is how many victim passes stay same-socket-only
-// after a full pass (local and remote segments) finds nothing to steal —
-// the simulator's mirror of the live runtime's bounded remote-scan
-// backoff: a drought should not keep hammering remote sockets' deque
-// cache lines across the interconnect.
-const remoteStealBackoff = 2
-
 // Worker is one simulated worker thread. Worker i of a program is affined
 // to core i for its whole life (the paper's w_ij ↔ c_j affinity).
 type Worker struct {
@@ -63,28 +58,9 @@ type Worker struct {
 
 	failedSteals int
 
-	// Victim-selection state: a shuffled cycle over the victim set. Each
-	// attempt takes the next victim; the order is reshuffled once per full
-	// pass. This keeps selection random (Algorithm 1 line 8) while
-	// guaranteeing a full scan every |victims| attempts, so T_SLEEP
-	// consecutive failures mean "no stealable work", not "unlucky draws".
-	//
-	// On a multi-socket machine the victim list is partitioned (see
-	// buildVictimSets) and each pass scans the shuffled same-socket
-	// segment before the shuffled remote one, with two refinements
-	// mirroring the live runtime: a full pass without a successful steal
-	// arms a bounded remote backoff (the next remoteStealBackoff passes
-	// stay local-only), and a worker robbed across a socket boundary
-	// starts its next remote segment at the thief's socket (steal-back).
-	order    []int
-	orderPos int
-	nLocal   int  // victims[:nLocal] share w's socket
-	passFull bool // current pass includes the remote segment
-	// passSteal records a successful steal during the current pass; a
-	// completed full pass without one arms the remote backoff.
-	passSteal  bool
-	remoteSkip int // local-only passes left before remotes are scanned again
-	robbedFrom int // socket of the last cross-socket thief; -1 = none
+	// steal is the worker's victim order (Algorithm 1 line 8), drawn
+	// from its program's rng.
+	steal arbiter.Order
 
 	// Current segment execution state (valid while cur != nil).
 	cur           *simTask
@@ -149,76 +125,6 @@ func (w *Worker) setState(s wState) {
 	w.prog.inState[w.state]--
 	w.prog.inState[s]++
 	w.state = s
-}
-
-// nextVictim returns the next victim in w's phased shuffled cycle: each
-// pass scans the shuffled same-socket segment, then (unless the remote
-// backoff is armed) the shuffled remote segment with the steal-back
-// socket's victims first. A flat victim set (nLocal == len(victims))
-// degenerates to the single shuffled cycle of the pre-topology simulator,
-// consuming the RNG identically.
-func (w *Worker) nextVictim(victims []*Worker) *Worker {
-	if len(w.order) != len(victims) {
-		w.order = make([]int, len(victims))
-		for i := range w.order {
-			w.order[i] = i
-		}
-		w.orderPos = len(victims) // force a new pass
-		w.passFull = true
-		w.passSteal = true // the phantom first pass must not arm the backoff
-	}
-	limit := len(w.order)
-	if !w.passFull {
-		limit = w.nLocal
-	}
-	if w.orderPos >= limit {
-		w.beginPass(victims)
-	}
-	v := victims[w.order[w.orderPos]]
-	w.orderPos++
-	return v
-}
-
-// beginPass closes the finished pass — arming the remote backoff after a
-// fruitless full pass, draining it after a local-only one — and shuffles
-// the segments for the next pass.
-func (w *Worker) beginPass(victims []*Worker) {
-	n := len(w.order)
-	nl := w.nLocal
-	if nl > 0 && nl < n {
-		if w.passFull && !w.passSteal {
-			w.remoteSkip = remoteStealBackoff
-		} else if !w.passFull && w.remoteSkip > 0 {
-			w.remoteSkip--
-		}
-	}
-	w.passSteal = false
-	w.passFull = w.remoteSkip == 0 || nl == 0 || nl >= n
-	w.orderPos = 0
-	rng := w.prog.rng
-	rng.Shuffle(nl, func(i, j int) {
-		w.order[i], w.order[j] = w.order[j], w.order[i]
-	})
-	if nl >= n || !w.passFull {
-		return
-	}
-	rng.Shuffle(n-nl, func(i, j int) {
-		w.order[nl+i], w.order[nl+j] = w.order[nl+j], w.order[nl+i]
-	})
-	if rf := w.robbedFrom; rf >= 0 {
-		// Steal-back: stable-partition the robbing socket's victims to the
-		// front of the remote segment, then consume the bias.
-		w.robbedFrom = -1
-		k := nl
-		for i := nl; i < n; i++ {
-			if victims[w.order[i]].socket == rf {
-				idx := w.order[i]
-				copy(w.order[k+1:i+1], w.order[k:i])
-				w.order[k] = idx
-				k++
-			}
-		}
-	}
 }
 
 // notifySpinners schedules a steal retry for every spinning worker of p

@@ -124,8 +124,8 @@ type Event struct {
 	Reclaimed int `json:"reclaimed,omitempty"`
 
 	// Arbiter decision row (Entitle): Prog's entitlement moved EOld→ENew
-	// under the batch's Trigger; Weight/Score/Floor/Demand/Activity/Active
-	// are the arbitration inputs the decision was computed from (Score is 0
+	// under the batch's Trigger; Weight/Score/Floor/Activity/Active are
+	// the arbitration inputs the decision was computed from (Score is 0
 	// while the program is classified idle), and Batch is the number of
 	// rows in this publish. Epoch carries the entitlement epoch.
 	EOld     int     `json:"eold,omitempty"`
@@ -134,7 +134,6 @@ type Event struct {
 	Batch    int     `json:"batch,omitempty"`
 	Weight   float64 `json:"weight,omitempty"`
 	Score    float64 `json:"score,omitempty"`
-	Demand   float64 `json:"demand,omitempty"`
 	Activity float64 `json:"activity,omitempty"`
 	Active   bool    `json:"active,omitempty"`
 	Trigger  string  `json:"trigger,omitempty"`
