@@ -72,20 +72,17 @@ func (p *Program) demand() (nb, na int) {
 // non-flat topology — and the paper's static HomeCores split otherwise.
 // Reclaim (§3.3 cases 2–3) stays home-only either way; only the home
 // itself is elastic. FaultFlatPlacement plants the "ignore topology" bug
-// the schedcheck placed-block invariants must catch.
+// the schedcheck placed-block invariants must catch. The regrab runs it
+// once per job, so a flat entitled block — a contiguous range — is kept
+// in p.runHome and rebuilt only when the block moves (coordMu held, or
+// start before the coordinator launches); placed blocks are derived
+// afresh.
 func (p *Program) homeCores() []int {
-	return arbiter.Home(p.sys.table, p.sys.cfg.Topology, p.idx, p.home, !p.sys.cfg.FaultFlatPlacement)
-}
-
-// runHomeCores is homeCores for regrabHome, which runs once per job (DWS
-// only, runMu held). A flat topology's entitled block is a contiguous
-// range, so the slice built for it is kept in p.runHome and rebuilt only
-// when the block moves; placed blocks are derived afresh.
-func (p *Program) runHomeCores() []int {
-	if tp := p.sys.cfg.Topology; !tp.Flat() && !p.sys.cfg.FaultFlatPlacement {
-		return p.homeCores()
+	t := p.sys.table
+	if t == nil || !p.sys.cfg.Topology.Flat() && !p.sys.cfg.FaultFlatPlacement {
+		return arbiter.Home(t, p.sys.cfg.Topology, p.idx, p.home, !p.sys.cfg.FaultFlatPlacement)
 	}
-	start, size, ok := p.sys.table.EntitledBlock(p.idx)
+	start, size, ok := t.EntitledBlock(p.idx)
 	if !ok {
 		return p.home
 	}

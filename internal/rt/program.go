@@ -58,13 +58,14 @@ type Program struct {
 	// pass sees a started run before its home workers are woken and
 	// claims a foreign free core in their place. Holding it across wakes
 	// is safe: a wake's token send never blocks (one token per sleep).
-	// It also guards crng.
+	// It also guards coord and runHome.
 	coordMu sync.Mutex
+	coord   arbiter.Coordinator
 	// Run's working set, allocated once per program rather than per job
 	// because runMu admits one run at a time: the root frame with its
 	// completion signal, the root task's node, the re-wake ticker (made
 	// by the first Run, stopped between runs) and the entitled home block
-	// regrabHome last derived (runHomeCores).
+	// homeCores last derived.
 	rootFrame frame
 	rootNode  taskNode
 	rewake    vclock.Ticker
@@ -72,7 +73,6 @@ type Program struct {
 
 	coordStop chan struct{}
 	wg        sync.WaitGroup
-	crng      *rand.Rand // the coordinator's plan draws
 
 	st progStats
 }
@@ -88,7 +88,10 @@ func newProgram(s *System, name string, idx int) *Program {
 		nodeOverflow: deque.NewBounded[taskNode](nodeOverflowCap),
 		obs:          s.cfg.Observer,
 		coordStop:    make(chan struct{}),
-		crng:         rand.New(rand.NewSource(int64(idx)*7919 + 17)),
+	}
+	p.coord = arbiter.Coordinator{
+		Table: s.table, PID: p.id, Cores: s.cfg.Cores, Crew: (*crew)(p),
+		RNG: rand.New(rand.NewSource(int64(idx)*7919 + 17)),
 	}
 	p.rootFrame.done = make(chan struct{}, 1)
 	p.st.init(s.cfg.Cores)
@@ -154,7 +157,9 @@ func (p *Program) start() {
 			// a live lease a survivor could check.
 			epoch := p.sys.table.Join(p.id)
 			p.emit(trace.Event{Kind: trace.Join, Core: -1, Epoch: epoch})
-			p.regrabHome()
+			co := p.coord
+			co.Crew = unlaunched{(*crew)(p)}
+			p.regrab(&co)
 		}
 		home := p.homeCores()
 		for _, w := range p.workers {
@@ -209,7 +214,7 @@ func (p *Program) Run(root Task) error {
 	n := &p.rootNode
 	n.fn, n.parent = root, &p.rootFrame
 	p.inject.Push(n)
-	p.regrabHome()
+	p.regrab(&p.coord)
 	p.coordMu.Unlock()
 
 	// Wait for completion; if every worker managed to fall asleep in the
@@ -237,54 +242,42 @@ func (p *Program) Run(root Task) error {
 		case <-p.rewake.C():
 			if p.active.Load() == 0 {
 				p.coordMu.Lock()
-				p.regrabHome()
+				p.regrab(&p.coord)
 				p.coordMu.Unlock()
 			}
 		}
 	}
 }
 
-// regrabHome (re)establishes the program's home allocation through the
-// CAS protocol and wakes the affined workers: free home cores are claimed
-// and borrowed ones reclaimed (the eviction flag tells the borrower to
-// stop). Unlike a blind install this is safe when other programs —
-// possibly in other OS processes — already run on the shared table: a
-// late or restarted joiner takes its home share back the same way a
-// reclaiming owner does. Run calls it per job, under coordMu; start
-// calls it once before any worker or the coordinator launches (its wakes
-// are then no-ops), which is safe for runHomeCores because start runs
-// under System.mu, before any Run can hold runMu. DWS-NC just wakes the
-// home workers.
-func (p *Program) regrabHome() {
-	switch p.sys.cfg.Policy {
-	case ABP, EP:
-		return // workers never sleep
-	case DWSNC:
-		for _, c := range p.home {
-			p.wake(p.workers[c])
-		}
-	case DWS:
-		t := p.sys.table
-		home := p.runHomeCores()
-		epoch := t.EntitlementEpoch()
-		for _, c := range home {
-			switch occ := t.Occupant(c); {
-			case occ == coretable.Free:
-				if !t.ClaimFree(c, p.id) {
-					continue
-				}
-				p.st.claims.Add(1)
-				p.emit(trace.Event{Kind: trace.Claim, Core: c})
-			case occ != p.id:
-				if !t.Reclaim(c, p.id, occ) {
-					continue
-				}
-				p.st.reclaims.Add(1)
-				p.emit(trace.Event{Kind: trace.Reclaim, Core: c, Victim: occ, Epoch: epoch})
-			}
-			p.wake(p.workers[c])
-		}
+// crew is the coordinator's view of the program's workers
+// (arbiter.Crew); the coordinator acts on it under coordMu.
+type crew Program
+
+func (c *crew) Asleep(core int) bool { return c.workers[core].state.Load() == stateSleeping }
+func (c *crew) Wake(core int) bool   { return (*Program)(c).wake(c.workers[core]) }
+func (c *crew) Home() []int          { return (*Program)(c).homeCores() }
+func (c *crew) Emit(ev trace.Event)  { (*Program)(c).emit(ev) }
+
+// unlaunched is the crew start shows the run-start regrab before any
+// worker goroutine exists: every worker is asleep (none runs yet), and a
+// wake is left to the launch that follows.
+type unlaunched struct{ *crew }
+
+func (unlaunched) Asleep(int) bool { return true }
+func (unlaunched) Wake(int) bool   { return true }
+
+// regrab re-takes the program's home block at a run's start
+// (arbiter.Coordinator.Regrab) and counts what it took; only DWS and
+// DWS-NC workers sleep. Run calls it per job under coordMu; start calls
+// it once before the workers and the coordinator launch, when nothing
+// else reads coord or runHome yet.
+func (p *Program) regrab(co *arbiter.Coordinator) {
+	if pol := p.sys.cfg.Policy; pol != DWS && pol != DWSNC {
+		return
 	}
+	claimed, reclaimed := co.Regrab()
+	p.st.claims.Add(int64(claimed))
+	p.st.reclaims.Add(int64(reclaimed))
 }
 
 // wake transitions a sleeping worker to active. It is a no-op if the
@@ -363,104 +356,23 @@ func (p *Program) coordinate() {
 }
 
 // coordTick is one coordinator pass (§3.3): measure demand (N_b queued
-// tasks, N_a active workers), snapshot the sleeping workers' free and
-// borrowed home cores, and carry out arbiter.Plan's claims and reclaims
-// through the CAS protocol — at most N_w actions. DWS-NC plans over the
-// sleeping workers alone, with no table traffic.
+// tasks, N_a active workers) and let the program's arbiter.Coordinator
+// observe, plan and act — at most N_w actions. FaultSkipReclaim drops the
+// plan's cases 2–3 for invariant-checker tests.
 func (p *Program) coordTick() {
 	p.coordMu.Lock()
 	defer p.coordMu.Unlock()
 	if !p.runActive.Load() {
 		return
 	}
-	nb, na := p.demand()
-	if nb == 0 {
+	ps, ok := p.coord.Decide(p.demand())
+	if !ok {
 		return
 	}
-	nw := arbiter.Want(nb, na)
-	if nw <= 0 {
-		return
-	}
-	ev := trace.Event{Kind: trace.CoordTick, Core: -1, NB: nb, NA: na, NW: nw}
-
-	if p.sys.cfg.Policy == DWSNC {
-		var sleepers []int
-		for _, w := range p.workers {
-			if w.state.Load() == stateSleeping {
-				sleepers = append(sleepers, w.id)
-			}
-		}
-		// N_w clamped to the sleepers keeps the pass in case 1: a random
-		// N_w of them, or all of them in a random order.
-		wake, _ := arbiter.Plan(min(nw, len(sleepers)), sleepers, nil, p.crng)
-		for _, c := range wake {
-			if p.wake(p.workers[c]) {
-				ev.Woken++
-			}
-		}
-		p.emit(ev)
-		return
-	}
-
-	// DWS: snapshot the observation first so the emitted event carries the
-	// (N_f, N_r) tuple the three-case rule was applied to; the action loops
-	// below re-check every condition through the CAS protocol, so a stale
-	// snapshot entry only costs a skipped wake.
-	t := p.sys.table
-	var free, borrowed []int
-	for _, c := range t.FreeCores() {
-		if p.workers[c].state.Load() == stateSleeping {
-			free = append(free, c)
-		}
-	}
-	for _, c := range p.homeCores() {
-		if p.workers[c].state.Load() != stateSleeping {
-			continue
-		}
-		if occ := t.Occupant(c); occ != p.id && occ != coretable.Free {
-			borrowed = append(borrowed, c)
-		}
-	}
-	ev.NF, ev.NR = len(free), len(borrowed)
-	// The entitlement epoch the reclaim targets derive from, read after
-	// homeCores so a concurrent publish can only make the stamp newer —
-	// observers judging reclaim legality defer to the stamped batch.
-	entEpoch := t.EntitlementEpoch()
-	claim, reclaim := arbiter.Plan(nw, free, borrowed, p.crng)
-	// FaultSkipReclaim drops cases 2–3 for invariant-checker tests.
 	if p.sys.cfg.FaultSkipReclaim {
-		reclaim = nil
+		ps.Reclaim = nil
 	}
-	for _, c := range claim {
-		w := p.workers[c]
-		if w.state.Load() != stateSleeping || !t.ClaimFree(c, p.id) {
-			continue
-		}
-		p.st.claims.Add(1)
-		p.emit(trace.Event{Kind: trace.Claim, Core: c})
-		ev.Claimed++
-		if p.wake(w) {
-			ev.Woken++
-		} else if t.Release(c, p.id) {
-			// The worker raced away; return the slot.
-			p.emit(trace.Event{Kind: trace.Release, Core: c})
-		}
-	}
-	for _, c := range reclaim {
-		w := p.workers[c]
-		if w.state.Load() != stateSleeping {
-			continue
-		}
-		occ := t.Occupant(c)
-		if occ == p.id || occ == coretable.Free || !t.Reclaim(c, p.id, occ) {
-			continue
-		}
-		p.st.reclaims.Add(1)
-		p.emit(trace.Event{Kind: trace.Reclaim, Core: c, Victim: occ, Epoch: entEpoch})
-		ev.Reclaimed++
-		if p.wake(w) {
-			ev.Woken++
-		}
-	}
-	p.emit(ev)
+	ev := p.coord.Act(ps)
+	p.st.claims.Add(int64(ev.Claimed))
+	p.st.reclaims.Add(int64(ev.Reclaimed))
 }

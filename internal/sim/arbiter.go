@@ -7,7 +7,8 @@ import "dws/internal/arbiter"
 // runtime uses, ticked as a machine-level event, feeding it each
 // program's simulated demand (queued tasks, active workers) and declared
 // weight. Published entitlements land in the in-memory core table, and
-// regrabHome and coordTick derive the home block from there — so the sim
+// the coordinator's passes and regrab derive the home block from there
+// (homeOf, its crew's Home) — so the sim
 // and live substrates disagree only in their demand measurements, never
 // in arbitration arithmetic.
 

@@ -155,6 +155,8 @@ func NewMachine(cfg Config, graphs []*task.Graph) (*Machine, error) {
 			w.steal = arbiter.NewOrder(m.topo, cfg.NoLocality, pool, w.id)
 		}
 		p.inState[wOff] = cfg.Cores
+		p.coord = arbiter.Coordinator{Table: m.table, PID: p.id, Cores: cfg.Cores,
+			Crew: &crew{m, p}, RNG: p.rng}
 		m.progs = append(m.progs, p)
 	}
 	// Workers of sleeper policies participate from the start (asleep until
@@ -201,27 +203,17 @@ func (m *Machine) activateProgram(p *Program) {
 		for _, c := range p.home {
 			makeReady(c)
 		}
-	case DWS:
+	case DWS, DWSNC:
 		if m.now == 0 {
-			m.table.InstallHome(p.home, p.id)
+			if m.table != nil {
+				m.table.InstallHome(p.home, p.id)
+			}
 			for _, c := range p.home {
 				makeReady(c)
 			}
 			return
 		}
-		m.regrabHome(p) // claim free homes, reclaim borrowed ones
-	case DWSNC:
-		if m.now == 0 {
-			for _, c := range p.home {
-				makeReady(c)
-			}
-			return
-		}
-		for _, c := range p.home {
-			if p.workers[c].state == wSleeping {
-				m.wakeWorker(p.workers[c])
-			}
-		}
+		m.regrab(p) // claim free homes, reclaim borrowed ones
 	case GO:
 		// Goroutine-per-task: nothing runs until work is pushed; the push
 		// itself wakes a parked worker (wakepGO), so joining is a no-op.

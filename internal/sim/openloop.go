@@ -335,7 +335,7 @@ func (m *Machine) startJob(p *Program, j *openJob, w *Worker) {
 	p.runStart = m.now
 	m.emit(trace.Event{Kind: trace.Job, Prog: p.id, Core: -1, Job: j.idx,
 		Verdict: "start", WaitUS: m.now - j.AtUS})
-	m.regrabHome(p)
+	m.regrab(p)
 	m.pushTask(w, m.newTask(j.Graph.Root, nil))
 	// The push came from the arrival event, not a running worker, so the
 	// target itself may be mid-spin; a nil pusher notifies every spinner,

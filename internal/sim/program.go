@@ -39,8 +39,9 @@ type Program struct {
 	// coordDebt is pending coordinator overhead, charged to the next
 	// scheduled segment of any of the program's workers.
 	coordDebt int64
-	// coordFn is the coordinator tick as an event closure, built once and
-	// re-armed every period.
+	// coord is the program's coordinator over the core table; coordFn is
+	// its tick as an event closure, built once and re-armed every period.
+	coord   arbiter.Coordinator
 	coordFn func()
 
 	// notifyRR rotates the spinner-notification order so no worker
@@ -85,49 +86,22 @@ func (m *Machine) startRun(p *Program, w *Worker) {
 	p.runActive = true
 	p.runStart = m.now
 	if p.runsDone > 0 {
-		m.regrabHome(p)
+		m.regrab(p)
 	}
 	m.pushTask(w, m.newTask(p.graph.Root, nil))
 }
 
-// regrabHome re-takes p's home block for its sleeping workers: free home
-// cores are claimed and borrowed ones reclaimed, each emitting its Claim
-// or Reclaim event as rt.Program.regrabHome does (a reclaim carries the
-// entitlement epoch read before the pass). DWS-NC just wakes the home
-// workers.
-func (m *Machine) regrabHome(p *Program) {
-	switch m.cfg.Policy {
-	case DWS:
-		// The home block is elastic under the arbiter: re-take whatever the
-		// current entitlement says is ours.
-		epoch := m.table.EntitlementEpoch()
-		for _, c := range m.homeOf(p) {
-			if p.workers[c].state != wSleeping {
-				continue
-			}
-			occ := m.table.Occupant(c)
-			switch {
-			case occ == 0:
-				if m.table.ClaimFree(c, p.id) {
-					p.stats.Claims++
-					m.emit(trace.Event{Kind: trace.Claim, Prog: p.id, Core: c})
-					m.wakeWorker(p.workers[c])
-				}
-			case occ != p.id:
-				if m.table.Reclaim(c, p.id, occ) {
-					p.stats.Reclaims++
-					m.emit(trace.Event{Kind: trace.Reclaim, Prog: p.id, Core: c, Victim: occ, Epoch: epoch})
-					m.wakeWorker(p.workers[c])
-				}
-			}
-		}
-	case DWSNC:
-		for _, c := range p.home {
-			if p.workers[c].state == wSleeping {
-				m.wakeWorker(p.workers[c])
-			}
-		}
+// regrab re-takes p's home block at a run's start
+// (arbiter.Coordinator.Regrab): free home cores of sleeping workers are
+// claimed and borrowed ones reclaimed (DWS), or the home workers woken
+// (DWS-NC).
+func (m *Machine) regrab(p *Program) {
+	if m.cfg.Policy != DWS && m.cfg.Policy != DWSNC {
+		return
 	}
+	claimed, reclaimed := p.coord.Regrab()
+	p.stats.Claims += int64(claimed)
+	p.stats.Reclaims += int64(reclaimed)
 }
 
 // finishRun records a completed run and immediately starts the next one on
@@ -173,10 +147,9 @@ func (m *Machine) scheduleCoordinator(p *Program) {
 	m.after(m.cfg.CoordPeriodUS+int64(p.idx), p.coordFn)
 }
 
-// coordTick is one coordinator pass (§3.3): measure demand (N_b, N_a) and
-// the sleeping workers' reachable cores, let arbiter.Plan pick the cores
-// to claim and reclaim, and carry the plan out through the core table.
-// DWS-NC plans over the sleeping workers alone, with no table traffic.
+// coordTick is one coordinator pass (§3.3): charge its cost, measure
+// demand (N_b, N_a), and let p's arbiter.Coordinator observe, plan and
+// act through the core table.
 func (m *Machine) coordTick(p *Program) {
 	if m.stopped {
 		return
@@ -188,77 +161,22 @@ func (m *Machine) coordTick(p *Program) {
 	p.stats.CoordTicks++
 	p.coordDebt += m.cfg.CoordCostUS
 
-	nb := p.queuedTasks()
-	if nb == 0 {
+	ps, ok := p.coord.Decide(p.queuedTasks(), p.active)
+	if !ok {
 		return
 	}
-	na := p.active
-	nw := arbiter.Want(nb, na)
-	if nw <= 0 {
-		return
-	}
-	ev := trace.Event{Kind: trace.CoordTick, Prog: p.id, Core: -1, NB: nb, NA: na, NW: nw}
-	if m.cfg.Policy == DWSNC {
-		var sleepers []int
-		for _, w := range p.workers {
-			if w.state == wSleeping {
-				sleepers = append(sleepers, w.id)
-			}
-		}
-		// N_w clamped to the sleepers keeps the pass in case 1: a random
-		// N_w of them, or all of them in a random order.
-		wake, _ := arbiter.Plan(min(nw, len(sleepers)), sleepers, nil, p.rng)
-		for _, c := range wake {
-			if m.wakeWorker(p.workers[c]) {
-				ev.Woken++
-			}
-		}
-		m.emit(ev)
-		return
-	}
-
-	// Free cores where our affined worker is actually sleeping (it almost
-	// always is; skip transient wake-in-flight cores), and the sleeping
-	// workers' home cores borrowed by other programs. The home block is
-	// the entitled one when the arbiter has published (reclaim stays
-	// home-only; only the home itself is elastic).
-	var free, borrowed []int
-	for _, c := range m.table.FreeCores() {
-		if p.workers[c].state == wSleeping {
-			free = append(free, c)
-		}
-	}
-	for _, c := range m.homeOf(p) {
-		occ := m.table.Occupant(c)
-		if occ != p.id && occ != 0 && p.workers[c].state == wSleeping {
-			borrowed = append(borrowed, c)
-		}
-	}
-	ev.NF, ev.NR = len(free), len(borrowed)
-	epoch := m.table.EntitlementEpoch()
-	claim, reclaim := arbiter.Plan(nw, free, borrowed, p.rng)
-	for _, c := range claim {
-		if !m.table.ClaimFree(c, p.id) {
-			continue
-		}
-		p.stats.Claims++
-		ev.Claimed++
-		m.emit(trace.Event{Kind: trace.Claim, Prog: p.id, Core: c})
-		if m.wakeWorker(p.workers[c]) {
-			ev.Woken++
-		}
-	}
-	for _, c := range reclaim {
-		occ := m.table.Occupant(c)
-		if occ == 0 || occ == p.id || !m.table.Reclaim(c, p.id, occ) {
-			continue
-		}
-		p.stats.Reclaims++
-		ev.Reclaimed++
-		m.emit(trace.Event{Kind: trace.Reclaim, Prog: p.id, Core: c, Victim: occ, Epoch: epoch})
-		if m.wakeWorker(p.workers[c]) {
-			ev.Woken++
-		}
-	}
-	m.emit(ev)
+	ev := p.coord.Act(ps)
+	p.stats.Claims += int64(ev.Claimed)
+	p.stats.Reclaims += int64(ev.Reclaimed)
 }
+
+// crew is the coordinator's view of one program's workers (arbiter.Crew).
+type crew struct {
+	m *Machine
+	p *Program
+}
+
+func (c *crew) Asleep(core int) bool { return c.p.workers[core].state == wSleeping }
+func (c *crew) Wake(core int) bool   { return c.m.wakeWorker(c.p.workers[core]) }
+func (c *crew) Home() []int          { return c.m.homeOf(c.p) }
+func (c *crew) Emit(ev trace.Event)  { c.m.emit(ev) }
