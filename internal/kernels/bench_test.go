@@ -165,10 +165,12 @@ func BenchmarkMergesortPar(b *testing.B) {
 // (200 000 keys, 128 leaves of about 1 562). job times NewTask + Run of
 // the catalog's job in steady state on a 2-core, 2-slot DWS program with
 // the arbiter on, which is dwsd's shape. The other three time the job's
-// sequential parts on one core: input, NewTask alone (the keys, the
-// buffer and the tree); leaves, every leaf's radix sort; merges, the
-// seven merge levels above the cutoff. The last two refill the input with
-// the timer stopped, and merges sorts the leaves there too.
+// sequential parts on one core: input, what the job pays besides its
+// leaves and merges — NewTask, and Run's arena handoff: taking the cached
+// arena, laying the tree over it and giving it back (the keys themselves
+// are written by the leaves); leaves, every leaf's radix sort; merges,
+// the seven merge levels above the cutoff. The last two refill the input
+// with the timer stopped, and merges sorts the leaves there too.
 func BenchmarkMergesortServed(b *testing.B) {
 	spec, _ := ByName("Mergesort")
 	b.Run("job", func(b *testing.B) {
@@ -196,13 +198,17 @@ func BenchmarkMergesortServed(b *testing.B) {
 			job()
 		}
 	})
+	n := dim(4_000_000, 0.05)
 	b.Run("input", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			spec.NewTask(0.05)
+			ar := msTake(n)
+			msBuild(ar.slab, ar.data[:n], ar.data[n:2*n], msKeys(), 0)
+			msGive(ar)
 		}
 	})
 
-	src := RandSlice(dim(4_000_000, 0.05), 11)
+	src := RandSlice(n, 11)
 	a, buf := make([]int32, len(src)), make([]int32, len(src))
 	noMerge := func([]int32, int, []int32) {}
 	b.Run("leaves", func(b *testing.B) {

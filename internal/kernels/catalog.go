@@ -16,9 +16,12 @@ type Spec struct {
 	// scale size (1.0 ≈ hundreds of milliseconds on a multi-core host; ≤0
 	// defaults to 1.0). An FFT task's leaves gather from one read-only
 	// input that its length's jobs share, into an output buffer recycled
-	// between runs, so every run of it gets the same input and runs may
-	// overlap; the other kernels build fresh input per call and compute on
-	// it in place, so build one per run.
+	// between runs; a Mergesort task's leaves fill their blocks from one
+	// read-only key block that all its jobs share, in an arena (keys, merge
+	// buffer and tree) recycled between runs outside the Go heap. Every run
+	// of either gets the same input and runs may overlap. The other
+	// kernels build fresh input per call and compute on it in place, so
+	// build one per run.
 	NewTask func(size float64) rt.Task
 }
 
@@ -84,7 +87,7 @@ func Catalog() []Spec {
 			return SORTask(g, 30, 1.5)
 		}},
 		{Name: "Mergesort", NewTask: func(size float64) rt.Task {
-			return MergesortTask(RandSlice(dim(4_000_000, size), 11))
+			return catalogMergesort(dim(4_000_000, size))
 		}},
 	}
 }

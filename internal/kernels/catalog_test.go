@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -165,5 +166,102 @@ func TestCatalogFFTAboveServed(t *testing.T) {
 	}
 	if seen.Load() != 2 || wrong.Load() != 0 {
 		t.Errorf("%d of %d outputs differ from FFTTask's, want 2 runs and none", wrong.Load(), seen.Load())
+	}
+}
+
+// msReference is what the catalog's Mergesort job of n keys must output:
+// its documented keys — key i is RandSlice(1<<16, 11)[i mod 2¹⁶] xor
+// (i div 2¹⁶)·0x9e3779b9 — sorted.
+func msReference(n int) []int32 {
+	block := RandSlice(1<<16, 11)
+	keys := make([]int32, n)
+	for i := range keys {
+		keys[i] = block[i%len(block)] ^ int32(uint32(i/len(block))*0x9e3779b9)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// TestCatalogMergesortIsSortedKeys: a catalog Mergesort job, whose key
+// block is shared and whose arena is recycled, outputs its documented
+// keys sorted — through a falling, a rising and a repeated sequence of
+// lengths on one program (the arena holds the last, longer job's tree and
+// keys), across a new maximum that makes the arena regrow, and when two
+// programs sort at once (each run must get an arena of its own). Up to
+// 2¹⁶ keys the input is RandSlice(n, 11) itself.
+func TestCatalogMergesortIsSortedKeys(t *testing.T) {
+	want := RandSlice(1<<16, 11)
+	slices.Sort(want)
+	if !slices.Equal(msReference(1<<16), want) {
+		t.Fatal("the first 2¹⁶ documented keys are not RandSlice(2¹⁶, 11)")
+	}
+	sys, err := rt.NewSystem(rt.Config{Cores: 4, Programs: 2, Policy: rt.DWS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	var progs [2]*rt.Program
+	for i := range progs {
+		if progs[i], err = sys.NewProgram("sort"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cached := func() int {
+		if ar := msCache.Load(); ar != nil {
+			return len(ar.data) / 2
+		}
+		return 0
+	}
+	top := max(300_000, cached()+1) // longer than any arena yet: it must regrow
+	sequences := [][]int{
+		{200_000, 65_537, 65_536, 65_535, msCutoff, 100},
+		{100, msCutoff, 65_535, 65_536, 65_537, 200_000, top},
+		{top, top, 65_536, 65_536, 100, 100},
+	}
+	concurrent := []int{200_000, 65_536, 100, 65_537}
+	sorted := map[int][]int32{}
+	for _, n := range append(slices.Concat(sequences...), concurrent...) {
+		if sorted[n] == nil {
+			sorted[n] = msReference(n)
+		}
+	}
+	var seen, wrong atomic.Int64
+	msRan = func(out []int32) {
+		seen.Add(1)
+		if !slices.Equal(out, sorted[len(out)]) {
+			wrong.Add(1)
+		}
+	}
+	t.Cleanup(func() { msRan = nil })
+
+	runs := int64(0)
+	for _, seq := range sequences {
+		for _, n := range seq {
+			if err := progs[0].Run(catalogMergesort(n)); err != nil {
+				t.Fatal(err)
+			}
+			runs++
+			if c := cached(); c < n {
+				t.Fatalf("after a %d-key job the cached arena holds %d keys", n, c)
+			}
+		}
+	}
+	const rounds = 3
+	var wg sync.WaitGroup
+	for i, p := range progs {
+		wg.Add(1)
+		go func(p *rt.Program, shift int) {
+			defer wg.Done()
+			for r := 0; r < rounds*len(concurrent); r++ {
+				if err := p.Run(catalogMergesort(concurrent[(r+shift)%len(concurrent)])); err != nil {
+					t.Error(err)
+				}
+			}
+		}(p, i)
+	}
+	wg.Wait()
+	runs += int64(len(progs) * rounds * len(concurrent))
+	if seen.Load() != runs || wrong.Load() != 0 {
+		t.Errorf("%d of %d outputs differ from the sorted documented keys, want %d runs and none", wrong.Load(), seen.Load(), runs)
 	}
 }

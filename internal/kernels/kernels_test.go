@@ -566,6 +566,54 @@ func TestFFTJobSteadyState(t *testing.T) {
 	}
 }
 
+// TestMergesortJobSteadyState pins what a served Mergesort job costs once
+// a job as long has run: NewTask allocates the task and Run takes the
+// cached arena and gives it back — no input, buffer or tree (1.6 MB at
+// size 0.05), and the same arena every job. The program has one core, so
+// that no task node crosses workers: the runtime's recycling of those
+// drops one now and then when it does, more often in a -race build.
+func TestMergesortJobSteadyState(t *testing.T) {
+	spec, _ := ByName("Mergesort")
+	sys, err := rt.NewSystem(rt.Config{Cores: 1, Programs: 1, Policy: rt.DWS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	p, err := sys.NewProgram("sort")
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := func() {
+		if err := p.Run(spec.NewTask(0.05)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for warm := 0; warm < 10; warm++ {
+		job()
+	}
+	ar := msCache.Load()
+	got := testing.AllocsPerRun(20, job)
+	t.Logf("NewTask + Run of Mergesort(0.05): %v allocations a job", got)
+	if got > 1 {
+		t.Errorf("NewTask + Run of Mergesort(0.05) allocates %v times a job, want at most 1", got)
+	}
+	if msCache.Load() != ar {
+		t.Error("the jobs did not recycle one arena")
+	}
+	const jobs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < jobs; i++ {
+		job()
+	}
+	runtime.ReadMemStats(&after)
+	perJob := (after.TotalAlloc - before.TotalAlloc) / jobs
+	t.Logf("NewTask + Run of Mergesort(0.05): %d bytes a job", perJob)
+	if perJob > 1<<10 {
+		t.Errorf("NewTask + Run of Mergesort(0.05) allocates %d bytes a job, want under 1 KB (its tree slab is 24 KB, its keys 800 KB)", perJob)
+	}
+}
+
 // TestFFTTreeOneBuffer pins what a served FFT job builds when its
 // length's pool is empty: one tree, whose only buffer is its n-point
 // output (the leaves gather from the shared input), and its node slab.

@@ -1,6 +1,11 @@
 package kernels
 
-import "dws/internal/rt"
+import (
+	"sync"
+	"sync/atomic"
+
+	"dws/internal/rt"
+)
 
 // msCutoff is the subarray size below which the parallel mergesort sorts
 // sequentially.
@@ -124,11 +129,16 @@ func merge(a []int32, mid int, buf []int32) {
 // block, an inner node spawns its halves, joins and merges them.
 type msNode struct {
 	a, buf      []int32
+	keys        []int32 // a catalog job's key block (msKeys), or nil: a is the input
+	off         int     // a's first key index in a catalog job
 	left, right *msNode // nil in a leaf
 }
 
 func (n *msNode) Run(c *rt.Ctx) {
 	if n.left == nil {
+		if n.keys != nil {
+			msFill(n.a, n.keys, n.off)
+		}
 		radixSort(n.a, n.buf)
 		return
 	}
@@ -138,17 +148,29 @@ func (n *msNode) Run(c *rt.Ctx) {
 	merge(n.a, len(n.left.a), n.buf)
 }
 
-// msBuild lays the tree over a out in slab, in spawn order, and returns
-// its root and the unused rest of slab.
-func msBuild(slab []msNode, a, buf []int32) (*msNode, []msNode) {
+// msBuild lays the tree over a — keys off… of keys when keys is not nil —
+// out in slab, in spawn order, and returns its root and the unused rest of
+// slab. Every node is written whole: a recycled slab's leaf may have been
+// an inner node of the last tree.
+func msBuild(slab []msNode, a, buf, keys []int32, off int) (*msNode, []msNode) {
 	n := &slab[0]
-	n.a, n.buf, slab = a, buf, slab[1:]
+	*n, slab = msNode{a: a, buf: buf, keys: keys, off: off}, slab[1:]
 	if len(a) > msCutoff {
 		mid := len(a) / 2
-		n.left, slab = msBuild(slab, a[:mid], buf[:mid])
-		n.right, slab = msBuild(slab, a[mid:], buf[mid:])
+		n.left, slab = msBuild(slab, a[:mid], buf[:mid], keys, off)
+		n.right, slab = msBuild(slab, a[mid:], buf[mid:], keys, off+mid)
 	}
 	return n, slab
+}
+
+// msNodes is the slab length a tree over n keys needs: that of a full tree
+// down to where the larger half fits a leaf. It never falls as n grows.
+func msNodes(n int) int {
+	nodes := 1
+	for m := n; m > msCutoff; m = (m + 1) / 2 {
+		nodes = 2*nodes + 1
+	}
+	return nodes
 }
 
 // MergesortTask returns a task sorting a in place: recursive halves are
@@ -159,14 +181,95 @@ func msBuild(slab []msNode, a, buf []int32) (*msNode, []msNode) {
 // The merge buffer and the whole spawn tree — one slab of msNodes, not a
 // closure per node, because a served job builds a tree to run it once —
 // are made here, so re-running the task allocates nothing (run it on one
-// program at a time).
+// program at a time). The catalog's Mergesort job (catalogMergesort) runs
+// the same tree over keys its leaves write and memory it recycles.
 func MergesortTask(a []int32) rt.Task {
-	nodes := 1 // of a full tree down to where the larger half fits a leaf
-	for m := len(a); m > msCutoff; m = (m + 1) / 2 {
-		nodes = 2*nodes + 1
-	}
-	root, _ := msBuild(make([]msNode, nodes), a, make([]int32, len(a)))
+	root, _ := msBuild(make([]msNode, msNodes(len(a))), a, make([]int32, len(a)), nil, 0)
 	return root.Run
+}
+
+// msKeys is the key block every catalog Mergesort job reads and none
+// writes: RandSlice(1<<16, 11), 256 KB, built on the first job.
+var msKeys = sync.OnceValue(func() []int32 { return RandSlice(1<<16, 11) })
+
+// msFill writes a catalog job's keys off, off+1, … into a. Key i is
+// keys[i mod 2¹⁶] xor (i div 2¹⁶)·0x9e3779b9, so a job of at most 2¹⁶ keys
+// sorts exactly RandSlice(n, 11) (RandSlice(n, s) is a prefix of
+// RandSlice(N, s)) and a longer one sorts the block again under other
+// high bits. Each 2¹⁶-key span is one xor loop.
+func msFill(a, keys []int32, off int) {
+	for len(a) > 0 {
+		span := keys[off&0xffff:]
+		span = span[:min(len(span), len(a))]
+		x := int32(uint32(off>>16) * 0x9e3779b9)
+		dst := a[:len(span)]
+		for i, k := range span {
+			dst[i] = k ^ x
+		}
+		a, off = a[len(span):], off+len(span)
+	}
+}
+
+// msArena is a catalog Mergesort job's memory for up to len(data)/2 keys:
+// data holds the keys, then the merge buffer, and slab a tree over them.
+// data is mapped outside the Go heap (mem; nil when the heap had to
+// serve): kept between jobs on the heap, it would count twice towards the
+// collector's heap goal. The slab (96 bytes a node, 24 KB at 200 000
+// keys) stays on the heap, as its nodes hold pointers.
+type msArena struct {
+	data []int32
+	mem  []byte
+	slab []msNode
+}
+
+// msCache holds the arena the last catalog Mergesort job gave back, or
+// nil while a job holds it: one slot, so at most one arena outlives its
+// job.
+var msCache atomic.Pointer[msArena]
+
+// msTake hands a job an arena of its own for n keys: the cached one, or,
+// when the slot is empty or its arena is too small, a new one (the small
+// one is released, as the job holds it alone).
+func msTake(n int) *msArena {
+	ar := msCache.Swap(nil)
+	if ar != nil && len(ar.data) >= 2*n {
+		return ar
+	}
+	if ar != nil {
+		freeKeys(ar.mem)
+	}
+	data, mem := allocKeys(2 * n)
+	return &msArena{data: data, mem: mem, slab: make([]msNode, msNodes(n))}
+}
+
+// msGive puts a job's arena in the slot, or releases it if another job's
+// got there first.
+func msGive(ar *msArena) {
+	if !msCache.CompareAndSwap(nil, ar) {
+		freeKeys(ar.mem)
+	}
+}
+
+// msRan, when a test sets it, is handed each catalog Mergesort job's
+// sorted keys before its arena is given back.
+var msRan func(out []int32)
+
+// catalogMergesort returns the catalog's Mergesort job of n keys: the sort
+// of msFill's keys 0…n-1, which for n ≤ 2¹⁶ are RandSlice(n, 11). Its
+// leaves fill their blocks from the shared key block, and its keys,
+// buffer and tree live in an arena taken when it runs and given back
+// after, so NewTask allocates only the task and runs of one task may
+// overlap.
+func catalogMergesort(n int) rt.Task {
+	return func(c *rt.Ctx) {
+		ar := msTake(n)
+		root, _ := msBuild(ar.slab, ar.data[:n], ar.data[n:2*n], msKeys(), 0)
+		root.Run(c)
+		if msRan != nil {
+			msRan(root.a)
+		}
+		msGive(ar)
+	}
 }
 
 // IsSorted reports whether a is non-decreasing.

@@ -401,8 +401,11 @@ func reclaimScenario(t *testing.T, fault bool) (*Checker, []string) {
 		}
 	}
 	mark("runs-done")
+	// A clean run's borrower must also have acted on its eviction: the
+	// table can read all free while B's worker is still finishing its last
+	// task, and Close would then end it before it sees the flag.
 	waitFor("final quiesce", func() bool {
-		return allFree() && ck.InSync(sys.Occupants())
+		return allFree() && ck.InSync(sys.Occupants()) && (fault || ck.Count(trace.Evict) >= 1)
 	})
 	if extra := ck.Checkpoint(sys.Occupants()); len(extra) != 0 {
 		t.Fatalf("final checkpoint mismatch: %v", extra)

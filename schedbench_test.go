@@ -345,8 +345,11 @@ func hotpathBattery() []namedBench {
 			}
 		}},
 		// The same set-up for the two kernels corun-mix serves, at its
-		// size: input, scratch and the spawn tree as one slab. allocs/op
-		// is the gated number — a closure per tree node would be 250 more.
+		// size. Both only hand back a task — their inputs are shared and
+		// their buffers and trees recycled when it runs — so allocs/op is
+		// 1 for Mergesort (the task; the committed baseline, taken when
+		// NewTask built the input, buffer and slab, reads 5) and 0 for
+		// FFT. allocs/op is the gated number.
 		{"job/newtask-mergesort-0.05", newTaskBench("Mergesort", 0.05)},
 		{"job/newtask-fft-0.05", newTaskBench("FFT", 0.05)},
 		{"job/run-null", rtKernelBench(rt.DWS, func(*testing.B) (rt.Task, func()) {
