@@ -11,11 +11,10 @@ import (
 )
 
 // TestDocsNameWhatExists: the documents a reader follows may name a
-// binary only while its cmd/ directory exists, a binary's flag only while
-// its cmd/<binary>/main.go declares it, and an -exp argument only while it
-// is a row of bench.Experiments (or "all").
+// binary or an example only while its cmd/ or examples/ directory exists,
+// a binary's flag only while its cmd/<binary>/main.go declares it, and an
+// -exp argument only while it is a row of bench.Experiments (or "all").
 func TestDocsNameWhatExists(t *testing.T) {
-	cmdRef := regexp.MustCompile(`\bcmd/([a-z][a-z0-9]*)`)
 	expRef := regexp.MustCompile(`-exp[ =]([a-z][a-z0-9]*(?:\|[a-z][a-z0-9]*)*)`)
 	declared, err := declaredFlags()
 	if err != nil {
@@ -29,10 +28,8 @@ func TestDocsNameWhatExists(t *testing.T) {
 		for _, msg := range undeclaredFlags(string(text), declared) {
 			t.Errorf("%s %s", doc, msg)
 		}
-		for _, m := range cmdRef.FindAllSubmatch(text, -1) {
-			if fi, err := os.Stat("cmd/" + string(m[1])); err != nil || !fi.IsDir() {
-				t.Errorf("%s names cmd/%s, which does not exist", doc, m[1])
-			}
+		for _, msg := range missingDirs(string(text)) {
+			t.Errorf("%s %s", doc, msg)
 		}
 		for _, m := range expRef.FindAllSubmatch(text, -1) {
 			for _, name := range strings.Split(string(m[1]), "|") {
@@ -40,6 +37,44 @@ func TestDocsNameWhatExists(t *testing.T) {
 					t.Errorf("%s names -exp %s: %v", doc, name, err)
 				}
 			}
+		}
+	}
+}
+
+// dirRef matches a program's directory: cmd/<binary> or examples/<name>.
+var dirRef = regexp.MustCompile(`\b(?:cmd|examples)/[a-z][a-z0-9]*`)
+
+// missingDirs returns one message for each cmd/ or examples/ directory
+// doc names that does not exist.
+func missingDirs(doc string) []string {
+	var msgs []string
+	for _, dir := range dirRef.FindAllString(doc, -1) {
+		if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+			msgs = append(msgs, fmt.Sprintf("names %s, which does not exist", dir))
+		}
+	}
+	return msgs
+}
+
+// TestMissingDirs: the directory matcher reports a deleted example or
+// binary by its path and passes the ones that exist.
+func TestMissingDirs(t *testing.T) {
+	for _, c := range []struct {
+		name, doc string
+		report    string // the path the one message names; "" = none
+	}{
+		{"live binary", "go run ./cmd/dwssim -exp fig4\n", ""},
+		{"live example", "go run ./examples/quickstart\n", ""},
+		{"deleted example", "go run ./examples/corun  # mix (1,8)\n", "examples/corun"},
+		{"deleted binary", "`cmd/dwsbench` prints the table\n", "cmd/dwsbench"},
+		{"bare directory", "the examples/ directory holds one program\n", ""},
+	} {
+		msgs := missingDirs(c.doc)
+		switch {
+		case c.report == "" && len(msgs) != 0:
+			t.Errorf("%s: unexpected %q", c.name, msgs)
+		case c.report != "" && (len(msgs) != 1 || !strings.Contains(msgs[0], c.report)):
+			t.Errorf("%s: messages %q, want one naming %s", c.name, msgs, c.report)
 		}
 	}
 }

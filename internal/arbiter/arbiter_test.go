@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dws/internal/coretable"
+	"dws/internal/topo"
 )
 
 func newArb(t *testing.T, k int, cfg Config) (*Arbiter, *coretable.Table) {
@@ -39,7 +40,7 @@ func TestEqualWeightsDegeneratesToHomeCores(t *testing.T) {
 				t.Fatalf("k=%d m=%d: p%d entitlement = %d, want HomeCores size %d",
 					tc.k, tc.m, idx+1, got, want)
 			}
-			if got := tb.EntitledCores(idx); !reflect.DeepEqual(got, coretable.HomeCores(tc.k, tc.m, idx)) {
+			if got := Home(tb, topo.Flat(tc.k), idx, nil, false, new([]int)); !reflect.DeepEqual(got, coretable.HomeCores(tc.k, tc.m, idx)) {
 				t.Fatalf("k=%d m=%d: slot %d entitled cores %v != HomeCores %v",
 					tc.k, tc.m, idx, got, coretable.HomeCores(tc.k, tc.m, idx))
 			}

@@ -112,36 +112,41 @@ func FuzzPlan(f *testing.F) {
 }
 
 func TestHome(t *testing.T) {
+	var buf []int
 	static := []int{0, 1}
-	if got := Home(nil, topo.Flat(4), 0, static, true); !reflect.DeepEqual(got, static) {
+	if got := Home(nil, topo.Flat(4), 0, static, true, &buf); !reflect.DeepEqual(got, static) {
 		t.Errorf("no table: home %v, want the static %v", got, static)
 	}
 
 	flat := coretable.NewMem(4)
-	if got := Home(flat, topo.Flat(4), 1, []int{2, 3}, true); !reflect.DeepEqual(got, []int{2, 3}) {
+	if got := Home(flat, topo.Flat(4), 1, []int{2, 3}, true, &buf); !reflect.DeepEqual(got, []int{2, 3}) {
 		t.Errorf("nothing published: home %v, want the static [2 3]", got)
 	}
 	if _, ok := flat.SetEntitlements([]int32{3, 1, 0, 0}, 0); !ok {
 		t.Fatal("SetEntitlements refused")
 	}
-	if got := Home(flat, topo.Flat(4), 1, []int{2, 3}, true); !reflect.DeepEqual(got, []int{3}) {
-		t.Errorf("flat entitled home %v, want [3]", got)
+	if got := Home(flat, topo.Flat(4), 1, []int{2, 3}, true, &buf); !reflect.DeepEqual(got, []int{3}) || &got[0] != &buf[0] {
+		t.Errorf("flat entitled home %v, want [3] written into buf", got)
+	}
+	ft := topo.Flat(4)
+	if allocs := testing.AllocsPerRun(10, func() { Home(flat, ft, 1, nil, true, &buf) }); allocs != 0 {
+		t.Errorf("flat entitled home: %v allocations a call, want 0", allocs)
 	}
 
 	// Two sockets of 4: slot 0 (3 cores) packs into socket 0 and slot 1
 	// (4 cores) into socket 1 when placed; the flat prefix split tears it.
 	tp := topo.Uniform(8, 4)
 	sock := coretable.NewMem(8)
-	if got := Home(sock, tp, 1, []int{4, 5, 6, 7}, true); !reflect.DeepEqual(got, []int{4, 5, 6, 7}) {
+	if got := Home(sock, tp, 1, []int{4, 5, 6, 7}, true, &buf); !reflect.DeepEqual(got, []int{4, 5, 6, 7}) {
 		t.Errorf("placed, nothing published: home %v, want the static [4 5 6 7]", got)
 	}
 	if _, ok := sock.SetEntitlements([]int32{3, 4, 0, 0, 0, 0, 0, 0}, 0); !ok {
 		t.Fatal("SetEntitlements refused")
 	}
-	if got := Home(sock, tp, 1, nil, true); !reflect.DeepEqual(got, []int{4, 5, 6, 7}) {
+	if got := Home(sock, tp, 1, nil, true, &buf); !reflect.DeepEqual(got, []int{4, 5, 6, 7}) {
 		t.Errorf("placed home %v, want socket 1's [4 5 6 7]", got)
 	}
-	if got := Home(sock, tp, 1, nil, false); !reflect.DeepEqual(got, []int{3, 4, 5, 6}) {
+	if got := Home(sock, tp, 1, nil, false, &buf); !reflect.DeepEqual(got, []int{3, 4, 5, 6}) {
 		t.Errorf("unplaced home %v, want the flat prefix slice [3 4 5 6]", got)
 	}
 }

@@ -30,12 +30,12 @@ import (
 //     minimizing the number of fragments the block splits into;
 //  3. clamp: if free capacity runs out (an over-committed vector from a
 //     racy entitlement snapshot), the program keeps whatever it got —
-//     benign for the same reason EntitledCores clamps to [0,k).
+//     benign for the same reason EntitledBlock clamps to [0,k).
 //
 // Each program's final core list is sorted ascending. Under a flat
 // topology the free set is a single run, first-fit always hits it at
 // the prefix position, and the result is bit-identical to the
-// prefix-sum contiguous split EntitledCores describes — the degeneracy
+// prefix-sum contiguous split EntitledBlock describes — the degeneracy
 // anchor the property tests pin.
 //
 // Slot-order iteration is also what keeps re-apportion churn low: a
@@ -150,8 +150,11 @@ func PlacedFor(t *topo.Topology, ents []int32, idx int) []int {
 // an arbiter has published into t, the static even split otherwise (and
 // always when t is nil). With placed set on a multi-socket topology the
 // entitled block is the placed one (PlacedFor over the published sizes);
-// otherwise it is the table's flat prefix-sum slice.
-func Home(t *coretable.Table, tp *topo.Topology, idx int, static []int, placed bool) []int {
+// otherwise it is the table's flat prefix-sum slice, written into the
+// caller's *buf, which grows only when the block outgrows it. The result
+// aliases static or *buf, so it is read before the next call with the
+// same buf. Only the placed path allocates on every call.
+func Home(t *coretable.Table, tp *topo.Topology, idx int, static []int, placed bool, buf *[]int) []int {
 	if t == nil {
 		return static
 	}
@@ -161,8 +164,16 @@ func Home(t *coretable.Table, tp *topo.Topology, idx int, static []int, placed b
 		}
 		return static
 	}
-	if ent := t.EntitledCores(idx); ent != nil {
-		return ent
+	start, size, ok := t.EntitledBlock(idx)
+	if !ok {
+		return static
 	}
-	return static
+	if cap(*buf) < size {
+		*buf = make([]int, size)
+	}
+	home := (*buf)[:size]
+	for i := range home {
+		home[i] = start + i
+	}
+	return home
 }

@@ -162,7 +162,7 @@ func TestPlaceProperties(t *testing.T) {
 
 // TestPlaceFlatIsPrefixSum pins the degeneracy anchor: under a flat
 // topology Place must reproduce the contiguous prefix-sum split that
-// coretable.EntitledCores describes, bit for bit, for any size vector.
+// coretable.EntitledBlock describes, bit for bit, for any size vector.
 func TestPlaceFlatIsPrefixSum(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {

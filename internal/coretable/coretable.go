@@ -274,17 +274,6 @@ func (t *Table) Snapshot() []int32 {
 	return s
 }
 
-// FreeCores returns the indices of currently free cores (racy snapshot).
-func (t *Table) FreeCores() []int {
-	var free []int
-	for i := 0; i < t.k; i++ {
-		if t.occ[i].Load() == Free {
-			free = append(free, i)
-		}
-	}
-	return free
-}
-
 // CountOccupiedBy returns how many cores pid currently occupies.
 func (t *Table) CountOccupiedBy(pid int32) int {
 	n := 0

@@ -79,6 +79,17 @@ func TestReleaseClearsEviction(t *testing.T) {
 	}
 }
 
+// freeCores lists the cores a Snapshot shows free.
+func freeCores(tb *Table) []int {
+	var free []int
+	for c, occ := range tb.Snapshot() {
+		if occ == Free {
+			free = append(free, c)
+		}
+	}
+	return free
+}
+
 func TestSnapshotAndCounts(t *testing.T) {
 	tb := NewMem(6)
 	tb.InstallHome([]int{0, 1, 2}, 1)
@@ -86,12 +97,12 @@ func TestSnapshotAndCounts(t *testing.T) {
 	if n := tb.CountOccupiedBy(1); n != 3 {
 		t.Fatalf("CountOccupiedBy(1) = %d", n)
 	}
-	if free := tb.FreeCores(); len(free) != 0 {
-		t.Fatalf("FreeCores = %v", free)
+	if free := freeCores(tb); len(free) != 0 {
+		t.Fatalf("free cores = %v", free)
 	}
 	tb.Release(4, 2)
-	if free := tb.FreeCores(); len(free) != 1 || free[0] != 4 {
-		t.Fatalf("FreeCores = %v", free)
+	if free := freeCores(tb); len(free) != 1 || free[0] != 4 {
+		t.Fatalf("free cores = %v", free)
 	}
 	snap := tb.Snapshot()
 	want := []int32{1, 1, 1, 2, Free, 2}
@@ -101,7 +112,7 @@ func TestSnapshotAndCounts(t *testing.T) {
 		}
 	}
 	tb.Reset()
-	if len(tb.FreeCores()) != 6 {
+	if len(freeCores(tb)) != 6 {
 		t.Fatal("Reset did not free all cores")
 	}
 }
@@ -200,7 +211,7 @@ func TestConcurrentClaimReleaseChurn(t *testing.T) {
 		}(int32(p + 1))
 	}
 	wg.Wait()
-	if got := len(tb.FreeCores()); got != k {
+	if got := len(freeCores(tb)); got != k {
 		t.Fatalf("free cores after churn = %d, want %d", got, k)
 	}
 }

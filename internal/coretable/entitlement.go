@@ -7,7 +7,7 @@ import "fmt"
 // [1, k] — how many cores the program is currently entitled to reclaim —
 // plus a single monotone entitlement epoch. An external arbiter (see
 // internal/arbiter) periodically publishes a fresh entitlement vector;
-// coordinators derive their elastic home block from it with EntitledCores.
+// coordinators derive their elastic home block from it with EntitledBlock.
 //
 // While the epoch is 0 no arbiter has ever published and readers fall back
 // to the static HomeCores split, so a table without an arbiter behaves
@@ -26,7 +26,7 @@ import "fmt"
 // for a slot-at-a-time reader; the place where sum ≤ k is a hard
 // invariant is the serialized observer stream (rt emits a batch's shrink
 // rows before its grow rows, and schedcheck enforces the running sum).
-// EntitledCores clamps derived blocks to [0, k), so a stale prefix can
+// EntitledBlock clamps derived blocks to [0, k), so a stale prefix can
 // only cost a skipped (CAS-rechecked) reclaim, never an out-of-range
 // core.
 
@@ -93,30 +93,16 @@ func (t *Table) SetEntitlements(ents []int32, prevEpoch int64) (int64, bool) {
 	return prevEpoch + 1, true
 }
 
-// EntitledCores derives program slot idx's (0-based) elastic home block
-// from the current entitlement vector: the contiguous block starting at
-// the sum of lower-ID programs' entitlements, clamped to [0, K()). It
-// returns nil when the entitlement epoch is still 0 (no arbiter — callers
-// fall back to the static HomeCores split).
+// EntitledBlock derives program slot idx's (0-based) elastic home block
+// from the current entitlement vector: cores [start, start+size), the
+// contiguous block starting at the sum of lower-ID programs'
+// entitlements, clamped to [0, K()). ok is false while the entitlement
+// epoch is still 0 (no arbiter — callers fall back to the static
+// HomeCores split). It allocates nothing, for callers on a per-job path.
 //
 // With equal weights and every program active, an arbiter publishes
 // exactly the HomeCores block sizes, so the derived blocks coincide with
 // the paper's static allocation — the degenerate case.
-func (t *Table) EntitledCores(idx int) []int {
-	start, size, ok := t.EntitledBlock(idx)
-	if !ok {
-		return nil
-	}
-	cores := make([]int, size)
-	for i := range cores {
-		cores[i] = start + i
-	}
-	return cores
-}
-
-// EntitledBlock is EntitledCores as bounds: the block is cores
-// [start, start+size), and ok is false while the entitlement epoch is 0.
-// It allocates nothing, for callers on a per-job path.
 func (t *Table) EntitledBlock(idx int) (start, size int, ok bool) {
 	if t.entEpoch.Load() == 0 {
 		return 0, 0, false

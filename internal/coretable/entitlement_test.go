@@ -6,13 +6,27 @@ import (
 	"testing"
 )
 
+// entitledCores expands EntitledBlock into the block's core list: nil
+// while unarbitrated, empty but non-nil for a zero-size block.
+func entitledCores(tb *Table, idx int) []int {
+	start, size, ok := tb.EntitledBlock(idx)
+	if !ok {
+		return nil
+	}
+	cores := make([]int, size)
+	for i := range cores {
+		cores[i] = start + i
+	}
+	return cores
+}
+
 func TestEntitlementsStartUnarbitrated(t *testing.T) {
 	tb := NewMem(8)
 	if got := tb.EntitlementEpoch(); got != 0 {
 		t.Fatalf("fresh table entitlement epoch = %d, want 0", got)
 	}
-	if got := tb.EntitledCores(3); got != nil {
-		t.Fatalf("EntitledCores on unarbitrated table = %v, want nil", got)
+	if got := entitledCores(tb, 3); got != nil {
+		t.Fatalf("entitled cores on unarbitrated table = %v, want nil", got)
 	}
 	for pid := int32(1); pid <= 8; pid++ {
 		if got := tb.Entitlement(pid); got != 0 {
@@ -30,13 +44,13 @@ func TestSetEntitlementsPublishAndDerive(t *testing.T) {
 	if got := tb.Entitlement(1); got != 5 {
 		t.Fatalf("p1 entitlement = %d, want 5", got)
 	}
-	if got := tb.EntitledCores(0); !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4}) {
+	if got := entitledCores(tb, 0); !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4}) {
 		t.Fatalf("slot 0 entitled cores = %v", got)
 	}
-	if got := tb.EntitledCores(1); !reflect.DeepEqual(got, []int{5, 6, 7}) {
+	if got := entitledCores(tb, 1); !reflect.DeepEqual(got, []int{5, 6, 7}) {
 		t.Fatalf("slot 1 entitled cores = %v", got)
 	}
-	if got := tb.EntitledCores(2); len(got) != 0 || got == nil {
+	if got := entitledCores(tb, 2); len(got) != 0 || got == nil {
 		t.Fatalf("slot 2 entitled cores = %v, want empty non-nil", got)
 	}
 	if got := tb.Entitlements(); !reflect.DeepEqual(got, []int32{5, 3, 0, 0, 0, 0, 0, 0}) {
@@ -122,7 +136,7 @@ func TestSetEntitlementsConcurrent(t *testing.T) {
 						return
 					}
 				}
-				for _, c := range tb.EntitledCores(idx) {
+				for _, c := range entitledCores(tb, idx) {
 					if c < 0 || c >= k {
 						t.Errorf("derived core %d outside [0,%d)", c, k)
 						return
@@ -184,7 +198,7 @@ func TestResetClearsEntitlements(t *testing.T) {
 	if got := tb.EntitlementEpoch(); got != 0 {
 		t.Fatalf("epoch after Reset = %d, want 0", got)
 	}
-	if got := tb.EntitledCores(0); got != nil {
-		t.Fatalf("EntitledCores after Reset = %v, want nil (static fallback)", got)
+	if got := entitledCores(tb, 0); got != nil {
+		t.Fatalf("entitled cores after Reset = %v, want nil (static fallback)", got)
 	}
 }

@@ -142,8 +142,8 @@ func TestFileTableEntitlementsShared(t *testing.T) {
 	}
 	defer b.Close()
 
-	if got := b.EntitledCores(0); got != nil {
-		t.Fatalf("unarbitrated file table EntitledCores = %v, want nil", got)
+	if got := entitledCores(b, 0); got != nil {
+		t.Fatalf("unarbitrated file table entitled cores = %v, want nil", got)
 	}
 	if _, ok := a.SetEntitlements([]int32{3, 1, 0, 0}, 0); !ok {
 		t.Fatal("publish via mapping a failed")
@@ -154,7 +154,7 @@ func TestFileTableEntitlementsShared(t *testing.T) {
 	if got := b.Entitlement(1); got != 3 {
 		t.Fatalf("mapping b sees p1 entitlement %d, want 3", got)
 	}
-	if got := b.EntitledCores(1); len(got) != 1 || got[0] != 3 {
+	if got := entitledCores(b, 1); len(got) != 1 || got[0] != 3 {
 		t.Fatalf("mapping b derives slot 1 cores %v, want [3]", got)
 	}
 	if _, ok := b.SetEntitlements([]int32{4, 0, 0, 0}, 0); ok {

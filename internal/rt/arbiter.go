@@ -72,27 +72,11 @@ func (p *Program) demand() (nb, na int) {
 // non-flat topology — and the paper's static HomeCores split otherwise.
 // Reclaim (§3.3 cases 2–3) stays home-only either way; only the home
 // itself is elastic. FaultFlatPlacement plants the "ignore topology" bug
-// the schedcheck placed-block invariants must catch. The regrab runs it
-// once per job, so a flat entitled block — a contiguous range — is kept
-// in p.runHome and rebuilt only when the block moves (coordMu held, or
-// start before the coordinator launches); placed blocks are derived
-// afresh.
+// the schedcheck placed-block invariants must catch. A flat entitled
+// block is written into p.runHome, so the caller holds coordMu (or
+// starts the program, before the coordinator launches).
 func (p *Program) homeCores() []int {
-	t := p.sys.table
-	if t == nil || !p.sys.cfg.Topology.Flat() && !p.sys.cfg.FaultFlatPlacement {
-		return arbiter.Home(t, p.sys.cfg.Topology, p.idx, p.home, !p.sys.cfg.FaultFlatPlacement)
-	}
-	start, size, ok := t.EntitledBlock(p.idx)
-	if !ok {
-		return p.home
-	}
-	if h := p.runHome; len(h) != size || (size > 0 && h[0] != start) {
-		p.runHome = make([]int, size)
-		for i := range p.runHome {
-			p.runHome[i] = start + i
-		}
-	}
-	return p.runHome
+	return arbiter.Home(p.sys.table, p.sys.cfg.Topology, p.idx, p.home, !p.sys.cfg.FaultFlatPlacement, &p.runHome)
 }
 
 // Arbiter returns the system's arbiter, or nil when arbitration is

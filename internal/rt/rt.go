@@ -337,9 +337,6 @@ func (s *System) Cores() int { return s.cfg.Cores }
 // Policy returns the system's scheduling policy.
 func (s *System) Policy() Policy { return s.cfg.Policy }
 
-// MaxPrograms returns m, the number of program slots.
-func (s *System) MaxPrograms() int { return s.cfg.Programs }
-
 // FreeSlots returns how many program slots are currently unoccupied.
 func (s *System) FreeSlots() int {
 	s.mu.Lock()

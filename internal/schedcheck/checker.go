@@ -446,7 +446,7 @@ func (c *Checker) reclaimInHome(prog int32, core int) bool {
 }
 
 // inEntBlock reports whether core lies in slot idx's entitled block. On a
-// flat topology that mirrors coretable.EntitledCores — the block starts
+// flat topology that mirrors coretable.EntitledBlock — the block starts
 // at the prefix sum of the lower slots' entitlements; on a multi-socket
 // one it is membership in the placed block, recomputed from the size
 // vector exactly as the runtime and the simulator recompute it. Caller

@@ -15,9 +15,10 @@ import "dws/internal/arbiter"
 // homeOf returns p's current home block (arbiter.Home, the derivation
 // rt.Program.homeCores makes): the entitled block once the arbiter has
 // published, placed within a socket on a multi-socket machine unless
-// Config.NoLocality; the static even split otherwise.
+// Config.NoLocality; the static even split otherwise. A flat block is
+// written into p.homeBuf, read before the next call.
 func (m *Machine) homeOf(p *Program) []int {
-	return arbiter.Home(m.table, m.topo, p.idx, p.home, !m.cfg.NoLocality)
+	return arbiter.Home(m.table, m.topo, p.idx, p.home, !m.cfg.NoLocality, &p.homeBuf)
 }
 
 // weightOf returns p's arbitration and admission weight (1 without

@@ -4,8 +4,8 @@ package sim
 // that make up nearly all of a replay's events are typed — the worker or
 // core they act on and the generation they were armed at travel in the
 // event itself — so arming one allocates nothing. Rare machine-level
-// actions (arbiter and coordinator ticks, sampling, program and job
-// arrivals) carry a closure instead.
+// actions (arbiter and coordinator ticks, program and job arrivals)
+// carry a closure instead.
 type evKind uint8
 
 const (
@@ -125,10 +125,13 @@ func (m *Machine) after(delay int64, fn func()) {
 	m.schedule(m.now+delay, fn)
 }
 
-// step pops the earliest event, advances the clock to it and fires it.
-// Pre: the heap is not empty.
+// step pops the earliest event, takes the occupancy samples due before
+// it, advances the clock to it and fires it. Pre: the heap is not empty.
 func (m *Machine) step() error {
 	e := m.events.pop()
+	for m.sampleUS > 0 && e.at > m.sampleAt {
+		m.sample()
+	}
 	m.now = e.at
 	m.nEv++
 	if m.nEv > m.cfg.MaxEvents {

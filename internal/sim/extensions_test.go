@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -37,6 +38,31 @@ func TestOccupancySampling(t *testing.T) {
 	}
 	if res.TimelineASCII(0) == "" {
 		t.Fatal("unbounded render empty")
+	}
+}
+
+// TestSamplingLeavesRunAlone: under every policy a sampled run is the
+// unsampled run plus its samples — same events, same simulated time,
+// same per-program statistics.
+func TestSamplingLeavesRunAlone(t *testing.T) {
+	for _, pol := range []Policy{ABP, EP, DWS, DWSNC, GO} {
+		run := func(sampleUS int64) *Results {
+			m := mustMachine(t, debugConfig(pol), []*task.Graph{wideGraph(), narrowGraph()})
+			res, err := m.Run(RunOpts{TargetRuns: 2, HorizonUS: 120_000_000_000, SampleUS: sampleUS})
+			if err != nil {
+				t.Fatalf("%v: %v", pol, err)
+			}
+			return res
+		}
+		plain, sampled := run(0), run(5000)
+		if len(sampled.Samples) == 0 {
+			t.Fatalf("%v: no samples", pol)
+		}
+		sampled.Samples = nil
+		if !reflect.DeepEqual(plain, sampled) {
+			t.Errorf("%v: sampling changed the run: events %d → %d, end %dµs → %dµs",
+				pol, plain.Events, sampled.Events, plain.EndTimeUS, sampled.EndTimeUS)
+		}
 	}
 }
 

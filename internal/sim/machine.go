@@ -35,7 +35,10 @@ type Machine struct {
 	arb   *arbiter.Arbiter // non-nil only with Config.ArbiterPeriodUS > 0
 
 	stopped bool
-	samples []Sample
+	// Occupancy sampling (RunOpts.SampleUS): step records a Sample for
+	// each instant sampleAt the clock passes, so sampling arms no event.
+	sampleUS, sampleAt int64
+	samples            []Sample
 
 	// Task recycling: finished simTasks wait on freeTasks (linked through
 	// parent); taskSlab is the unused rest of the newest slab.
@@ -231,7 +234,9 @@ type RunOpts struct {
 	HorizonUS int64
 	// SampleUS, when positive, records a core-occupancy sample (which
 	// program is running on each core) every SampleUS µs into
-	// Results.Samples — the data behind the dwssim timeline view.
+	// Results.Samples — the data behind the dwssim timeline view. The
+	// samples are read as the clock passes each instant: they add no
+	// event, so the run is the one an unsampled Run makes.
 	SampleUS int64
 	// JoinsUS optionally staggers program launches: program i joins at
 	// JoinsUS[i] (µs). nil means everyone joins at time 0, the paper's
@@ -263,7 +268,9 @@ func (m *Machine) Run(opts RunOpts) (*Results, error) {
 		m.join(p, joinAt(opts.JoinsUS, i))
 	}
 	m.start()
-	m.startSampling(opts.SampleUS)
+	if opts.SampleUS > 0 {
+		m.sampleUS, m.sampleAt = opts.SampleUS, m.now+opts.SampleUS
+	}
 
 	err := loop([]*Machine{m}, opts.HorizonUS)
 	return m.results(), err
@@ -311,27 +318,17 @@ func (m *Machine) start() {
 	}
 }
 
-// startSampling arms the periodic core-occupancy sampler (no-op for
-// sampleUS <= 0).
-func (m *Machine) startSampling(sampleUS int64) {
-	if sampleUS <= 0 {
-		return
-	}
-	var sample func()
-	sample = func() {
-		if m.stopped {
-			return
+// sample records which program runs on each core at the sample instant
+// the clock is about to pass, and moves on to the next instant.
+func (m *Machine) sample() {
+	s := Sample{AtUS: m.sampleAt, Running: make([]int32, len(m.cores))}
+	for i, c := range m.cores {
+		if c.cur != nil {
+			s.Running[i] = c.cur.prog.id
 		}
-		s := Sample{AtUS: m.now, Running: make([]int32, len(m.cores))}
-		for i, c := range m.cores {
-			if c.cur != nil {
-				s.Running[i] = c.cur.prog.id
-			}
-		}
-		m.samples = append(m.samples, s)
-		m.after(sampleUS, sample)
 	}
-	m.after(sampleUS, sample)
+	m.samples = append(m.samples, s)
+	m.sampleAt += m.sampleUS
 }
 
 // loop steps whichever machine's earliest event is earliest — equal times

@@ -24,6 +24,8 @@ type Program struct {
 
 	workers []*Worker
 	home    []int
+	// homeBuf holds the flat entitled home block homeOf last derived.
+	homeBuf []int
 
 	active int // workers in {waking, ready, running, spinning}
 	// inState[s] counts the workers in state s, so a GO push can tell

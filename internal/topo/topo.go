@@ -134,15 +134,6 @@ func DetectAt(root string, k int) *Topology {
 	return fromSocketOf(k, so)
 }
 
-// FromSocketOf builds a topology from an explicit core→socket map
-// (socket ids must be dense, 0..max). Exposed for tests and tools that
-// model irregular machines.
-func FromSocketOf(socketOf []int) *Topology {
-	so := make([]int, len(socketOf))
-	copy(so, socketOf)
-	return fromSocketOf(len(so), so)
-}
-
 func fromSocketOf(k int, socketOf []int) *Topology {
 	n := 0
 	for _, s := range socketOf {
