@@ -162,15 +162,16 @@ func BenchmarkMergesortPar(b *testing.B) {
 }
 
 // BenchmarkMergesortServed is a served Mergesort(0.05) job's budget
-// (200 000 keys, 128 leaves of about 1 562). job times NewTask + Run of
-// the catalog's job in steady state on a 2-core, 2-slot DWS program with
-// the arbiter on, which is dwsd's shape. The other three time the job's
-// sequential parts on one core: input, what the job pays besides its
-// leaves and merges — NewTask, and Run's arena handoff: taking the cached
-// arena, laying the tree over it and giving it back (the keys themselves
-// are written by the leaves); leaves, every leaf's radix sort; merges,
-// the seven merge levels above the cutoff. The last two refill the input
-// with the timer stopped, and merges sorts the leaves there too.
+// (200 000 keys, halved down to leaves of at most msCutoff keys: 16 of
+// 12 500 at msCutoff 2¹⁴). job times NewTask + Run of the catalog's job in
+// steady state on a 2-core, 2-slot DWS program with the arbiter on, which
+// is dwsd's shape. The other three time the job's sequential parts on one
+// core: input, what the job pays besides its leaves and merges — NewTask,
+// and Run's arena handoff: taking the cached arena, laying the tree over
+// it and giving it back (the keys themselves are written by the leaves);
+// leaves, every leaf's radix sort; merges, the merge levels above the
+// leaves (four at msCutoff 2¹⁴). The last two refill the input with the
+// timer stopped, and merges sorts the leaves there too.
 func BenchmarkMergesortServed(b *testing.B) {
 	spec, _ := ByName("Mergesort")
 	b.Run("job", func(b *testing.B) {

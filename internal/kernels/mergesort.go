@@ -7,14 +7,19 @@ import (
 	"dws/internal/rt"
 )
 
-// msCutoff is the subarray size below which the parallel mergesort sorts
-// sequentially.
-const msCutoff = 2048
+// msCutoff is the largest block a leaf sorts: 2¹⁴ keys, the power of two
+// at or above the paper's p-8 grain (4×10⁶ keys over 256 leaves, 15 625
+// each). A full-size job (catalog Mergesort(1.0)) then records exactly
+// workload.Mergesort's tree: 256 leaves, 511 nodes, depth 9. A leaf is
+// linear (radixSort) while each level above it is one more pass over the
+// keys (merge), so a coarser grain is also fewer merge levels.
+const msCutoff = 1 << 14
 
 // MergesortSeq sorts a in place with MergesortTask's algorithm on one
-// core: halves split down to msCutoff keys, each block radix-sorted, the
-// halves merged back up in the same order. The two are one sort, as
-// FFTSeq and FFTTask are one transform.
+// core: halves split down to blocks of at most msCutoff keys, each block
+// radix-sorted, the halves merged back up in the same order (200 000 keys
+// are 16 blocks under four merge levels). The two are one sort, as FFTSeq
+// and FFTTask are one transform.
 func MergesortSeq(a []int32) {
 	msSort(a, make([]int32, len(a)))
 }
@@ -176,8 +181,9 @@ func msNodes(n int) int {
 // MergesortTask returns a task sorting a in place: recursive halves are
 // spawned in parallel down to blocks of at most msCutoff keys, each of
 // which a leaf radix-sorts; each merge is sequential, which caps
-// parallelism near the root exactly like the paper's p-8 (and the
-// simulator profile). MergesortSeq is the same sort on one core.
+// parallelism near the root exactly like the paper's p-8. At 4×10⁶ keys
+// the tree is the simulator's p-8 node for node (TestMergesortIsP8).
+// MergesortSeq is the same sort on one core.
 // The merge buffer and the whole spawn tree — one slab of msNodes, not a
 // closure per node, because a served job builds a tree to run it once —
 // are made here, so re-running the task allocates nothing (run it on one
@@ -214,7 +220,7 @@ func msFill(a, keys []int32, off int) {
 // data holds the keys, then the merge buffer, and slab a tree over them.
 // data is mapped outside the Go heap (mem; nil when the heap had to
 // serve): kept between jobs on the heap, it would count twice towards the
-// collector's heap goal. The slab (96 bytes a node, 24 KB at 200 000
+// collector's heap goal. The slab (96 bytes a node, 3 KB at 200 000
 // keys) stays on the heap, as its nodes hold pointers.
 type msArena struct {
 	data []int32

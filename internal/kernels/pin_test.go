@@ -13,6 +13,7 @@ import (
 
 	"dws/internal/rt"
 	"dws/internal/task"
+	"dws/internal/workload"
 )
 
 // Pins of what a kernel rewrite must not move: the spawn-tree shape
@@ -31,7 +32,7 @@ func TestRecordedGraphPins(t *testing.T) {
 		nodes, leaves, stages int
 		depth                 int
 	}{
-		{"mergesort-200k", MergesortTask(RandSlice(200_000, 11)), 255, 128, 382, 8},
+		{"mergesort-200k", MergesortTask(RandSlice(200_000, 11)), 31, 16, 46, 5},
 		{"fft-16k", FFTTask(RandComplex(1<<14, 7)), 127, 64, 190, 7},
 	}
 	for _, tc := range cases {
@@ -69,6 +70,33 @@ func TestRecordedGraphPins(t *testing.T) {
 					nodes, leaves, stages, depth, tc.nodes, tc.leaves, tc.stages, tc.depth)
 			}
 		})
+	}
+}
+
+// TestMergesortIsP8: the catalog's full-size Mergesort job records the
+// tree the simulator runs for the paper's p-8 (workload.Mergesort(1.0)):
+// the same node count and depth, and 256 leaves. msCutoff is what sets
+// it; a finer grain records a deeper tree than the one simulated.
+func TestMergesortIsP8(t *testing.T) {
+	spec, _ := ByName("Mergesort")
+	live := rt.RecordGraph("Mergesort", 0.4, spec.NewTask(1.0))
+	if err := task.Validate(live); err != nil {
+		t.Fatal(err)
+	}
+	got, want := task.Analyze(live), task.Analyze(workload.Mergesort(1.0))
+	if got.Nodes != want.Nodes || got.MaxDepth != want.MaxDepth {
+		t.Errorf("live Mergesort(1.0) records %d nodes at depth %d; p-8 has %d at depth %d",
+			got.Nodes, got.MaxDepth, want.Nodes, want.MaxDepth)
+	}
+	leaves := 0
+	task.Walk(live, func(n *task.Node, _ int) bool {
+		if len(n.Stages) == 1 && len(n.Stages[0].Children) == 0 {
+			leaves++
+		}
+		return true
+	})
+	if leaves != 256 {
+		t.Errorf("live Mergesort(1.0) records %d leaves, want p-8's 256", leaves)
 	}
 }
 

@@ -18,7 +18,7 @@ func TestRecordRealKernels(t *testing.T) {
 	}{
 		{"heat", HeatTask(NewGrid(64, 32), 4), 16},
 		{"sor", SORTask(NewGrid(64, 32), 3, 1.5), 12},
-		{"mergesort", MergesortTask(RandSlice(20_000, 1)), 15},
+		{"mergesort", MergesortTask(RandSlice(8*msCutoff, 1)), 15},
 		{"fft", FFTTask(randComplexBench(1 << 11)), 7},
 		{"ge", func() rt.Task {
 			n := 32
