@@ -610,7 +610,7 @@ func TestMergesortJobSteadyState(t *testing.T) {
 	perJob := (after.TotalAlloc - before.TotalAlloc) / jobs
 	t.Logf("NewTask + Run of Mergesort(0.05): %d bytes a job", perJob)
 	if perJob > 1<<10 {
-		t.Errorf("NewTask + Run of Mergesort(0.05) allocates %d bytes a job, want under 1 KB (its tree slab is 24 KB, its keys 800 KB)", perJob)
+		t.Errorf("NewTask + Run of Mergesort(0.05) allocates %d bytes a job, want under 1 KB (its tree slab is 3 KB, its keys 800 KB)", perJob)
 	}
 }
 

@@ -23,17 +23,21 @@ const admitClosed admit.Verdict = -1
 
 // admission is the server's WFQ front door: one virtual-time weighted
 // fair queue across every tenant, guarding both the per-tenant bounded
-// depth and a global backlog cap. Tenants' runner goroutines block in
-// popWait on the shared condition variable; submissions enqueue under
-// the same mutex, so WFQ tags, per-tenant FIFO, and the closed flag are
-// all consistent without per-tenant channels.
+// depth and a global backlog cap. Submissions enqueue under its mutex, so
+// WFQ tags, per-tenant FIFO, and each tenant's closed and busy flags are
+// all consistent under one lock.
+//
+// A job admitted to an idle tenant (no serve in progress, and the job
+// alone in its flow) is popped at once and served by the handler that
+// submitted it: a queued job that waited for nothing. Only backlog goes
+// to the tenant's runner goroutine, which blocks in popWait on its own
+// wake channel, so an admission wakes at most the one runner it feeds.
 //
 // Lock order: Server.mu may be held when taking admission.mu (tenant
 // creation, weight updates, teardown) — never the reverse.
 type admission struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	q    *wfq.Queue[*job]
+	mu sync.Mutex
+	q  *wfq.Queue[*job]
 
 	nextFlow    int
 	globalCap   int  // 0 = no global cap (per-tenant depths still apply)
@@ -46,13 +50,11 @@ type admission struct {
 }
 
 func newAdmission(globalCap int, earlyReject bool) *admission {
-	a := &admission{
+	return &admission{
 		q:           wfq.New[*job](),
 		globalCap:   globalCap,
 		earlyReject: earlyReject,
 	}
-	a.cond = sync.NewCond(&a.mu)
-	return a
 }
 
 // register allocates a WFQ flow for a new tenant.
@@ -100,8 +102,12 @@ func (a *admission) total() int {
 // for one job under the admission mutex.
 //
 // On admit.Admitted the returned victim, if non-nil, is the shed job the
-// caller must resolve (StatusShed). On refusals retry is the Retry-After
-// hint.
+// caller must resolve (StatusShed). An admitted job offered inline (its
+// submitter can serve it) that finds its tenant idle is popped at once:
+// the tenant is busy, j.inline stays set, and the caller serves the job
+// (tenant.dispatch) and then calls release. Any other admitted job has
+// j.inline cleared and waits for the runner. On refusals retry is the
+// Retry-After hint.
 func (a *admission) submit(t *tenant, j *job, deadline time.Duration) (verdict admit.Verdict, retry time.Duration, victim *job) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -120,7 +126,16 @@ func (a *admission) submit(t *tenant, j *job, deadline time.Duration) (verdict a
 		})
 	switch d.Verdict {
 	case admit.Admitted:
-		a.cond.Broadcast()
+		j.inline = j.inline && !t.busy && a.q.Len(t.flow) == 1
+		switch {
+		case j.inline:
+			a.q.Pop(t.flow)
+			t.busy = true
+		case !t.busy:
+			t.wake()
+			// A busy tenant needs no wake: whoever holds it looks at the
+			// flow again when it lets go.
+		}
 	case admit.EarlyReject:
 		// Honest hint: after predicted−deadline the backlog ahead has
 		// drained enough that an identical job would fit its deadline.
@@ -153,31 +168,54 @@ func (a *admission) observeCost(d time.Duration) {
 	a.fallbackNanos.Store(admit.Fold(a.fallbackNanos.Load(), int64(d)))
 }
 
-// popWait blocks until the tenant has a queued job or has been closed;
-// it returns false only on close-and-drained, at which point the runner
-// exits.
-func (a *admission) popWait(t *tenant) (*job, bool) {
+// release ends an inline job's serve: the tenant is idle again, and its
+// runner is woken only if backlog queued behind the serve or the tenant
+// was closed meanwhile.
+func (a *admission) release(t *tenant) {
 	a.mu.Lock()
-	defer a.mu.Unlock()
+	t.busy = false
+	wake := t.closed || a.q.Len(t.flow) > 0
+	a.mu.Unlock()
+	if wake {
+		t.wake()
+	}
+}
+
+// popWait is the runner's loop step. It first ends the runner's previous
+// serve (done), then blocks until the tenant is idle with a queued job,
+// which it pops and marks busy, or is closed, drained and idle, when it
+// returns false and the runner exits.
+func (a *admission) popWait(t *tenant, done bool) (*job, bool) {
+	a.mu.Lock()
+	if done {
+		t.busy = false
+	}
 	for {
-		if j, ok := a.q.Pop(t.flow); ok {
-			return j, true
+		if !t.busy {
+			if j, ok := a.q.Pop(t.flow); ok {
+				t.busy = true
+				a.mu.Unlock()
+				return j, true
+			}
+			if t.closed {
+				a.mu.Unlock()
+				return nil, false
+			}
 		}
-		if t.closed {
-			return nil, false
-		}
-		a.cond.Wait()
+		a.mu.Unlock()
+		<-t.wakeup
+		a.mu.Lock()
 	}
 }
 
 // closeTenant stops admission for the tenant and wakes its runner; the
 // runner drains remaining backlog (serving it, or failing fast if the
-// tenant was evicted) before exiting.
+// tenant was evicted) and waits out an inline serve before exiting.
 func (a *admission) closeTenant(t *tenant) {
 	a.mu.Lock()
 	t.closed = true
-	a.cond.Broadcast()
 	a.mu.Unlock()
+	t.wake()
 }
 
 // retryAfterHint estimates how long until a backlogged tenant has room:

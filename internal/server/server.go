@@ -18,13 +18,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"regexp"
 	"runtime"
 	"sort"
 	"strconv"
@@ -117,8 +116,6 @@ const (
 	defaultSize     = 0.25
 	maxSize         = 1.0
 )
-
-var tenantNameRe = regexp.MustCompile(`^[a-zA-Z0-9._-]{1,64}$`)
 
 // Server hosts the rt.System and its tenants behind an http.Handler.
 type Server struct {
@@ -372,20 +369,24 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 // handleSubmitJob admits one job into the tenant's queue and blocks until
-// it finishes (or its deadline expires while queued).
+// it finishes (or its deadline expires while queued). A job admitted to an
+// idle tenant is served right here, on the handler's goroutine.
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	body := bufs.Get().(*bytes.Buffer)
+	body.Reset()
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err == nil {
-		err = json.Unmarshal(body, &req)
+		err = decodeJobRequest(body.Bytes(), &req)
 	}
+	putBuf(body) // the request holds copies of its strings
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	if !tenantNameRe.MatchString(req.Tenant) {
+	if !validTenantName(req.Tenant) {
 		writeError(w, http.StatusBadRequest,
-			"tenant must match %s", tenantNameRe)
+			"tenant must match %s", tenantNamePattern)
 		return
 	}
 	spec, ok := kernels.ByName(req.Kernel)
@@ -461,6 +462,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		client:   r.Context(),
 		enqueued: now,
 		deadline: now.Add(deadline),
+		inline:   true,
 		done:     make(chan struct{}),
 	}
 	verdict, retry, victim := s.adm.submit(t, j, deadline)
@@ -495,6 +497,14 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	}
 	if victim != nil {
 		s.resolveShed(victim)
+	}
+	if j.inline {
+		// Popped the moment it was admitted: it waits for no runner and
+		// for no deadline timer.
+		t.dispatch(j)
+		s.adm.release(t)
+		s.writeResult(w, j)
+		return
 	}
 
 	// The deadline is the job's timestamp plus this one timer, armed only
@@ -534,7 +544,12 @@ func (s *Server) writeResult(w http.ResponseWriter, j *job) {
 		w.Header().Set("Retry-After", strconv.Itoa(int(j.retry.Seconds())))
 		w.Header().Set(RejectReasonHeader, admit.Shed.String())
 	}
-	writeJSON(w, code, j.res)
+	buf := bufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_, _ = w.Write(appendJobResult(buf.AvailableBuffer(), &j.res))
+	putBuf(buf)
 }
 
 // resolveShed finishes a job that the WFQ layer removed from the queue

@@ -12,7 +12,8 @@ import (
 )
 
 // job is one admitted request travelling from the HTTP handler through
-// the WFQ admission queue to its tenant's runner goroutine.
+// the WFQ admission queue to whoever serves it: the handler itself when
+// the tenant was idle (inline), else the tenant's runner goroutine.
 type job struct {
 	id       uint64
 	req      JobRequest
@@ -30,15 +31,20 @@ type job struct {
 	// shed (removed from the queue to admit better-placed work).
 	retry time.Duration
 
-	// res is written by whoever resolves the job (runner or shedder)
-	// before done is closed.
+	// inline is set by a submitter that can serve the job itself. After
+	// admission.submit it stays set only if the job was popped the moment
+	// it was admitted, for an idle tenant: the submitter then serves it.
+	inline bool
+
+	// res is written by whoever resolves the job (runner, inline
+	// handler or shedder) before done is closed.
 	res  JobResult
 	done chan struct{}
 }
 
-// tenant is one co-running program plus its WFQ admission flow and the
-// single runner goroutine that feeds queued jobs to the program
-// serially.
+// tenant is one co-running program plus its WFQ admission flow. Its
+// program runs one job at a time: an inline job on the handler that
+// submitted it, or backlog on the tenant's runner goroutine.
 type tenant struct {
 	name string
 	srv  *Server
@@ -49,14 +55,19 @@ type tenant struct {
 	depth int
 
 	// closed stops admission and tells the runner to exit once the flow
-	// is drained. Guarded by srv.adm.mu.
+	// is drained and the tenant idle. busy is true while a handler or the
+	// runner serves one of the tenant's jobs. Both guarded by srv.adm.mu.
 	closed bool
+	busy   bool
+	// wakeup is the runner's one-slot wake: a token left while the runner
+	// is not waiting is taken on its next wait, so no wake is lost.
+	wakeup chan struct{}
 
 	// evicted is set (before closed) when the program's lease expired:
 	// remaining queued jobs are failed fast instead of run.
 	evicted atomic.Bool
 
-	// inFlight is true while the runner is executing a job — the "+1 in
+	// inFlight is true while one of the tenant's jobs runs — the "+1 in
 	// service" term of the early-rejection wait prediction.
 	inFlight atomic.Bool
 
@@ -85,6 +96,7 @@ func newTenant(s *Server, name string, prog *rt.Program) *tenant {
 		prog:   prog,
 		flow:   s.adm.register(weight),
 		depth:  s.cfg.QueueDepth,
+		wakeup: make(chan struct{}, 1),
 		exited: make(chan struct{}),
 	}
 	go t.run()
@@ -104,27 +116,43 @@ func (j *job) result(status string, queueWait, run time.Duration, st Stats) JobR
 	}
 }
 
-// run drains the tenant's WFQ flow until it is closed (tenant deletion,
+// runnerPopped, when a test sets it, is handed each job the runner pops.
+var runnerPopped func(j *job)
+
+// run drains the tenant's backlog until it is closed (tenant deletion,
 // server drain, or lease-expiry eviction), then closes the program.
 // Queued jobs admitted before the close are still served — graceful
 // drain — unless the tenant was evicted, in which case a wedged program
 // cannot be trusted with them and they are failed fast.
 func (t *tenant) run() {
-	for {
-		j, ok := t.srv.adm.popWait(t)
-		if !ok {
-			break
+	for j, ok := t.srv.adm.popWait(t, false); ok; j, ok = t.srv.adm.popWait(t, true) {
+		if runnerPopped != nil {
+			runnerPopped(j)
 		}
-		t.srv.mAdmissionWait.With(t.name).Observe(time.Since(j.enqueued).Seconds())
-		if t.evicted.Load() {
-			t.failFast(j)
-			continue
-		}
-		t.serve(j)
+		t.dispatch(j)
 	}
 	t.srv.adm.unregister(t.flow)
 	t.prog.Close()
 	close(t.exited)
+}
+
+// wake leaves the runner a wake token unless one is already waiting.
+func (t *tenant) wake() {
+	select {
+	case t.wakeup <- struct{}{}:
+	default:
+	}
+}
+
+// dispatch resolves a job popped from the tenant's flow: served, or
+// failed fast if the tenant was evicted.
+func (t *tenant) dispatch(j *job) {
+	t.srv.mAdmissionWait.With(t.name).Observe(time.Since(j.enqueued).Seconds())
+	if t.evicted.Load() {
+		t.failFast(j)
+		return
+	}
+	t.serve(j)
 }
 
 // failFast resolves a queued job without running it (evicted tenant).
