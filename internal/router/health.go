@@ -2,10 +2,11 @@ package router
 
 import (
 	"bufio"
+	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -19,10 +20,9 @@ import (
 type shard struct {
 	name string
 	url  string
-	// jobs is url+"/v1/jobs", parsed once, and nameHeader the X-DWS-Shard
-	// value of the answers this shard serves; every job shares both
-	// read-only.
-	jobs       *url.URL
+	// client makes every call to the shard. nameHeader is the X-DWS-Shard
+	// value of the answers this shard serves, shared read-only by all.
+	client     *shardClient
 	nameHeader []string
 
 	mu sync.Mutex
@@ -46,11 +46,11 @@ type shard struct {
 }
 
 func newShard(spec ShardSpec) (*shard, error) {
-	jobs, err := url.Parse(spec.URL + "/v1/jobs")
+	c, err := newShardClient(spec.URL)
 	if err != nil {
 		return nil, fmt.Errorf("router: shard %s: %w", spec.Name, err)
 	}
-	return &shard{name: spec.Name, url: spec.URL, jobs: jobs, nameHeader: []string{spec.Name}}, nil
+	return &shard{name: spec.Name, url: spec.URL, client: c, nameHeader: []string{spec.Name}}, nil
 }
 
 func (s *shard) healthy() bool {
@@ -62,26 +62,28 @@ func (s *shard) healthy() bool {
 // probeOnce probes the shard and applies the breaker transitions using the
 // router's thresholds. Returns true when the shard's admission status
 // flipped (for logging and the health gauge).
-func (s *shard) probeOnce(client *http.Client, ejectAfter, readmitAfter int) bool {
+func (s *shard) probeOnce(ejectAfter, readmitAfter int) bool {
 	start := time.Now()
-	ok, errMsg := probeHealthz(client, s.url)
+	err := s.get(context.Background(), "/healthz", nil)
 	latency := time.Since(start)
 	var backlog float64
 	haveBacklog := false
-	if ok {
-		if v, found := scrapeShardGauge(client, s.url, "dws_global_queue_depth"); found {
-			backlog, haveBacklog = v, true
-		}
+	if err == nil {
+		// The backlog gauge is best effort: a failed scrape keeps the last.
+		_ = s.get(context.Background(), "/metrics", func(body []byte) error {
+			backlog, haveBacklog = parseGauge(bytes.NewReader(body), "dws_global_queue_depth")
+			return nil
+		})
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.probes++
-	if !ok {
+	if err != nil {
 		s.fails++
 		s.consecFails++
 		s.consecOKs = 0
-		s.lastErr = errMsg
+		s.lastErr = err.Error()
 		if !s.ejected && s.consecFails >= ejectAfter {
 			s.ejected = true
 			return true
@@ -126,31 +128,23 @@ func (s *shard) markFailure(ejectAfter int) bool {
 	return false
 }
 
-// probeHealthz reports whether the shard answers GET /healthz with 200.
-func probeHealthz(client *http.Client, baseURL string) (bool, string) {
-	resp, err := client.Get(baseURL + "/healthz")
+// get GETs path from the shard within probeTimeout, and hands the body of
+// a 200 answer to read (nil: the status is all that counts).
+func (s *shard) get(ctx context.Context, path string, read func(body []byte) error) error {
+	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
+	defer cancel()
+	a, err := s.client.call(ctx, http.MethodGet, path, nil)
 	if err != nil {
-		return false, err.Error()
+		return err
 	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return false, resp.Status
+	defer s.client.done(a)
+	if a.status != http.StatusOK {
+		return fmt.Errorf("GET %s: %d %s", path, a.status, http.StatusText(a.status))
 	}
-	return true, ""
-}
-
-// scrapeShardGauge fetches the shard's Prometheus exposition and extracts
-// one unlabelled sample value.
-func scrapeShardGauge(client *http.Client, baseURL, name string) (float64, bool) {
-	resp, err := client.Get(baseURL + "/metrics")
-	if err != nil {
-		return 0, false
+	if read == nil {
+		return nil
 	}
-	defer resp.Body.Close()
-	v, found := parseGauge(resp.Body, name)
-	io.Copy(io.Discard, resp.Body)
-	return v, found
+	return read(a.body)
 }
 
 // parseGauge scans Prometheus text exposition for an unlabelled sample

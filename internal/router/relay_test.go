@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -162,36 +163,67 @@ func TestSubmitInputChecks(t *testing.T) {
 	}
 }
 
-// cannedShard answers jobs in memory, without allocating: AllocsPerRun
-// calls the handler serially, so every answer reuses one Response.
-type cannedShard struct {
-	resp    http.Response
-	payload []byte
-	body    bytes.Reader
+// cannedShard answers every request on a connection with one fixed answer
+// over net.Pipe, allocating nothing once the connection is open, so
+// AllocsPerRun counts the router's allocations alone.
+type cannedShard struct{ answer []byte }
+
+func newCannedShard(status int, payload string) cannedShard {
+	return cannedShard{[]byte(fmt.Sprintf("HTTP/1.1 %d %s\r\nContent-Type: application/json\r\n"+
+		"Date: Mon, 19 Oct 2026 10:00:00 GMT\r\nContent-Length: %d\r\n\r\n%s",
+		status, http.StatusText(status), len(payload), payload))}
 }
 
-func newCannedShard(status int, payload string) *cannedShard {
-	c := &cannedShard{payload: []byte(payload)}
-	c.resp = http.Response{
-		StatusCode: status,
-		Header:     http.Header{"Content-Type": {"application/json"}},
-		Body:       io.NopCloser(&c.body),
+// dial is a shardClient.dial: the router's end of a new pipe, the other
+// end served by c.
+func (c cannedShard) dial(context.Context) (net.Conn, error) {
+	router, shard := net.Pipe()
+	go c.serve(shard)
+	return router, nil
+}
+
+var (
+	endOfHeader   = []byte("\r\n\r\n")
+	contentLength = []byte("Content-Length: ")
+)
+
+// serve reads whole requests, a header block and its Content-Length of
+// body, and writes the answer to each.
+func (c cannedShard) serve(conn net.Conn) {
+	defer conn.Close()
+	buf := make([]byte, 4096)
+	n := 0
+	for {
+		m, err := conn.Read(buf[n:])
+		if err != nil {
+			return
+		}
+		n += m
+		end := bytes.Index(buf[:n], endOfHeader)
+		if end < 0 {
+			continue
+		}
+		want := end + len(endOfHeader)
+		if i := bytes.Index(buf[:end], contentLength); i >= 0 {
+			cl := 0
+			for j := i + len(contentLength); j < end && '0' <= buf[j] && buf[j] <= '9'; j++ {
+				cl = cl*10 + int(buf[j]-'0')
+			}
+			want += cl
+		}
+		if n < want {
+			continue
+		}
+		if _, err := conn.Write(c.answer); err != nil {
+			return
+		}
+		n = copy(buf, buf[want:n])
 	}
-	return c
-}
-
-// cannedShards routes a job to the canned answer of its shard's host.
-type cannedShards map[string]*cannedShard
-
-func (cs cannedShards) RoundTrip(req *http.Request) (*http.Response, error) {
-	c := cs[req.URL.Host]
-	c.body.Reset(c.payload)
-	return &c.resp, nil
 }
 
 // TestRelayAllocationBudget pins the allocations of one job through the
 // router's handler — a served-at-home job and one that spills past a 503 —
-// with the shards answered in memory. Each count includes the
+// with the shards answering over in-memory pipes. Each count includes the
 // httptest.ResponseRecorder's own allocations.
 func TestRelayAllocationBudget(t *testing.T) {
 	for _, tc := range []struct {
@@ -200,8 +232,8 @@ func TestRelayAllocationBudget(t *testing.T) {
 		budget       float64
 		wantShardIdx int // 0: the home serves, 1: the sibling
 	}{
-		{"hop 0", http.StatusOK, 19, 0},
-		{"503 then 200", http.StatusServiceUnavailable, 22, 1},
+		{"hop 0", http.StatusOK, 11, 0},
+		{"503 then 200", http.StatusServiceUnavailable, 11, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rt, err := New(Config{
@@ -213,12 +245,12 @@ func TestRelayAllocationBudget(t *testing.T) {
 			}
 			t.Cleanup(func() { rt.Shutdown(context.Background()) })
 			order := rt.placement("tenant-n")
-			ok := newCannedShard(http.StatusOK, `{"status":"ok"}`)
+			ok := newCannedShard(http.StatusOK, `{"status":"ok"}`+"\n")
 			home := ok
 			if tc.homeStatus != http.StatusOK {
-				home = newCannedShard(tc.homeStatus, `{"error":"no free tenant slot"}`)
+				home = newCannedShard(tc.homeStatus, `{"error":"no free tenant slot"}`+"\n")
 			}
-			rt.transport = cannedShards{order[0].jobs.Host: home, order[1].jobs.Host: ok}
+			order[0].client.dial, order[1].client.dial = home.dial, ok.dial
 
 			payload := []byte(`{"tenant":"tenant-n","kernel":"null"}`)
 			body := bytes.NewReader(payload)

@@ -7,6 +7,20 @@
 // on the same shard (spill-over aside), so each shard's WFQ admission and
 // QoS arbiter see complete tenants and their per-shard fairness semantics
 // carry over to the federation unchanged (DESIGN.md §11).
+//
+// The router speaks HTTP/1.1 to its shards itself (client.go): a spill
+// hop is a steal that pays a latency, and net/http's Transport made the
+// router half of a routed null job, handing every call to a write and a
+// read goroutine and building a request, a response and their header
+// maps. Each shard has one client that writes a request as one buffer on
+// a pooled keep-alive connection and reads the answer on the calling
+// goroutine. Retry rule: a job is offered to one shard at most twice, the
+// second time only when a reused connection ends before the first answer
+// byte, which is how a connection the shard closed while idle shows. Any
+// later failure is unreachable: the breaker steps and the job spills. A
+// shard whose handler dies without answering on a reused connection
+// therefore runs the job once more. HTTP_PROXY and the other proxy
+// variables are not consulted.
 package router
 
 import (

@@ -1,7 +1,6 @@
 package router
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"sync"
@@ -43,9 +43,8 @@ type Config struct {
 }
 
 // shardIdleConns is how many idle keep-alive connections the router keeps
-// per shard. net/http's default is 2, so with more than two concurrent
-// clients most answers would close their connection and the next burst
-// would redial.
+// per shard. With fewer than there are concurrent clients, most answers
+// would close their connection and the next burst would redial.
 const shardIdleConns = 64
 
 // probeTimeout bounds each probe and fan-out round trip.
@@ -54,31 +53,20 @@ const probeTimeout = 2 * time.Second
 // maxBody caps a job body at dwsd's own limit.
 const maxBody = 1 << 20
 
-// Header keys in canonical form, so the submit path reads and writes them
-// as map entries: Get and Set would re-canonicalise "X-DWS-…" (one
-// allocation) on every call.
+// Header keys in canonical form, so the submit path writes them as map
+// entries: Set would re-canonicalise "X-DWS-…" (one allocation) on every
+// call. relayedHeaders are the shard answer's headers a relay copies.
 var (
-	keyRejectReason = http.CanonicalHeaderKey(server.RejectReasonHeader)
-	keyShard        = http.CanonicalHeaderKey("X-DWS-Shard")
-	keySpills       = http.CanonicalHeaderKey("X-DWS-Spills")
-	relayedHeaders  = [...]string{"Content-Type", "Retry-After", keyRejectReason}
+	keyShard       = http.CanonicalHeaderKey("X-DWS-Shard")
+	keySpills      = http.CanonicalHeaderKey("X-DWS-Spills")
+	relayedHeaders = [...]string{"Content-Type", "Retry-After", http.CanonicalHeaderKey(server.RejectReasonHeader)}
 )
-
-// jobHeader is the header of every job offered to a shard. The transport
-// only reads it, so all hops share the one map.
-var jobHeader = http.Header{"Content-Type": {"application/json"}}
 
 // Router is the HTTP front tier federating N dwsd shards.
 type Router struct {
 	cfg Config
 	reg *metrics.Registry
 	mux *http.ServeMux
-	// transport makes every shard call: jobs and tenant deletes directly,
-	// probes and the /v1/info and /v1/tenants fan-outs through
-	// probeClient. Job calls skip http.Client: they follow no redirects
-	// and carry no timeout (job deadlines bound them server-side).
-	transport   http.RoundTripper
-	probeClient *http.Client
 	// spillsHeader[h] is the X-DWS-Spills value of an answer relayed after
 	// h hops, shared read-only by every answer.
 	spillsHeader [][]string
@@ -124,21 +112,15 @@ func New(cfg Config) (*Router, error) {
 		cfg.ReadmitAfter = 2
 	}
 
-	tr := http.DefaultTransport.(*http.Transport).Clone()
-	tr.MaxIdleConns = 0 // no federation-wide cap: MaxIdleConnsPerHost bounds it
-	tr.MaxIdleConnsPerHost = shardIdleConns
-	tr.DisableCompression = true // shards never gzip; the Accept-Encoding header would cost a hop an allocation
 	rt := &Router{
-		cfg:         cfg,
-		reg:         metrics.NewRegistry(),
-		mux:         http.NewServeMux(),
-		transport:   tr,
-		probeClient: &http.Client{Transport: tr, Timeout: probeTimeout},
-		ring:        NewRing(0, 0),
-		byName:      map[string]*shard{},
-		placed:      map[string][]*shard{},
-		rng:         rand.New(rand.NewSource(time.Now().UnixNano())),
-		stopProbe:   make(chan struct{}),
+		cfg:       cfg,
+		reg:       metrics.NewRegistry(),
+		mux:       http.NewServeMux(),
+		ring:      NewRing(0, 0),
+		byName:    map[string]*shard{},
+		placed:    map[string][]*shard{},
+		rng:       rand.New(rand.NewSource(time.Now().UnixNano())),
+		stopProbe: make(chan struct{}),
 	}
 	for _, spec := range cfg.Shards {
 		if spec.Name == "" || spec.URL == "" {
@@ -234,7 +216,7 @@ func (rt *Router) ProbeAll() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if s.probeOnce(rt.probeClient, rt.cfg.EjectAfter, rt.cfg.ReadmitAfter) {
+			if s.probeOnce(rt.cfg.EjectAfter, rt.cfg.ReadmitAfter) {
 				if s.healthy() {
 					rt.logf("shard %s re-admitted", s.name)
 				} else {
@@ -247,7 +229,8 @@ func (rt *Router) ProbeAll() {
 }
 
 // Shutdown drains the router: new submits answer 503, the prober stops,
-// and in-flight proxies get until ctx to finish.
+// and in-flight proxies get until ctx to finish. Idle shard connections
+// are closed, and busy ones as their calls end.
 func (rt *Router) Shutdown(ctx context.Context) error {
 	rt.mu.Lock()
 	if rt.draining {
@@ -263,9 +246,13 @@ func (rt *Router) Shutdown(ctx context.Context) error {
 		rt.inflight.Wait()
 		close(done)
 	}()
+	defer func() {
+		for _, s := range rt.order {
+			s.client.shutDown()
+		}
+	}()
 	select {
 	case <-done:
-		rt.probeClient.CloseIdleConnections()
 		return nil
 	case <-ctx.Done():
 		return fmt.Errorf("router: drain incomplete: %w", ctx.Err())
@@ -326,19 +313,17 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// Placement needs only the tenant. The shard validates the rest, and
 	// its 400 is relayed like any other answer.
-	var req struct {
-		Tenant string `json:"tenant"`
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
+	tenant, err := server.JobTenant(body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}
-	if req.Tenant == "" {
+	if tenant == "" {
 		writeError(w, http.StatusBadRequest, "tenant is required")
 		return
 	}
 
-	walk := rt.placement(req.Tenant)
+	walk := rt.placement(tenant)
 	start := time.Now()
 	// The shards that refused are the shards visited, all but the current
 	// one. The array holds the default budget's refusals without growing.
@@ -354,19 +339,17 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		return !s.healthy()
 	}
-	// GetBody lets the transport replay the job on a fresh connection when
-	// a kept-alive one turns out closed, as http.NewRequest would.
-	getBody := func() (io.ReadCloser, error) { return jobBody(body), nil }
 
 	// The first hop is the walk's first healthy shard, whatever the policy.
 	cur, ok := admit.Next(admit.SpillNext, walk, rt.order, 0, 1, out, nil)
 	if !ok {
-		writeError(w, http.StatusServiceUnavailable, "no healthy shard for tenant %q", req.Tenant)
+		writeError(w, http.StatusServiceUnavailable, "no healthy shard for tenant %q", tenant)
 		return
 	}
 	for hops := 0; ; hops++ {
 		attemptAt := time.Now()
-		resp, err := rt.forward(r.Context(), cur, body, getBody)
+		// No job deadline bounds the call here: dwsd's own deadlines do.
+		a, err := cur.client.call(r.Context(), http.MethodPost, "/v1/jobs", body)
 		reason := ""
 		switch {
 		case err != nil:
@@ -381,29 +364,27 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			if cur.markFailure(rt.cfg.EjectAfter) {
 				rt.logf("shard %s ejected (forward failure: %v)", cur.name, err)
 			}
-		case resp.StatusCode == http.StatusTooManyRequests &&
-			admit.SpillableReason(headerValue(resp.Header, keyRejectReason)):
-			reason = headerValue(resp.Header, keyRejectReason)
+		case a.status == http.StatusTooManyRequests && admit.SpillableReason(a.value(hRejectReason)):
+			reason = a.value(hRejectReason)
 			rt.m429.With(cur.name, reason).Inc()
-			refusals = append(refusals, refusal{cur, reason, retrySeconds(resp)})
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		case resp.StatusCode == http.StatusServiceUnavailable:
+			refusals = append(refusals, refusal{cur, reason, a.retrySeconds()})
+			cur.client.done(a)
+		case a.status == http.StatusServiceUnavailable:
 			// Draining or out of tenant slots: shard-level unavailability,
 			// worth a sibling even though it is not a 429.
 			reason = "unavailable"
-			refusals = append(refusals, refusal{cur, reason, retrySeconds(resp)})
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
+			refusals = append(refusals, refusal{cur, reason, a.retrySeconds()})
+			cur.client.done(a)
 		default:
 			// Terminal: success, early_reject, expiry, or a client error —
 			// relay it as the shard said it.
 			rt.mAdmitLat.With(cur.name).Observe(attemptAt.Sub(start).Seconds())
 			rt.mForwarded.With(cur.name).Inc()
-			if resp.StatusCode == http.StatusTooManyRequests {
-				rt.m429.With(cur.name, headerValue(resp.Header, keyRejectReason)).Inc()
+			if a.status == http.StatusTooManyRequests {
+				rt.m429.With(cur.name, a.value(hRejectReason)).Inc()
 			}
-			rt.relay(w, resp, cur, hops)
+			rt.relay(w, &a.answer, cur, hops)
+			cur.client.done(a)
 			return
 		}
 
@@ -413,11 +394,11 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		rt.mSpills.With(cur.name, next.name, reason).Inc()
 		if rt.cfg.Logf != nil { // boxing the arguments allocates even for a no-op logger
-			rt.logf("spill %s→%s tenant=%s reason=%s", cur.name, next.name, req.Tenant, reason)
+			rt.logf("spill %s→%s tenant=%s reason=%s", cur.name, next.name, tenant, reason)
 		}
 		cur = next
 	}
-	rt.refuseAll(w, req.Tenant, refusals)
+	rt.refuseAll(w, tenant, refusals)
 }
 
 // readBody reads a job body of at most maxBody bytes. A declared length
@@ -435,54 +416,23 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	return body, nil
 }
 
-// jobBody is one hop's request body. Each hop gets its own reader, because
-// the transport may still read or close a body after RoundTrip returns;
-// the bytes are never written, so every hop shares them. It must stay a
-// NopCloser around a *bytes.Reader: the transport recognises that as
-// in-memory and writes headers and body in one go, where any other type
-// costs a separate flush of the headers.
-func jobBody(b []byte) io.ReadCloser { return io.NopCloser(bytes.NewReader(b)) }
-
-// forward offers the job to one shard, straight through the transport.
-// ctx is the client's request context, so a disconnect cancels the hop.
-func (rt *Router) forward(ctx context.Context, s *shard, body []byte, getBody func() (io.ReadCloser, error)) (*http.Response, error) {
-	req := (&http.Request{
-		Method:        http.MethodPost,
-		URL:           s.jobs,
-		Header:        jobHeader,
-		Body:          jobBody(body),
-		GetBody:       getBody,
-		ContentLength: int64(len(body)),
-	}).WithContext(ctx)
-	return rt.transport.RoundTrip(req)
-}
-
 // relay copies the shard's answer to the client, stamped with the serving
-// shard and the spill hop count. Header values are relayed as the slices
-// they arrived in (clipped, so an append elsewhere copies), and the stamps
-// are slices shared read-only by every answer.
-func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, s *shard, hops int) {
-	defer resp.Body.Close()
+// shard and the spill hop count. Header values are relayed as the
+// one-element slices the answer holds, and the stamps are slices shared
+// read-only by every answer.
+func (rt *Router) relay(w http.ResponseWriter, a *answer, s *shard, hops int) {
 	h := w.Header()
-	for _, k := range relayedHeaders {
-		if v := resp.Header[k]; len(v) > 0 && v[0] != "" {
-			h[k] = v[:1:1]
+	for i, k := range relayedHeaders {
+		if v := a.hdr[i]; v != nil && v[0] != "" {
+			h[k] = v
 		}
 	}
 	h[keyShard] = s.nameHeader
 	if hops > 0 {
 		h[keySpills] = rt.spillsHeader[hops]
 	}
-	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
-}
-
-// headerValue is h.Get for a key already in canonical form.
-func headerValue(h http.Header, key string) string {
-	if v := h[key]; len(v) > 0 {
-		return v[0]
-	}
-	return ""
+	w.WriteHeader(a.status)
+	w.Write(a.body)
 }
 
 // refuseAll answers a job every tried shard refused. The Retry-After is
@@ -522,19 +472,6 @@ func (rt *Router) refuseAll(w http.ResponseWriter, tenant string, refusals []ref
 		"all %d shards refused the job for tenant %q; retry in %ds", len(refusals), tenant, retry)
 }
 
-// retrySeconds parses the shard's Retry-After hint (0 when absent).
-func retrySeconds(resp *http.Response) int {
-	s := headerValue(resp.Header, "Retry-After")
-	if s == "" {
-		return 0 // Atoi would build an error to say so
-	}
-	v, err := strconv.Atoi(s)
-	if err != nil || v < 0 {
-		return 0
-	}
-	return v
-}
-
 // handleInfo aggregates healthy shards' /v1/info into one federation view.
 func (rt *Router) handleInfo(w http.ResponseWriter, r *http.Request) {
 	var agg Info
@@ -571,20 +508,7 @@ func (rt *Router) handleInfo(w http.ResponseWriter, r *http.Request) {
 
 // getShard GETs path from shard s and decodes its 200 answer into out.
 func (rt *Router) getShard(ctx context.Context, s *shard, path string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.url+path, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := rt.probeClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return fmt.Errorf("GET %s: %s", path, resp.Status)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return s.get(ctx, path, func(body []byte) error { return json.Unmarshal(body, out) })
 }
 
 // handleTenants merges every healthy shard's tenant table. A tenant that
@@ -634,19 +558,14 @@ func (rt *Router) handleDeleteTenant(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	found := false
 	for _, s := range rt.order {
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodDelete, s.url+"/v1/tenants/"+name, nil)
+		a, err := s.client.call(r.Context(), http.MethodDelete, "/v1/tenants/"+url.PathEscape(name), nil)
 		if err != nil {
 			continue
 		}
-		resp, err := rt.transport.RoundTrip(req)
-		if err != nil {
-			continue
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNoContent {
+		if a.status == http.StatusOK || a.status == http.StatusNoContent {
 			found = true
 		}
+		s.client.done(a)
 	}
 	rt.mu.Lock()
 	rt.ring.Release(name)

@@ -30,6 +30,7 @@ type fakeShard struct {
 	refuse  bool          // connection-level failure: close without answering
 	hits    int
 	conns   int     // connections the shard accepted
+	open    int     // of those, not yet closed
 	backlog float64 // dws_global_queue_depth
 	srv     *httptest.Server
 }
@@ -101,11 +102,15 @@ func newFakeShard(t *testing.T) *fakeShard {
 	})
 	f.srv = httptest.NewUnstartedServer(mux)
 	f.srv.Config.ConnState = func(_ net.Conn, state http.ConnState) {
-		if state == http.StateNew {
-			f.mu.Lock()
+		f.mu.Lock()
+		switch state {
+		case http.StateNew:
 			f.conns++
-			f.mu.Unlock()
+			f.open++
+		case http.StateClosed, http.StateHijacked:
+			f.open--
 		}
+		f.mu.Unlock()
 	}
 	f.srv.Start()
 	t.Cleanup(f.srv.Close)
@@ -134,9 +139,19 @@ func (f *fakeShard) connCount() int {
 // period; tests call ProbeAll explicitly).
 func newTestRouter(t *testing.T, spill admit.SpillPolicy, budget int, fakes ...*fakeShard) *Router {
 	t.Helper()
-	specs := make([]ShardSpec, len(fakes))
+	urls := make([]string, len(fakes))
 	for i, f := range fakes {
-		specs[i] = ShardSpec{Name: fmt.Sprintf("s%d", i), URL: f.srv.URL}
+		urls[i] = f.srv.URL
+	}
+	return routerOver(t, spill, budget, urls...)
+}
+
+// routerOver is newTestRouter over shards at the given URLs, named s0, s1, ….
+func routerOver(t *testing.T, spill admit.SpillPolicy, budget int, urls ...string) *Router {
+	t.Helper()
+	specs := make([]ShardSpec, len(urls))
+	for i, u := range urls {
+		specs[i] = ShardSpec{Name: fmt.Sprintf("s%d", i), URL: u}
 	}
 	rt, err := New(Config{
 		Shards:       specs,

@@ -54,6 +54,22 @@ func decodeJobRequest(body []byte, req *JobRequest) error {
 	return json.Unmarshal(body, req)
 }
 
+// JobTenant returns the tenant of a POST /v1/jobs body, as json.Unmarshal
+// into a struct of the tenant field alone returns it: a body of the flat
+// shape is scanned, any other goes to that json.Unmarshal, whose error is
+// returned. A front tier places a job by it without decoding the rest.
+func JobTenant(body []byte) (string, error) {
+	var req JobRequest
+	if scanJobRequest(body, &req) {
+		return req.Tenant, nil
+	}
+	var t struct {
+		Tenant string `json:"tenant"`
+	}
+	err := json.Unmarshal(body, &t)
+	return t.Tenant, err
+}
+
 // scanJobRequest decodes body into req if it has the flat shape, and
 // reports whether it did; on false req holds partial values.
 func scanJobRequest(b []byte, req *JobRequest) bool {

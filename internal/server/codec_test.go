@@ -13,7 +13,8 @@ import (
 
 // FuzzJobRequest: on every input the job request decoder and
 // json.Unmarshal agree on whether there is an error and on the value
-// decoded, and the tenant-name check agrees with the pattern the 400
+// decoded, JobTenant and json.Unmarshal of the tenant field alone agree
+// the same way, and the tenant-name check agrees with the pattern the 400
 // quotes.
 func FuzzJobRequest(f *testing.F) {
 	for _, seed := range []string{
@@ -53,6 +54,13 @@ func FuzzJobRequest(f *testing.F) {
 		}
 		if gotErr != nil && gotErr.Error() != wantErr.Error() {
 			t.Fatalf("%q: decoder error %q, json.Unmarshal error %q", body, gotErr, wantErr)
+		}
+		var tenantOnly struct {
+			Tenant string `json:"tenant"`
+		}
+		tenantErr := json.Unmarshal(body, &tenantOnly)
+		if tenant, err := JobTenant(body); tenant != tenantOnly.Tenant || (err == nil) != (tenantErr == nil) {
+			t.Fatalf("%q: JobTenant %q, %v; json.Unmarshal of the tenant alone %q, %v", body, tenant, err, tenantOnly.Tenant, tenantErr)
 		}
 		if validTenantName(got.Tenant) != nameRe.MatchString(got.Tenant) {
 			t.Fatalf("tenant %q: validTenantName %v, %s disagrees", got.Tenant, validTenantName(got.Tenant), tenantNamePattern)
