@@ -30,9 +30,9 @@ type LiveOptions struct {
 // its scaled wall time and classifying responses into the same outcome
 // vocabulary as the simulated replay: 200 → ok (late if past deadline),
 // 429 → rejected/shed/early_reject per the server's reject-reason
-// header, 504 → expired, anything else → error. Leave events
-// delete the tenant; join events take effect through the tenant's first
-// job (dwsd creates tenants on first use).
+// header, 504 → expired (the job never started), anything else → error.
+// Leave events delete the tenant; join events take effect through the
+// tenant's first job (dwsd creates tenants on first use).
 func RunLive(tr *Trace, opts LiveOptions) (*Result, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err

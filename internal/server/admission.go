@@ -27,11 +27,11 @@ const admitClosed admit.Verdict = -1
 // WFQ tags, per-tenant FIFO, and each tenant's closed and busy flags are
 // all consistent under one lock.
 //
-// A job admitted to an idle tenant (no serve in progress, and the job
-// alone in its flow) is popped at once and served by the handler that
-// submitted it: a queued job that waited for nothing. Only backlog goes
-// to the tenant's runner goroutine, which blocks in popWait on its own
-// wake channel, so an admission wakes at most the one runner it feeds.
+// A tenant serves one job at a time, always on the handler that admitted
+// it. A job admitted to an idle tenant (no serve in progress) is popped
+// at once; any other waits for its turn, which whoever ends the tenant's
+// serve (release) hands to the next job popped from the flow. So an idle
+// tenant's flow is empty, and who holds a turn is decided under this mutex.
 //
 // Lock order: Server.mu may be held when taking admission.mu (tenant
 // creation, weight updates, teardown) — never the reverse.
@@ -67,12 +67,11 @@ func (a *admission) register(weight float64) int {
 	return id
 }
 
-// unregister drops a tenant's flow, returning any stranded backlog (in
-// normal teardown the runner has already drained it).
-func (a *admission) unregister(flow int) []*job {
+// unregister drops a finished tenant's (empty) flow.
+func (a *admission) unregister(flow int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.q.RemoveFlow(flow)
+	a.q.RemoveFlow(flow)
 }
 
 // setWeight re-weights a tenant's flow; already queued jobs keep their
@@ -102,12 +101,11 @@ func (a *admission) total() int {
 // for one job under the admission mutex.
 //
 // On admit.Admitted the returned victim, if non-nil, is the shed job the
-// caller must resolve (StatusShed). An admitted job offered inline (its
-// submitter can serve it) that finds its tenant idle is popped at once:
-// the tenant is busy, j.inline stays set, and the caller serves the job
-// (tenant.dispatch) and then calls release. Any other admitted job has
-// j.inline cleared and waits for the runner. On refusals retry is the
-// Retry-After hint.
+// caller must resolve (resolveShed). An admitted job that finds its tenant
+// idle is popped at once and the tenant marked busy: the caller serves it
+// (tenant.serve) and then calls release. Any other admitted job gets a
+// turn channel and waits for it. On refusals retry is the Retry-After
+// hint.
 func (a *admission) submit(t *tenant, j *job, deadline time.Duration) (verdict admit.Verdict, retry time.Duration, victim *job) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -126,15 +124,15 @@ func (a *admission) submit(t *tenant, j *job, deadline time.Duration) (verdict a
 		})
 	switch d.Verdict {
 	case admit.Admitted:
-		j.inline = j.inline && !t.busy && a.q.Len(t.flow) == 1
-		switch {
-		case j.inline:
+		if d.Victim != nil {
+			d.Victim.dequeued = true
+		}
+		if !t.busy && a.q.Len(t.flow) == 1 {
 			a.q.Pop(t.flow)
+			j.dequeued = true
 			t.busy = true
-		case !t.busy:
-			t.wake()
-			// A busy tenant needs no wake: whoever holds it looks at the
-			// flow again when it lets go.
+		} else {
+			j.turn = make(chan struct{})
 		}
 	case admit.EarlyReject:
 		// Honest hint: after predicted−deadline the backlog ahead has
@@ -168,54 +166,59 @@ func (a *admission) observeCost(d time.Duration) {
 	a.fallbackNanos.Store(admit.Fold(a.fallbackNanos.Load(), int64(d)))
 }
 
-// release ends an inline job's serve: the tenant is idle again, and its
-// runner is woken only if backlog queued behind the serve or the tenant
-// was closed meanwhile.
+// release ends the tenant's serve: it pops the next job and hands that
+// job's handler the turn. A popped job whose handler has left is resolved
+// here, without running, and the next one popped. With the flow empty
+// the tenant is idle, and if it was closed meanwhile it is finished.
 func (a *admission) release(t *tenant) {
 	a.mu.Lock()
-	t.busy = false
-	wake := t.closed || a.q.Len(t.flow) > 0
-	a.mu.Unlock()
-	if wake {
-		t.wake()
-	}
-}
-
-// popWait is the runner's loop step. It first ends the runner's previous
-// serve (done), then blocks until the tenant is idle with a queued job,
-// which it pops and marks busy, or is closed, drained and idle, when it
-// returns false and the runner exits.
-func (a *admission) popWait(t *tenant, done bool) (*job, bool) {
-	a.mu.Lock()
-	if done {
-		t.busy = false
-	}
 	for {
-		if !t.busy {
-			if j, ok := a.q.Pop(t.flow); ok {
-				t.busy = true
-				a.mu.Unlock()
-				return j, true
-			}
-			if t.closed {
-				a.mu.Unlock()
-				return nil, false
-			}
+		j, ok := a.q.Pop(t.flow)
+		if !ok {
+			break
+		}
+		j.dequeued = true
+		if !j.left {
+			a.mu.Unlock()
+			close(j.turn)
+			return
 		}
 		a.mu.Unlock()
-		<-t.wakeup
+		t.serve(j)
 		a.mu.Lock()
+	}
+	t.busy = false
+	closed := t.closed
+	a.mu.Unlock()
+	if closed {
+		t.finish()
 	}
 }
 
-// closeTenant stops admission for the tenant and wakes its runner; the
-// runner drains remaining backlog (serving it, or failing fast if the
-// tenant was evicted) and waits out an inline serve before exiting.
-func (a *admission) closeTenant(t *tenant) {
+// leave is a waiting handler's exit when its deadline passes or its
+// client goes. If the job is still queued it is marked left, reported
+// true, and stays queued until whoever pops or sheds it resolves it, so
+// no flow frontier moves. Otherwise its turn was handed over or it was
+// shed, and the handler must take that instead.
+func (a *admission) leave(j *job) bool {
 	a.mu.Lock()
+	defer a.mu.Unlock()
+	if j.dequeued {
+		return false
+	}
+	j.left = true
+	return true
+}
+
+// closeTenant stops admission for the tenant; its queued jobs still take
+// their turns (failed fast if it was evicted). It reports whether the
+// tenant is idle, when the caller must finish it; otherwise the release
+// that leaves it idle does.
+func (a *admission) closeTenant(t *tenant) (idle bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	t.closed = true
-	a.mu.Unlock()
-	t.wake()
+	return !t.busy
 }
 
 // retryAfterHint estimates how long until a backlogged tenant has room:

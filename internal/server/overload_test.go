@@ -18,12 +18,12 @@ import (
 // with Retry-After, the shed reason header, and a "shed" result status —
 // while the gold job is served.
 func TestShedOverHTTP(t *testing.T) {
-	_, hs := newTestServer(t, Config{
+	s, hs := newTestServer(t, Config{
 		Cores: 2, Policy: rt.DWS, MaxTenants: 2,
 		QueueDepth: 4, GlobalQueueDepth: 4,
 	})
 
-	// One long bronze job pins bronze's runner; four more fill its queue
+	// One long bronze job pins bronze's turn; four more fill its queue
 	// to the global cap.
 	type reply struct {
 		code   int
@@ -46,7 +46,10 @@ func TestShedOverHTTP(t *testing.T) {
 				resp.Header.Get(RejectReasonHeader), res.Status}
 		}(size)
 		if i == 0 {
-			time.Sleep(30 * time.Millisecond) // let the pin start running
+			waitUntil(t, "the pin runs", func() bool {
+				tl := s.tenantList()
+				return len(tl) == 1 && tl[0].inFlight.Load()
+			})
 		}
 	}
 	// Wait until bronze's backlog is at the cap.

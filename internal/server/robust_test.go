@@ -73,19 +73,22 @@ func TestRetryAfterMonotone(t *testing.T) {
 }
 
 // TestQueuedDeadlineEdges drives the deadline-while-queued decision table
-// behind one pinned runner: a queued job whose deadline cannot be met is
+// behind one pinned tenant: a queued job whose deadline cannot be met is
 // 504 and never runs; a queued job with room to spare runs to 200 once
 // the pin drains.
 func TestQueuedDeadlineEdges(t *testing.T) {
-	_, hs := newTestServer(t, Config{Cores: 2, Policy: rt.DWS, MaxTenants: 1, QueueDepth: 8})
+	s, hs := newTestServer(t, Config{Cores: 2, Policy: rt.DWS, MaxTenants: 1, QueueDepth: 8})
 
-	// Pin the single runner with one long job so everything below queues.
+	// Pin the tenant with one long job so everything below queues.
 	pin := make(chan struct{})
 	go func() {
 		defer close(pin)
 		submit(t, hs.URL, JobRequest{Tenant: "a", Kernel: "Mergesort", Size: 1.0})
 	}()
-	time.Sleep(20 * time.Millisecond) // let the pin start running
+	waitUntil(t, "the pin runs", func() bool {
+		tl := s.tenantList()
+		return len(tl) == 1 && tl[0].inFlight.Load()
+	})
 
 	cases := []struct {
 		name       string
@@ -441,7 +444,7 @@ func TestSilentExpiryReplaced(t *testing.T) {
 		if resp, _ := submit(t, hs.URL, JobRequest{Tenant: "a", Kernel: "Mergesort", Size: 0.4}); resp.StatusCode != http.StatusOK {
 			t.Fatalf("warm-up: status %d", resp.StatusCode)
 		}
-		// Pin the runner, then submit a job that cannot make its deadline.
+		// Pin the tenant, then submit a job that cannot make its deadline.
 		pin := make(chan struct{})
 		go func() {
 			defer close(pin)

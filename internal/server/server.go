@@ -330,25 +330,29 @@ func (s *Server) tenantList() []*tenant {
 
 // onDeadProgram evicts the tenant whose program's lease expired (its
 // coordinator wedged or stopped beating): the tenant is removed from the
-// map, still-queued jobs are failed fast (the program cannot be trusted
-// to run them), and its runner closes the program, freeing the slot. It
-// runs on a sweeper goroutine, so everything that blocks — draining,
-// Program.Close — is left to the tenant's runner goroutine.
+// map and its still-queued jobs are failed fast as their turns come (the
+// program cannot be trusted to run them). It runs on a sweeper goroutine
+// and must not block, so an idle victim is finished (Program.Close) on a
+// goroutine of its own; a busy one is finished by its last release.
 func (s *Server) onDeadProgram(slot int, _ int32, _ int) {
 	s.mu.Lock()
 	var victim *tenant
+	idle := false
 	for name, t := range s.tenants {
 		if t.prog.Slot() == slot {
 			victim = t
 			delete(s.tenants, name)
 			t.evicted.Store(true)
-			s.adm.closeTenant(t)
+			idle = s.adm.closeTenant(t)
 			break
 		}
 	}
 	s.mu.Unlock()
 	if victim != nil {
 		s.mEvicted.With(victim.name).Inc()
+	}
+	if idle {
+		go victim.finish()
 	}
 }
 
@@ -368,9 +372,9 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// handleSubmitJob admits one job into the tenant's queue and blocks until
-// it finishes (or its deadline expires while queued). A job admitted to an
-// idle tenant is served right here, on the handler's goroutine.
+// handleSubmitJob admits one job into the tenant's queue, serves it on
+// this goroutine when its turn comes, and answers with its result. A job
+// that never started by its deadline answers 504.
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
 	body := bufs.Get().(*bytes.Buffer)
@@ -462,7 +466,6 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		client:   r.Context(),
 		enqueued: now,
 		deadline: now.Add(deadline),
-		inline:   true,
 		done:     make(chan struct{}),
 	}
 	verdict, retry, victim := s.adm.submit(t, j, deadline)
@@ -498,37 +501,43 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	if victim != nil {
 		s.resolveShed(victim)
 	}
-	if j.inline {
-		// Popped the moment it was admitted: it waits for no runner and
-		// for no deadline timer.
-		t.dispatch(j)
-		s.adm.release(t)
-		s.writeResult(w, j)
+	if j.turn != nil && !s.awaitTurn(w, j, deadline) {
 		return
 	}
+	t.serve(j)
+	s.adm.release(t)
+	s.writeResult(w, j)
+}
 
+// awaitTurn blocks a queued job's handler until release hands the job its
+// turn (true). Otherwise the job was shed, and its result is written here,
+// or it is left behind in the queue because its deadline passed (504: it
+// never started) or its client went away.
+func (s *Server) awaitTurn(w http.ResponseWriter, j *job, deadline time.Duration) bool {
 	// The deadline is the job's timestamp plus this one timer, armed only
-	// for admitted jobs; the runner compares the same timestamp.
+	// for jobs that wait; serve compares the same timestamp.
 	expiry := time.NewTimer(time.Until(j.deadline))
 	defer expiry.Stop()
 	select {
+	case <-j.turn:
+		return true
+	case <-j.done:
+	case <-expiry.C:
+	case <-j.client.Done():
+	}
+	if s.adm.leave(j) {
+		if j.client.Err() == nil {
+			writeError(w, http.StatusGatewayTimeout,
+				"job %d did not start within its %v deadline", j.id, deadline)
+		}
+		return false
+	}
+	select {
+	case <-j.turn:
+		return true
 	case <-j.done:
 		s.writeResult(w, j)
-	case <-expiry.C:
-		// A result racing the deadline still wins.
-		select {
-		case <-j.done:
-			s.writeResult(w, j)
-		default:
-			// Still queued (or just started): the runner will see the
-			// passed deadline on a queued job; a job already running
-			// finishes in the background — kernels are not preemptible.
-			writeError(w, http.StatusGatewayTimeout,
-				"job %d missed its %v deadline", j.id, deadline)
-		}
-	case <-j.client.Done():
-		// Client disconnect: nobody is reading the response, and the
-		// runner skips the job if it is still queued.
+		return false
 	}
 }
 
@@ -554,9 +563,15 @@ func (s *Server) writeResult(w http.ResponseWriter, j *job) {
 
 // resolveShed finishes a job that the WFQ layer removed from the queue
 // under global overload: its blocked submit handler answers 429 with an
-// honest Retry-After, exactly as if the job had been rejected up front.
+// honest Retry-After, exactly as if the job had been rejected up front. A
+// job whose handler already left is resolved as serve would have, so it
+// keeps the one verdict its client was given.
 func (s *Server) resolveShed(j *job) {
 	t := j.tn
+	if j.left {
+		t.serve(j)
+		return
+	}
 	queueWait := time.Since(j.enqueued)
 	j.retry = t.retryAfter()
 	j.res = j.result(StatusShed, queueWait, 0, Stats{})
@@ -589,14 +604,18 @@ func (s *Server) handleDeleteTenant(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	s.mu.Lock()
 	t, ok := s.tenants[name]
+	idle := false
 	if ok {
 		delete(s.tenants, name)
-		s.adm.closeTenant(t)
+		idle = s.adm.closeTenant(t)
 	}
 	s.mu.Unlock()
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown tenant %q", name)
 		return
+	}
+	if idle {
+		t.finish()
 	}
 	<-t.exited
 	w.WriteHeader(http.StatusNoContent)
@@ -646,13 +665,19 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.draining = true
 	ts := make([]*tenant, 0, len(s.tenants))
+	var idle []*tenant
 	for name, t := range s.tenants {
 		delete(s.tenants, name)
-		s.adm.closeTenant(t)
+		if s.adm.closeTenant(t) {
+			idle = append(idle, t)
+		}
 		ts = append(ts, t)
 	}
 	s.mu.Unlock()
 
+	for _, t := range idle {
+		t.finish()
+	}
 	for _, t := range ts {
 		select {
 		case <-t.exited:

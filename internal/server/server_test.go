@@ -129,15 +129,18 @@ func TestAdmissionBackpressure(t *testing.T) {
 }
 
 func TestQueuedJobDeadline(t *testing.T) {
-	_, hs := newTestServer(t, Config{Cores: 2, Policy: rt.DWS, MaxTenants: 1, QueueDepth: 4})
-	// Pin the runner with a long job, then submit one with a deadline too
+	s, hs := newTestServer(t, Config{Cores: 2, Policy: rt.DWS, MaxTenants: 1, QueueDepth: 4})
+	// Pin the tenant with a long job, then submit one with a deadline too
 	// short to ever leave the queue.
 	long := make(chan struct{})
 	go func() {
 		defer close(long)
 		submit(t, hs.URL, JobRequest{Tenant: "a", Kernel: "Mergesort", Size: 1.0})
 	}()
-	time.Sleep(20 * time.Millisecond) // let the long job start
+	waitUntil(t, "the long job runs", func() bool {
+		tl := s.tenantList()
+		return len(tl) == 1 && tl[0].inFlight.Load()
+	})
 	resp, _ := submit(t, hs.URL, JobRequest{
 		Tenant: "a", Kernel: "FFT", Size: 0.02, DeadlineMS: 1,
 	})
@@ -261,7 +264,16 @@ func TestGracefulDrain(t *testing.T) {
 			}
 		}(i)
 	}
-	time.Sleep(30 * time.Millisecond) // let them enqueue
+	waitUntil(t, "all four jobs are admitted", func() bool {
+		admitted := 0
+		for _, tn := range s.tenantList() {
+			admitted += int(tn.jobsServed.Load()) + tn.queueLen()
+			if tn.inFlight.Load() {
+				admitted++
+			}
+		}
+		return admitted == len(codes)
+	})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := s.Shutdown(ctx); err != nil {

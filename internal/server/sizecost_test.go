@@ -8,9 +8,10 @@ import (
 )
 
 // admTenant builds a bare tenant wired to an admission queue only — no
-// runner, no program — for deterministic WFQ-tag tests.
+// program — for deterministic WFQ-tag tests. It is held busy, as a serve
+// holds it, so every job submit admits stays queued.
 func admTenant(a *admission, weight float64, runEWMA time.Duration, sizes ...float64) *tenant {
-	t := &tenant{flow: a.register(weight), depth: 64}
+	t := &tenant{flow: a.register(weight), depth: 64, busy: true}
 	t.runEWMANanos.Store(int64(runEWMA))
 	for _, s := range sizes {
 		t.foldSizeEWMA(s)

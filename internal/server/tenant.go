@@ -12,8 +12,7 @@ import (
 )
 
 // job is one admitted request travelling from the HTTP handler through
-// the WFQ admission queue to whoever serves it: the handler itself when
-// the tenant was idle (inline), else the tenant's runner goroutine.
+// the WFQ admission queue and back to that handler, which serves it.
 type job struct {
 	id       uint64
 	req      JobRequest
@@ -31,20 +30,22 @@ type job struct {
 	// shed (removed from the queue to admit better-placed work).
 	retry time.Duration
 
-	// inline is set by a submitter that can serve the job itself. After
-	// admission.submit it stays set only if the job was popped the moment
-	// it was admitted, for an idle tenant: the submitter then serves it.
-	inline bool
+	// turn is made when the job queues behind its tenant's serve and
+	// closed when release hands it the turn. dequeued (popped or shed)
+	// and left (its handler stopped waiting while it was queued) are
+	// guarded by admission.mu.
+	turn           chan struct{}
+	dequeued, left bool
 
-	// res is written by whoever resolves the job (runner, inline
-	// handler or shedder) before done is closed.
+	// res is written by whoever resolves the job (its handler, a
+	// releaser for a job whose handler left, or a shedder) before done is
+	// closed.
 	res  JobResult
 	done chan struct{}
 }
 
 // tenant is one co-running program plus its WFQ admission flow. Its
-// program runs one job at a time: an inline job on the handler that
-// submitted it, or backlog on the tenant's runner goroutine.
+// program runs one job at a time, each on the handler that admitted it.
 type tenant struct {
 	name string
 	srv  *Server
@@ -54,14 +55,10 @@ type tenant struct {
 	flow  int
 	depth int
 
-	// closed stops admission and tells the runner to exit once the flow
-	// is drained and the tenant idle. busy is true while a handler or the
-	// runner serves one of the tenant's jobs. Both guarded by srv.adm.mu.
+	// closed stops admission; busy is true while one of the tenant's jobs
+	// holds the turn. Both guarded by srv.adm.mu.
 	closed bool
 	busy   bool
-	// wakeup is the runner's one-slot wake: a token left while the runner
-	// is not waiting is taken on its next wait, so no wake is lost.
-	wakeup chan struct{}
 
 	// evicted is set (before closed) when the program's lease expired:
 	// remaining queued jobs are failed fast instead of run.
@@ -85,22 +82,19 @@ type tenant struct {
 	// ratio exactly 1 and their tags bit-identical to size-blind costing.
 	sizeEWMABits atomic.Uint64
 
-	exited chan struct{} // closed when the runner has drained and stopped
+	exited chan struct{} // closed once the tenant is finished
 }
 
 func newTenant(s *Server, name string, prog *rt.Program) *tenant {
 	weight, _ := prog.QoS()
-	t := &tenant{
+	return &tenant{
 		name:   name,
 		srv:    s,
 		prog:   prog,
 		flow:   s.adm.register(weight),
 		depth:  s.cfg.QueueDepth,
-		wakeup: make(chan struct{}, 1),
 		exited: make(chan struct{}),
 	}
-	go t.run()
-	return t
 }
 
 // result is the terminal record of j: served, or resolved without running
@@ -116,43 +110,12 @@ func (j *job) result(status string, queueWait, run time.Duration, st Stats) JobR
 	}
 }
 
-// runnerPopped, when a test sets it, is handed each job the runner pops.
-var runnerPopped func(j *job)
-
-// run drains the tenant's backlog until it is closed (tenant deletion,
-// server drain, or lease-expiry eviction), then closes the program.
-// Queued jobs admitted before the close are still served — graceful
-// drain — unless the tenant was evicted, in which case a wedged program
-// cannot be trusted with them and they are failed fast.
-func (t *tenant) run() {
-	for j, ok := t.srv.adm.popWait(t, false); ok; j, ok = t.srv.adm.popWait(t, true) {
-		if runnerPopped != nil {
-			runnerPopped(j)
-		}
-		t.dispatch(j)
-	}
+// finish ends a closed, drained and idle tenant: its flow is dropped and
+// its program closed, freeing the slot.
+func (t *tenant) finish() {
 	t.srv.adm.unregister(t.flow)
 	t.prog.Close()
 	close(t.exited)
-}
-
-// wake leaves the runner a wake token unless one is already waiting.
-func (t *tenant) wake() {
-	select {
-	case t.wakeup <- struct{}{}:
-	default:
-	}
-}
-
-// dispatch resolves a job popped from the tenant's flow: served, or
-// failed fast if the tenant was evicted.
-func (t *tenant) dispatch(j *job) {
-	t.srv.mAdmissionWait.With(t.name).Observe(time.Since(j.enqueued).Seconds())
-	if t.evicted.Load() {
-		t.failFast(j)
-		return
-	}
-	t.serve(j)
 }
 
 // failFast resolves a queued job without running it (evicted tenant).
@@ -162,18 +125,22 @@ func (t *tenant) failFast(j *job) {
 	close(j.done)
 }
 
-// serve executes one job on the tenant's program and records the result.
+// serve resolves one job popped from the tenant's flow. It runs the job
+// unless that is no longer worth it: the deadline passed or the client
+// went away while it was queued (which covers every job whose handler
+// left, so its verdict is the one that handler gave), or the tenant was
+// evicted (a wedged program cannot be trusted with it).
 func (t *tenant) serve(j *job) {
 	start := time.Now()
 	queueWait := start.Sub(j.enqueued)
 	s := t.srv
+	s.mAdmissionWait.With(t.name).Observe(queueWait.Seconds())
 	// Feed the observed queue wait into the program's demand signal: the
 	// QoS arbiter compares it against the tenant's SLO (if declared) when
 	// computing entitlements.
 	t.prog.ReportQueueWait(queueWait)
 	if expired := !start.Before(j.deadline); expired || j.client.Err() != nil {
-		// The deadline passed (or the client went away) while the job was
-		// queued: skip it — the work would be wasted. With early rejection
+		// Skip it — the work would be wasted. With early rejection
 		// enabled this is the residual race (a run slower than the EWMA
 		// predicted); with it disabled, the only deadline backstop.
 		status := StatusCanceled
@@ -184,6 +151,10 @@ func (t *tenant) serve(j *job) {
 		s.mJobs.With(t.name, j.spec.Name, status).Inc()
 		s.mQueueWait.With(t.name).Observe(queueWait.Seconds())
 		close(j.done)
+		return
+	}
+	if t.evicted.Load() {
+		t.failFast(j)
 		return
 	}
 

@@ -312,7 +312,7 @@ func (m *Machine) offer(p *Program, j *openJob) admit.Verdict {
 }
 
 // startJob begins executing j (skipping over queued jobs whose deadline
-// already expired — the server's runner does the same at dequeue). The
+// already expired — dwsd's serve does the same when a job's turn comes). The
 // root task is pushed onto w's deque; sleeper policies re-take their home
 // share, and a GO push wakes a parked worker, so someone always comes for
 // it.
